@@ -51,10 +51,16 @@ def _load_config(path: str | None) -> dict[str, str]:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("FERMITHETA_THREADS")
-    return int(env) if env else 1
+    source, threads = "--threads", args.threads
+    if threads is None:
+        source, env = "FERMITHETA_THREADS", os.environ.get("FERMITHETA_THREADS") or "1"
+        try:
+            threads = int(env)
+        except ValueError:
+            raise InputError(f"{source} must be an integer, got {env!r}") from None
+    if threads < 1:
+        raise InputError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 def _emit(args, text: str):
@@ -366,21 +372,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_CONFIG_TYPES = {
-    "n": int, "q": int, "loc": int, "m": int, "r": int, "k": int,
-    "samples": int, "seed": int, "threads": int, "max_n": int,
-    "gateset": int, "t": float, "tau": float, "delta": float, "tol": float,
-}
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
 
 
-def _apply_config(args, argv):
-    """Config values fill in any flag not given explicitly on the line."""
+def _config_flags(args, argv) -> list[str]:
+    """Config values as flags for every option of the chosen command that
+    the command line leaves unset, so the parser applies each flag's type."""
+    flags = []
     for key, value in _load_config(args.config).items():
         attr = key.replace("-", "_")
-        flag = "--" + key
+        flag = "--" + key.replace("_", "-")
         explicit = any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-        if not explicit and hasattr(args, attr):
-            setattr(args, attr, _CONFIG_TYPES.get(attr, str)(value))
+        if explicit or not hasattr(args, attr):
+            continue
+        if isinstance(getattr(args, attr), bool):  # a switch: present or absent
+            if value.lower() not in _TRUE + _FALSE:
+                raise InputError(f"config {key}={value!r} is not a boolean")
+            if value.lower() in _TRUE:
+                flags.append(flag)
+        else:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 def dispatch(argv=None) -> int:
@@ -389,7 +402,9 @@ def dispatch(argv=None) -> int:
         if argv is None:
             argv = sys.argv[1:]
         args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        flags = _config_flags(args, argv)
+        if flags:
+            args = parser.parse_args([*argv, *flags])
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ from fermitheta.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERDICT,
     dispatch,
     reproduce_table,
 )
@@ -132,6 +133,56 @@ class TestDispatch:
         assert payload["seed"] == 13
         assert payload["params"]["threads"] == 2
 
+    def test_config_float_list_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta=1.0\nsamples=16\n")
+        code = dispatch(
+            ["--config", str(cfg), "lab", "free-energy", "--model", "sg", "--n", "2", "--loc", "1"]
+        )
+        assert code in (EXIT_OK, EXIT_VERDICT)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["params"]["beta_list"] == [1.0]
+        assert payload["config"]["beta"] == [1.0]
+
+    def test_config_value_typed_like_its_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta=1.0\nsamples=16\n")
+        code = dispatch(["--config", str(cfg), "lab", "mgf", "--n", "6", "--loc", "2"])
+        assert code in (EXIT_OK, EXIT_VERDICT)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["beta"] == [1.0]
+        assert payload["config"]["samples"] == 16
+
+    def test_explicit_list_flag_beats_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta=1.0\n")
+        dispatch(["--config", str(cfg), "lab", "mgf", "--n", "6", "--loc", "2",
+                  "--samples", "16", "--beta", "0.5"])
+        assert json.loads(capsys.readouterr().out)["config"]["beta"] == [0.5]
+
+    @pytest.mark.parametrize("line", ["samples=abc", "beta=hot", "threads=0", "seed=1.5"])
+    def test_config_bad_value_usage_error(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert dispatch(["--config", str(cfg), "lab", "mgf", "--n", "6", "--loc", "2"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_config_switch(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("verify=true\nsamples=16\n")
+        assert dispatch(["--config", str(cfg), "hahn", "--m", "6", "--r", "2"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        cfg.write_text("verify=maybe\n")
+        assert dispatch(["--config", str(cfg), "hahn", "--m", "6", "--r", "2"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_threads_below_one_usage_error(self, capsys, value):
+        argv = ["lab", "mgf", "--n", "6", "--loc", "2", "--samples", "16", "--threads", value]
+        assert dispatch(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [f"error: --threads must be at least 1, got {value}"]
+
 
 class TestReproduceTable:
     def test_columns_and_rows(self):
@@ -159,3 +210,10 @@ class TestThreadsEnv:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["params"]["threads"] == 3
+
+    @pytest.mark.parametrize("value", ["0", "two"])
+    def test_env_bad_value_usage_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("FERMITHETA_THREADS", value)
+        argv = ["lab", "variance", "--n", "6", "--loc", "2", "--samples", "32"]
+        assert dispatch(argv) == EXIT_USAGE
+        assert "FERMITHETA_THREADS" in capsys.readouterr().err

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import logsumexp
+
 from fermitheta.kernel import InputError, RandomStream, gaussian_stream
 from fermitheta.lab import (
     classical_overlap_experiment,
@@ -63,6 +65,38 @@ class TestFreeEnergy:
         a = free_energy_experiment("syk", 8, 4, [0.7], 24, seed=5, threads=1)
         b = free_energy_experiment("syk", 8, 4, [0.7], 24, seed=5, threads=4)
         assert np.array_equal(np.asarray(a.records["ln_z"]), np.asarray(b.records["ln_z"]))
+
+
+    @pytest.mark.parametrize("model,kind,n,loc", [("sg", "pauli", 4, 2), ("syk", "majorana", 8, 4)])
+    def test_batched_beta_reduction_matches_per_beta_loop(self, model, kind, n, loc):
+        betas = [0.0, 0.5, 1.0, 2.0]
+        lnz = free_energy_experiment(model, n, loc, betas, 16, seed=5).records["ln_z"]
+        bank = term_bank(kind, n, loc)
+        for i in range(16):
+            w = bank.eigvalsh(gaussian_stream(RandomStream(5, i), len(bank)))
+            loop = [logsumexp(-b * math.sqrt(n) * w) for b in betas]
+            assert np.abs(lnz[i] - loop).max() <= 1e-13
+
+    # per-sample ln Z at beta = 0.5, 1, 2 (seed 7, 16 samples), frozen from
+    # the scatter-add assembly and full-matrix eigensolve
+    GOLDEN_LN_Z = {
+        ("syk", 10, 4): {
+            0: (4.37982536290587, 6.37158271150955, 11.090671056884819),
+            5: (4.448880016417859, 6.616455532989813, 11.731141408838583),
+            15: (4.600116535466727, 6.942393695296213, 12.36301328395559),
+        },
+        ("sg", 4, 2): {
+            0: (3.1548061941888337, 4.122808492679275, 6.770393000431372),
+            5: (3.1297371815917203, 3.9958754274361055, 6.328112019670895),
+            15: (3.1738207270481302, 4.074670625227284, 6.3773572855596345),
+        },
+    }
+
+    @pytest.mark.parametrize("family", sorted(GOLDEN_LN_Z))
+    def test_golden_ln_z(self, family):
+        rep = free_energy_experiment(*family, [0.5, 1.0, 2.0], 16, seed=7)
+        for i, want in self.GOLDEN_LN_Z[family].items():
+            assert np.abs(rep.records["ln_z"][i] - np.array(want)).max() <= 1e-10
 
 
 class TestDeltaUpper:

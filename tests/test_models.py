@@ -5,8 +5,15 @@ from math import comb, log
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fermitheta.algebra import PauliString, enumerate_set
+from fermitheta.algebra import (
+    PauliString,
+    _popcount_array,
+    enumerate_set,
+    majorana_to_pauli,
+)
 from fermitheta.graphs import commuting_majorana_family, stabilized_state
 from fermitheta.kernel import CapacityError, InputError, RandomStream, gaussian_stream, random_state
 from fermitheta.models import (
@@ -17,6 +24,7 @@ from fermitheta.models import (
     sample_classical_pspin,
     sample_spin_glass,
     sample_syk,
+    TermBank,
     term_bank,
 )
 
@@ -86,6 +94,91 @@ class TestSampling:
         for i in range(50):
             inst = sample_syk(n, q, seed=8, stream=i)
             assert inst.lambda_max <= cap
+
+
+def _family(kind, n, k):
+    ops = enumerate_set(kind, n, k).members
+    if kind == "majorana":
+        return [majorana_to_pauli(op, hermitize=True) for op in ops], 1 << (n // 2)
+    return list(ops), 1 << n
+
+
+def _loop_tables(paulis, dim):
+    """Reference rows/vals: one term at a time."""
+    cols = np.arange(dim)
+    rows = np.empty((len(paulis), dim), dtype=np.int64)
+    vals = np.empty((len(paulis), dim), dtype=complex)
+    for i, p in enumerate(paulis):
+        rows[i] = cols ^ p.x_mask
+        vals[i] = p.phase * (1 - 2 * (_popcount_array(cols & p.z_mask) % 2))
+    return rows, vals
+
+
+def _scatter_assemble(bank, g):
+    """Reference assembly: scatter-add of every term's m x d nonzeros."""
+    m, dim = bank.rows.shape
+    H = np.zeros((dim, dim), dtype=complex)
+    np.add.at(H, (bank.rows, np.broadcast_to(np.arange(dim), (m, dim))), g[:, None] * bank.vals)
+    return H / math.sqrt(m)
+
+
+_FAMILIES = st.one_of(
+    st.integers(1, 6).flatmap(
+        lambda h: st.tuples(
+            st.just("majorana"), st.just(2 * h), st.sampled_from(range(2, 2 * h + 1, 2))
+        )
+    ),
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just("pauli"), st.just(n), st.integers(1, min(n, 3)))
+    ),
+)
+
+
+class TestTermBank:
+    @pytest.mark.parametrize(
+        "kind,n,k", [("majorana", 8, 4), ("majorana", 12, 6), ("pauli", 4, 2), ("pauli", 5, 3)]
+    )
+    def test_tables_bit_identical_to_loop(self, kind, n, k):
+        bank = term_bank(kind, n, k)
+        rows, vals = _loop_tables(*_family(kind, n, k))
+        assert bank.rows.dtype == rows.dtype and bank.rows.tobytes() == rows.tobytes()
+        assert bank.vals.dtype == vals.dtype and bank.vals.tobytes() == vals.tobytes()
+
+    @given(_FAMILIES, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_assemble_matches_scatter(self, family, seed):
+        bank = term_bank(*family)
+        g = gaussian_stream(RandomStream(seed, 0), len(bank))
+        assert np.abs(bank.assemble(g) - _scatter_assemble(bank, g)).max() <= 1e-12
+
+    @given(_FAMILIES, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_eigvalsh_matches_dense(self, family, seed):
+        bank = term_bank(*family)
+        g = gaussian_stream(RandomStream(seed, 0), len(bank))
+        w = np.linalg.eigvalsh(bank.assemble(g))
+        got = bank.eigvalsh(g)
+        assert got.shape == (bank.dim,)
+        assert np.all(np.diff(got) >= 0)
+        assert np.abs(got - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+
+    def test_parity_flag(self):
+        assert all(term_bank("majorana", n, q).parity for n, q in ((4, 2), (8, 4), (12, 6)))
+        assert not any(term_bank("pauli", n, k).parity for n, k in ((3, 1), (4, 2), (4, 4)))
+        odd = [majorana_to_pauli(op, hermitize=False) for op in enumerate_set("majorana", 6, 3).members]
+        assert not TermBank(odd, 1 << 3).parity
+
+    def test_parity_blocks_are_invariant(self):
+        bank = term_bank("majorana", 10, 4)
+        H = bank.assemble(gaussian_stream(RandomStream(1, 0), len(bank)))
+        odd = _popcount_array(np.arange(bank.dim)) % 2 == 1
+        assert np.abs(H[np.ix_(odd, ~odd)]).max() == 0.0
+
+    def test_duplicate_terms_add(self):
+        x = PauliString.from_label("XZ")
+        bank = TermBank([x, x], 4)
+        H = bank.assemble(np.array([1.0, 2.0]))
+        assert np.allclose(H, 3.0 / math.sqrt(2) * _scatter_assemble(TermBank([x], 4), np.ones(1)))
 
 
 class TestClassical:
