@@ -30,7 +30,6 @@ from .index import (
     IndexEstimate,
     index_estimate,
     index_lower_family,
-    index_lower_majorana,
     index_pauli_product,
     index_seesaw,
     index_upper,

@@ -22,13 +22,21 @@ convention: generator 2t-1 acts as Z^(t-1) X I..., generator 2t as
 Z^(t-1) Y I... on n/2 qubits.  Hermitization multiplies a degree-q monomial
 (q even) by ``i**(q/2)`` so that the result squares to the identity.
 Majorana indices are 1-based externally and converted at this boundary.
+
+:class:`TermBank` is the term kernel: the one matrix-free representation of
+a family's action (term i sends basis state c to
+phase_i (-1)^popcount(c & z_i) |c ^ x_i>), read by expectations, products
+A_i v and Hamiltonian assembly alike.  :func:`pauli_matrix` and
+:func:`materialize` build dense matrices of single operators as references.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence, Union
 
@@ -47,6 +55,8 @@ __all__ = [
     "majorana_to_pauli",
     "materialize",
     "enumerate_set",
+    "TermBank",
+    "term_bank",
 ]
 
 DEFAULT_DENSE_DIM = 1 << 12
@@ -241,12 +251,9 @@ def _check_dim(dim: int, max_dim: int):
         raise CapacityError(f"dense dimension {dim} exceeds the requested cap {max_dim}")
 
 
-def materialize(op: Operator, hermitize: bool = True, max_dim: int = DEFAULT_DENSE_DIM) -> DenseHermitian:
-    """Dense Hermitian matrix of an operator.
-
-    Pauli strings materialize as stored; Majorana monomials go through
-    Jordan-Wigner with the even-degree Hermitizing phase when requested.
-    """
+def _hermitian_pauli(op: Operator, hermitize: bool, max_dim: int) -> PauliString:
+    """Pauli image of an operator, checked against the dense cap and for
+    Hermiticity before anything of dimension 2^n is allocated."""
     if isinstance(op, MajoranaMonomial):
         P = majorana_to_pauli(op, hermitize=hermitize)
     elif isinstance(op, PauliString):
@@ -254,10 +261,18 @@ def materialize(op: Operator, hermitize: bool = True, max_dim: int = DEFAULT_DEN
     else:
         raise InputError(f"cannot materialize {type(op).__name__}")
     _check_dim(1 << P.n_qubits, max_dim)
-    M = pauli_matrix(P)
     if not P.is_hermitian:
         raise InputError("operator materializes to a non-Hermitian matrix")
-    return DenseHermitian(M)
+    return P
+
+
+def materialize(op: Operator, hermitize: bool = True, max_dim: int = DEFAULT_DENSE_DIM) -> DenseHermitian:
+    """Dense Hermitian matrix of an operator.
+
+    Pauli strings materialize as stored; Majorana monomials go through
+    Jordan-Wigner with the even-degree Hermitizing phase when requested.
+    """
+    return DenseHermitian(pauli_matrix(_hermitian_pauli(op, hermitize, max_dim)))
 
 
 @dataclass(frozen=True)
@@ -292,6 +307,8 @@ class OperatorSet:
         return 1 << (self.n if self.kind == "pauli" else self.n // 2)
 
     def hermitized_matrices(self, max_dim: int = DEFAULT_DENSE_DIM) -> list[np.ndarray]:
+        """Dense matrices of the Hermitized members (a reference for
+        :class:`TermBank`, which never builds them)."""
         return [materialize(m, hermitize=True, max_dim=max_dim).entries for m in self.members]
 
     def to_json(self) -> str:
@@ -372,3 +389,116 @@ def enumerate_set(kind: str, n: int, locality: int) -> OperatorSet:
                 members.append(PauliString(n, x, z, p % 4))
         return OperatorSet("pauli", n, locality, tuple(members), provenance="enumerated")
     raise InputError(f"unknown operator kind {kind!r}")
+
+
+def _sylvester(bits: int) -> np.ndarray:
+    """The 2^bits x 2^bits Sylvester-Hadamard matrix, (-1)^popcount(r & c)."""
+    idx = np.arange(1 << bits)
+    return 1.0 - 2.0 * (_popcount_array(idx[:, None] & idx) & 1)
+
+
+class TermBank:
+    """Matrix-free tables of a family of Pauli terms.
+
+    ``rows[i, c]`` and ``vals[i, c]`` give the single nonzero of term i in
+    column c.  :meth:`expectations` and :meth:`apply` read them directly.
+    Samples H = m^{-1/2} sum_i g_i A_i are built from the terms grouped by
+    x-mask: each coupling goes to (part, group, z-mask) of a real table,
+    part 1 for an imaginary phase and 0 for a real one; the table is
+    Walsh-Hadamard transformed as two Sylvester-matrix products over
+    dim = d_hi * d_lo, and each group's row of coefficients is written to
+    H[c ^ x, c].  Distinct x-masks never share an entry.  ``parity`` is true
+    when every x-mask has even popcount, so that H maps each popcount-parity
+    sector of the basis into itself.
+    """
+
+    def __init__(self, paulis: list[PauliString], dim: int):
+        m = len(paulis)
+        x = np.array([p.x_mask for p in paulis], dtype=np.int64)
+        z = np.array([p.z_mask for p in paulis], dtype=np.int64)
+        power = np.array([p.phase_power for p in paulis], dtype=np.int64)
+        cols = np.arange(dim)
+        odd = (_popcount_array(cols) & 1).astype(np.int8)
+        self.dim = dim
+        self.rows = cols ^ x[:, None]
+        self.vals = np.array([p.phase for p in paulis], dtype=complex)[:, None] * (
+            1 - 2 * odd[cols & z[:, None]]
+        )
+        # real phases carry an exact +0 imaginary part, as in an integer product
+        self.vals.imag[power % 2 == 0] = 0.0
+
+        xs, group = np.unique(x, return_inverse=True)
+        self._slot = ((power & 1) * len(xs) + group) * dim + z
+        self._weight = np.where(power < 2, 1.0, -1.0) / math.sqrt(m)
+        bits = dim.bit_length() - 1
+        self._table_shape = (2 * len(xs), 1 << (bits // 2), dim >> (bits // 2))
+        self._h_hi = _sylvester(bits // 2)
+        self._h_lo = _sylvester(bits - bits // 2)
+        targets = cols ^ xs[:, None]
+        self._to_full = targets * dim + cols
+
+        self.parity = bool(np.all(_popcount_array(xs) & 1 == 0))
+        sectors = 2 if self.parity else 1
+        sector = odd.astype(np.int64) if self.parity else np.zeros(dim, dtype=np.int64)
+        side = dim // sectors
+        pos = np.empty(dim, dtype=np.int64)  # index of c within its sector
+        pos[np.argsort(sector, kind="stable")] = cols % side
+        self._block_shape = (sectors, side, side)
+        self._to_blocks = sector * side * side + pos[targets] * side + pos
+
+    @classmethod
+    def from_set(cls, ops: OperatorSet, max_dim: int) -> "TermBank":
+        """Bank of the Hermitized members of an operator set.
+
+        Majorana members go through Jordan-Wigner with the Hermitizing
+        phase; Pauli members are used as stored.  Raises
+        :class:`CapacityError` above ``max_dim`` and :class:`InputError` for
+        an odd-degree or non-Hermitian member, before any table is built.
+        """
+        paulis = [_hermitian_pauli(op, True, max_dim) for op in ops.members]
+        return cls(paulis, ops.dim)
+
+    def __len__(self):
+        return self.rows.shape[0]
+
+    def _coefficients(self, g: np.ndarray) -> np.ndarray:
+        """(groups, dim) coefficients of the sample, H[c ^ x_k, c] = out[k, c]."""
+        shape = self._table_shape
+        table = np.bincount(self._slot, weights=g * self._weight, minlength=math.prod(shape))
+        table = np.matmul(self._h_hi, table.reshape(shape) @ self._h_lo)
+        table = table.reshape(2, shape[0] // 2, self.dim)
+        return table[0] + 1j * table[1]
+
+    def assemble(self, g: np.ndarray) -> np.ndarray:
+        """Dense (1/sqrt(m)) sum_i g_i A_i."""
+        H = np.zeros((self.dim, self.dim), dtype=complex)
+        H.reshape(-1)[self._to_full] = self._coefficients(g)
+        return H
+
+    def eigvalsh(self, g: np.ndarray) -> np.ndarray:
+        """Ascending spectrum of (1/sqrt(m)) sum_i g_i A_i, from one batched
+        eigensolve over its parity blocks (one block when parity is false)."""
+        blocks = np.zeros(self._block_shape, dtype=complex)
+        blocks.reshape(-1)[self._to_blocks] = self._coefficients(g)
+        return np.sort(np.linalg.eigvalsh(blocks), axis=None)
+
+    def expectations(self, psi: np.ndarray) -> np.ndarray:
+        """<psi|A_i|psi> for every term, exactly (real for Hermitian terms)."""
+        bra = psi.conj()[self.rows]
+        return np.real(np.einsum("mc,mc,c->m", bra, self.vals, psi))
+
+    def apply(self, v: np.ndarray, terms=slice(None)) -> np.ndarray:
+        """A_i v for the selected terms: an (m, dim) stack for the default
+        slice of all terms, one vector for an integer index.
+
+        (A_i v)[r] = vals[i, rows[i, r]] * v[rows[i, r]], because
+        c -> c ^ x_i is an involution.
+        """
+        rows = self.rows[terms]
+        return np.take_along_axis(self.vals[terms], rows, axis=-1) * v[rows]
+
+
+@lru_cache(maxsize=16)
+def term_bank(kind: str, n: int, locality: int) -> TermBank:
+    """Cached bank of the enumerated family (kind, n, locality)."""
+    return TermBank.from_set(enumerate_set(kind, n, locality), MAX_DENSE_DIM)

@@ -3,7 +3,11 @@
 A commutation graph has one vertex per operator and an edge between every
 anticommuting pair.  Adjacency is stored as one Python-int bitset per
 vertex, which keeps pairwise queries cheap for sets up to the 10^4-vertex
-cap and converts to a dense 0/1 matrix on demand.
+cap; every export walks the set bits of one vertex at a time.
+
+Eigenstates of commuting families are found by projecting a seeded random
+vector with (psi + s B psi) / 2 term by term, where B psi comes from the
+family's matrix-free :class:`~fermitheta.algebra.TermBank`.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ from math import comb
 import numpy as np
 
 from .algebra import (
+    DEFAULT_DENSE_DIM,
     MajoranaMonomial,
     OperatorSet,
     PauliString,
+    TermBank,
     majorana_anticommutes,
-    materialize,
-    multiply_paulis,
     pauli_anticommutes,
 )
 from .kernel import CapacityError, InputError, RandomStream, random_state
@@ -72,28 +76,28 @@ class CommutationGraph:
     def edge_count(self) -> int:
         return sum(self.degrees()) // 2
 
+    def neighbors(self, u: int):
+        """Neighbours of vertex u in increasing order (one set-bit walk)."""
+        bits = self.adjacency[u]
+        while bits:
+            low = bits & -bits
+            yield low.bit_length() - 1
+            bits ^= low
+
     def adjacency_matrix(self) -> np.ndarray:
         m = len(self)
         A = np.zeros((m, m))
-        for u, bits in enumerate(self.adjacency):
-            v = bits
-            while v:
-                low = v & -v
-                A[u, low.bit_length() - 1] = 1.0
-                v ^= low
+        for u in range(m):
+            A[u, list(self.neighbors(u))] = 1.0
         return A
 
     def to_json(self) -> str:
-        adj_lists = [
-            [v for v in range(len(self)) if self.has_edge(u, v)]
-            for u in range(len(self))
-        ]
         return json.dumps(
             {
                 "vertices": len(self),
                 "kind": self.operators.kind,
                 "labels": json.loads(self.operators.to_json())["members"],
-                "adjacency": adj_lists,
+                "adjacency": [list(self.neighbors(u)) for u in range(len(self))],
             }
         )
 
@@ -102,10 +106,16 @@ class CommutationGraph:
         w = csv.writer(buf)
         w.writerow(["u", "v"])
         for u in range(len(self)):
-            for v in range(u + 1, len(self)):
-                if self.has_edge(u, v):
-                    w.writerow([u, v])
+            w.writerows([u, v] for v in self.neighbors(u) if v > u)
         return buf.getvalue()
+
+
+_ANTICOMMUTES = {"pauli": pauli_anticommutes, "majorana": majorana_anticommutes}
+
+
+def _pairwise_commuting(family: OperatorSet) -> bool:
+    pred = _ANTICOMMUTES[family.kind]
+    return not any(pred(a, b) for a, b in itertools.combinations(family.members, 2))
 
 
 def commutation_graph(ops: OperatorSet) -> CommutationGraph:
@@ -113,7 +123,7 @@ def commutation_graph(ops: OperatorSet) -> CommutationGraph:
     m = len(ops)
     if m > MAX_GRAPH_VERTICES:
         raise CapacityError(f"{m} vertices exceed the graph cap {MAX_GRAPH_VERTICES}")
-    pred = pauli_anticommutes if ops.kind == "pauli" else majorana_anticommutes
+    pred = _ANTICOMMUTES[ops.kind]
     bits = [0] * m
     for u in range(m):
         for v in range(u + 1, m):
@@ -146,9 +156,8 @@ def commuting_majorana_family(n: int, q: int) -> OperatorSet:
         support = tuple(sorted(j for pair in chosen for j in pair))
         members.append(MajoranaMonomial(n, support))
     family = OperatorSet("majorana", n, q, tuple(members), provenance="commuting-family")
-    for a, b in itertools.combinations(family.members, 2):
-        if majorana_anticommutes(a, b):
-            raise RuntimeError("constructed family fails the commuting predicate")
+    if not _pairwise_commuting(family):
+        raise RuntimeError("constructed family fails the commuting predicate")
     return family
 
 
@@ -168,9 +177,8 @@ def extended_hamming_family() -> OperatorSet:
     ]
     members = tuple(MajoranaMonomial(8, tuple(i + 1 for i in s)) for s in blocks)
     family = OperatorSet("majorana", 8, 4, members, provenance="commuting-family")
-    for a, b in itertools.combinations(family.members, 2):
-        if majorana_anticommutes(a, b):
-            raise RuntimeError("Hamming family fails the commuting predicate")
+    if not _pairwise_commuting(family):
+        raise RuntimeError("Hamming family fails the commuting predicate")
     return family
 
 
@@ -210,6 +218,38 @@ def ternary_tree_paulis(k: int) -> OperatorSet:
     return fam
 
 
+def _project(family: OperatorSet, signs: tuple[int, ...], seed: int, max_retries: int):
+    """Joint eigenvector of a commuting family and the sign of each member.
+
+    Each member B in turn maps the state to (psi + s B psi) / 2 with the
+    first sign s in ``signs`` that leaves a nonzero vector, renormalizing
+    after every step; an attempt that annihilates the state, or whose
+    result misses an eigenvalue by more than 1e-9, restarts from a fresh
+    seeded trial vector.
+    """
+    bank = TermBank.from_set(family, DEFAULT_DENSE_DIM)
+    if not _pairwise_commuting(family):
+        raise InputError("family is not pairwise commuting")
+    for attempt in range(max_retries):
+        psi = random_state(RandomStream(seed, attempt), bank.dim)
+        chosen = []
+        for i in range(len(bank)):
+            B_psi = bank.apply(psi, i)
+            for s in signs:
+                cand = (psi + s * B_psi) / 2
+                norm = np.linalg.norm(cand)
+                if norm > 1e-8:
+                    psi = cand / norm
+                    chosen.append(s)
+                    break
+            else:
+                break
+        else:
+            if np.all(np.abs(bank.expectations(psi) - chosen) <= 1e-9):
+                return psi, tuple(chosen)
+    raise DegeneracyError(f"no joint eigenvector found in {max_retries} attempts")
+
+
 def stabilized_state(
     family: OperatorSet,
     dim: int | None = None,
@@ -222,28 +262,9 @@ def stabilized_state(
     random trial vector and normalizes; retries with fresh trial vectors on
     numerical nullity.
     """
-    mats = family.hermitized_matrices()
-    d = mats[0].shape[0] if mats else (dim or 0)
-    if dim is not None and dim != d:
-        raise InputError(f"dim {dim} does not match the family's dimension {d}")
-    pred = pauli_anticommutes if family.kind == "pauli" else majorana_anticommutes
-    for a, b in itertools.combinations(family.members, 2):
-        if pred(a, b):
-            raise InputError("family is not pairwise commuting")
-    eye = np.eye(d)
-    for attempt in range(max_retries):
-        psi = random_state(RandomStream(seed, attempt), d)
-        for B in mats:
-            psi = (eye + B) @ psi / 2
-        norm = np.linalg.norm(psi)
-        if norm > 1e-8:
-            psi = psi / norm
-            worst = max(abs(np.vdot(psi, B @ psi) - 1.0) for B in mats)
-            if worst <= 1e-9:
-                return psi
-    raise DegeneracyError(
-        f"projector annihilated all {max_retries} trial vectors"
-    )
+    if dim is not None and dim != family.dim:
+        raise InputError(f"dim {dim} does not match the family's dimension {family.dim}")
+    return _project(family, (1,), seed, max_retries)[0]
 
 
 def joint_eigenstate(
@@ -258,33 +279,4 @@ def joint_eigenstate(
     survives.  Every member then has expectation s_i = +-1, so the mean
     squared expectation over the family is exactly 1.
     """
-    mats = family.hermitized_matrices()
-    pred = pauli_anticommutes if family.kind == "pauli" else majorana_anticommutes
-    for a, b in itertools.combinations(family.members, 2):
-        if pred(a, b):
-            raise InputError("family is not pairwise commuting")
-    d = mats[0].shape[0]
-    eye = np.eye(d)
-    for attempt in range(max_retries):
-        psi = random_state(RandomStream(seed, attempt), d)
-        signs = []
-        ok = True
-        for B in mats:
-            for s in (1, -1):
-                cand = (eye + s * B) @ psi / 2
-                norm = np.linalg.norm(cand)
-                if norm > 1e-8:
-                    psi = cand / norm
-                    signs.append(s)
-                    break
-            else:
-                ok = False
-                break
-        if not ok:
-            continue
-        worst = max(
-            abs(np.vdot(psi, B @ psi) - s) for B, s in zip(mats, signs)
-        )
-        if worst <= 1e-9:
-            return psi, tuple(signs)
-    raise DegeneracyError(f"no joint eigenvector found in {max_retries} attempts")
+    return _project(family, (1, -1), seed, max_retries)

@@ -5,32 +5,30 @@ of (1/m) sum_i <psi|A_i|psi>^2.  Rigorous upper bounds come from theta of
 the commutation graph divided by m; rigorous lower bounds come from
 explicit witness states; a monotone see-saw ascent supplies heuristic
 maximizers in between.
+
+Witnesses, see-saw and off-diagonal steps run on the matrix-free
+:class:`~fermitheta.algebra.TermBank`, so no m x d x d stack of term
+matrices is ever built.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from .algebra import OperatorSet, enumerate_set
-from .graphs import (
-    best_commuting_family,
-    commutation_graph,
-    commuting_majorana_family,
-    joint_eigenstate,
-    stabilized_state,
-)
+from .algebra import OperatorSet, TermBank, term_bank
+from .graphs import best_commuting_family, commutation_graph, joint_eigenstate
 from .kernel import InputError, RandomStream, eigh, random_state
 from .theta import ThetaResult, theta_johnson_lp, theta_sdp
 
 __all__ = [
     "IndexEstimate",
     "index_upper",
-    "index_lower_majorana",
     "index_lower_family",
     "index_pauli_product",
     "index_seesaw",
@@ -40,6 +38,7 @@ __all__ = [
 ]
 
 MAX_SEESAW_DIM = 1 << 12
+MAX_OFFDIAG_DIM = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -92,38 +91,14 @@ def _theta_for_set(ops: OperatorSet, tol: float = 1e-6) -> ThetaResult:
     return theta_sdp(commutation_graph(ops), tol=tol)
 
 
-def index_lower_majorana(n: int, q: int, verify_dim_cap: int = 1 << 12):
-    """C(n/2, q/2) / C(n, q), with a numeric stabilized-state witness check.
-
-    Returns (value, witness_mean_square) where the witness entry is None
-    when the dense dimension exceeds the cap.
-    """
-    if n % 2 != 0 or q % 2 != 0:
-        raise InputError("n and q must both be even")
-    value = Fraction(comb(n // 2, q // 2), comb(n, q))
-    witness = None
-    if 1 << (n // 2) <= verify_dim_cap:
-        family = commuting_majorana_family(n, q)
-        psi = stabilized_state(family)
-        full = enumerate_set("majorana", n, q)
-        acc = 0.0
-        for mat in full.hermitized_matrices():
-            acc += float(np.real(np.vdot(psi, mat @ psi))) ** 2
-        witness = acc / len(full)
-        if witness < float(value) - 1e-9:
-            raise RuntimeError(
-                f"stabilized witness {witness} fell below the guaranteed value {float(value)}"
-            )
-    return value, witness
-
-
 def index_lower_family(n: int, q: int, verify_dim_cap: int = 1 << 12):
     """Sharpest explicit-family lower bound: |family| / C(n, q).
 
     Uses the largest known commuting subfamily (the 14-block Hamming
-    family at (8, 4), the pair-product family otherwise) and certifies it
-    numerically with an adaptive-sign joint eigenstate when the dense
-    dimension permits.
+    family at (8, 4), the pair-product family of C(n/2, q/2) members
+    otherwise) and certifies it numerically with an adaptive-sign joint
+    eigenstate when the dense dimension permits.  Returns (value,
+    witness_mean_square), the witness entry None above the cap.
     """
     if n % 2 != 0 or q % 2 != 0:
         raise InputError("n and q must both be even")
@@ -132,11 +107,7 @@ def index_lower_family(n: int, q: int, verify_dim_cap: int = 1 << 12):
     witness = None
     if 1 << (n // 2) <= verify_dim_cap:
         psi, _ = joint_eigenstate(family)
-        full = enumerate_set("majorana", n, q)
-        acc = 0.0
-        for mat in full.hermitized_matrices():
-            acc += float(np.real(np.vdot(psi, mat @ psi))) ** 2
-        witness = acc / len(full)
+        witness = float(np.mean(term_bank("majorana", n, q).expectations(psi) ** 2))
         if witness < float(value) - 1e-9:
             raise RuntimeError(
                 f"joint eigenstate witness {witness} fell below the family bound {float(value)}"
@@ -197,27 +168,26 @@ def index_seesaw(
     Each iteration replaces the state by the top eigenvector of
     M(psi) = (1/m) sum_i <psi|A_i|psi> A_i, which never decreases the
     objective; the best run over seeded restarts is returned.  Always a
-    valid lower bound on the index.
+    valid lower bound on the index.  M(psi) is the bank's assembly of the
+    expectations, divided by sqrt(m).
     """
-    mats = np.array(ops.hermitized_matrices(max_dim=MAX_SEESAW_DIM))
-    m, d = mats.shape[0], mats.shape[1]
+    bank = TermBank.from_set(ops, MAX_SEESAW_DIM)
+    m, d = len(bank), bank.dim
     best = None
     for r in range(restarts):
         psi = random_state(RandomStream(seed, r), d)
         history = []
         prev = -np.inf
         for _ in range(iters):
-            w = np.real(np.einsum("i,mij,j->m", psi.conj(), mats, psi))
+            w = bank.expectations(psi)
             obj = float(np.mean(w**2))
             history.append(obj)
             if obj - prev < gain_tol and len(history) > 1:
                 break
             prev = obj
-            M = np.tensordot(w, mats, axes=1) / m
-            spec = eigh(M)
+            spec = eigh(bank.assemble(w) / math.sqrt(m))
             psi = spec.eigenvectors[:, -1]
-        w = np.real(np.einsum("i,mij,j->m", psi.conj(), mats, psi))
-        final = float(np.mean(w**2))
+        final = float(np.mean(bank.expectations(psi) ** 2))
         history.append(final)
         cand = SeesawResult(final, psi, tuple(history), r)
         if best is None or cand.value > best.value:
@@ -232,23 +202,26 @@ def offdiag_index_check(ops: OperatorSet, trials: int = 32, seed: int = 11, uppe
     alternating top-eigenvector ascent and checks it against 16 times the
     standard index upper bound.
     """
-    mats = np.array(ops.hermitized_matrices(max_dim=1 << 10))
-    m, d = mats.shape[0], mats.shape[1]
+    bank = TermBank.from_set(ops, MAX_OFFDIAG_DIM)
+    m, d = len(bank), bank.dim
     if upper is None:
         upper = index_upper(ops)
+
+    def top(x):
+        # top eigenvector of (1/m) sum_i (A_i x)(A_i x)^dag
+        Ax = bank.apply(x)
+        K = Ax.T @ Ax.conj() / m
+        return eigh((K + K.conj().T) / 2).eigenvectors[:, -1]
+
     best = 0.0
     for t in range(trials):
         u = random_state(RandomStream(seed, 2 * t), d)
         v = random_state(RandomStream(seed, 2 * t + 1), d)
         prev = -np.inf
         for _ in range(100):
-            Av = np.einsum("mij,j->mi", mats, v)
-            K = np.einsum("mi,mj->ij", Av, Av.conj()) / m
-            u = eigh((K + K.conj().T) / 2).eigenvectors[:, -1]
-            Au = np.einsum("mij,j->mi", mats, u)
-            K = np.einsum("mi,mj->ij", Au, Au.conj()) / m
-            v = eigh((K + K.conj().T) / 2).eigenvectors[:, -1]
-            obj = float(np.mean(np.abs(np.einsum("i,mij,j->m", u.conj(), mats, v)) ** 2))
+            u = top(v)
+            v = top(u)
+            obj = float(np.mean(np.abs(bank.apply(v) @ u.conj()) ** 2))
             if obj - prev < 1e-12:
                 break
             prev = obj

@@ -37,6 +37,16 @@ class CapacityError(RuntimeError):
     """A request exceeds the configured dense-matrix or enumeration budget."""
 
 
+def _require_hermitian(a: np.ndarray, tol: float):
+    """Raise InputError unless ``a`` is square and Hermitian to within
+    ``tol`` relative to its largest entry (at least 1)."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {a.shape}")
+    dev = np.abs(a - a.conj().T).max() if a.size else 0.0
+    if dev > tol * max(1.0, np.abs(a).max()):
+        raise InputError(f"matrix is not Hermitian (max asymmetry {dev:.3e})")
+
+
 @dataclass(frozen=True)
 class DenseHermitian:
     """A dense complex Hermitian matrix with validated symmetry.
@@ -48,11 +58,7 @@ class DenseHermitian:
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InputError(f"expected a square matrix, got shape {a.shape}")
-        dev = np.abs(a - a.conj().T).max() if a.size else 0.0
-        if dev > 1e-12 * max(1.0, np.abs(a).max()):
-            raise InputError(f"matrix is not Hermitian (max asymmetry {dev:.3e})")
+        _require_hermitian(a, 1e-12)
         a = (a + a.conj().T) / 2
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
@@ -100,11 +106,7 @@ def eigh(H) -> Spectrum:
     more than ``1e-9`` relative to its magnitude.
     """
     A = _as_matrix(H)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {A.shape}")
-    dev = np.abs(A - A.conj().T).max() if A.size else 0.0
-    if dev > HERMITICITY_ATOL * max(1.0, np.abs(A).max()):
-        raise InputError(f"matrix is not Hermitian (max asymmetry {dev:.3e})")
+    _require_hermitian(A, HERMITICITY_ATOL)
     w, U = np.linalg.eigh((A + A.conj().T) / 2)
     return Spectrum(eigenvalues=w, eigenvectors=U)
 

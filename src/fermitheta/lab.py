@@ -22,7 +22,7 @@ from math import comb, log
 import numpy as np
 from scipy.special import logsumexp
 
-from .algebra import MajoranaMonomial, majorana_to_pauli, pauli_matrix
+from .algebra import MAX_DENSE_DIM, MajoranaMonomial, materialize
 from .graphs import commuting_majorana_family, stabilized_state
 from .index import pauli_index_weak_bound
 from .kernel import InputError, RandomStream, gaussian_stream, random_state
@@ -361,8 +361,8 @@ def variance_identity_experiment(
 
 
 def _observable_pair(n: int):
-    X = pauli_matrix(majorana_to_pauli(MajoranaMonomial(n, (1, 2))))
-    Y = pauli_matrix(majorana_to_pauli(MajoranaMonomial(n, (3, 4))))
+    X = materialize(MajoranaMonomial(n, (1, 2)), max_dim=MAX_DENSE_DIM).entries
+    Y = materialize(MajoranaMonomial(n, (3, 4)), max_dim=MAX_DENSE_DIM).entries
     return X, Y
 
 

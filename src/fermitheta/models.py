@@ -3,14 +3,14 @@
 Every ensemble draws i.i.d. standard normal couplings over a fixed,
 lexicographically enumerated term family and normalizes by the square root
 of the term count, so the normalized trace of H^2 has unit expectation.
-Terms are Pauli strings: term i sends basis state c to
-phase_i (-1)^popcount(c & z_i) |c ^ x_i>.  Grouping a family by x-mask
-turns the coefficients of one group, over all columns c, into the
-Walsh-Hadamard transform of its couplings placed at their z-masks, so a
-sample is assembled by one small transform and one plain assignment.  When
-every x-mask has even popcount (even-degree Majorana families), H also
-preserves the parity of popcount(c) and its spectrum is computed from two
-half-size blocks.
+Samples are assembled and diagonalized by the term kernel
+:class:`fermitheta.algebra.TermBank` (re-exported here with
+:func:`term_bank`): grouping a family by x-mask turns the coefficients of
+one group, over all columns c, into the Walsh-Hadamard transform of its
+couplings placed at their z-masks, so a sample is assembled by one small
+transform and one plain assignment.  When every x-mask has even popcount
+(even-degree Majorana families), H also preserves the parity of
+popcount(c) and its spectrum is computed from two half-size blocks.
 """
 
 from __future__ import annotations
@@ -19,19 +19,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, log
 
 import numpy as np
 
-from .algebra import (
-    MajoranaMonomial,
-    OperatorSet,
-    PauliString,
-    _popcount_array,
-    enumerate_set,
-    majorana_to_pauli,
-)
+from .algebra import TermBank, enumerate_set, term_bank
 from .graphs import commutation_degree, commutation_graph
 from .kernel import CapacityError, InputError, RandomStream, eigh, gaussian_stream
 from .theta import theta_johnson_lp
@@ -71,103 +63,6 @@ class DisorderSample:
 
     def __post_init__(self):
         object.__setattr__(self, "couplings", np.asarray(self.couplings, dtype=float))
-
-
-def _sylvester(bits: int) -> np.ndarray:
-    """The 2^bits x 2^bits Sylvester-Hadamard matrix, (-1)^popcount(r & c)."""
-    idx = np.arange(1 << bits)
-    return 1.0 - 2.0 * (_popcount_array(idx[:, None] & idx) & 1)
-
-
-class TermBank:
-    """Pauli-mask tables for a term family.
-
-    ``rows[i, c]`` and ``vals[i, c]`` give the single nonzero of term i in
-    column c.  Samples H = m^{-1/2} sum_i g_i A_i are built from the terms
-    grouped by x-mask: each coupling goes to (part, group, z-mask) of a real
-    table, part 1 for an imaginary phase and 0 for a real one; the table is
-    Walsh-Hadamard transformed as two Sylvester-matrix products over
-    dim = d_hi * d_lo, and each group's row of coefficients is written to
-    H[c ^ x, c].  Distinct x-masks never share an entry.  ``parity`` is true
-    when every x-mask has even popcount, so that H maps each popcount-parity
-    sector of the basis into itself.
-    """
-
-    def __init__(self, paulis: list[PauliString], dim: int):
-        m = len(paulis)
-        x = np.array([p.x_mask for p in paulis], dtype=np.int64)
-        z = np.array([p.z_mask for p in paulis], dtype=np.int64)
-        power = np.array([p.phase_power for p in paulis], dtype=np.int64)
-        cols = np.arange(dim)
-        odd = (_popcount_array(cols) & 1).astype(np.int8)
-        self.dim = dim
-        self.rows = cols ^ x[:, None]
-        self.vals = np.array([p.phase for p in paulis], dtype=complex)[:, None] * (
-            1 - 2 * odd[cols & z[:, None]]
-        )
-        # real phases carry an exact +0 imaginary part, as in an integer product
-        self.vals.imag[power % 2 == 0] = 0.0
-
-        xs, group = np.unique(x, return_inverse=True)
-        self._slot = ((power & 1) * len(xs) + group) * dim + z
-        self._weight = np.where(power < 2, 1.0, -1.0) / math.sqrt(m)
-        bits = dim.bit_length() - 1
-        self._table_shape = (2 * len(xs), 1 << (bits // 2), dim >> (bits // 2))
-        self._h_hi = _sylvester(bits // 2)
-        self._h_lo = _sylvester(bits - bits // 2)
-        targets = cols ^ xs[:, None]
-        self._to_full = targets * dim + cols
-
-        self.parity = bool(np.all(_popcount_array(xs) & 1 == 0))
-        sectors = 2 if self.parity else 1
-        sector = odd.astype(np.int64) if self.parity else np.zeros(dim, dtype=np.int64)
-        side = dim // sectors
-        pos = np.empty(dim, dtype=np.int64)  # index of c within its sector
-        pos[np.argsort(sector, kind="stable")] = cols % side
-        self._block_shape = (sectors, side, side)
-        self._to_blocks = sector * side * side + pos[targets] * side + pos
-
-    def __len__(self):
-        return self.rows.shape[0]
-
-    def _coefficients(self, g: np.ndarray) -> np.ndarray:
-        """(groups, dim) coefficients of the sample, H[c ^ x_k, c] = out[k, c]."""
-        shape = self._table_shape
-        table = np.bincount(self._slot, weights=g * self._weight, minlength=math.prod(shape))
-        table = np.matmul(self._h_hi, table.reshape(shape) @ self._h_lo)
-        table = table.reshape(2, shape[0] // 2, self.dim)
-        return table[0] + 1j * table[1]
-
-    def assemble(self, g: np.ndarray) -> np.ndarray:
-        """Dense (1/sqrt(m)) sum_i g_i A_i."""
-        H = np.zeros((self.dim, self.dim), dtype=complex)
-        H.reshape(-1)[self._to_full] = self._coefficients(g)
-        return H
-
-    def eigvalsh(self, g: np.ndarray) -> np.ndarray:
-        """Ascending spectrum of (1/sqrt(m)) sum_i g_i A_i, from one batched
-        eigensolve over its parity blocks (one block when parity is false)."""
-        blocks = np.zeros(self._block_shape, dtype=complex)
-        blocks.reshape(-1)[self._to_blocks] = self._coefficients(g)
-        return np.sort(np.linalg.eigvalsh(blocks), axis=None)
-
-    def expectations(self, psi: np.ndarray) -> np.ndarray:
-        """<psi|A_i|psi> for every term, exactly (real for Hermitian terms)."""
-        bra = psi.conj()[self.rows]
-        return np.real(np.einsum("mc,mc,c->m", bra, self.vals, psi))
-
-
-@lru_cache(maxsize=16)
-def term_bank(kind: str, n: int, locality: int) -> TermBank:
-    """Cached hermitized term family for (kind, n, locality)."""
-    ops = enumerate_set(kind, n, locality)
-    if kind == "majorana":
-        paulis = [majorana_to_pauli(m, hermitize=True) for m in ops.members]
-        dim = 1 << (n // 2)
-    else:
-        paulis = list(ops.members)
-        dim = 1 << n
-    return TermBank(paulis, dim)
 
 
 @dataclass
@@ -442,15 +337,13 @@ def depolarized_energy_identity(terms, phi: np.ndarray) -> tuple[float, float]:
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (1 << nq,) or abs(np.vdot(phi, phi) - 1) > 1e-10:
         raise InputError("phi must be a normalized state of matching dimension")
-    from .algebra import pauli_matrix
-
-    H = np.zeros((1 << nq, 1 << nq), dtype=complex)
     for c, P in terms:
         if abs(complex(c).imag) > 0:
             raise InputError("coefficients must be real")
         if not P.is_hermitian:
             raise InputError("terms must be Hermitian Pauli strings")
-        H += float(np.real(c)) * pauli_matrix(P)
+    coefs = np.array([float(np.real(c)) for c, _ in terms])
+    H = TermBank([P for _, P in terms], 1 << nq).assemble(coefs) * math.sqrt(len(terms))
     rho = np.outer(phi, phi.conj())
     for j in range(nq):
         rho = _depolarize_qubit(rho, j, nq, 1.0 / 3.0)

@@ -16,6 +16,7 @@ from fermitheta.algebra import (
     pauli_anticommutes,
 )
 from fermitheta.graphs import (
+    DegeneracyError,
     best_commuting_family,
     commutation_degree,
     commutation_graph,
@@ -25,7 +26,7 @@ from fermitheta.graphs import (
     stabilized_state,
     ternary_tree_paulis,
 )
-from fermitheta.kernel import InputError
+from fermitheta.kernel import InputError, RandomStream, random_state
 
 
 def xyz_triangle():
@@ -75,6 +76,19 @@ class TestCommutationGraph:
         csv_text = g.to_edge_csv()
         assert csv_text.splitlines()[0] == "u,v"
         assert len(csv_text.splitlines()) == 4  # header + 3 edges
+
+
+    @pytest.mark.parametrize("kind,n,k", [("majorana", 6, 2), ("pauli", 3, 2)])
+    def test_exports_match_pairwise_queries(self, kind, n, k):
+        g = commutation_graph(enumerate_set(kind, n, k))
+        m = len(g)
+        adj = [[v for v in range(m) if g.has_edge(u, v)] for u in range(m)]
+        assert [list(g.neighbors(u)) for u in range(m)] == adj
+        assert json.loads(g.to_json())["adjacency"] == adj
+        A = np.array([[float(g.has_edge(u, v)) for v in range(m)] for u in range(m)])
+        assert np.array_equal(g.adjacency_matrix(), A)
+        edges = [f"{u},{v}" for u in range(m) for v in adj[u] if v > u]
+        assert g.to_edge_csv().splitlines() == ["u,v", *edges]
 
 
 class TestCommutingFamily:
@@ -167,6 +181,64 @@ class TestStabilizedState:
         assert set(signs) <= {1, -1}
         for M, s in zip(fam.hermitized_matrices(), signs):
             assert abs(np.vdot(psi, M @ psi) - s) < 1e-9
+
+
+def dense_projection(family, signs, seed=2024, max_retries=16):
+    """Reference projector loop on dense term matrices: (I + s B)/2 per
+    member with the first surviving sign in ``signs``, normalized."""
+    mats = family.hermitized_matrices()
+    eye = np.eye(mats[0].shape[0])
+    for attempt in range(max_retries):
+        psi = random_state(RandomStream(seed, attempt), eye.shape[0])
+        chosen = []
+        for B in mats:
+            for s in signs:
+                cand = (eye + s * B) @ psi / 2
+                if np.linalg.norm(cand) > 1e-8:
+                    psi = cand / np.linalg.norm(cand)
+                    chosen.append(s)
+                    break
+            else:
+                break
+        else:
+            if max(abs(np.vdot(psi, B @ psi) - s) for B, s in zip(mats, chosen)) <= 1e-9:
+                return psi, tuple(chosen)
+    raise AssertionError("reference projection failed")
+
+
+_COMMUTING = [
+    OperatorSet("pauli", 2, 1, (PauliString.from_label("ZI"),)),
+    OperatorSet("pauli", 2, 2, (PauliString.from_label("XX"), PauliString.from_label("ZZ", -1))),
+    commuting_majorana_family(6, 2),
+    commuting_majorana_family(8, 4),
+    commuting_majorana_family(12, 4),
+    extended_hamming_family(),
+]
+
+
+class TestProjectionMatchesDense:
+    @pytest.mark.parametrize("family", _COMMUTING, ids=lambda f: f"{f.kind}-{f.n}-{len(f)}")
+    def test_joint_eigenstate(self, family):
+        psi, signs = joint_eigenstate(family)
+        ref, ref_signs = dense_projection(family, (1, -1))
+        assert signs == ref_signs
+        assert np.abs(psi - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("family", _COMMUTING[:-1], ids=lambda f: f"{f.kind}-{f.n}-{len(f)}")
+    def test_stabilized_state(self, family):
+        ref, _ = dense_projection(family, (1,))
+        assert np.abs(stabilized_state(family) - ref).max() <= 1e-12
+
+    def test_stabilized_state_degenerate(self):
+        fam = OperatorSet("pauli", 1, 1, (PauliString.from_label("Z"), PauliString.from_label("Z", -1)))
+        with pytest.raises(DegeneracyError):
+            stabilized_state(fam)
+        assert joint_eigenstate(fam)[1] == (1, -1)
+
+    def test_rejects_non_hermitian_member(self):
+        fam = OperatorSet("pauli", 1, 1, (PauliString(1, 1, 1, 0),))  # XZ = -iY
+        with pytest.raises(InputError):
+            stabilized_state(fam)
 
 
 class TestCapacityAndEdgeCases:

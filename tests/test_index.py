@@ -7,16 +7,16 @@ import pytest
 
 from fermitheta.algebra import OperatorSet, PauliString, enumerate_set
 from fermitheta.index import (
+    SeesawResult,
     index_estimate,
     index_lower_family,
-    index_lower_majorana,
     index_pauli_product,
     index_seesaw,
     index_upper,
     offdiag_index_check,
     pauli_index_weak_bound,
 )
-from fermitheta.kernel import InputError, RandomStream, random_state
+from fermitheta.kernel import CapacityError, InputError, RandomStream, eigh, random_state
 
 
 def xyz():
@@ -40,17 +40,12 @@ class TestUpper:
 
 class TestLower:
     def test_62(self):
-        value, witness = index_lower_majorana(6, 2)
+        value, witness = index_lower_family(6, 2)
         assert value == Fraction(3, 15)
         assert witness >= float(value) - 1e-9
 
-    def test_84_binomial(self):
-        value, witness = index_lower_majorana(8, 4)
-        assert value == Fraction(6, 70)
-        assert witness >= float(value) - 1e-9
-
     def test_124_witness(self):
-        value, witness = index_lower_majorana(12, 4)
+        value, witness = index_lower_family(12, 4)
         assert value == Fraction(15, 495)
         assert witness is not None and witness >= float(value) - 1e-9
 
@@ -94,7 +89,62 @@ class TestWeakBound:
         assert res.value <= float(pauli_index_weak_bound(3, 3)) + 1e-9
 
 
+def dense_seesaw(ops, restarts=8, iters=200, seed=7, gain_tol=1e-12):
+    """Reference see-saw on the stack of dense term matrices."""
+    mats = np.array(ops.hermitized_matrices())
+    m, d = mats.shape[0], mats.shape[1]
+    best = None
+    for r in range(restarts):
+        psi = random_state(RandomStream(seed, r), d)
+        history = []
+        prev = -np.inf
+        for _ in range(iters):
+            w = np.real(np.einsum("i,mij,j->m", psi.conj(), mats, psi))
+            obj = float(np.mean(w**2))
+            history.append(obj)
+            if obj - prev < gain_tol and len(history) > 1:
+                break
+            prev = obj
+            psi = eigh(np.tensordot(w, mats, axes=1) / m).eigenvectors[:, -1]
+        w = np.real(np.einsum("i,mij,j->m", psi.conj(), mats, psi))
+        cand = SeesawResult(float(np.mean(w**2)), psi, tuple(history), r)
+        if best is None or cand.value > best.value:
+            best = cand
+    return best
+
+
+def one_member(label):
+    return OperatorSet("pauli", len(label), 1, (PauliString.from_label(label),))
+
+
 class TestSeesaw:
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            enumerate_set("majorana", 6, 2),
+            enumerate_set("majorana", 8, 4),
+            enumerate_set("pauli", 3, 2),
+            xyz(),
+        ],
+        ids=["majorana-6-2", "majorana-8-4", "pauli-3-2", "xyz"],
+    )
+    def test_matches_dense_reference(self, ops):
+        got, ref = index_seesaw(ops, seed=7), dense_seesaw(ops, seed=7)
+        assert abs(got.value - ref.value) <= 1e-12
+        # the returned state attains the returned value
+        mats = np.array(ops.hermitized_matrices())
+        w = np.real(np.einsum("i,mij,j->m", got.state.conj(), mats, got.state))
+        assert abs(float(np.mean(w**2)) - got.value) <= 1e-12
+
+    def test_capacity_checked_before_building(self):
+        with pytest.raises(CapacityError):
+            index_seesaw(one_member("Z" + "I" * 12))
+
+    def test_rejects_non_hermitian_member(self):
+        ops = OperatorSet("pauli", 1, 1, (PauliString(1, 1, 1, 0),))  # XZ = -iY
+        with pytest.raises(InputError):
+            index_seesaw(ops)
+
     def test_commuting_pair_reaches_one(self):
         ops = OperatorSet(
             "pauli",
@@ -135,6 +185,10 @@ class TestSandwich:
 
 
 class TestOffdiag:
+    def test_capacity_checked_before_building(self):
+        with pytest.raises(CapacityError):
+            offdiag_index_check(one_member("Z" + "I" * 10), trials=1, upper=1.0)
+
     def test_singleton_z(self):
         ops = OperatorSet("pauli", 1, 1, (PauliString.from_label("Z"),))
         report = offdiag_index_check(ops, trials=4, seed=1, upper=1.0)

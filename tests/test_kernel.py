@@ -112,3 +112,12 @@ class TestDenseHermitian:
 
     def test_dim(self):
         assert DenseHermitian(np.eye(4)).dim == 4
+
+    def test_tolerances_stay_apart(self):
+        # 1e-10 asymmetry: beyond DenseHermitian's 1e-12, within eigh's 1e-9
+        A = np.array([[0.0, 1.0], [1.0 + 1e-10, 0.0]])
+        with pytest.raises(InputError):
+            DenseHermitian(A)
+        assert np.allclose(eigh(A).eigenvalues, [-1, 1])
+        with pytest.raises(InputError):
+            eigh(np.ones((2, 3)))

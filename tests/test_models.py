@@ -9,12 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermitheta.algebra import (
+    OperatorSet,
     PauliString,
     _popcount_array,
     enumerate_set,
     majorana_to_pauli,
 )
-from fermitheta.graphs import commuting_majorana_family, stabilized_state
+from fermitheta.graphs import (
+    commuting_majorana_family,
+    extended_hamming_family,
+    stabilized_state,
+    ternary_tree_paulis,
+)
 from fermitheta.kernel import CapacityError, InputError, RandomStream, gaussian_stream, random_state
 from fermitheta.models import (
     ansatz_bounds_report,
@@ -134,7 +140,53 @@ _FAMILIES = st.one_of(
 )
 
 
+_CUSTOM_SETS = [
+    OperatorSet("pauli", 1, 1, tuple(PauliString.from_label(c) for c in "XYZ")),
+    commuting_majorana_family(8, 4),
+    extended_hamming_family(),
+    ternary_tree_paulis(2),
+]
+
+
+def _dense_check(ops, seed):
+    """apply and expectations of the set's bank against its dense stack."""
+    bank = TermBank.from_set(ops, 1 << 12)
+    mats = np.array(ops.hermitized_matrices())
+    z = gaussian_stream(RandomStream(seed, 0), 4 * bank.dim)
+    v, psi = z[0::4] + 1j * z[1::4], z[2::4] + 1j * z[3::4]
+    psi /= np.linalg.norm(psi)
+    ref = mats @ v
+    assert np.abs(bank.apply(v) - ref).max() <= 1e-12
+    i = seed % len(bank)
+    assert np.abs(bank.apply(v, i) - ref[i]).max() <= 1e-12
+    w = np.real(np.einsum("i,mij,j->m", psi.conj(), mats, psi))
+    assert np.abs(bank.expectations(psi) - w).max() <= 1e-12
+
+
 class TestTermBank:
+    @given(_FAMILIES, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_apply_and_expectations_match_dense(self, family, seed):
+        _dense_check(enumerate_set(*family), seed)
+
+    @given(st.sampled_from(_CUSTOM_SETS), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_custom_sets_match_dense(self, ops, seed):
+        _dense_check(ops, seed)
+
+    def test_from_set_validates_before_building(self):
+        with pytest.raises(CapacityError):
+            TermBank.from_set(enumerate_set("majorana", 14, 2), 1 << 6)
+        with pytest.raises(InputError):
+            TermBank.from_set(enumerate_set("majorana", 6, 3), 1 << 12)
+        with pytest.raises(InputError):
+            TermBank.from_set(OperatorSet("pauli", 1, 1, (PauliString(1, 1, 1, 0),)), 1 << 12)
+
+    def test_models_reexports_kernel(self):
+        import fermitheta.algebra as algebra
+
+        assert TermBank is algebra.TermBank and term_bank is algebra.term_bank
+
     @pytest.mark.parametrize(
         "kind,n,k", [("majorana", 8, 4), ("majorana", 12, 6), ("pauli", 4, 2), ("pauli", 5, 3)]
     )

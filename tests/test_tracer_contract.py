@@ -1,0 +1,30 @@
+"""The benchmark tracer must resolve every name it wraps.
+
+``perfbench/tracer.py`` looks up each ``WRAPS`` entry when a ``Tracer`` is
+constructed, so a library rename or deletion that breaks a traced benchmark
+run fails here first.  The tracer is built but never installed, so no
+fermitheta attribute is patched.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import fermitheta.cli  # noqa: F401  (loads every module the tracer patches)
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_resolves_every_wrapped_name():
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()  # raises if a wrapped name is gone
+    patched = {(id(ns), attr) for ns, attr, _, _ in tracer._patches}
+    for mod_name, dotted, _, _ in tracer_mod.WRAPS:
+        owner, attr = tracer_mod._resolve(importlib.import_module(mod_name), dotted)
+        assert (id(owner), attr) in patched, (mod_name, dotted)
