@@ -1,9 +1,13 @@
 """Commutation graphs and the structured operator families built on them.
 
 A commutation graph has one vertex per operator and an edge between every
-anticommuting pair.  Adjacency is stored as one Python-int bitset per
-vertex, which keeps pairwise queries cheap for sets up to the 10^4-vertex
-cap; every export walks the set bits of one vertex at a time.
+anticommuting pair.  Every pairwise check (the graph itself, the commuting
+and anticommuting family checks) goes through one kernel: the parity of a
+row-blocked BLAS product of 0/1 bit matrices, the symplectic form for
+Paulis and the support overlaps for Majorana monomials.  Adjacency is
+stored as one Python-int bitset per vertex, which keeps pairwise queries
+cheap for sets up to the 10^4-vertex cap; the exports unpack the bitsets
+into one boolean matrix.
 
 Eigenstates of commuting families are found by projecting a seeded random
 vector with (psi + s B psi) / 2 term by term, where B psi comes from the
@@ -27,8 +31,6 @@ from .algebra import (
     OperatorSet,
     PauliString,
     TermBank,
-    majorana_anticommutes,
-    pauli_anticommutes,
 )
 from .kernel import CapacityError, InputError, RandomStream, random_state
 
@@ -84,12 +86,12 @@ class CommutationGraph:
             yield low.bit_length() - 1
             bits ^= low
 
+    def _bits(self) -> np.ndarray:
+        """The (m, m) boolean adjacency, unpacked from the bitsets."""
+        return _unpack_masks(self.adjacency, len(self))
+
     def adjacency_matrix(self) -> np.ndarray:
-        m = len(self)
-        A = np.zeros((m, m))
-        for u in range(m):
-            A[u, list(self.neighbors(u))] = 1.0
-        return A
+        return self._bits().astype(float)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -97,7 +99,7 @@ class CommutationGraph:
                 "vertices": len(self),
                 "kind": self.operators.kind,
                 "labels": json.loads(self.operators.to_json())["members"],
-                "adjacency": [list(self.neighbors(u)) for u in range(len(self))],
+                "adjacency": [np.flatnonzero(row).tolist() for row in self._bits()],
             }
         )
 
@@ -105,17 +107,77 @@ class CommutationGraph:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["u", "v"])
-        for u in range(len(self)):
-            w.writerows([u, v] for v in self.neighbors(u) if v > u)
+        for u, row in enumerate(self._bits()):
+            later = np.flatnonzero(row[u + 1 :]) + u + 1
+            w.writerows(zip(itertools.repeat(u), later.tolist()))
         return buf.getvalue()
 
 
-_ANTICOMMUTES = {"pauli": pauli_anticommutes, "majorana": majorana_anticommutes}
+_BLOCK_ROWS = 128
+
+
+def _exact_dtype(width: int):
+    """Float type whose BLAS products count up to ``width`` ones exactly."""
+    return np.float32 if width <= 1 << 24 else np.float64
+
+
+def _unpack_masks(masks, width: int, dtype=bool) -> np.ndarray:
+    """(len(masks), width) 0/1 matrix of the low ``width`` bits of each int."""
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in masks), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=width, bitorder="little")
+    return bits.astype(dtype, copy=False)
+
+
+def _incidence(supports, width: int) -> np.ndarray:
+    """(len(supports), width) 0/1 matrix with row i set on the 0-based
+    indices ``supports[i]``, in the exact product type for ``width``."""
+    counts = np.fromiter(map(len, supports), np.intp, count=len(supports))
+    cols = np.fromiter(itertools.chain.from_iterable(supports), np.intp, count=int(counts.sum()))
+    M = np.zeros((len(supports), width), _exact_dtype(width))
+    M[np.repeat(np.arange(len(supports)), counts), cols] = 1
+    return M
+
+
+def _overlap_blocks(left: np.ndarray, right: np.ndarray):
+    """Row blocks (start, counts) of the integer product left @ right.T.
+
+    Both factors are 0/1 matrices in the type chosen by
+    :func:`_exact_dtype`, so every count is exact; blocking keeps the
+    scratch at ``_BLOCK_ROWS`` rows whatever the number of rows.
+    """
+    for start in range(0, left.shape[0], _BLOCK_ROWS):
+        yield start, (left[start : start + _BLOCK_ROWS] @ right.T).astype(np.int32)
+
+
+def _anticommutation(ops: OperatorSet) -> np.ndarray:
+    """(m, m) boolean matrix of the anticommuting pairs of an operator set.
+
+    Pauli: the symplectic form x_u . z_v + z_u . x_v is odd, i.e. one
+    product of the (m, 2n) bit matrices [X | Z] and [Z | X].  Majorana:
+    q_u q_v - |S_u & S_v| is odd, with each member's own degree q and the
+    overlaps from one product of the support incidence matrix with itself.
+    The diagonal is false in both cases.
+    """
+    m = len(ops)
+    if ops.kind == "pauli":
+        dtype = _exact_dtype(2 * ops.n)
+        X = _unpack_masks([p.x_mask for p in ops.members], ops.n, dtype)
+        Z = _unpack_masks([p.z_mask for p in ops.members], ops.n, dtype)
+        left, right = np.hstack([X, Z]), np.hstack([Z, X])
+        odd_degree = np.zeros(m, bool)
+    else:
+        left = right = _incidence([[j - 1 for j in s.support] for s in ops.members], ops.n)
+        odd_degree = np.array([s.degree % 2 == 1 for s in ops.members], bool)
+    A = np.empty((m, m), bool)
+    for start, counts in _overlap_blocks(left, right):
+        rows = slice(start, start + len(counts))
+        A[rows] = (counts & 1).astype(bool) ^ (odd_degree[rows, None] & odd_degree)
+    return A
 
 
 def _pairwise_commuting(family: OperatorSet) -> bool:
-    pred = _ANTICOMMUTES[family.kind]
-    return not any(pred(a, b) for a, b in itertools.combinations(family.members, 2))
+    return not _anticommutation(family).any()
 
 
 def commutation_graph(ops: OperatorSet) -> CommutationGraph:
@@ -123,14 +185,9 @@ def commutation_graph(ops: OperatorSet) -> CommutationGraph:
     m = len(ops)
     if m > MAX_GRAPH_VERTICES:
         raise CapacityError(f"{m} vertices exceed the graph cap {MAX_GRAPH_VERTICES}")
-    pred = _ANTICOMMUTES[ops.kind]
-    bits = [0] * m
-    for u in range(m):
-        for v in range(u + 1, m):
-            if pred(ops.members[u], ops.members[v]):
-                bits[u] |= 1 << v
-                bits[v] |= 1 << u
-    return CommutationGraph(operators=ops, adjacency=tuple(bits))
+    packed = np.packbits(_anticommutation(ops), axis=1, bitorder="little")
+    bits = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return CommutationGraph(operators=ops, adjacency=bits)
 
 
 def commutation_degree(g: CommutationGraph) -> int:
@@ -212,9 +269,8 @@ def ternary_tree_paulis(k: int) -> OperatorSet:
             node = 3 * node + 1 + branch
         members.append(PauliString(n_qubits, x, z, p % 4))
     fam = OperatorSet("pauli", n_qubits, k, tuple(members), provenance="ternary-tree")
-    for a, b in itertools.combinations(fam.members, 2):
-        if not pauli_anticommutes(a, b):
-            raise RuntimeError("ternary tree construction fails pairwise anticommutation")
+    if not (_anticommutation(fam) | np.eye(len(fam), dtype=bool)).all():
+        raise RuntimeError("ternary tree construction fails pairwise anticommutation")
     return fam
 
 

@@ -19,6 +19,7 @@ from math import comb
 
 import numpy as np
 
+from .graphs import _incidence, _overlap_blocks
 from .kernel import CapacityError, DenseHermitian, InputError, eigh
 
 __all__ = [
@@ -90,18 +91,21 @@ class HahnTable:
 
 
 def johnson_adjacency(m: int, r: int, d: int) -> DenseHermitian:
-    """0/1 adjacency of the distance-d relation on r-subsets in lex order."""
+    """0/1 adjacency of the distance-d relation on r-subsets in lex order.
+
+    Subsets S, T are at distance d when r - |S & T| == d; every overlap
+    comes from one row-blocked product of the subset incidence matrix with
+    itself.
+    """
     if not (0 <= d <= r <= m):
         raise InputError(f"require 0 <= d <= r <= m, got d={d} r={r} m={m}")
     nverts = comb(m, r)
     if nverts > MAX_SCHEME_VERTICES:
         raise CapacityError(f"{nverts} vertices exceed the scheme cap {MAX_SCHEME_VERTICES}")
-    subsets = [frozenset(s) for s in itertools.combinations(range(m), r)]
-    A = np.zeros((nverts, nverts))
-    for i in range(nverts):
-        for j in range(nverts):
-            if r - len(subsets[i] & subsets[j]) == d:
-                A[i, j] = 1.0
+    S = _incidence(list(itertools.combinations(range(m), r)), m)
+    A = np.empty((nverts, nverts))
+    for start, overlaps in _overlap_blocks(S, S):
+        A[start : start + len(overlaps)] = overlaps == r - d
     return DenseHermitian(A)
 
 

@@ -1,11 +1,16 @@
 """Commutation graphs and structured operator families."""
 
+import csv
+import io
 import itertools
 import json
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermitheta.algebra import (
     MajoranaMonomial,
@@ -16,6 +21,7 @@ from fermitheta.algebra import (
     pauli_anticommutes,
 )
 from fermitheta.graphs import (
+    MAX_GRAPH_VERTICES,
     DegeneracyError,
     best_commuting_family,
     commutation_degree,
@@ -26,7 +32,7 @@ from fermitheta.graphs import (
     stabilized_state,
     ternary_tree_paulis,
 )
-from fermitheta.kernel import InputError, RandomStream, random_state
+from fermitheta.kernel import CapacityError, InputError, RandomStream, random_state
 
 
 def xyz_triangle():
@@ -91,6 +97,106 @@ class TestCommutationGraph:
         assert g.to_edge_csv().splitlines() == ["u,v", *edges]
 
 
+def pairwise_reference(ops):
+    """Per-vertex bitsets from the scalar predicate over every pair."""
+    pred = pauli_anticommutes if ops.kind == "pauli" else majorana_anticommutes
+    m = len(ops)
+    bits = [0] * m
+    for u in range(m):
+        for v in range(u + 1, m):
+            if pred(ops.members[u], ops.members[v]):
+                bits[u] |= 1 << v
+                bits[v] |= 1 << u
+    return tuple(bits)
+
+
+def set_bit_walk_exports(g):
+    """(to_json, to_edge_csv, adjacency_matrix) by walking set bits per vertex."""
+    m = len(g)
+    adj = [list(g.neighbors(u)) for u in range(m)]
+    text = json.dumps(
+        {
+            "vertices": m,
+            "kind": g.operators.kind,
+            "labels": json.loads(g.operators.to_json())["members"],
+            "adjacency": adj,
+        }
+    )
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["u", "v"])
+    for u in range(m):
+        w.writerows([u, v] for v in adj[u] if v > u)
+    A = np.zeros((m, m))
+    for u in range(m):
+        A[u, adj[u]] = 1.0
+    return text, buf.getvalue(), A
+
+
+@st.composite
+def pauli_sets(draw):
+    # up to 130 qubits, so masks span one, two or three 64-bit words
+    n = draw(st.integers(1, 130))
+    masks = draw(
+        st.lists(
+            st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)),
+            max_size=40,
+            unique=True,
+        )
+    )
+    return OperatorSet("pauli", n, 1, tuple(PauliString(n, x, z) for x, z in masks))
+
+
+@st.composite
+def majorana_sets(draw):
+    # mixed and odd degrees, the empty support included
+    n = draw(st.integers(1, 12)) * 2
+    supports = draw(
+        st.lists(st.frozensets(st.integers(1, n), max_size=n), max_size=40, unique=True)
+    )
+    members = tuple(MajoranaMonomial(n, tuple(sorted(s))) for s in supports)
+    return OperatorSet("majorana", n, 2, members)
+
+
+_ENUMERATED = [
+    ("pauli", 8, 3), ("pauli", 4, 2), ("pauli", 4, 3), ("pauli", 3, 3), ("pauli", 70, 1),
+    ("majorana", 12, 4), ("majorana", 8, 4), ("majorana", 6, 3), ("majorana", 70, 2),
+]
+
+
+class TestAnticommutationKernel:
+    @given(st.one_of(pauli_sets(), majorana_sets()))
+    @settings(max_examples=150, deadline=None)
+    def test_adjacency_matches_pairwise_reference(self, ops):
+        g = commutation_graph(ops)
+        assert g.adjacency == pairwise_reference(ops)
+        assert set_bit_walk_exports(g)[0] == g.to_json()
+
+    @pytest.mark.parametrize("kind,n,k", _ENUMERATED[1:-1])  # the scalar loop is slow on the ends
+    def test_enumerated_sets(self, kind, n, k):
+        ops = enumerate_set(kind, n, k)
+        assert commutation_graph(ops).adjacency == pairwise_reference(ops)
+
+    @pytest.mark.parametrize("kind,n,k", _ENUMERATED)
+    def test_exports_match_set_bit_walk(self, kind, n, k):
+        g = commutation_graph(enumerate_set(kind, n, k))
+        text, edges, A = set_bit_walk_exports(g)
+        assert g.to_json() == text
+        assert g.to_edge_csv() == edges
+        B = g.adjacency_matrix()
+        assert B.dtype == A.dtype and np.array_equal(B, A)
+
+    @pytest.mark.parametrize("kind", ["pauli", "majorana"])
+    def test_empty_and_single_member(self, kind):
+        one = PauliString.from_label("XYZ") if kind == "pauli" else MajoranaMonomial(4, (1, 2, 3))
+        for members in ((), (one,)):
+            g = commutation_graph(OperatorSet(kind, 3 if kind == "pauli" else 4, 3, members))
+            assert g.adjacency == (0,) * len(members)
+            assert g.adjacency_matrix().shape == (len(members), len(members))
+            assert g.to_edge_csv() == "u,v\r\n"
+            assert json.loads(g.to_json())["adjacency"] == [[]] * len(members)
+
+
 class TestCommutingFamily:
     def test_six_two(self):
         fam = commuting_majorana_family(6, 2)
@@ -122,7 +228,7 @@ class TestCommutingFamily:
 
 
 class TestTernaryTree:
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_counts_and_anticommutation(self, k):
         fam = ternary_tree_paulis(k)
         assert len(fam) == 3**k
@@ -243,11 +349,17 @@ class TestProjectionMatchesDense:
 
 class TestCapacityAndEdgeCases:
     def test_vertex_cap(self):
-        from fermitheta.kernel import CapacityError
-
         big = enumerate_set("pauli", 16, 3)  # 15120 members
-        with pytest.raises(CapacityError):
-            commutation_graph(big)
+        m = len(big)
+        assert m > MAX_GRAPH_VERTICES
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                commutation_graph(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m // 8  # raised before any m x m matrix, even of bits
 
     def test_empty_family_degree(self):
         g = commutation_graph(enumerate_set("majorana", 4, 4))

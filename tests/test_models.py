@@ -16,6 +16,8 @@ from fermitheta.algebra import (
     majorana_to_pauli,
 )
 from fermitheta.graphs import (
+    commutation_degree,
+    commutation_graph,
     commuting_majorana_family,
     extended_hamming_family,
     stabilized_state,
@@ -279,13 +281,15 @@ class TestCommutationCounting:
         assert h_comm_count("pauli", 1, 1) == 2
         assert h_comm_count("pauli", 2, 2) == 4
 
-    def test_pauli_cross_check_against_graph(self):
-        from fermitheta.graphs import commutation_degree, commutation_graph
-
-        for n, k in [(3, 1), (3, 2), (4, 2)]:
-            closed = h_comm_count("pauli", n, k)
-            deg = commutation_degree(commutation_graph(enumerate_set("pauli", n, k)))
-            assert closed == deg
+    @pytest.mark.parametrize(
+        "kind,n,q",
+        [("majorana", 6, 2), ("majorana", 8, 4), ("majorana", 10, 4), ("majorana", 12, 4),
+         ("pauli", 2, 2), ("pauli", 3, 1), ("pauli", 3, 2), ("pauli", 4, 2), ("pauli", 4, 3),
+         ("pauli", 5, 2)],
+    )
+    def test_closed_form_matches_graph_degree(self, kind, n, q):
+        g = commutation_graph(enumerate_set(kind, n, q))
+        assert h_comm_count(kind, n, q) == commutation_degree(g)
 
     def test_majorana_within_stated_order(self):
         for n, q in [(8, 4), (12, 4), (16, 4)]:

@@ -1,5 +1,6 @@
 """Johnson scheme: exact eigenvalue tables against brute-force spectra."""
 
+import itertools
 from math import comb
 
 import numpy as np
@@ -76,6 +77,22 @@ class TestJohnsonAdjacency:
     def test_distance_zero_identity(self):
         A = johnson_adjacency(5, 2, 0).entries
         assert np.array_equal(A, np.eye(10))
+
+    @pytest.mark.parametrize("m", range(8))
+    def test_matches_frozenset_reference(self, m):
+        for r in range(m + 1):
+            subsets = [frozenset(s) for s in itertools.combinations(range(m), r)]
+            for d in range(r + 1):
+                ref = np.array([[float(r - len(a & b) == d) for b in subsets] for a in subsets])
+                A = johnson_adjacency(m, r, d).entries
+                assert np.array_equal(A, ref), (m, r, d)
+
+    def test_matches_reference_across_row_blocks(self):
+        # C(10, 4) = 210 rows span two row blocks of the overlap product
+        subsets = [frozenset(s) for s in itertools.combinations(range(10), 4)]
+        for d in range(5):
+            ref = np.array([[float(4 - len(a & b) == d) for b in subsets] for a in subsets])
+            assert np.array_equal(johnson_adjacency(10, 4, d).entries, ref)
 
 
 class TestVerifySpectrum:

@@ -28,3 +28,17 @@ def test_tracer_resolves_every_wrapped_name():
     for mod_name, dotted, _, _ in tracer_mod.WRAPS:
         owner, attr = tracer_mod._resolve(importlib.import_module(mod_name), dotted)
         assert (id(owner), attr) in patched, (mod_name, dotted)
+
+
+def test_graph_counter_reads_a_real_graph():
+    from collections import Counter
+
+    from fermitheta.algebra import enumerate_set
+    from fermitheta.graphs import commutation_graph
+
+    g = commutation_graph(enumerate_set("pauli", 3, 2))
+    m = len(g)
+    counts = Counter()
+    _load_tracer()._graph((), {}, g, counts)
+    assert counts["graphs.edges"] == g.edge_count() > 0
+    assert counts["graphs.pairs"] == m * (m - 1) // 2
