@@ -391,10 +391,27 @@ def enumerate_set(kind: str, n: int, locality: int) -> OperatorSet:
     raise InputError(f"unknown operator kind {kind!r}")
 
 
+@lru_cache(maxsize=16)
 def _sylvester(bits: int) -> np.ndarray:
     """The 2^bits x 2^bits Sylvester-Hadamard matrix, (-1)^popcount(r & c)."""
     idx = np.arange(1 << bits)
-    return 1.0 - 2.0 * (_popcount_array(idx[:, None] & idx) & 1)
+    h = 1.0 - 2.0 * (_popcount_array(idx[:, None] & idx) & 1)
+    h.setflags(write=False)
+    return h
+
+
+def _walsh_hadamard(table: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis.
+
+    The axis has length 2^bits = d_hi * d_lo; splitting index c into
+    (c_hi, c_lo) makes the transform the two Sylvester-matrix products
+    H_hi T H_lo, batched over any leading axes.
+    """
+    shape = table.shape
+    bits = shape[-1].bit_length() - 1
+    hi = bits // 2
+    split = table.reshape(*shape[:-1], 1 << hi, shape[-1] >> hi)
+    return np.matmul(_sylvester(hi), split @ _sylvester(bits - hi)).reshape(shape)
 
 
 class TermBank:
@@ -405,11 +422,11 @@ class TermBank:
     Samples H = m^{-1/2} sum_i g_i A_i are built from the terms grouped by
     x-mask: each coupling goes to (part, group, z-mask) of a real table,
     part 1 for an imaginary phase and 0 for a real one; the table is
-    Walsh-Hadamard transformed as two Sylvester-matrix products over
-    dim = d_hi * d_lo, and each group's row of coefficients is written to
-    H[c ^ x, c].  Distinct x-masks never share an entry.  ``parity`` is true
-    when every x-mask has even popcount, so that H maps each popcount-parity
-    sector of the basis into itself.
+    Walsh-Hadamard transformed along its z-mask axis, and each group's row
+    of coefficients is written to H[c ^ x, c].  Distinct x-masks never
+    share an entry.  ``parity`` is true when every x-mask has even
+    popcount, so that H maps each popcount-parity sector of the basis into
+    itself.
     """
 
     def __init__(self, paulis: list[PauliString], dim: int):
@@ -430,10 +447,7 @@ class TermBank:
         xs, group = np.unique(x, return_inverse=True)
         self._slot = ((power & 1) * len(xs) + group) * dim + z
         self._weight = np.where(power < 2, 1.0, -1.0) / math.sqrt(m)
-        bits = dim.bit_length() - 1
-        self._table_shape = (2 * len(xs), 1 << (bits // 2), dim >> (bits // 2))
-        self._h_hi = _sylvester(bits // 2)
-        self._h_lo = _sylvester(bits - bits // 2)
+        self._table_shape = (2 * len(xs), dim)
         targets = cols ^ xs[:, None]
         self._to_full = targets * dim + cols
 
@@ -465,8 +479,7 @@ class TermBank:
         """(groups, dim) coefficients of the sample, H[c ^ x_k, c] = out[k, c]."""
         shape = self._table_shape
         table = np.bincount(self._slot, weights=g * self._weight, minlength=math.prod(shape))
-        table = np.matmul(self._h_hi, table.reshape(shape) @ self._h_lo)
-        table = table.reshape(2, shape[0] // 2, self.dim)
+        table = _walsh_hadamard(table.reshape(shape)).reshape(2, shape[0] // 2, self.dim)
         return table[0] + 1j * table[1]
 
     def assemble(self, g: np.ndarray) -> np.ndarray:

@@ -113,7 +113,9 @@ class CommutationGraph:
         return buf.getvalue()
 
 
-_BLOCK_ROWS = 128
+# rows per block of a pairwise product: the scratch of a block, about
+# 16 * 9 m bytes, stays small beside the m^2 / 8 bytes of adjacency bitsets
+_BLOCK_ROWS = 16
 
 
 def _exact_dtype(width: int):
@@ -139,55 +141,71 @@ def _incidence(supports, width: int) -> np.ndarray:
     return M
 
 
-def _overlap_blocks(left: np.ndarray, right: np.ndarray):
-    """Row blocks (start, counts) of the integer product left @ right.T.
+def _overlap_blocks(left: np.ndarray, right: np.ndarray, reduce):
+    """Row blocks (start, reduce(counts)) of the integer product left @ right.T.
 
     Both factors are 0/1 matrices in the type chosen by
-    :func:`_exact_dtype`, so every count is exact; blocking keeps the
-    scratch at ``_BLOCK_ROWS`` rows whatever the number of rows.
+    :func:`_exact_dtype`, so every count is exact (held as a float);
+    blocking keeps the scratch at ``_BLOCK_ROWS`` rows whatever the number
+    of rows, and ``reduce`` turns each block of counts into its result
+    before the next block is made.
     """
     for start in range(0, left.shape[0], _BLOCK_ROWS):
-        yield start, (left[start : start + _BLOCK_ROWS] @ right.T).astype(np.int32)
+        yield start, reduce(left[start : start + _BLOCK_ROWS] @ right.T)
 
 
-def _anticommutation(ops: OperatorSet) -> np.ndarray:
-    """(m, m) boolean matrix of the anticommuting pairs of an operator set.
+def _anticommutation(ops: OperatorSet):
+    """Row blocks, in order, of the (m, m) boolean matrix of the
+    anticommuting pairs of an operator set.
 
     Pauli: the symplectic form x_u . z_v + z_u . x_v is odd, i.e. one
     product of the (m, 2n) bit matrices [X | Z] and [Z | X].  Majorana:
     q_u q_v - |S_u & S_v| is odd, with each member's own degree q and the
     overlaps from one product of the support incidence matrix with itself.
-    The diagonal is false in both cases.
+    The diagonal is false in both cases.  Only one block of
+    ``_BLOCK_ROWS`` rows exists at a time.
     """
-    m = len(ops)
     if ops.kind == "pauli":
-        dtype = _exact_dtype(2 * ops.n)
-        X = _unpack_masks([p.x_mask for p in ops.members], ops.n, dtype)
-        Z = _unpack_masks([p.z_mask for p in ops.members], ops.n, dtype)
-        left, right = np.hstack([X, Z]), np.hstack([Z, X])
-        odd_degree = np.zeros(m, bool)
+        n = ops.n
+        xz = [p.z_mask << n | p.x_mask for p in ops.members]
+        left = _unpack_masks(xz, 2 * n, _exact_dtype(2 * n))  # [X | Z]
+        right = np.roll(left, n, axis=1)  # [Z | X]
+        odd_degree = np.zeros(len(ops), bool)
     else:
         left = right = _incidence([[j - 1 for j in s.support] for s in ops.members], ops.n)
         odd_degree = np.array([s.degree % 2 == 1 for s in ops.members], bool)
-    A = np.empty((m, m), bool)
-    for start, counts in _overlap_blocks(left, right):
-        rows = slice(start, start + len(counts))
-        A[rows] = (counts & 1).astype(bool) ^ (odd_degree[rows, None] & odd_degree)
-    return A
+    for start, block in _overlap_blocks(left, right, _odd):
+        block[odd_degree[start : start + len(block)]] ^= odd_degree
+        yield block
+
+
+def _odd(counts: np.ndarray) -> np.ndarray:
+    """Boolean parity of exact float counts."""
+    bits = counts.astype(np.int32)
+    bits &= 1
+    return bits.astype(bool)
 
 
 def _pairwise_commuting(family: OperatorSet) -> bool:
-    return not _anticommutation(family).any()
+    """True when no pair anticommutes; stops at the first block with one."""
+    return not any(block.any() for block in _anticommutation(family))
 
 
 def commutation_graph(ops: OperatorSet) -> CommutationGraph:
-    """Build the anticommutation graph of an operator set."""
+    """Build the anticommutation graph of an operator set.
+
+    Each row block is packed into the per-vertex bitsets as it is made, so
+    the build never holds more than one block beside the bitsets.
+    """
     m = len(ops)
     if m > MAX_GRAPH_VERTICES:
         raise CapacityError(f"{m} vertices exceed the graph cap {MAX_GRAPH_VERTICES}")
-    packed = np.packbits(_anticommutation(ops), axis=1, bitorder="little")
-    bits = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return CommutationGraph(operators=ops, adjacency=bits)
+    bits = [
+        int.from_bytes(row.tobytes(), "little")
+        for block in _anticommutation(ops)
+        for row in np.packbits(block, axis=1, bitorder="little")
+    ]
+    return CommutationGraph(operators=ops, adjacency=tuple(bits))
 
 
 def commutation_degree(g: CommutationGraph) -> int:
@@ -269,7 +287,7 @@ def ternary_tree_paulis(k: int) -> OperatorSet:
             node = 3 * node + 1 + branch
         members.append(PauliString(n_qubits, x, z, p % 4))
     fam = OperatorSet("pauli", n_qubits, k, tuple(members), provenance="ternary-tree")
-    if not (_anticommutation(fam) | np.eye(len(fam), dtype=bool)).all():
+    if not all((block.sum(axis=1) == len(fam) - 1).all() for block in _anticommutation(fam)):
         raise RuntimeError("ternary tree construction fails pairwise anticommutation")
     return fam
 

@@ -128,7 +128,7 @@ def expm_hermitian(H, s: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RandomStream:
-    """Named, splittable source of reproducible randomness.
+    """Named source of reproducible randomness.
 
     Streams with distinct ``stream_index`` are statistically independent;
     callers dedicate one stream per Monte Carlo sample.
@@ -136,7 +136,6 @@ class RandomStream:
 
     base_seed: int
     stream_index: int = 0
-    algorithm: str = "philox4x64-boxmuller"
 
     def _bit_generator(self):
         key = np.array(
@@ -144,9 +143,6 @@ class RandomStream:
             dtype=np.uint64,
         )
         return np.random.Philox(key=key)
-
-    def child(self, stream_index: int) -> "RandomStream":
-        return RandomStream(self.base_seed, stream_index, self.algorithm)
 
 
 def gaussian_stream(stream: RandomStream, count: int) -> np.ndarray:

@@ -1,9 +1,15 @@
 """Disorder Monte Carlo experiments: concentration, free energy, overlaps.
 
 Each experiment draws independent disorder realizations (one random stream
-per sample index, so runs are reproducible bit-for-bit from the base seed
-and are independent of thread count), aggregates summary statistics, and
-checks the relevant closed-form bound.  Bound verdicts always use a
+per sample index, so runs are reproducible bit-for-bit from the base seed),
+aggregates summary statistics, and checks the relevant closed-form bound.
+Samples come from three shared sources, in index order: :func:`_spectra`
+yields one spectrum per sample (SYK, spin glass or classical p-spin), and
+every eigenvalue-only quantity is a reduction over it; a fixed state's
+energy is linear in the couplings, g . <psi|A_i|psi> / sqrt(m); only the
+Gibbs-state observables diagonalize each sample with eigenvectors.  The
+``threads`` argument of every experiment is recorded in the report's
+params and does not change the computation.  Bound verdicts always use a
 rigorous upper bound on the commutation index (theta/m for Majorana
 families, the (2/3)^k bound for Pauli families), never the heuristic
 see-saw value; statistical slack enters through one-sided 99% confidence
@@ -36,7 +42,6 @@ from .reports import (
     ExperimentReport,
     Verdict,
     jackknife_log_mean_exp,
-    run_samples,
     wilson_interval,
 )
 from .theta import theta_johnson_lp
@@ -79,22 +84,58 @@ def delta_upper_bound(model: str, n: int, loc: int) -> float:
     raise InputError(f"unknown model {model!r}")
 
 
-def _spectra_fn(model: str, n: int, loc: int, seed: int):
-    """Per-sample eigenvalue table builder for the three ensembles."""
+def _spectra(model: str, n: int, loc: int, seed: int, samples: int):
+    """One spectrum per sample index, in index order.
+
+    SYK and spin-glass samples give their ascending eigenvalues, classical
+    p-spin samples their energies in configuration order.  The sample
+    count and the model are checked, and the term bank is built, before
+    the generator is returned.
+    """
+    if samples < MIN_SAMPLES:
+        raise InputError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     if model in ("syk", "sg"):
         bank = term_bank("majorana" if model == "syk" else "pauli", n, loc)
-
-        def fn(i: int) -> np.ndarray:
-            return bank.eigvalsh(gaussian_stream(RandomStream(seed, i), len(bank)))
-
-        return fn
+        return (
+            bank.eigvalsh(gaussian_stream(RandomStream(seed, i), len(bank)))
+            for i in range(samples)
+        )
     if model == "classical":
-
-        def fn(i: int) -> np.ndarray:
-            return sample_classical_pspin(n, loc, seed, stream=i).energies
-
-        return fn
+        return (sample_classical_pspin(n, loc, seed, stream=i).energies for i in range(samples))
     raise InputError(f"unknown model {model!r}")
+
+
+def _gap(col: np.ndarray, n: int):
+    """Per-site annealed minus quenched ln Z of one column of per-sample
+    ln Z, its jackknife standard error, and the per-site annealed value
+    with and without the bias correction."""
+    ann, ann_raw, pseudo = jackknife_log_mean_exp(col)
+    annealed = ann / n
+    se = (pseudo / n - col / n).std(ddof=1) / math.sqrt(len(col))
+    return annealed - col.mean() / n, se, annealed, ann_raw / n
+
+
+def _fixed_state_energies(bank, psi: np.ndarray, seed: int, samples: int):
+    """<psi|H|psi> of every sample, g . <psi|A_i|psi> / sqrt(m), and its
+    exact disorder variance (1/m) sum_i <psi|A_i|psi>^2."""
+    a = bank.expectations(psi)
+    m = len(bank)
+    e = np.array([gaussian_stream(RandomStream(seed, i), m) @ a for i in range(samples)])
+    return e / math.sqrt(m), float(np.mean(a**2))
+
+
+def _gibbs_weights(w: np.ndarray, scale: float) -> np.ndarray:
+    """Gibbs weights exp(-scale w) / Z of a spectrum."""
+    shifted = -scale * w
+    p = np.exp(shifted - shifted.max())
+    return p / p.sum()
+
+
+def _gibbs_state(H: np.ndarray, scale: float):
+    """Spectrum, eigenvectors and density matrix exp(-scale H) / Z."""
+    w, U = np.linalg.eigh(H)
+    p = _gibbs_weights(w, scale)
+    return w, U, (U * p) @ U.conj().T
 
 
 def _gauss_hermite_expect(f, nodes: int = 301) -> float:
@@ -127,35 +168,23 @@ def free_energy_experiment(
     """
     t0 = time.perf_counter()
     betas = [float(b) for b in beta_list]
-    if samples < MIN_SAMPLES:
-        raise InputError(f"need at least {MIN_SAMPLES} samples, got {samples}")
-    fn = _spectra_fn(model, n, loc, seed)
+    spectra = _spectra(model, n, loc, seed, samples)
     sqrt_n = math.sqrt(n)
     scale = -np.asarray(betas)[:, None] * sqrt_n
-
-    def one(i: int) -> np.ndarray:
-        return logsumexp(scale * fn(i), axis=1)
-
-    lnz = np.array(run_samples(samples, one, threads))
+    lnz = np.array([logsumexp(scale * w, axis=1) for w in spectra])
     delta_ub = delta_upper_bound(model, n, loc)
     verdicts = []
     summary = {"beta": betas, "delta_upper": delta_ub, "model": model}
     per_beta = []
     for bi, b in enumerate(betas):
         col = lnz[:, bi]
-        quenched = col.mean() / n
-        se_q = col.std(ddof=1) / math.sqrt(samples) / n
-        ann, ann_raw, pseudo = jackknife_log_mean_exp(col)
-        annealed = ann / n
-        pseudo_gap = pseudo / n - col / n
-        gap = annealed - quenched
-        se_gap = pseudo_gap.std(ddof=1) / math.sqrt(samples)
+        gap, se_gap, annealed, annealed_raw = _gap(col, n)
         entry = {
             "beta": b,
-            "quenched": quenched,
-            "quenched_se": se_q,
+            "quenched": col.mean() / n,
+            "quenched_se": col.std(ddof=1) / math.sqrt(samples) / n,
             "annealed": annealed,
-            "annealed_raw": ann_raw / n,
+            "annealed_raw": annealed_raw,
             "gap": gap,
             "gap_se": se_gap,
         }
@@ -246,11 +275,7 @@ def gradcheck_logZ(
     def ln_z(g: np.ndarray) -> float:
         return float(logsumexp(-beta * sqrt_n * bank.eigvalsh(g)))
 
-    w, U = np.linalg.eigh(bank.assemble(g0))
-    shifted = -beta * sqrt_n * w
-    p = np.exp(shifted - shifted.max())
-    p /= p.sum()
-    rho = (U * p) @ U.conj().T
+    rho = _gibbs_state(bank.assemble(g0), beta * sqrt_n)[2]
     # Tr(A_i rho) from the monomial structure: sum_c v_i(c) rho[c, r_i(c)]
     tr_arho = np.real(np.einsum("mc,mc->m", bank.vals, rho[np.arange(bank.dim)[None, :], bank.rows]))
     analytic_all = -beta * math.sqrt(n / m) * tr_arho
@@ -312,17 +337,10 @@ def variance_identity_experiment(
     """
     t0 = time.perf_counter()
     if samples < MIN_SAMPLES:
-        raise InputError(f"need at least {MIN_SAMPLES} samples")
+        raise InputError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     bank = term_bank("majorana", n, q)
     psi = _resolve_state(state_spec, n, q, seed)
-    exact_var = float(np.mean(bank.expectations(psi) ** 2))
-
-    def one(i: int) -> float:
-        g = gaussian_stream(RandomStream(seed, i), len(bank))
-        H = bank.assemble(g)
-        return float(np.real(np.vdot(psi, H @ psi)))
-
-    e = np.array(run_samples(samples, one, threads))
+    e, exact_var = _fixed_state_energies(bank, psi, seed, samples)
     emp_var = float(e.var(ddof=1))
     se_var = exact_var * math.sqrt(2.0 / (samples - 1))
     z = (emp_var - exact_var) / se_var
@@ -387,7 +405,7 @@ def tail_experiment(
     if quantity not in TAIL_QUANTITIES:
         raise InputError(f"unknown tail quantity {quantity!r}")
     if samples < MIN_SAMPLES:
-        raise InputError(f"need at least {MIN_SAMPLES} samples")
+        raise InputError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     n = int(params["n"])
     q = int(params.get("q", params.get("loc", 4)))
     beta = float(params.get("beta", 1.0))
@@ -399,38 +417,32 @@ def tail_experiment(
     notes: list[str] = []
     t_grid = [float(t) for t in t_grid]
 
-    psi = None
     sigma_sq = None
-    if quantity == "fixed_state_energy":
+    if quantity == "lambda_max":
+        raw = [w[-1] for w in _spectra("syk", n, q, seed, samples)]
+    elif quantity == "thermal_energy":
+        raw = [
+            (w[-1], np.sum(w * _gibbs_weights(w, beta * sqrt_n)))
+            for w in _spectra("syk", n, q, seed, samples)
+        ]
+    elif quantity == "fixed_state_energy":
         psi = _resolve_state(params.get("state", "random"), n, q, seed)
-        sigma_sq = float(np.mean(bank.expectations(psi) ** 2))
-    X, Y = (None, None)
-    if quantity in ("obs_expectation", "two_point"):
+        raw, sigma_sq = _fixed_state_energies(bank, psi, seed, samples)
+    else:  # obs_expectation, two_point: the Gibbs state with its eigenvectors
         X, Y = _observable_pair(n)
+        raw = []
+        for i in range(samples):
+            H = bank.assemble(gaussian_stream(RandomStream(seed, i), m))
+            w, U, rho = _gibbs_state(H, beta * sqrt_n)
+            if quantity == "obs_expectation":
+                raw.append(float(np.real(np.trace(X @ rho))))
+                continue
+            Ut = (U * np.exp(1j * tau * sqrt_n * w)) @ U.conj().T
+            Ytau = Ut @ Y @ Ut.conj().T
+            val = complex(np.trace(X @ Ytau @ rho))
+            raw.append((val.real, val.imag))
+    vals = np.array(raw)  # thermal_energy and two_point have two columns
 
-    def one(i: int):
-        g = gaussian_stream(RandomStream(seed, i), m)
-        H = bank.assemble(g)
-        if quantity == "fixed_state_energy":
-            return float(np.real(np.vdot(psi, H @ psi)))
-        w, U = np.linalg.eigh(H)
-        if quantity == "lambda_max":
-            return float(w[-1])
-        shifted = -beta * sqrt_n * w
-        p = np.exp(shifted - shifted.max())
-        p /= p.sum()
-        if quantity == "thermal_energy":
-            return float(w[-1]), float(np.sum(w * p))
-        rho = (U * p) @ U.conj().T
-        if quantity == "obs_expectation":
-            return float(np.real(np.trace(X @ rho)))
-        phases = np.exp(1j * tau * sqrt_n * w)
-        Ut = (U * phases) @ U.conj().T
-        Ytau = Ut @ Y @ Ut.conj().T
-        val = complex(np.trace(X @ Ytau @ rho))
-        return val.real, val.imag
-
-    raw = run_samples(samples, one, threads)
     records: dict[str, np.ndarray] = {}
     grid_rows = []
     verdicts = []
@@ -467,7 +479,6 @@ def tail_experiment(
             )
 
     if quantity == "lambda_max":
-        vals = np.array(raw)
         records["lambda_max"] = vals
         check_series(
             "lambda_max",
@@ -476,7 +487,6 @@ def tail_experiment(
             "P(|lam - mean| >= t) <= 2 exp(-t^2 / (2 Delta_ub))",
         )
     elif quantity == "fixed_state_energy":
-        vals = np.array(raw)
         records["energy"] = vals
         check_series(
             "fixed_state_energy",
@@ -485,7 +495,6 @@ def tail_experiment(
             "P(|E - mean| >= t) <= exp(-t^2 / (2 sigma^2)), sigma^2 exact",
         )
     elif quantity == "obs_expectation":
-        vals = np.array(raw)
         records["obs"] = vals
         if beta == 0.0:
             curve = lambda t: None
@@ -498,12 +507,10 @@ def tail_experiment(
             "P(|Tr(X rho) - mean| >= t) <= 2 exp(-t^2 / (18 beta^2 |X|^2 Delta_ub))",
         )
     elif quantity == "thermal_energy":
-        arr = np.array(raw)  # columns: lambda_max, thermal energy
         pilot = max(1, samples // 10)
-        lam_pilot = arr[:pilot, 0]
-        vals = arr[pilot:, 1]
+        lam_pilot = vals[:pilot, 0]
         records["lambda_max_pilot"] = lam_pilot
-        records["thermal_energy"] = vals
+        records["thermal_energy"] = vals[pilot:, 1]
         if beta == 0.0:
             curve = lambda t: None
             alpha = None
@@ -515,14 +522,13 @@ def tail_experiment(
             )
         check_series(
             "thermal_energy",
-            vals,
+            vals[pilot:, 1],
             curve,
             "P(|Tr(H rho) - mean| >= t) <= 4 exp(-(sqrt(t^2/(12 b^2 n) + a^2) - a)/(2 Delta_ub))",
         )
     else:  # two_point
-        arr = np.array(raw)
-        records["two_point_hermitian"] = arr[:, 0]
-        records["two_point_antihermitian"] = arr[:, 1]
+        records["two_point_hermitian"] = vals[:, 0]
+        records["two_point_antihermitian"] = vals[:, 1]
         denom = 6.0 * n * (5.0 * beta * beta + 16.0 * tau * tau) * delta_ub
         if denom == 0.0:
             curve = lambda t: None
@@ -532,8 +538,8 @@ def tail_experiment(
             "P(|part(Tr(X Y(tau) rho)) - mean| >= t) <= "
             "2 exp(-t^2 / (6 n (5 beta^2 + 16 tau^2) Delta_ub))"
         )
-        check_series("two_point_hermitian", arr[:, 0], curve, formula)
-        check_series("two_point_antihermitian", arr[:, 1], curve, formula)
+        check_series("two_point_hermitian", vals[:, 0], curve, formula)
+        check_series("two_point_antihermitian", vals[:, 1], curve, formula)
 
     summary = {
         "quantity": quantity,
@@ -579,16 +585,9 @@ def mgf_check(
     are skipped as unstable.
     """
     t0 = time.perf_counter()
-    if samples < MIN_SAMPLES:
-        raise InputError(f"need at least {MIN_SAMPLES} samples")
-    bank = term_bank("majorana", n, q)
+    spectra = _spectra("syk", n, q, seed, samples)
     delta_ub = delta_upper_bound("syk", n, q)
-
-    def one(i: int) -> float:
-        g = gaussian_stream(RandomStream(seed, i), len(bank))
-        return float(bank.eigvalsh(g)[-1])
-
-    lam = np.array(run_samples(samples, one, threads))
+    lam = np.array([w[-1] for w in spectra])
     centered = lam - lam.mean()
     t_max = 2.0 / math.sqrt(delta_ub)
     rows = []
@@ -638,19 +637,11 @@ def exp_moment_check(
     The fitted c1 is reported as a diagnostic, not asserted.
     """
     t0 = time.perf_counter()
-    if samples < MIN_SAMPLES:
-        raise InputError(f"need at least {MIN_SAMPLES} samples")
+    spectra = _spectra("syk", n, q, seed, samples)
     betas = [float(b) for b in beta_grid]
-    bank = term_bank("majorana", n, q)
-    m = len(bank)
+    m = len(term_bank("majorana", n, q))
     hc = h_comm_count("majorana", n, q)
-
-    def one(i: int) -> np.ndarray:
-        g = gaussian_stream(RandomStream(seed, i), m)
-        w = bank.eigvalsh(g)
-        return np.array([float(np.mean(np.exp(b * w))) for b in betas])
-
-    tr_exp = np.array(run_samples(samples, one, threads))
+    tr_exp = np.array([[np.mean(np.exp(b * w)) for b in betas] for w in spectra])
     rows = []
     c1_fit = 0.0
     verdicts = []
@@ -718,8 +709,7 @@ def classical_overlap_experiment(
     t0 = time.perf_counter()
     if n > 20:
         raise InputError("exact Gibbs enumeration limited to 20 spins")
-    if samples < MIN_SAMPLES:
-        raise InputError(f"need at least {MIN_SAMPLES} samples")
+    spectra = _spectra("classical", n, p, seed, samples)
     betas = [float(b) for b in beta_grid]
     sqrt_n = math.sqrt(n)
     size = 1 << n
@@ -727,18 +717,15 @@ def classical_overlap_experiment(
         (np.arange(size)[:, None] >> np.arange(n)[None, :]) & 1
     ).astype(float)
 
-    def one(i: int) -> np.ndarray:
-        inst = sample_classical_pspin(n, p, seed, stream=i)
-        out = np.empty(len(betas))
-        for bi, b in enumerate(betas):
-            logw = -b * sqrt_n * inst.energies
-            w = np.exp(logw - logw.max())
-            w /= w.sum()
+    def r2_of(energies: np.ndarray) -> list[float]:
+        out = []
+        for b in betas:
+            w = _gibbs_weights(energies, b * sqrt_n)
             corr = (spins * w[:, None]).T @ spins
-            out[bi] = float(np.sum(corr**2)) / (n * n)
+            out.append(float(np.sum(corr**2)) / (n * n))
         return out
 
-    r2 = np.array(run_samples(samples, one, threads))
+    r2 = np.array([r2_of(e) for e in spectra])
     rows = []
     verdicts = []
     for bi, b in enumerate(betas):
@@ -785,20 +772,6 @@ def classical_overlap_experiment(
     )
 
 
-def _gap_and_se(model: str, n: int, loc: int, beta: float, samples: int, seed: int, threads: int):
-    fn = _spectra_fn(model, n, loc, seed)
-    sqrt_n = math.sqrt(n)
-
-    def one(i: int) -> float:
-        return float(logsumexp(-beta * sqrt_n * fn(i)))
-
-    lnz = np.array(run_samples(samples, one, threads))
-    ann, _, pseudo = jackknife_log_mean_exp(lnz)
-    gap = (ann - lnz.mean()) / n
-    pseudo_gap = (pseudo - lnz) / n
-    return gap, float(pseudo_gap.std(ddof=1) / math.sqrt(samples))
-
-
 def glassiness_contrast(
     n_list,
     beta: float,
@@ -819,10 +792,11 @@ def glassiness_contrast(
     syk_rows = []
     cl_rows = []
     for n in n_list:
-        gap, se = _gap_and_se("syk", n, 4, beta, samples, seed, threads)
-        syk_rows.append({"n": n, "gap": gap, "se": se})
-        gap_c, se_c = _gap_and_se("classical", n, 4, beta, samples, seed + 1, threads)
-        cl_rows.append({"n": n, "gap": gap_c, "se": se_c})
+        for rows, model, model_seed in ((syk_rows, "syk", seed), (cl_rows, "classical", seed + 1)):
+            spectra = _spectra(model, n, 4, model_seed, samples)
+            lnz = np.array([logsumexp(-beta * math.sqrt(n) * w) for w in spectra])
+            gap, se = _gap(lnz, n)[:2]
+            rows.append({"n": n, "gap": gap, "se": se})
     verdicts = []
     for a, b in zip(syk_rows, syk_rows[1:]):
         tol = 2.0 * math.hypot(a["se"], b["se"])

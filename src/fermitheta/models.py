@@ -11,6 +11,9 @@ couplings placed at their z-masks, so a sample is assembled by one small
 transform and one plain assignment.  When every x-mask has even popcount
 (even-degree Majorana families), H also preserves the parity of
 popcount(c) and its spectrum is computed from two half-size blocks.
+Classical p-spin energies over all 2^n configurations are the same
+Walsh-Hadamard transform, applied to the couplings placed at the spin
+masks of their subsets.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, log
 
 import numpy as np
 
-from .algebra import TermBank, term_bank
+from .algebra import TermBank, _walsh_hadamard, term_bank
 from .kernel import CapacityError, InputError, RandomStream, eigh, gaussian_stream
 from .theta import theta_johnson_lp
 
@@ -99,9 +103,6 @@ class ClassicalInstance:
     def n_spins(self) -> int:
         return self.sample.n
 
-    def as_dense(self) -> np.ndarray:
-        return np.diag(self.energies)
-
 
 def _couplings(kind: str, n: int, locality: int, seed: int, stream: int, count: int) -> DisorderSample:
     g = gaussian_stream(RandomStream(seed, stream), count)
@@ -132,17 +133,14 @@ def sample_spin_glass(n: int, k: int, seed: int, stream: int = 0) -> ModelInstan
     return ModelInstance(sample=sample, H=bank.assemble(sample.couplings))
 
 
-def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    h = 1
-    size = len(out)
-    while h < size:
-        out = out.reshape(-1, 2, h)
-        top = out[:, 0, :] + out[:, 1, :]
-        bot = out[:, 0, :] - out[:, 1, :]
-        out = np.stack([top, bot], axis=1).reshape(size)
-        h *= 2
-    return out
+@lru_cache(maxsize=16)
+def _pspin_masks(n: int, p: int) -> np.ndarray:
+    """Spin bitmask of every p-subset of n spins, in lexicographic order."""
+    masks = np.array(
+        [sum(1 << i for i in T) for T in itertools.combinations(range(n), p)], dtype=np.int64
+    )
+    masks.setflags(write=False)
+    return masks
 
 
 def sample_classical_pspin(n: int, p: int, seed: int, stream: int = 0) -> ClassicalInstance:
@@ -155,15 +153,10 @@ def sample_classical_pspin(n: int, p: int, seed: int, stream: int = 0) -> Classi
         raise InputError("p must lie in 1..n")
     if n > MAX_CLASSICAL_SPINS:
         raise CapacityError(f"{n} spins exceed the enumeration budget of {MAX_CLASSICAL_SPINS}")
-    subsets = []
-    mask_bits = []
-    for T in itertools.combinations(range(n), p):
-        subsets.append(T)
-        mask_bits.append(sum(1 << i for i in T))
-    m = len(subsets)
-    sample = _couplings("classical", n, p, seed, stream, m)
+    masks = _pspin_masks(n, p)
+    sample = _couplings("classical", n, p, seed, stream, len(masks))
     coef = np.zeros(1 << n)
-    coef[np.array(mask_bits)] = sample.couplings / math.sqrt(m)
+    coef[masks] = sample.couplings / math.sqrt(len(masks))
     return ClassicalInstance(sample=sample, energies=_walsh_hadamard(coef))
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "Verdict",
     "wilson_interval",
     "jackknife_log_mean_exp",
-    "run_samples",
 ]
 
 SCHEMA_VERSION = 1
@@ -171,18 +170,3 @@ def jackknife_log_mean_exp(lnz: np.ndarray) -> tuple[float, float, np.ndarray]:
     corrected = n * full - (n - 1) * loo.mean()
     pseudo = n * full - (n - 1) * loo
     return corrected, full, pseudo
-
-
-def run_samples(count: int, fn, threads: int = 1) -> list:
-    """Evaluate fn(i) for i in range(count), preserving order.
-
-    Results are deterministic regardless of thread count because each
-    sample owns its random stream and aggregation happens afterwards in
-    index order.
-    """
-    if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))

@@ -104,8 +104,8 @@ def johnson_adjacency(m: int, r: int, d: int) -> DenseHermitian:
         raise CapacityError(f"{nverts} vertices exceed the scheme cap {MAX_SCHEME_VERTICES}")
     S = _incidence(list(itertools.combinations(range(m), r)), m)
     A = np.empty((nverts, nverts))
-    for start, overlaps in _overlap_blocks(S, S):
-        A[start : start + len(overlaps)] = overlaps == r - d
+    for start, block in _overlap_blocks(S, S, lambda overlaps: overlaps == r - d):
+        A[start : start + len(block)] = block
     return DenseHermitian(A)
 
 

@@ -183,6 +183,27 @@ class TestDispatch:
         assert captured.out == ""
         assert captured.err.strip().splitlines() == [f"error: --threads must be at least 1, got {value}"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["free-energy", "--n", "8", "--loc", "4"],
+            ["free-energy", "--model", "classical", "--n", "8", "--loc", "4"],
+            ["variance", "--n", "8", "--loc", "4"],
+            ["tails", "--n", "8", "--loc", "4"],
+            ["mgf", "--n", "8", "--loc", "4"],
+            ["expmoment", "--n", "8", "--loc", "4"],
+            ["overlap", "--n", "8", "--loc", "4"],
+            ["contrast", "--n-list", "8"],
+        ],
+        ids=["free-energy", "free-energy-classical", "variance", "tails", "mgf", "expmoment",
+             "overlap", "contrast"],
+    )
+    def test_too_few_samples_usage_error(self, capsys, args):
+        assert dispatch(["lab", *args, "--samples", "15"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == ["error: need at least 16 samples, got 15"]
+
 
 class TestReproduceTable:
     def test_columns_and_rows(self):

@@ -361,6 +361,20 @@ class TestCapacityAndEdgeCases:
             tracemalloc.stop()
         assert peak < m * m // 8  # raised before any m x m matrix, even of bits
 
+    def test_build_memory_bounded_by_bitsets(self):
+        ops = enumerate_set("pauli", 12, 3)
+        m = len(ops)
+        assert m == 5940
+        tracemalloc.start()
+        try:
+            g = commutation_graph(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g) == m
+        # the bitsets alone are about m^2 / 8 bytes; no m x m matrix is built
+        assert peak < m * m // 4
+
     def test_empty_family_degree(self):
         g = commutation_graph(enumerate_set("majorana", 4, 4))
         assert commutation_degree(g) == 0

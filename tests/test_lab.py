@@ -1,13 +1,18 @@
 """Monte Carlo experiments: estimator identities and bound verdicts."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.special import logsumexp
 
-from fermitheta.kernel import InputError, RandomStream, gaussian_stream
+from fermitheta.algebra import _walsh_hadamard
+from fermitheta.graphs import commuting_majorana_family, stabilized_state
+from fermitheta.kernel import InputError, RandomStream, gaussian_stream, random_state
 from fermitheta.lab import (
     classical_overlap_experiment,
     delta_upper_bound,
@@ -19,7 +24,7 @@ from fermitheta.lab import (
     tail_experiment,
     variance_identity_experiment,
 )
-from fermitheta.models import term_bank
+from fermitheta.models import sample_classical_pspin, term_bank
 
 
 class TestFreeEnergy:
@@ -288,3 +293,136 @@ class TestSpinGlassPath:
         rep = free_energy_experiment("sg", 4, 1, [0.5, 1.0], 32, seed=3)
         assert rep.all_passed
         assert abs(rep.summary["delta_upper"] - 2 / 3) < 1e-15
+
+
+# Per-sample dense references: each record is recomputed from the sample's
+# assembled matrix (or from a product over subsets for classical spins),
+# sharing none of the experiments' reductions.
+SEED = 3
+SAMPLES = 32
+INDICES = (1, 17, 31)
+BETAS = [0.0, 0.5, 1.0, 2.0]
+
+
+def dense_hamiltonian(n, q, i, seed=SEED):
+    bank = term_bank("majorana", n, q)
+    return bank.assemble(gaussian_stream(RandomStream(seed, i), len(bank)))
+
+
+def dense_spectrum(n, q, i, seed=SEED):
+    return np.linalg.eigh(dense_hamiltonian(n, q, i, seed))[0]
+
+
+def brute_force_energies(n, p, i, seed=SEED):
+    subsets = list(itertools.combinations(range(n), p))
+    g = gaussian_stream(RandomStream(seed, i), len(subsets)) / math.sqrt(len(subsets))
+    spins = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    return np.stack([spins[:, list(T)].prod(axis=1) for T in subsets], axis=1) @ g
+
+
+def gibbs(w, scale):
+    p = np.exp(-scale * (w - w.min()))
+    return p / p.sum()
+
+
+def butterfly(a):
+    """Radix-2 butterfly Walsh-Hadamard transform of a 1-D array."""
+    out = a.copy()
+    h = 1
+    size = len(out)
+    while h < size:
+        out = out.reshape(-1, 2, h)
+        out = np.stack([out[:, 0, :] + out[:, 1, :], out[:, 0, :] - out[:, 1, :]], axis=1)
+        out = out.reshape(size)
+        h *= 2
+    return out
+
+
+class TestDenseReferences:
+    def test_mgf_lambda_max(self):
+        lam = mgf_check(8, 4, SAMPLES, seed=SEED).records["lambda_max"]
+        for i in INDICES:
+            assert abs(lam[i] - dense_spectrum(8, 4, i)[-1]) <= 1e-12
+
+    def test_exp_moment_traces(self):
+        tr = exp_moment_check(8, 4, BETAS, SAMPLES, seed=SEED).records["trace_exp"]
+        for i in INDICES:
+            w = dense_spectrum(8, 4, i)
+            want = [np.mean(np.exp(b * w)) for b in BETAS]
+            assert np.abs(tr[i] - want).max() <= 1e-12
+
+    def test_tail_lambda_max(self):
+        rep = tail_experiment("lambda_max", {"n": 8, "q": 4}, SAMPLES, seed=SEED)
+        for i in INDICES:
+            assert abs(rep.records["lambda_max"][i] - dense_spectrum(8, 4, i)[-1]) <= 1e-12
+
+    def test_tail_thermal_energy_pilot_and_main(self):
+        beta = 1.0
+        rep = tail_experiment("thermal_energy", {"n": 8, "q": 4, "beta": beta}, SAMPLES, seed=SEED)
+        pilot = len(rep.records["lambda_max_pilot"])
+        assert pilot == SAMPLES // 10
+        for i in (0, *INDICES):
+            w = dense_spectrum(8, 4, i)
+            if i < pilot:
+                assert abs(rep.records["lambda_max_pilot"][i] - w[-1]) <= 1e-12
+            else:
+                energy = np.sum(w * gibbs(w, beta * math.sqrt(8)))
+                assert abs(rep.records["thermal_energy"][i - pilot] - energy) <= 1e-12
+
+    def test_tail_fixed_state_energy(self):
+        rep = tail_experiment("fixed_state_energy", {"n": 8, "q": 4}, SAMPLES, seed=SEED)
+        psi = random_state(RandomStream(SEED, 1 << 32), 16)
+        for i in INDICES:
+            want = np.real(np.vdot(psi, dense_hamiltonian(8, 4, i) @ psi))
+            assert abs(rep.records["energy"][i] - want) <= 1e-12
+
+    @pytest.mark.parametrize("state", ["stabilized", "random"])
+    def test_variance_identity_energies(self, state):
+        rep = variance_identity_experiment(state, 8, 4, SAMPLES, seed=SEED)
+        if state == "stabilized":
+            psi = stabilized_state(commuting_majorana_family(8, 4))
+        else:
+            psi = random_state(RandomStream(SEED, 1 << 32), 16)
+        for i in INDICES:
+            want = np.real(np.vdot(psi, dense_hamiltonian(8, 4, i) @ psi))
+            assert abs(rep.records["energy"][i] - want) <= 1e-12
+
+    def test_classical_overlap(self):
+        n = 8
+        r2 = classical_overlap_experiment(n, 4, BETAS, SAMPLES, seed=SEED).records["r2"]
+        spins = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+        for i in INDICES:
+            e = brute_force_energies(n, 4, i)
+            for bi, b in enumerate(BETAS):
+                corr = spins.T @ (gibbs(e, b * math.sqrt(n))[:, None] * spins)  # <s_j s_k>
+                assert abs(r2[i, bi] - np.sum(corr**2) / n**2) <= 1e-12
+
+    def test_classical_free_energy(self):
+        n = 8
+        lnz = free_energy_experiment("classical", n, 4, BETAS, SAMPLES, seed=SEED).records["ln_z"]
+        for i in INDICES:
+            e = brute_force_energies(n, 4, i)
+            want = [logsumexp(-b * math.sqrt(n) * e) for b in BETAS]
+            assert np.abs(lnz[i] - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("n,p", [(1, 1), (6, 2), (8, 4), (10, 3), (10, 10)])
+    def test_classical_energies_brute_force(self, n, p):
+        for i in INDICES:
+            got = sample_classical_pspin(n, p, SEED, stream=i).energies
+            assert np.abs(got - brute_force_energies(n, p, i)).max() <= 1e-12
+
+
+class TestWalshHadamard:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bits=st.integers(0, 12),
+        batch=st.lists(st.integers(1, 3), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_butterfly(self, bits, batch, seed):
+        table = np.random.default_rng(seed).standard_normal((*batch, 1 << bits))
+        got = _walsh_hadamard(table)
+        assert got.shape == table.shape
+        want = np.stack([butterfly(row) for row in table.reshape(-1, 1 << bits)])
+        atol = 1e-14 * (1 << bits) * max(1.0, np.abs(table).max())
+        assert np.abs(got.reshape(want.shape) - want).max() <= atol

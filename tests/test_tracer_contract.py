@@ -2,8 +2,8 @@
 
 ``perfbench/tracer.py`` looks up each ``WRAPS`` entry when a ``Tracer`` is
 constructed, so a library rename or deletion that breaks a traced benchmark
-run fails here first.  The tracer is built but never installed, so no
-fermitheta attribute is patched.
+run fails here first.  Most tests build the tracer without installing it; the
+installed run uninstalls in ``finally`` so no patch outlives it.
 """
 
 import importlib.util
@@ -42,3 +42,32 @@ def test_graph_counter_reads_a_real_graph():
     _load_tracer()._graph((), {}, g, counts)
     assert counts["graphs.edges"] == g.edge_count() > 0
     assert counts["graphs.pairs"] == m * (m - 1) // 2
+
+
+def test_installed_tracer_counts_sampling_layers():
+    from math import comb
+
+    from fermitheta import lab
+
+    tracer = _load_tracer().Tracer()
+    samples, n, loc = 16, 6, 2
+    m = comb(n, loc)  # 15 Majorana monomials and 15 classical 2-subsets
+    runs = {
+        "classical": lambda: lab.free_energy_experiment("classical", n, loc, [1.0], samples, 1),
+        "syk": lambda: lab.free_energy_experiment("syk", n, loc, [1.0], samples, 1),
+        "variance": lambda: lab.variance_identity_experiment("random", n, loc, samples, 1),
+    }
+    tracer.install()
+    try:
+        for phase, run in runs.items():
+            tracer.op_id = (phase, None)
+            run()
+    finally:
+        tracer.uninstall()
+    normals = {phase: tracer.counters[phase]["kernel.rng_normals"] for phase in runs}
+    assert normals["classical"] == samples * m
+    assert normals["syk"] == samples * m
+    assert normals["variance"] >= samples * m  # the random state draws normals too
+    classical = [s for s in tracer.spans if s[2] == "models.classical_sample"]
+    assert len(classical) == samples
+    assert all(s[5][0] == "classical" for s in classical)
