@@ -20,7 +20,7 @@ from fermitheta import (
     enumerate_set,
     h_comm_count,
     lambda_max_lower_bound,
-    sample_syk,
+    sample_spectra,
 )
 from fermitheta.algebra import pauli_matrix
 from fermitheta.kernel import RandomStream, gaussian_stream
@@ -43,7 +43,7 @@ hc = h_comm_count("majorana", n, q)
 res = lambda_max_lower_bound(m, hc, delta_upper=28 / m, c1=1.0)
 print(f"\nn={n}, q={q}: commutation degree {hc}, "
       f"guaranteed E[lam_max] >= {res.bound:.4f} at beta_max = {res.beta_max:.3f}")
-emp = np.mean([sample_syk(n, q, seed=9, stream=i).lambda_max for i in range(20)])
+emp = np.mean([w[-1] for w in sample_spectra("syk", n, q, 9, range(20))])
 print(f"empirical mean lam_max over 20 draws: {emp:.4f}")
 
 # --- spin Hamiltonians always have good product states -------------------

@@ -58,16 +58,13 @@ from .kernel import (
 )
 from .models import (
     BoundsReport,
-    ClassicalInstance,
-    DisorderSample,
-    ModelInstance,
     ansatz_bounds_report,
     depolarized_energy_identity,
     h_comm_count,
     lambda_max_lower_bound,
     sample_classical_pspin,
-    sample_spin_glass,
-    sample_syk,
+    sample_couplings,
+    sample_spectra,
 )
 from .reports import ExperimentReport, Verdict
 from .scheme import HahnTable, dual_hahn, johnson_adjacency, verify_scheme_spectrum

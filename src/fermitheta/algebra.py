@@ -62,6 +62,8 @@ __all__ = [
 DEFAULT_DENSE_DIM = 1 << 12
 MAX_DENSE_DIM = 1 << 14
 MAX_ENUMERATION = 10**6
+# rows x columns of one TermBank: each entry costs 24 bytes of tables
+MAX_BANK_ENTRIES = 1 << 26
 
 _PHASES = (1, 1j, -1, -1j)
 
@@ -414,6 +416,14 @@ def _walsh_hadamard(table: np.ndarray) -> np.ndarray:
     return np.matmul(_sylvester(hi), split @ _sylvester(bits - hi)).reshape(shape)
 
 
+def _check_bank_entries(terms: int, dim: int):
+    """Refuse a bank of terms x dim table entries above ``MAX_BANK_ENTRIES``."""
+    if terms * dim > MAX_BANK_ENTRIES:
+        raise CapacityError(
+            f"{terms} terms x {dim} columns exceed the term-bank budget of {MAX_BANK_ENTRIES}"
+        )
+
+
 class TermBank:
     """Matrix-free tables of a family of Pauli terms.
 
@@ -466,9 +476,11 @@ class TermBank:
 
         Majorana members go through Jordan-Wigner with the Hermitizing
         phase; Pauli members are used as stored.  Raises
-        :class:`CapacityError` above ``max_dim`` and :class:`InputError` for
+        :class:`CapacityError` above ``max_dim`` or above
+        ``MAX_BANK_ENTRIES`` members x columns, and :class:`InputError` for
         an odd-degree or non-Hermitian member, before any table is built.
         """
+        _check_bank_entries(len(ops), ops.dim)
         paulis = [_hermitian_pauli(op, True, max_dim) for op in ops.members]
         return cls(paulis, ops.dim)
 

@@ -25,7 +25,7 @@ from .algebra import enumerate_set
 from .graphs import commutation_graph, ternary_tree_paulis
 from .index import index_estimate
 from .kernel import CapacityError, InputError
-from .models import ansatz_bounds_report, sample_classical_pspin, sample_spin_glass, sample_syk
+from .models import ansatz_bounds_report, sample_spectra
 from .reports import ExperimentReport, _atomic_write
 from .scheme import HahnTable, verify_scheme_spectrum
 from .theta import round_half_up, theta_johnson_lp, theta_sdp
@@ -172,15 +172,9 @@ def _cmd_ternary(args) -> int:
 
 
 def _cmd_model(args) -> int:
-    if args.kind == "syk":
-        inst = sample_syk(args.n, args.loc, args.seed)
-        spec = inst.eigenvalues
-    elif args.kind == "sg":
-        inst = sample_spin_glass(args.n, args.loc, args.seed)
-        spec = inst.eigenvalues
-    else:
-        inst = sample_classical_pspin(args.n, args.loc, args.seed)
-        spec = np.sort(inst.energies)
+    (spec,) = sample_spectra(args.kind, args.n, args.loc, args.seed, (0,))
+    if args.kind == "classical":
+        spec = np.sort(spec)
     payload = {
         "kind": args.kind,
         "n": args.n,

@@ -3,11 +3,13 @@
 Each experiment draws independent disorder realizations (one random stream
 per sample index, so runs are reproducible bit-for-bit from the base seed),
 aggregates summary statistics, and checks the relevant closed-form bound.
-Samples come from three shared sources, in index order: :func:`_spectra`
-yields one spectrum per sample (SYK, spin glass or classical p-spin), and
-every eigenvalue-only quantity is a reduction over it; a fixed state's
-energy is linear in the couplings, g . <psi|A_i|psi> / sqrt(m); only the
-Gibbs-state observables diagonalize each sample with eigenvectors.  The
+Samples come from :mod:`fermitheta.models`, which checks the model and its
+caps before anything is built, in index order: every eigenvalue-only
+quantity is a reduction over :func:`~fermitheta.models.sample_spectra`
+(SYK, spin glass or classical p-spin); a fixed state's energy is linear in
+the couplings of :func:`~fermitheta.models.sample_couplings`,
+g . <psi|A_i|psi> / sqrt(m); only the Gibbs-state observables diagonalize
+each sample with eigenvectors.  The
 ``threads`` argument of every experiment is recorded in the report's
 params and does not change the computation.  Bound verdicts always use a
 rigorous upper bound on the commutation index (theta/m for Majorana
@@ -19,6 +21,7 @@ curve.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -28,15 +31,11 @@ from math import comb, log
 import numpy as np
 from scipy.special import logsumexp
 
-from .algebra import MAX_DENSE_DIM, MajoranaMonomial, materialize
+from .algebra import MAX_DENSE_DIM, MajoranaMonomial, _walsh_hadamard, materialize
 from .graphs import commuting_majorana_family, stabilized_state
 from .index import pauli_index_weak_bound
-from .kernel import InputError, RandomStream, gaussian_stream, random_state
-from .models import (
-    h_comm_count,
-    sample_classical_pspin,
-    term_bank,
-)
+from .kernel import InputError, RandomStream, random_state
+from .models import h_comm_count, model_bank, sample_couplings, sample_spectra
 from .reports import (
     Z99,
     ExperimentReport,
@@ -84,25 +83,16 @@ def delta_upper_bound(model: str, n: int, loc: int) -> float:
     raise InputError(f"unknown model {model!r}")
 
 
-def _spectra(model: str, n: int, loc: int, seed: int, samples: int):
-    """One spectrum per sample index, in index order.
-
-    SYK and spin-glass samples give their ascending eigenvalues, classical
-    p-spin samples their energies in configuration order.  The sample
-    count and the model are checked, and the term bank is built, before
-    the generator is returned.
-    """
+def _check_samples(samples: int):
     if samples < MIN_SAMPLES:
         raise InputError(f"need at least {MIN_SAMPLES} samples, got {samples}")
-    if model in ("syk", "sg"):
-        bank = term_bank("majorana" if model == "syk" else "pauli", n, loc)
-        return (
-            bank.eigvalsh(gaussian_stream(RandomStream(seed, i), len(bank)))
-            for i in range(samples)
-        )
-    if model == "classical":
-        return (sample_classical_pspin(n, loc, seed, stream=i).energies for i in range(samples))
-    raise InputError(f"unknown model {model!r}")
+
+
+def _spectra(model: str, n: int, loc: int, seed: int, samples: int):
+    """:func:`fermitheta.models.sample_spectra` of samples 0..samples-1,
+    after the sample count is checked."""
+    _check_samples(samples)
+    return sample_spectra(model, n, loc, seed, range(samples))
 
 
 def _gap(col: np.ndarray, n: int):
@@ -115,13 +105,12 @@ def _gap(col: np.ndarray, n: int):
     return annealed - col.mean() / n, se, annealed, ann_raw / n
 
 
-def _fixed_state_energies(bank, psi: np.ndarray, seed: int, samples: int):
-    """<psi|H|psi> of every sample, g . <psi|A_i|psi> / sqrt(m), and its
+def _fixed_state_energies(bank, psi: np.ndarray, n: int, q: int, seed: int, samples: int):
+    """<psi|H|psi> of every SYK sample, g . <psi|A_i|psi> / sqrt(m), and its
     exact disorder variance (1/m) sum_i <psi|A_i|psi>^2."""
     a = bank.expectations(psi)
-    m = len(bank)
-    e = np.array([gaussian_stream(RandomStream(seed, i), m) @ a for i in range(samples)])
-    return e / math.sqrt(m), float(np.mean(a**2))
+    e = np.array([g @ a for g in sample_couplings("syk", n, q, seed, range(samples))])
+    return e / math.sqrt(len(a)), float(np.mean(a**2))
 
 
 def _gibbs_weights(w: np.ndarray, scale: float) -> np.ndarray:
@@ -265,11 +254,11 @@ def gradcheck_logZ(
     for Z = Tr exp(-beta sqrt(n) H).  Checked on a random subset of
     coordinates; returns the worst relative error.
     """
-    bank = term_bank("majorana", n, q)
-    if bank.dim > 1 << 8:
+    (g0,) = sample_couplings("syk", n, q, seed, (0,))
+    if n > 16:
         raise InputError("gradient check limited to dimension 2^8")
+    bank = model_bank("syk", n, q)
     m = len(bank)
-    g0 = gaussian_stream(RandomStream(seed, 0), m)
     sqrt_n = math.sqrt(n)
 
     def ln_z(g: np.ndarray) -> float:
@@ -336,11 +325,10 @@ def variance_identity_experiment(
     checks the empirical variance (z-score) and Gaussianity (KS test).
     """
     t0 = time.perf_counter()
-    if samples < MIN_SAMPLES:
-        raise InputError(f"need at least {MIN_SAMPLES} samples, got {samples}")
-    bank = term_bank("majorana", n, q)
+    _check_samples(samples)
+    bank = model_bank("syk", n, q)
     psi = _resolve_state(state_spec, n, q, seed)
-    e, exact_var = _fixed_state_energies(bank, psi, seed, samples)
+    e, exact_var = _fixed_state_energies(bank, psi, n, q, seed, samples)
     emp_var = float(e.var(ddof=1))
     se_var = exact_var * math.sqrt(2.0 / (samples - 1))
     z = (emp_var - exact_var) / se_var
@@ -404,14 +392,12 @@ def tail_experiment(
     t0 = time.perf_counter()
     if quantity not in TAIL_QUANTITIES:
         raise InputError(f"unknown tail quantity {quantity!r}")
-    if samples < MIN_SAMPLES:
-        raise InputError(f"need at least {MIN_SAMPLES} samples, got {samples}")
+    _check_samples(samples)
     n = int(params["n"])
     q = int(params.get("q", params.get("loc", 4)))
     beta = float(params.get("beta", 1.0))
     tau = float(params.get("tau", 0.5))
-    bank = term_bank("majorana", n, q)
-    m = len(bank)
+    bank = model_bank("syk", n, q)
     delta_ub = delta_upper_bound("syk", n, q)
     sqrt_n = math.sqrt(n)
     notes: list[str] = []
@@ -427,13 +413,12 @@ def tail_experiment(
         ]
     elif quantity == "fixed_state_energy":
         psi = _resolve_state(params.get("state", "random"), n, q, seed)
-        raw, sigma_sq = _fixed_state_energies(bank, psi, seed, samples)
+        raw, sigma_sq = _fixed_state_energies(bank, psi, n, q, seed, samples)
     else:  # obs_expectation, two_point: the Gibbs state with its eigenvectors
         X, Y = _observable_pair(n)
         raw = []
-        for i in range(samples):
-            H = bank.assemble(gaussian_stream(RandomStream(seed, i), m))
-            w, U, rho = _gibbs_state(H, beta * sqrt_n)
+        for g in sample_couplings("syk", n, q, seed, range(samples)):
+            w, U, rho = _gibbs_state(bank.assemble(g), beta * sqrt_n)
             if quantity == "obs_expectation":
                 raw.append(float(np.real(np.trace(X @ rho))))
                 continue
@@ -639,7 +624,7 @@ def exp_moment_check(
     t0 = time.perf_counter()
     spectra = _spectra("syk", n, q, seed, samples)
     betas = [float(b) for b in beta_grid]
-    m = len(term_bank("majorana", n, q))
+    m = comb(n, q)
     hc = h_comm_count("majorana", n, q)
     tr_exp = np.array([[np.mean(np.exp(b * w)) for b in betas] for w in spectra])
     rows = []
@@ -712,18 +697,15 @@ def classical_overlap_experiment(
     spectra = _spectra("classical", n, p, seed, samples)
     betas = [float(b) for b in beta_grid]
     sqrt_n = math.sqrt(n)
-    size = 1 << n
-    spins = 1.0 - 2.0 * (
-        (np.arange(size)[:, None] >> np.arange(n)[None, :]) & 1
-    ).astype(float)
+    # <s_j s_k> is the Walsh-Hadamard coefficient of the Gibbs weights at
+    # mask (1 << j) | (1 << k); the n diagonal terms are 1
+    pairs = np.array([(1 << j) | (1 << k) for j, k in itertools.combinations(range(n), 2)],
+                     dtype=np.int64)
 
-    def r2_of(energies: np.ndarray) -> list[float]:
-        out = []
-        for b in betas:
-            w = _gibbs_weights(energies, b * sqrt_n)
-            corr = (spins * w[:, None]).T @ spins
-            out.append(float(np.sum(corr**2)) / (n * n))
-        return out
+    def r2_of(energies: np.ndarray) -> np.ndarray:
+        w = np.stack([_gibbs_weights(energies, b * sqrt_n) for b in betas])
+        corr = _walsh_hadamard(w)[:, pairs]
+        return (n + 2.0 * np.sum(corr**2, axis=1)) / (n * n)
 
     r2 = np.array([r2_of(e) for e in spectra])
     rows = []

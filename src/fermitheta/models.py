@@ -3,6 +3,12 @@
 Every ensemble draws i.i.d. standard normal couplings over a fixed,
 lexicographically enumerated term family and normalizes by the square root
 of the term count, so the normalized trace of H^2 has unit expectation.
+Sample i of (model, n, loc, seed) is defined in one place:
+:func:`sample_couplings` draws its couplings from stream i and
+:func:`sample_spectra` its spectrum.  Both check the model rules and the
+caps (modes, qubits, spins, term-bank entries) once per call, before any
+term bank or 2^n array exists; the CLI ``model`` command and every lab
+experiment draw their samples through them.
 Samples are assembled and diagonalized by the term kernel
 :class:`fermitheta.algebra.TermBank` (re-exported here with
 :func:`term_bank`): grouping a family by x-mask turns the coefficients of
@@ -27,18 +33,16 @@ from math import comb, log
 
 import numpy as np
 
-from .algebra import TermBank, _walsh_hadamard, term_bank
-from .kernel import CapacityError, InputError, RandomStream, eigh, gaussian_stream
+from .algebra import TermBank, _check_bank_entries, _walsh_hadamard, term_bank
+from .kernel import CapacityError, InputError, RandomStream, gaussian_stream
 from .theta import theta_johnson_lp
 
 __all__ = [
-    "DisorderSample",
-    "ModelInstance",
-    "ClassicalInstance",
     "TermBank",
     "term_bank",
-    "sample_syk",
-    "sample_spin_glass",
+    "model_bank",
+    "sample_couplings",
+    "sample_spectra",
     "sample_classical_pspin",
     "h_comm_count",
     "lambda_max_lower_bound",
@@ -50,87 +54,72 @@ __all__ = [
 MAX_SYK_MODES = 24
 MAX_SG_QUBITS = 12
 MAX_CLASSICAL_SPINS = 22
+_KINDS = {"syk": "majorana", "sg": "pauli"}
 
 
-@dataclass(frozen=True)
-class DisorderSample:
-    """Gaussian couplings for one disorder realization, order matching the
-    lexicographic term enumeration."""
-
-    kind: str
-    n: int
-    locality: int
-    seed: int
-    stream: int
-    couplings: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "couplings", np.asarray(self.couplings, dtype=float))
-
-
-@dataclass
-class ModelInstance:
-    """One dense disorder realization with its lazily computed spectrum."""
-
-    sample: DisorderSample
-    H: np.ndarray
-    _spectrum: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        if self._spectrum is None:
-            self._spectrum = eigh(self.H).eigenvalues
-        return self._spectrum
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
+def _check(model: str, n: int, loc: int) -> int:
+    """Validate (model, n, loc) against the ensemble rules and the caps;
+    return the term count m.  Nothing is allocated."""
+    if model == "syk":
+        if n % 2 != 0 or loc % 2 != 0:
+            raise InputError("n and q must both be even")
+        if not 0 < loc <= n:
+            raise InputError("q must lie in 1..n")
+        if n > MAX_SYK_MODES:
+            raise CapacityError(f"{n} modes exceed the dense budget of {MAX_SYK_MODES}")
+        m, dim = comb(n, loc), 1 << (n // 2)
+    elif model == "sg":
+        if not 0 < loc <= n:
+            raise InputError("k must lie in 1..n")
+        if n > MAX_SG_QUBITS:
+            raise CapacityError(f"{n} qubits exceed the dense budget of {MAX_SG_QUBITS}")
+        m, dim = comb(n, loc) * 3**loc, 1 << n
+    elif model == "classical":
+        if not 0 < loc <= n:
+            raise InputError("p must lie in 1..n")
+        if n > MAX_CLASSICAL_SPINS:
+            raise CapacityError(f"{n} spins exceed the enumeration budget of {MAX_CLASSICAL_SPINS}")
+        return comb(n, loc)
+    else:
+        raise InputError(f"unknown model {model!r}")
+    _check_bank_entries(m, dim)
+    return m
 
 
-@dataclass
-class ClassicalInstance:
-    """Classical p-spin realization as an energy table over all 2^n
-    configurations, indexed by spin bitmask (bit set means sigma = -1)."""
-
-    sample: DisorderSample
-    energies: np.ndarray
-
-    @property
-    def n_spins(self) -> int:
-        return self.sample.n
+def model_bank(model: str, n: int, loc: int) -> TermBank:
+    """Term bank of a quantum model (``syk`` or ``sg``), built only after
+    the checks of :func:`sample_couplings` pass."""
+    _check(model, n, loc)
+    if model == "classical":
+        raise InputError("the classical model has no term bank")
+    return term_bank(_KINDS[model], n, loc)
 
 
-def _couplings(kind: str, n: int, locality: int, seed: int, stream: int, count: int) -> DisorderSample:
-    g = gaussian_stream(RandomStream(seed, stream), count)
-    return DisorderSample(kind, n, locality, seed, stream, g)
+def sample_couplings(model: str, n: int, loc: int, seed: int, streams):
+    """Gaussian couplings of the samples at the given stream indices.
+
+    Sample i of (model, n, loc, seed) is ``gaussian_stream(RandomStream(seed,
+    i), m)``, ordered like the lexicographic term enumeration.  The model
+    rules and the caps (modes, qubits, spins, term-bank entries) are checked
+    once, before the generator is returned.
+    """
+    m = _check(model, n, loc)
+    return (gaussian_stream(RandomStream(seed, i), m) for i in streams)
 
 
-def sample_syk(n: int, q: int, seed: int, stream: int = 0) -> ModelInstance:
-    """Degree-q Majorana ensemble on n modes, C(n,q)^(-1/2) normalization."""
-    if n % 2 != 0 or q % 2 != 0:
-        raise InputError("n and q must both be even")
-    if not 0 < q <= n:
-        raise InputError("q must lie in 1..n")
-    if n > MAX_SYK_MODES:
-        raise CapacityError(f"{n} modes exceed the dense budget of {MAX_SYK_MODES}")
-    bank = term_bank("majorana", n, q)
-    sample = _couplings("majorana", n, q, seed, stream, len(bank))
-    return ModelInstance(sample=sample, H=bank.assemble(sample.couplings))
+def sample_spectra(model: str, n: int, loc: int, seed: int, streams):
+    """Spectrum of each sample at the given stream indices, in order.
 
-
-def sample_spin_glass(n: int, k: int, seed: int, stream: int = 0) -> ModelInstance:
-    """k-local quantum spin glass on n qubits over all weight-k Paulis."""
-    if not 0 < k <= n:
-        raise InputError("k must lie in 1..n")
-    if n > MAX_SG_QUBITS:
-        raise CapacityError(f"{n} qubits exceed the dense budget of {MAX_SG_QUBITS}")
-    bank = term_bank("pauli", n, k)
-    sample = _couplings("pauli", n, k, seed, stream, len(bank))
-    return ModelInstance(sample=sample, H=bank.assemble(sample.couplings))
+    SYK and spin-glass samples give their ascending eigenvalues
+    (``bank.eigvalsh``), classical p-spin samples their energies in
+    configuration order.  Everything is checked, and the term bank built,
+    before the generator is returned.
+    """
+    if model == "classical":
+        _check(model, n, loc)
+        return (sample_classical_pspin(n, loc, seed, stream=i) for i in streams)
+    bank = model_bank(model, n, loc)
+    return (bank.eigvalsh(g) for g in sample_couplings(model, n, loc, seed, streams))
 
 
 @lru_cache(maxsize=16)
@@ -143,21 +132,18 @@ def _pspin_masks(n: int, p: int) -> np.ndarray:
     return masks
 
 
-def sample_classical_pspin(n: int, p: int, seed: int, stream: int = 0) -> ClassicalInstance:
-    """Classical p-spin energies for every configuration at once.
+def sample_classical_pspin(n: int, p: int, seed: int, stream: int = 0) -> np.ndarray:
+    """Classical p-spin energies of every configuration, indexed by spin
+    bitmask (bit set means sigma = -1).
 
     The multilinear form evaluates over all sign patterns via a fast
     Walsh-Hadamard transform of the sparse coupling vector.
     """
-    if not 0 < p <= n:
-        raise InputError("p must lie in 1..n")
-    if n > MAX_CLASSICAL_SPINS:
-        raise CapacityError(f"{n} spins exceed the enumeration budget of {MAX_CLASSICAL_SPINS}")
+    (g,) = sample_couplings("classical", n, p, seed, (stream,))
     masks = _pspin_masks(n, p)
-    sample = _couplings("classical", n, p, seed, stream, len(masks))
     coef = np.zeros(1 << n)
-    coef[masks] = sample.couplings / math.sqrt(len(masks))
-    return ClassicalInstance(sample=sample, energies=_walsh_hadamard(coef))
+    coef[masks] = g / math.sqrt(len(masks))
+    return _walsh_hadamard(coef)
 
 
 def h_comm_count(kind: str, n: int, locality: int) -> int:

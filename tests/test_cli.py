@@ -4,8 +4,12 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
+import fermitheta.algebra
+import fermitheta.models
+from fermitheta import lab
 from fermitheta.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
@@ -72,6 +76,45 @@ class TestDispatch:
         payload = json.loads(out.read_text())
         assert len(payload["eigenvalues"]) == 16
         capsys.readouterr()
+
+    @pytest.mark.parametrize("kind,n,loc", [("syk", 10, 4), ("sg", 4, 2), ("classical", 8, 4)])
+    def test_model_spectrum_is_lab_sample_zero(self, capsys, tmp_path, kind, n, loc):
+        out = tmp_path / "spec.json"
+        argv = ["model", kind, "--n", str(n), "--loc", str(loc), "--seed", "5"]
+        assert dispatch([*argv, "--spectrum", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        want = np.sort(next(lab._spectra(kind, n, loc, 5, lab.MIN_SAMPLES)))
+        assert json.loads(out.read_text())["eigenvalues"] == [float(v) for v in want]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lab", "free-energy", "--model", "syk", "--n", "26", "--loc", "4"],
+            ["lab", "free-energy", "--model", "sg", "--n", "13", "--loc", "2"],
+            ["lab", "variance", "--n", "26", "--loc", "4"],
+            ["lab", "tails", "--n", "26", "--loc", "4"],
+            ["lab", "mgf", "--n", "26", "--loc", "4"],
+            ["lab", "expmoment", "--n", "26", "--loc", "4"],
+            ["lab", "gradcheck", "--n", "26", "--loc", "4"],
+            ["model", "syk", "--n", "26", "--loc", "4"],
+            ["model", "sg", "--n", "13", "--loc", "2"],
+            ["model", "classical", "--n", "23", "--loc", "4"],
+        ],
+        ids=["free-energy-syk", "free-energy-sg", "variance", "tails", "mgf", "expmoment",
+             "gradcheck", "model-syk", "model-sg", "model-classical"],
+    )
+    def test_over_cap_refused_before_any_bank(self, monkeypatch, capsys, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("term bank built for an input over the caps")
+
+        monkeypatch.setattr(fermitheta.algebra.TermBank, "__init__", refuse)
+        monkeypatch.setattr(fermitheta.algebra, "term_bank", refuse)
+        monkeypatch.setattr(fermitheta.models, "term_bank", refuse)
+        assert dispatch(argv) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("capacity error: ")
 
     def test_bounds(self, capsys):
         assert dispatch(

@@ -29,79 +29,87 @@ from fermitheta.models import (
     depolarized_energy_identity,
     h_comm_count,
     lambda_max_lower_bound,
+    model_bank,
     sample_classical_pspin,
-    sample_spin_glass,
-    sample_syk,
+    sample_couplings,
+    sample_spectra,
     TermBank,
     term_bank,
 )
 
 
+def first(model, n, loc, seed, stream=0):
+    """Couplings and spectrum of one sample."""
+    (g,) = sample_couplings(model, n, loc, seed, (stream,))
+    (w,) = sample_spectra(model, n, loc, seed, (stream,))
+    return g, w
+
+
+def assembled(model, n, loc, seed, stream=0):
+    (g,) = sample_couplings(model, n, loc, seed, (stream,))
+    return model_bank(model, n, loc).assemble(g)
+
+
 class TestSampling:
     def test_reproducible(self):
-        a = sample_syk(8, 4, seed=5)
-        b = sample_syk(8, 4, seed=5)
-        assert np.array_equal(a.sample.couplings, b.sample.couplings)
-        assert np.array_equal(a.H, b.H)
+        a, wa = first("syk", 8, 4, 5)
+        b, wb = first("syk", 8, 4, 5)
+        assert np.array_equal(a, b)
+        assert np.array_equal(wa, wb)
 
     def test_distinct_streams(self):
-        a = sample_syk(8, 4, seed=5, stream=0)
-        b = sample_syk(8, 4, seed=5, stream=1)
-        assert not np.allclose(a.H, b.H)
+        assert not np.allclose(assembled("syk", 8, 4, 5, 0), assembled("syk", 8, 4, 5, 1))
 
     def test_hermitian_traceless(self):
-        for inst in (sample_syk(10, 4, seed=1), sample_spin_glass(4, 1, seed=1)):
-            assert np.abs(inst.H - inst.H.conj().T).max() < 1e-12
-            assert abs(np.trace(inst.H)) < 1e-10
+        for H in (assembled("syk", 10, 4, 1), assembled("sg", 4, 1, 1)):
+            assert np.abs(H - H.conj().T).max() < 1e-12
+            assert abs(np.trace(H)) < 1e-10
 
     def test_single_term_spectrum(self):
-        inst = sample_syk(4, 4, seed=9)
-        g = inst.sample.couplings[0]
-        w = np.sort(inst.eigenvalues)
-        assert np.allclose(w, [-abs(g), -abs(g), abs(g), abs(g)], atol=1e-12)
+        g, w = first("syk", 4, 4, 9)
+        assert np.allclose(w, [-abs(g[0]), -abs(g[0]), abs(g[0]), abs(g[0])], atol=1e-12)
 
     def test_normalized_trace_square_syk(self):
         # E tr(H^2)/dim = 1 for orthonormal terms
-        vals = []
-        for i in range(200):
-            inst = sample_syk(12, 4, seed=3, stream=i)
-            vals.append(float(np.real(np.trace(inst.H @ inst.H))) / inst.dim)
+        vals = [float(np.mean(w**2)) for w in sample_spectra("syk", 12, 4, 3, range(200))]
         m = np.mean(vals)
         se = np.std(vals, ddof=1) / math.sqrt(len(vals))
         assert abs(m - 1.0) <= 5 * se
 
     def test_normalized_trace_square_sg(self):
-        vals = []
-        for i in range(200):
-            inst = sample_spin_glass(8, 2, seed=4, stream=i)
-            vals.append(float(np.real(np.trace(inst.H @ inst.H))) / inst.dim)
+        vals = [float(np.mean(w**2)) for w in sample_spectra("sg", 8, 2, 4, range(200))]
         m = np.mean(vals)
         se = np.std(vals, ddof=1) / math.sqrt(len(vals))
         assert abs(m - 1.0) <= 5 * se
 
     def test_sg_term_count(self):
         assert len(term_bank("pauli", 4, 1)) == 12
+        assert len(next(sample_couplings("sg", 4, 1, 0, (0,)))) == 12
 
     def test_capacity(self):
-        with pytest.raises(CapacityError):
-            sample_syk(26, 4, seed=0)
+        # raised by the call itself, before the generator is iterated
+        for model, n, loc in (("syk", 26, 4), ("sg", 13, 2), ("classical", 23, 4)):
+            with pytest.raises(CapacityError):
+                sample_spectra(model, n, loc, 0, (0,))
+            with pytest.raises(CapacityError):
+                sample_couplings(model, n, loc, 0, (0,))
 
     def test_variational_bound_stabilized_state(self):
         fam = commuting_majorana_family(8, 4)
         psi = stabilized_state(fam)
-        for i in range(10):
-            inst = sample_syk(8, 4, seed=6, stream=i)
-            energy = float(np.real(np.vdot(psi, inst.H @ psi)))
-            assert inst.lambda_max >= abs(energy) - 1e-9
+        bank = model_bank("syk", 8, 4)
+        couplings = sample_couplings("syk", 8, 4, 6, range(10))
+        for g, w in zip(couplings, sample_spectra("syk", 8, 4, 6, range(10))):
+            energy = float(np.real(np.vdot(psi, bank.assemble(g) @ psi)))
+            assert w[-1] >= abs(energy) - 1e-9
 
     def test_upper_tail_matrix_gaussian(self):
         # matrix Gaussian series bound at failure probability 1e-2
         n, q = 16, 4
         dim = 1 << (n // 2)
         cap = math.sqrt(2 * math.log(2 * dim / 1e-2))
-        for i in range(50):
-            inst = sample_syk(n, q, seed=8, stream=i)
-            assert inst.lambda_max <= cap
+        for w in sample_spectra("syk", n, q, 8, range(50)):
+            assert w[-1] <= cap
 
 
 def _family(kind, n, k):
@@ -228,6 +236,28 @@ class TestTermBank:
         odd = _popcount_array(np.arange(bank.dim)) % 2 == 1
         assert np.abs(H[np.ix_(odd, ~odd)]).max() == 0.0
 
+    def test_bank_entry_cap(self, monkeypatch):
+        import fermitheta.algebra as algebra
+
+        # the real cap admits majorana (24,4) and refuses (24,6), unbuilt
+        sample_couplings("syk", 24, 4, 0, ())
+        with pytest.raises(CapacityError):
+            sample_spectra("syk", 24, 6, 0, (0,))
+        ops = enumerate_set("majorana", 8, 4)
+        entries = len(ops) * ops.dim
+        monkeypatch.setattr(algebra, "MAX_BANK_ENTRIES", entries)
+        assert len(TermBank.from_set(ops, 1 << 12)) == len(ops)
+        monkeypatch.setattr(algebra, "MAX_BANK_ENTRIES", entries - 1)
+
+        def convert(*args):
+            raise AssertionError("member converted above the cap")
+
+        monkeypatch.setattr(algebra, "_hermitian_pauli", convert)
+        with pytest.raises(CapacityError):
+            TermBank.from_set(ops, 1 << 12)
+        with pytest.raises(CapacityError):
+            sample_spectra("syk", 8, 4, 0, (0,))
+
     def test_duplicate_terms_add(self):
         x = PauliString.from_label("XZ")
         bank = TermBank([x, x], 4)
@@ -237,19 +267,18 @@ class TestTermBank:
 
 class TestClassical:
     def test_single_term_sign(self):
-        inst = sample_classical_pspin(4, 4, seed=2)
-        g = inst.sample.couplings[0]
-        assert np.allclose(np.sort(np.unique(np.round(inst.energies, 12))), sorted({-g, g}))
+        g, energies = first("classical", 4, 4, 2)
+        assert np.allclose(np.sort(np.unique(np.round(energies, 12))), sorted({-g[0], g[0]}))
 
     def test_flip_symmetry_even_p(self):
-        inst = sample_classical_pspin(8, 4, seed=3)
+        energies = sample_classical_pspin(8, 4, seed=3)
         full = (1 << 8) - 1
-        flipped = inst.energies[np.arange(1 << 8) ^ full]
-        assert np.allclose(inst.energies, flipped)
+        flipped = energies[np.arange(1 << 8) ^ full]
+        assert np.allclose(energies, flipped)
 
     def test_per_configuration_variance(self):
         vals = [
-            sample_classical_pspin(10, 3, seed=4, stream=i).energies[123]
+            sample_classical_pspin(10, 3, seed=4, stream=i)[123]
             for i in range(10_000)
         ]
         v = np.var(vals, ddof=1)
@@ -258,17 +287,17 @@ class TestClassical:
 
     def test_matches_direct_evaluation(self):
         n, p = 6, 3
-        inst = sample_classical_pspin(n, p, seed=5)
+        g, energies = first("classical", n, p, 5)
+        assert np.array_equal(energies, sample_classical_pspin(n, p, seed=5))
         import itertools
 
         rng_terms = list(itertools.combinations(range(n), p))
-        g = inst.sample.couplings
         for idx in [0, 17, 63]:
             spins = [1 - 2 * ((idx >> i) & 1) for i in range(n)]
             direct = sum(
                 gi * spins[a] * spins[b] * spins[c] for gi, (a, b, c) in zip(g, rng_terms)
             ) / math.sqrt(len(rng_terms))
-            assert abs(direct - inst.energies[idx]) < 1e-10
+            assert abs(direct - energies[idx]) < 1e-10
 
 
 class TestCommutationCounting:
