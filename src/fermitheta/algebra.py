@@ -55,6 +55,7 @@ __all__ = [
     "majorana_to_pauli",
     "materialize",
     "enumerate_set",
+    "family_size",
     "TermBank",
     "term_bank",
 ]
@@ -354,6 +355,29 @@ def _phase_value(s: str) -> complex:
     return {"+1": 1, "+i": 1j, "-1": -1, "-i": -1j}[s]
 
 
+def family_size(kind: str, n: int, locality: int) -> int:
+    """Member count of S^n_q (C(n, q)) or P^n_k (C(n, k) * 3^k) in closed form.
+
+    Raises what :func:`enumerate_set` raises for the same arguments (bad
+    input, or more than ``MAX_ENUMERATION`` members) without enumerating.
+    """
+    if kind == "majorana":
+        if n % 2 != 0:
+            raise InputError("majorana enumeration requires even mode count")
+        if not 0 < locality <= n:
+            raise InputError("locality must lie in 1..n")
+        count = comb(n, locality)
+    elif kind == "pauli":
+        if not 0 < locality <= n:
+            raise InputError("locality must lie in 1..n")
+        count = comb(n, locality) * 3**locality
+    else:
+        raise InputError(f"unknown operator kind {kind!r}")
+    if count > MAX_ENUMERATION:
+        raise CapacityError(f"enumeration of {count} members exceeds cap")
+    return count
+
+
 def enumerate_set(kind: str, n: int, locality: int) -> OperatorSet:
     """Complete lexicographic enumeration of S^n_q or P^n_k.
 
@@ -361,36 +385,24 @@ def enumerate_set(kind: str, n: int, locality: int) -> OperatorSet:
     exactly-weight-k strings; sites ordered lexicographically and letters
     cycling X, Y, Z per site.
     """
+    family_size(kind, n, locality)
     if kind == "majorana":
-        if n % 2 != 0:
-            raise InputError("majorana enumeration requires even mode count")
-        if not 0 < locality <= n:
-            raise InputError("locality must lie in 1..n")
-        if comb(n, locality) > MAX_ENUMERATION:
-            raise CapacityError(f"enumeration of {comb(n, locality)} members exceeds cap")
         members = tuple(
             MajoranaMonomial(n, s)
             for s in itertools.combinations(range(1, n + 1), locality)
         )
         return OperatorSet("majorana", n, locality, members, provenance="enumerated")
-    if kind == "pauli":
-        if not 0 < locality <= n:
-            raise InputError("locality must lie in 1..n")
-        count = comb(n, locality) * 3**locality
-        if count > MAX_ENUMERATION:
-            raise CapacityError(f"enumeration of {count} members exceeds cap")
-        single = ((1, 0, 0), (1, 1, 1), (0, 1, 0))  # X, Y, Z as (x, z, phase)
-        members = []
-        for sites in itertools.combinations(range(n), locality):
-            for letters in itertools.product(single, repeat=locality):
-                x = z = p = 0
-                for site, (xb, zb, pb) in zip(sites, letters):
-                    x |= xb << site
-                    z |= zb << site
-                    p += pb
-                members.append(PauliString(n, x, z, p % 4))
-        return OperatorSet("pauli", n, locality, tuple(members), provenance="enumerated")
-    raise InputError(f"unknown operator kind {kind!r}")
+    single = ((1, 0, 0), (1, 1, 1), (0, 1, 0))  # X, Y, Z as (x, z, phase)
+    members = []
+    for sites in itertools.combinations(range(n), locality):
+        for letters in itertools.product(single, repeat=locality):
+            x = z = p = 0
+            for site, (xb, zb, pb) in zip(sites, letters):
+                x |= xb << site
+                z |= zb << site
+                p += pb
+            members.append(PauliString(n, x, z, p % 4))
+    return OperatorSet("pauli", n, locality, tuple(members), provenance="enumerated")
 
 
 @lru_cache(maxsize=16)
@@ -416,6 +428,33 @@ def _walsh_hadamard(table: np.ndarray) -> np.ndarray:
     return np.matmul(_sylvester(hi), split @ _sylvester(bits - hi)).reshape(shape)
 
 
+def _majorana_masks(ops: OperatorSet) -> np.ndarray:
+    """(3, m) x-masks, z-masks and phase powers of the Hermitized
+    Jordan-Wigner images of a set's monomials, as :func:`majorana_to_pauli`
+    gives them one at a time.
+
+    Generator j acts on qubit t = (j - 1) // 2, with X (odd j) or Y (even
+    j) there and Z below.  In a strictly increasing product no earlier
+    generator has a Z on a later one's X or Y site, so no reordering sign
+    arises: bit t of the x-mask is the parity of |S & {2t+1, 2t+2}|, bit t
+    of the z-mask the parity of |S & [2t+2, n]|, and the phase power is
+    the number of even generators plus q/2.
+    """
+    degrees = np.array([op.degree for op in ops.members], dtype=np.int64)
+    if np.any(degrees % 2):
+        raise InputError("hermitization requires even degree")
+    occupied = np.zeros((len(degrees), ops.n), dtype=np.int64)
+    generators = itertools.chain.from_iterable(op.support for op in ops.members)
+    occupied[np.repeat(np.arange(len(degrees)), degrees),
+             np.fromiter(generators, dtype=np.int64, count=int(degrees.sum())) - 1] = 1
+    above = np.cumsum(occupied[:, ::-1], axis=1)[:, ::-1]  # generators >= j, at column j - 1
+    place = np.int64(1) << np.arange(ops.n // 2, dtype=np.int64)
+    x = ((occupied[:, 0::2] + occupied[:, 1::2]) & 1) @ place
+    z = (above[:, 1::2] & 1) @ place
+    power = (occupied[:, 1::2].sum(axis=1) + degrees // 2) % 4
+    return np.stack([x, z, power])
+
+
 def _check_bank_entries(terms: int, dim: int):
     """Refuse a bank of terms x dim table entries above ``MAX_BANK_ENTRIES``."""
     if terms * dim > MAX_BANK_ENTRIES:
@@ -436,19 +475,25 @@ class TermBank:
     of coefficients is written to H[c ^ x, c].  Distinct x-masks never
     share an entry.  ``parity`` is true when every x-mask has even
     popcount, so that H maps each popcount-parity sector of the basis into
-    itself.
+    itself.  :meth:`eigvalsh` takes one coupling row or a stack of them;
+    each row of a stack gets the same arithmetic as a row alone, and
+    ``sample_bytes`` is the working set that one row adds to the stack.
     """
 
-    def __init__(self, paulis: list[PauliString], dim: int):
-        m = len(paulis)
-        x = np.array([p.x_mask for p in paulis], dtype=np.int64)
-        z = np.array([p.z_mask for p in paulis], dtype=np.int64)
-        power = np.array([p.phase_power for p in paulis], dtype=np.int64)
+    def __init__(self, paulis, dim: int):
+        """``paulis``: the terms, as a list of :class:`PauliString` or as a
+        (3, m) int64 array of their x-masks, z-masks and phase powers."""
+        if not isinstance(paulis, np.ndarray):
+            paulis = np.array(
+                [(p.x_mask, p.z_mask, p.phase_power) for p in paulis], dtype=np.int64
+            ).reshape(-1, 3).T
+        x, z, power = paulis
+        m = len(x)
         cols = np.arange(dim)
         odd = (_popcount_array(cols) & 1).astype(np.int8)
         self.dim = dim
         self.rows = cols ^ x[:, None]
-        self.vals = np.array([p.phase for p in paulis], dtype=complex)[:, None] * (
+        self.vals = np.array(_PHASES, dtype=complex)[power][:, None] * (
             1 - 2 * odd[cols & z[:, None]]
         )
         # real phases carry an exact +0 imaginary part, as in an integer product
@@ -469,30 +514,42 @@ class TermBank:
         pos[np.argsort(sector, kind="stable")] = cols % side
         self._block_shape = (sectors, side, side)
         self._to_blocks = sector * side * side + pos[targets] * side + pos
+        # the real table and its complex coefficients (8 bytes per table
+        # entry each), and the complex parity blocks
+        self.sample_bytes = 16 * (math.prod(self._table_shape) + math.prod(self._block_shape))
 
     @classmethod
     def from_set(cls, ops: OperatorSet, max_dim: int) -> "TermBank":
         """Bank of the Hermitized members of an operator set.
 
         Majorana members go through Jordan-Wigner with the Hermitizing
-        phase; Pauli members are used as stored.  Raises
-        :class:`CapacityError` above ``max_dim`` or above
-        ``MAX_BANK_ENTRIES`` members x columns, and :class:`InputError` for
-        an odd-degree or non-Hermitian member, before any table is built.
+        phase, all at once (:func:`_majorana_masks`); Pauli members are
+        used as stored.  Raises :class:`CapacityError` above ``max_dim`` or
+        above ``MAX_BANK_ENTRIES`` members x columns, and
+        :class:`InputError` for an odd-degree or non-Hermitian member,
+        before any table is built.
         """
         _check_bank_entries(len(ops), ops.dim)
-        paulis = [_hermitian_pauli(op, True, max_dim) for op in ops.members]
-        return cls(paulis, ops.dim)
+        if ops.kind == "majorana":
+            masks = _majorana_masks(ops)
+            _check_dim(ops.dim, max_dim)
+            return cls(masks, ops.dim)
+        return cls([_hermitian_pauli(op, True, max_dim) for op in ops.members], ops.dim)
 
     def __len__(self):
         return self.rows.shape[0]
 
     def _coefficients(self, g: np.ndarray) -> np.ndarray:
-        """(groups, dim) coefficients of the sample, H[c ^ x_k, c] = out[k, c]."""
-        shape = self._table_shape
-        table = np.bincount(self._slot, weights=g * self._weight, minlength=math.prod(shape))
-        table = _walsh_hadamard(table.reshape(shape)).reshape(2, shape[0] // 2, self.dim)
-        return table[0] + 1j * table[1]
+        """(..., groups, dim) coefficients of each coupling row of g (..., m),
+        H[c ^ x_k, c] = out[..., k, c]."""
+        lead, shape = g.shape[:-1], self._table_shape
+        size = math.prod(shape)
+        slots = np.arange(math.prod(lead))[:, None] * size + self._slot
+        table = np.bincount(slots.ravel(), weights=(g * self._weight).ravel(),
+                            minlength=slots.shape[0] * size)
+        table = _walsh_hadamard(table.reshape(*lead, *shape))
+        table = table.reshape(*lead, 2, shape[0] // 2, self.dim)
+        return table[..., 0, :, :] + 1j * table[..., 1, :, :]
 
     def assemble(self, g: np.ndarray) -> np.ndarray:
         """Dense (1/sqrt(m)) sum_i g_i A_i."""
@@ -501,11 +558,14 @@ class TermBank:
         return H
 
     def eigvalsh(self, g: np.ndarray) -> np.ndarray:
-        """Ascending spectrum of (1/sqrt(m)) sum_i g_i A_i, from one batched
-        eigensolve over its parity blocks (one block when parity is false)."""
-        blocks = np.zeros(self._block_shape, dtype=complex)
-        blocks.reshape(-1)[self._to_blocks] = self._coefficients(g)
-        return np.sort(np.linalg.eigvalsh(blocks), axis=None)
+        """Ascending spectrum of (1/sqrt(m)) sum_i g_i A_i for each coupling
+        row of g (..., m), from one batched eigensolve over the parity
+        blocks of every row (one block per row when parity is false)."""
+        lead = g.shape[:-1]
+        blocks = np.zeros((*lead, *self._block_shape), dtype=complex)
+        blocks.reshape(*lead, -1)[..., self._to_blocks] = self._coefficients(g)
+        w = np.linalg.eigvalsh(blocks.reshape(-1, *self._block_shape[1:]))
+        return np.sort(w.reshape(*lead, self.dim), axis=-1)
 
     def expectations(self, psi: np.ndarray) -> np.ndarray:
         """<psi|A_i|psi> for every term, exactly (real for Hermitian terms)."""

@@ -21,14 +21,14 @@ from math import comb
 import numpy as np
 
 from . import lab as lab_mod
-from .algebra import enumerate_set
-from .graphs import commutation_graph, ternary_tree_paulis
-from .index import index_estimate
+from .algebra import enumerate_set, family_size
+from .graphs import _check_graph_vertices, commutation_graph, ternary_tree_paulis
+from .index import _check_estimate, index_estimate
 from .kernel import CapacityError, InputError
 from .models import ansatz_bounds_report, sample_spectra
 from .reports import ExperimentReport, _atomic_write
 from .scheme import HahnTable, verify_scheme_spectrum
-from .theta import round_half_up, theta_johnson_lp, theta_sdp
+from .theta import _check_sdp_vertices, round_half_up, theta_johnson_lp, theta_sdp
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -104,6 +104,17 @@ def reproduce_table(max_n: int, q_list) -> str:
     return buf.getvalue()
 
 
+def _family(args, *caps):
+    """The enumerated family of ``--set/--n/--loc``.  Its closed-form size
+    is checked first against each cap that the command would otherwise
+    apply only after enumerating it, so that an over-cap family is refused
+    with the same message before any member exists."""
+    m = family_size(args.set, args.n, args.loc)
+    for cap in caps:
+        cap(m)
+    return enumerate_set(args.set, args.n, args.loc)
+
+
 def _cmd_theta(args) -> int:
     if args.mode == "johnson":
         if args.table:
@@ -116,7 +127,7 @@ def _cmd_theta(args) -> int:
             print(f"{round_half_up(res.value, 2):.2f}")
         _emit_json_if_out(args, res.to_json())
         return EXIT_OK
-    ops = enumerate_set(args.set, args.n, args.loc)
+    ops = _family(args, _check_graph_vertices, _check_sdp_vertices)
     res = theta_sdp(commutation_graph(ops), tol=args.tol)
     print(f"{res.value_float:.6f}")
     _emit_json_if_out(args, res.to_json())
@@ -129,7 +140,7 @@ def _emit_json_if_out(args, text: str):
 
 
 def _cmd_index(args) -> int:
-    ops = enumerate_set(args.set, args.n, args.loc)
+    ops = _family(args, lambda m: _check_estimate(args.set, args.n, args.loc, m))
     est = index_estimate(ops, seed=args.seed)
     if args.method == "upper":
         print(float(est.upper))
@@ -153,7 +164,7 @@ def _cmd_hahn(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    ops = enumerate_set(args.set, args.n, args.loc)
+    ops = _family(args, _check_graph_vertices)
     g = commutation_graph(ops)
     if args.format == "csv":
         _emit(args, g.to_edge_csv())

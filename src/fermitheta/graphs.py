@@ -50,6 +50,12 @@ __all__ = [
 MAX_GRAPH_VERTICES = 10**4
 
 
+def _check_graph_vertices(m: int):
+    """Refuse a commutation graph of more than ``MAX_GRAPH_VERTICES``."""
+    if m > MAX_GRAPH_VERTICES:
+        raise CapacityError(f"{m} vertices exceed the graph cap {MAX_GRAPH_VERTICES}")
+
+
 class DegeneracyError(RuntimeError):
     """Projector construction annihilated every trial vector."""
 
@@ -197,9 +203,7 @@ def commutation_graph(ops: OperatorSet) -> CommutationGraph:
     Each row block is packed into the per-vertex bitsets as it is made, so
     the build never holds more than one block beside the bitsets.
     """
-    m = len(ops)
-    if m > MAX_GRAPH_VERTICES:
-        raise CapacityError(f"{m} vertices exceed the graph cap {MAX_GRAPH_VERTICES}")
+    _check_graph_vertices(len(ops))
     bits = [
         int.from_bytes(row.tobytes(), "little")
         for block in _anticommutation(ops)

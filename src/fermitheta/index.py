@@ -21,10 +21,15 @@ from math import comb
 
 import numpy as np
 
-from .algebra import OperatorSet, TermBank, term_bank
-from .graphs import best_commuting_family, commutation_graph, joint_eigenstate
+from .algebra import OperatorSet, TermBank, _check_bank_entries, term_bank
+from .graphs import (
+    _check_graph_vertices,
+    best_commuting_family,
+    commutation_graph,
+    joint_eigenstate,
+)
 from .kernel import InputError, RandomStream, eigh, random_state
-from .theta import ThetaResult, theta_johnson_lp, theta_sdp
+from .theta import ThetaResult, _check_sdp_vertices, theta_johnson_lp, theta_sdp
 
 __all__ = [
     "IndexEstimate",
@@ -230,6 +235,18 @@ def offdiag_index_check(ops: OperatorSet, trials: int = 32, seed: int = 11, uppe
     if best > bound:
         raise RuntimeError(f"off-diagonal estimate {best} exceeds 16x index bound {bound}")
     return {"estimate": best, "bound": bound, "trials": trials, "passed": True}
+
+
+def _check_estimate(kind: str, n: int, locality: int, members: int):
+    """Refuse, from its member count alone, an enumerated family that
+    :func:`index_estimate` would refuse: an even-degree Majorana family
+    (theta from the Johnson LP) at its see-saw's term bank, any other at
+    its commutation graph or theta SDP."""
+    if kind == "majorana" and locality % 2 == 0:
+        _check_bank_entries(members, 1 << (n // 2))
+    else:
+        _check_graph_vertices(members)
+        _check_sdp_vertices(members)
 
 
 def index_estimate(

@@ -11,6 +11,7 @@ parameters reproduce identical outputs bit-for-bit within one build.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,12 +138,34 @@ class RandomStream:
     base_seed: int
     stream_index: int = 0
 
-    def _bit_generator(self):
-        key = np.array(
+    def _key(self) -> np.ndarray:
+        return np.array(
             [self.base_seed % (1 << 64), self.stream_index % (1 << 64)],
             dtype=np.uint64,
         )
-        return np.random.Philox(key=key)
+
+    def _bit_generator(self):
+        return np.random.Philox(key=self._key())
+
+    def _reset(self, bit_generator: np.random.Philox) -> np.random.Philox:
+        """Put a Philox generator in the state that ``_bit_generator``
+        starts in: this key, counter 0, empty buffer."""
+        empty = np.zeros(4, dtype=np.uint64)
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": empty, "key": self._key()},
+            "buffer": empty,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return bit_generator
+
+
+# One Philox per thread, reset for each gaussian_stream call: the same
+# uniforms as a new Philox(key=...), whose construction also draws OS
+# entropy for a seed sequence it never uses and costs about three resets.
+_PER_THREAD = threading.local()
 
 
 def gaussian_stream(stream: RandomStream, count: int) -> np.ndarray:
@@ -157,7 +180,9 @@ def gaussian_stream(stream: RandomStream, count: int) -> np.ndarray:
     if count == 0:
         return np.zeros(0)
     pairs = (count + 1) // 2
-    gen = np.random.Generator(stream._bit_generator())
+    if not hasattr(_PER_THREAD, "philox"):
+        _PER_THREAD.philox = np.random.Philox()
+    gen = np.random.Generator(stream._reset(_PER_THREAD.philox))
     u = gen.random(2 * pairs)
     r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
     ang = 2.0 * np.pi * u[1::2]

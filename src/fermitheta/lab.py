@@ -4,10 +4,16 @@ Each experiment draws independent disorder realizations (one random stream
 per sample index, so runs are reproducible bit-for-bit from the base seed),
 aggregates summary statistics, and checks the relevant closed-form bound.
 Samples come from :mod:`fermitheta.models`, which checks the model and its
-caps before anything is built, in index order: every eigenvalue-only
-quantity is a reduction over :func:`~fermitheta.models.sample_spectra`
-(SYK, spin glass or classical p-spin); a fixed state's energy is linear in
-the couplings of :func:`~fermitheta.models.sample_couplings`,
+caps before anything is built, in index order.  Every eigenvalue-only
+quantity is a reduction over the spectra of
+:func:`~fermitheta.models.sample_spectra` (SYK, spin glass or classical
+p-spin), taken chunk by chunk: each (samples, d) chunk is reduced by
+whole-array operations, such as one log-sum-exp over (samples, beta, d),
+that do the same arithmetic per sample as a loop over samples, so every
+record is bit-identical to it.  The log-sum-exp is a numpy function that
+repeats ``scipy.special.logsumexp`` step by step; scipy's fixed cost per
+call dominated small-d runs.  A fixed state's energy is linear in the
+couplings of :func:`~fermitheta.models.sample_couplings`,
 g . <psi|A_i|psi> / sqrt(m); only the Gibbs-state observables diagonalize
 each sample with eigenvectors.  The
 ``threads`` argument of every experiment is recorded in the report's
@@ -29,13 +35,12 @@ from fractions import Fraction
 from math import comb, log
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .algebra import MAX_DENSE_DIM, MajoranaMonomial, _walsh_hadamard, materialize
 from .graphs import commuting_majorana_family, stabilized_state
 from .index import pauli_index_weak_bound
 from .kernel import InputError, RandomStream, random_state
-from .models import h_comm_count, model_bank, sample_couplings, sample_spectra
+from .models import _spectrum_chunks, h_comm_count, model_bank, sample_couplings
 from .reports import (
     Z99,
     ExperimentReport,
@@ -88,11 +93,33 @@ def _check_samples(samples: int):
         raise InputError(f"need at least {MIN_SAMPLES} samples, got {samples}")
 
 
-def _spectra(model: str, n: int, loc: int, seed: int, samples: int):
-    """:func:`fermitheta.models.sample_spectra` of samples 0..samples-1,
-    after the sample count is checked."""
+def _chunks(model: str, n: int, loc: int, seed: int, samples: int):
+    """Spectra of samples 0..samples-1 as (b, d) chunks (see
+    :func:`fermitheta.models.sample_spectra`), after the sample count is
+    checked."""
     _check_samples(samples)
-    return sample_spectra(model, n, loc, seed, range(samples))
+    return _spectrum_chunks(model, n, loc, seed, range(samples))
+
+
+def _spectra(model: str, n: int, loc: int, seed: int, samples: int):
+    """The rows of :func:`_chunks`: one spectrum per sample, in order."""
+    return (w for chunk in _chunks(model, n, loc, seed, samples) for w in chunk)
+
+
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis of a finite real array.
+
+    The arithmetic of ``scipy.special.logsumexp`` (scipy 1.17), step by
+    step, so results are bit-identical to it: the maxima are taken out of
+    the sum and counted, and the sum of the rest is scaled by the count.
+    One call reduces a whole (samples, betas, d) chunk, where scipy's
+    per-call overhead dominated at small d.
+    """
+    top = x.max(axis=-1, keepdims=True)
+    ties = x == top
+    count = ties.sum(axis=-1, keepdims=True, dtype=x.dtype)
+    rest = np.exp(np.where(ties, -np.inf, x) - top).sum(axis=-1, keepdims=True) / count
+    return (np.log1p(rest) + np.log(count) + top)[..., 0]
 
 
 def _gap(col: np.ndarray, n: int):
@@ -113,11 +140,11 @@ def _fixed_state_energies(bank, psi: np.ndarray, n: int, q: int, seed: int, samp
     return e / math.sqrt(len(a)), float(np.mean(a**2))
 
 
-def _gibbs_weights(w: np.ndarray, scale: float) -> np.ndarray:
-    """Gibbs weights exp(-scale w) / Z of a spectrum."""
+def _gibbs_weights(w: np.ndarray, scale) -> np.ndarray:
+    """Gibbs weights exp(-scale w) / Z of the spectra along the last axis."""
     shifted = -scale * w
-    p = np.exp(shifted - shifted.max())
-    return p / p.sum()
+    p = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def _gibbs_state(H: np.ndarray, scale: float):
@@ -157,10 +184,10 @@ def free_energy_experiment(
     """
     t0 = time.perf_counter()
     betas = [float(b) for b in beta_list]
-    spectra = _spectra(model, n, loc, seed, samples)
+    chunks = _chunks(model, n, loc, seed, samples)
     sqrt_n = math.sqrt(n)
     scale = -np.asarray(betas)[:, None] * sqrt_n
-    lnz = np.array([logsumexp(scale * w, axis=1) for w in spectra])
+    lnz = np.concatenate([_logsumexp(scale * w[:, None, :]) for w in chunks])
     delta_ub = delta_upper_bound(model, n, loc)
     verdicts = []
     summary = {"beta": betas, "delta_upper": delta_ub, "model": model}
@@ -262,7 +289,7 @@ def gradcheck_logZ(
     sqrt_n = math.sqrt(n)
 
     def ln_z(g: np.ndarray) -> float:
-        return float(logsumexp(-beta * sqrt_n * bank.eigvalsh(g)))
+        return float(_logsumexp(-beta * sqrt_n * bank.eigvalsh(g)))
 
     rho = _gibbs_state(bank.assemble(g0), beta * sqrt_n)[2]
     # Tr(A_i rho) from the monomial structure: sum_c v_i(c) rho[c, r_i(c)]
@@ -405,12 +432,12 @@ def tail_experiment(
 
     sigma_sq = None
     if quantity == "lambda_max":
-        raw = [w[-1] for w in _spectra("syk", n, q, seed, samples)]
+        raw = np.concatenate([w[:, -1] for w in _chunks("syk", n, q, seed, samples)])
     elif quantity == "thermal_energy":
-        raw = [
-            (w[-1], np.sum(w * _gibbs_weights(w, beta * sqrt_n)))
-            for w in _spectra("syk", n, q, seed, samples)
-        ]
+        raw = np.concatenate([
+            np.stack([w[:, -1], np.sum(w * _gibbs_weights(w, beta * sqrt_n), axis=-1)], axis=1)
+            for w in _chunks("syk", n, q, seed, samples)
+        ])
     elif quantity == "fixed_state_energy":
         psi = _resolve_state(params.get("state", "random"), n, q, seed)
         raw, sigma_sq = _fixed_state_energies(bank, psi, n, q, seed, samples)
@@ -570,9 +597,9 @@ def mgf_check(
     are skipped as unstable.
     """
     t0 = time.perf_counter()
-    spectra = _spectra("syk", n, q, seed, samples)
+    chunks = _chunks("syk", n, q, seed, samples)
     delta_ub = delta_upper_bound("syk", n, q)
-    lam = np.array([w[-1] for w in spectra])
+    lam = np.concatenate([w[:, -1] for w in chunks])
     centered = lam - lam.mean()
     t_max = 2.0 / math.sqrt(delta_ub)
     rows = []
@@ -622,11 +649,12 @@ def exp_moment_check(
     The fitted c1 is reported as a diagnostic, not asserted.
     """
     t0 = time.perf_counter()
-    spectra = _spectra("syk", n, q, seed, samples)
+    chunks = _chunks("syk", n, q, seed, samples)
     betas = [float(b) for b in beta_grid]
     m = comb(n, q)
     hc = h_comm_count("majorana", n, q)
-    tr_exp = np.array([[np.mean(np.exp(b * w)) for b in betas] for w in spectra])
+    grid = np.array(betas)[:, None]
+    tr_exp = np.concatenate([np.mean(np.exp(grid * w[:, None, :]), axis=-1) for w in chunks])
     rows = []
     c1_fit = 0.0
     verdicts = []
@@ -694,20 +722,20 @@ def classical_overlap_experiment(
     t0 = time.perf_counter()
     if n > 20:
         raise InputError("exact Gibbs enumeration limited to 20 spins")
-    spectra = _spectra("classical", n, p, seed, samples)
+    chunks = _chunks("classical", n, p, seed, samples)
     betas = [float(b) for b in beta_grid]
-    sqrt_n = math.sqrt(n)
+    scales = np.array([b * math.sqrt(n) for b in betas])[:, None]
     # <s_j s_k> is the Walsh-Hadamard coefficient of the Gibbs weights at
     # mask (1 << j) | (1 << k); the n diagonal terms are 1
     pairs = np.array([(1 << j) | (1 << k) for j, k in itertools.combinations(range(n), 2)],
                      dtype=np.int64)
 
     def r2_of(energies: np.ndarray) -> np.ndarray:
-        w = np.stack([_gibbs_weights(energies, b * sqrt_n) for b in betas])
-        corr = _walsh_hadamard(w)[:, pairs]
-        return (n + 2.0 * np.sum(corr**2, axis=1)) / (n * n)
+        w = _gibbs_weights(energies[:, None, :], scales)
+        corr = _walsh_hadamard(w)[..., pairs]
+        return (n + 2.0 * np.sum(corr**2, axis=-1)) / (n * n)
 
-    r2 = np.array([r2_of(e) for e in spectra])
+    r2 = np.concatenate([r2_of(e) for e in chunks])
     rows = []
     verdicts = []
     for bi, b in enumerate(betas):
@@ -775,8 +803,8 @@ def glassiness_contrast(
     cl_rows = []
     for n in n_list:
         for rows, model, model_seed in ((syk_rows, "syk", seed), (cl_rows, "classical", seed + 1)):
-            spectra = _spectra(model, n, 4, model_seed, samples)
-            lnz = np.array([logsumexp(-beta * math.sqrt(n) * w) for w in spectra])
+            chunks = _chunks(model, n, 4, model_seed, samples)
+            lnz = np.concatenate([_logsumexp(-beta * math.sqrt(n) * w) for w in chunks])
             gap, se = _gap(lnz, n)[:2]
             rows.append({"n": n, "gap": gap, "se": se})
     verdicts = []

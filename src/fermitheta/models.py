@@ -20,6 +20,17 @@ popcount(c) and its spectrum is computed from two half-size blocks.
 Classical p-spin energies over all 2^n configurations are the same
 Walsh-Hadamard transform, applied to the couplings placed at the spin
 masks of their subsets.
+
+Spectra are produced in chunks of b consecutive samples
+(:func:`_spectrum_chunks`): at small dimension the cost of a sample is
+the fixed cost of each numpy, LAPACK and reduction call, which one call
+per chunk shares among b samples.  Each stream's couplings and each
+classical sample are still drawn on their own, and the batched
+eigensolve gives every sample the arithmetic it gets alone, so chunking
+changes no bit of any spectrum.  b is bounded by the byte budget
+``_CHUNK_BYTES`` on the per-sample working set, which keeps the chunks of
+d = 16 models small enough not to raise peak memory and makes b = 1 at
+d = 512, where a chunk would only add memory.
 """
 
 from __future__ import annotations
@@ -54,6 +65,11 @@ __all__ = [
 MAX_SYK_MODES = 24
 MAX_SG_QUBITS = 12
 MAX_CLASSICAL_SPINS = 22
+# Working-set budget of one chunk of samples (see _spectrum_chunks).  In
+# a sweep over 16 KiB - 1 MiB on the d = 16 / 4096 free-energy benchmark,
+# 64 KiB ran fastest and left peak RSS flat; larger chunks ran slower
+# (their temporaries outgrow the cache) and 1 MiB raised peak RSS by 14%.
+_CHUNK_BYTES = 64 << 10
 _KINDS = {"syk": "majorana", "sg": "pauli"}
 
 
@@ -113,13 +129,49 @@ def sample_spectra(model: str, n: int, loc: int, seed: int, streams):
     SYK and spin-glass samples give their ascending eigenvalues
     (``bank.eigvalsh``), classical p-spin samples their energies in
     configuration order.  Everything is checked, and the term bank built,
-    before the generator is returned.
+    before the generator is returned.  The spectra are the rows of
+    :func:`_spectrum_chunks`, so they are bit-identical to one
+    ``bank.eigvalsh`` call per sample.
+    """
+    return (w for chunk in _spectrum_chunks(model, n, loc, seed, streams) for w in chunk)
+
+
+def _batches(items, size: int):
+    """Consecutive lists of ``size`` items; the last one may be shorter."""
+    items = iter(items)
+    while batch := list(itertools.islice(items, size)):
+        yield batch
+
+
+def _chunk_size(sample_bytes: int) -> int:
+    """Samples per chunk: as many as fit ``_CHUNK_BYTES``, at least one."""
+    return max(1, _CHUNK_BYTES // sample_bytes)
+
+
+def _spectrum_chunks(model: str, n: int, loc: int, seed: int, streams):
+    """The spectra of :func:`sample_spectra` as (b, d) arrays of b
+    consecutive samples.
+
+    A SYK or spin-glass chunk stacks the b streams' couplings, each still
+    drawn by its own ``gaussian_stream``, and solves every parity block of
+    every sample in one ``bank.eigvalsh`` call; a classical chunk stacks b
+    ``sample_classical_pspin`` energy arrays.  b is bounded by
+    ``_CHUNK_BYTES`` over the per-sample working set (``bank.sample_bytes``,
+    or 8 bytes per classical energy), so large dimensions run one sample
+    at a time.  Checked like :func:`sample_spectra`, before the generator
+    is returned.
     """
     if model == "classical":
         _check(model, n, loc)
-        return (sample_classical_pspin(n, loc, seed, stream=i) for i in streams)
+        size = _chunk_size(8 << n)
+        return (
+            np.stack([sample_classical_pspin(n, loc, seed, stream=i) for i in batch])
+            for batch in _batches(streams, size)
+        )
     bank = model_bank(model, n, loc)
-    return (bank.eigvalsh(g) for g in sample_couplings(model, n, loc, seed, streams))
+    couplings = sample_couplings(model, n, loc, seed, streams)
+    size = _chunk_size(bank.sample_bytes)
+    return (bank.eigvalsh(np.stack(rows)) for rows in _batches(couplings, size))
 
 
 @lru_cache(maxsize=16)

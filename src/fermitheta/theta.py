@@ -40,6 +40,12 @@ __all__ = ["ThetaResult", "theta_johnson_lp", "theta_sdp", "round_half_up"]
 MAX_SDP_VERTICES = 600
 
 
+def _check_sdp_vertices(m: int):
+    """Refuse an SDP over more than ``MAX_SDP_VERTICES`` vertices."""
+    if m > MAX_SDP_VERTICES:
+        raise CapacityError(f"{m} vertices exceed the SDP cap {MAX_SDP_VERTICES}")
+
+
 class StructuralError(RuntimeError):
     """The symmetry-reduced program misbehaved; indicates an internal bug."""
 
@@ -149,8 +155,7 @@ def theta_sdp(g: CommutationGraph | np.ndarray, tol: float = 1e-6) -> ThetaResul
     """Numeric theta of an arbitrary graph with primal-feasibility residuals."""
     adj = g.adjacency_matrix() if isinstance(g, CommutationGraph) else np.asarray(g, dtype=float)
     m = adj.shape[0]
-    if m > MAX_SDP_VERTICES:
-        raise CapacityError(f"{m} vertices exceed the SDP cap {MAX_SDP_VERTICES}")
+    _check_sdp_vertices(m)
     t0 = time.perf_counter()
     ei, ej = _edge_list(adj)
     if len(ei) == 0:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fermitheta.algebra
+import fermitheta.cli
 import fermitheta.models
 from fermitheta import lab
 from fermitheta.cli import (
@@ -281,3 +282,45 @@ class TestThreadsEnv:
         argv = ["lab", "variance", "--n", "6", "--loc", "2", "--samples", "32"]
         assert dispatch(argv) == EXIT_USAGE
         assert "FERMITHETA_THREADS" in capsys.readouterr().err
+
+
+class TestFamilyCaps:
+    """Over-cap families are refused from their closed-form size, before
+    enumeration, with the message of the cap that refused them after it."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["index", "--set", "majorana", "--n", "24", "--loc", "8", "--method", "seesaw"],
+             "735471 terms x 4096 columns exceed the term-bank budget of 67108864"),
+            (["graph", "--set", "majorana", "--n", "24", "--loc", "8"],
+             "735471 vertices exceed the graph cap 10000"),
+            (["theta", "sdp", "--set", "majorana", "--n", "24", "--loc", "8"],
+             "735471 vertices exceed the graph cap 10000"),
+            (["index", "--set", "pauli", "--n", "9", "--loc", "3"],
+             "2268 vertices exceed the SDP cap 600"),
+            (["theta", "sdp", "--set", "pauli", "--n", "9", "--loc", "3"],
+             "2268 vertices exceed the SDP cap 600"),
+            (["graph", "--set", "pauli", "--n", "12", "--loc", "5"],
+             "192456 vertices exceed the graph cap 10000"),
+            (["graph", "--set", "pauli", "--n", "20", "--loc", "5"],
+             "enumeration of 3767472 members exceeds cap"),
+        ],
+        ids=["index-majorana", "graph-majorana", "sdp-majorana", "index-pauli", "sdp-pauli",
+             "graph-pauli", "enumeration"],
+    )
+    def test_refused_before_enumeration(self, monkeypatch, capsys, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("family enumerated before its size was checked")
+
+        monkeypatch.setattr(fermitheta.cli, "enumerate_set", refuse)
+        monkeypatch.setattr(fermitheta.algebra, "enumerate_set", refuse)
+        assert dispatch(argv) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [f"capacity error: {message}"]
+
+    def test_bad_family_input_is_usage_error(self, capsys):
+        assert dispatch(["index", "--set", "majorana", "--n", "23", "--loc", "4"]) == EXIT_USAGE
+        assert dispatch(["graph", "--set", "pauli", "--n", "4", "--loc", "0"]) == EXIT_USAGE
+        capsys.readouterr()

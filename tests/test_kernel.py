@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermitheta.kernel import (
     DenseHermitian,
@@ -103,6 +105,35 @@ class TestGaussianStream:
     def test_negative_count_rejected(self):
         with pytest.raises(InputError):
             gaussian_stream(RandomStream(1), -1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(-(2**63), 2**64 - 1),
+        index=st.integers(0, 2**64 - 1),
+        count=st.integers(1, 300),
+        before=st.integers(0, 9),
+    )
+    def test_reused_generator_equals_fresh_philox(self, seed, index, count, before):
+        """The per-thread generator gives the stream of a new Philox keyed by
+        (seed, index), whatever was drawn before it."""
+        gaussian_stream(RandomStream(seed + 1, index), before)
+        u = np.random.Generator(RandomStream(seed, index)._bit_generator()).random(
+            2 * ((count + 1) // 2)
+        )
+        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+        want = np.empty(len(u))
+        want[0::2] = r * np.cos(2.0 * np.pi * u[1::2])
+        want[1::2] = r * np.sin(2.0 * np.pi * u[1::2])
+        got = gaussian_stream(RandomStream(seed, index), count)
+        assert got.tobytes() == want[:count].tobytes()
+
+    def test_threads_draw_their_own_streams(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        want = [gaussian_stream(RandomStream(5, i), 64) for i in range(32)]
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(lambda i: gaussian_stream(RandomStream(5, i), 64), range(32)))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 class TestDenseHermitian:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scipy.special import logsumexp
 
@@ -23,6 +24,7 @@ from fermitheta.lab import (
     mgf_check,
     tail_experiment,
     variance_identity_experiment,
+    _logsumexp,
 )
 from fermitheta.models import sample_classical_pspin, term_bank
 
@@ -426,3 +428,29 @@ class TestWalshHadamard:
         want = np.stack([butterfly(row) for row in table.reshape(-1, 1 << bits)])
         atol = 1e-14 * (1 << bits) * max(1.0, np.abs(table).max())
         assert np.abs(got.reshape(want.shape) - want).max() <= atol
+
+
+class TestLogSumExp:
+    """lab's numpy logsumexp against scipy's, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9),
+            elements=st.floats(-1.0, 1.0),
+        ),
+        spread=st.sampled_from([1.0, 40.0, 1e3, 1e300]),
+        data=st.data(),
+    )
+    def test_bit_equal_to_scipy(self, x, spread, data):
+        x = x * spread
+        ties = data.draw(hnp.arrays(np.bool_, x.shape))
+        x = np.where(ties, x.max(axis=-1, keepdims=True), x)  # repeated maxima
+        got = _logsumexp(x)
+        want = np.asarray(logsumexp(x, axis=-1))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_all_ties(self):
+        x = np.full((2, 5), 3.0)
+        assert _logsumexp(x).tobytes() == np.asarray(logsumexp(x, axis=-1)).tobytes()

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fermitheta.models as models
 from fermitheta.algebra import (
+    MajoranaMonomial,
     OperatorSet,
     PauliString,
+    _majorana_masks,
     _popcount_array,
     enumerate_set,
     majorana_to_pauli,
@@ -263,6 +266,80 @@ class TestTermBank:
         bank = TermBank([x, x], 4)
         H = bank.assemble(np.array([1.0, 2.0]))
         assert np.allclose(H, 3.0 / math.sqrt(2) * _scatter_assemble(TermBank([x], 4), np.ones(1)))
+
+
+class TestBatchedSpectra:
+    """The chunked fast path against its one-sample references."""
+
+    @given(_FAMILIES, st.integers(0, 2**32 - 1), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_eigvalsh_bit_equal_to_rows(self, family, seed, rows):
+        bank = term_bank(*family)
+        g = np.stack([gaussian_stream(RandomStream(seed, i), len(bank)) for i in range(rows)])
+        got = bank.eigvalsh(g)
+        assert got.shape == (rows, bank.dim)
+        for row, w in zip(g, got):
+            assert w.tobytes() == bank.eigvalsh(row).tobytes()
+        nested = bank.eigvalsh(g[None])  # any leading axes
+        assert nested.shape == (1, rows, bank.dim) and nested.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("model,n,loc", [("syk", 8, 4), ("sg", 4, 2), ("classical", 12, 4),
+                                             ("classical", 6, 3)])
+    @pytest.mark.parametrize("streams", [range(23), (5, 0, 3), (9,), ()],
+                             ids=["range23", "5-0-3", "9", "none"])
+    def test_chunked_spectra_equal_per_stream(self, model, n, loc, streams):
+        if model == "classical":
+            want = [sample_classical_pspin(n, loc, 4, stream=i) for i in streams]
+        else:
+            bank = model_bank(model, n, loc)
+            want = [bank.eigvalsh(next(sample_couplings(model, n, loc, 4, (i,))))
+                    for i in streams]
+        got = list(sample_spectra(model, n, loc, 4, streams))
+        assert len(got) == len(want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        sizes = [len(c) for c in models._spectrum_chunks(model, n, loc, 4, streams)]
+        assert sum(sizes) == len(streams) and len(set(sizes[:-1])) <= 1
+
+    def test_chunks_batch_small_models(self):
+        # small models (d = 16, and classical n = 12) take several samples
+        # per chunk, and 23 is not a multiple of any of their chunk sizes
+        for model, n, loc in (("syk", 8, 4), ("sg", 4, 2), ("classical", 12, 4)):
+            sizes = [len(c) for c in models._spectrum_chunks(model, n, loc, 0, range(23))]
+            assert sizes[0] > 1 and sizes[-1] != sizes[0], (model, sizes)
+
+    @pytest.mark.parametrize("model,n,loc", [("syk", 18, 4), ("sg", 9, 2)])
+    def test_one_sample_per_chunk_at_large_d(self, model, n, loc):
+        bank = model_bank(model, n, loc)
+        assert models._chunk_size(bank.sample_bytes) == 1
+        assert models._chunk_size(8 << 22) == 1  # classical at its cap
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda h: st.tuples(
+                st.just(2 * h),
+                st.sets(st.frozensets(st.integers(1, 2 * h)).filter(lambda s: len(s) % 2 == 0),
+                        min_size=1, max_size=24),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_majorana_masks_equal_per_member(self, family):
+        n, supports = family
+        members = tuple(MajoranaMonomial(n, tuple(sorted(s))) for s in supports)
+        ops = OperatorSet("majorana", n, 0, members)
+        paulis = [majorana_to_pauli(op) for op in members]
+        want = np.array([(p.x_mask, p.z_mask, p.phase_power) for p in paulis], dtype=np.int64).T
+        got = _majorana_masks(ops)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        bank, ref = TermBank.from_set(ops, 1 << 12), TermBank(paulis, ops.dim)
+        assert bank.rows.tobytes() == ref.rows.tobytes()
+        assert bank.vals.tobytes() == ref.vals.tobytes()
+
+    def test_majorana_masks_refuse_any_odd_member(self):
+        mixed = OperatorSet("majorana", 6, 2, (MajoranaMonomial(6, (1, 2)),
+                                               MajoranaMonomial(6, (1, 2, 3))))
+        with pytest.raises(InputError):
+            TermBank.from_set(mixed, 1 << 12)
 
 
 class TestClassical:
