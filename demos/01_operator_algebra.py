@@ -12,10 +12,11 @@ from fermitheta import (
     enumerate_set,
     jordan_wigner_majorana,
     majorana_anticommutes,
-    materialize,
+    majorana_to_pauli,
     multiply_paulis,
     pauli_anticommutes,
 )
+from fermitheta.algebra import pauli_matrix
 
 # --- Pauli strings are bit masks plus a quarter phase ------------------
 
@@ -42,8 +43,9 @@ c = MajoranaMonomial(n, (3, 4))
 print("\n{1,2} vs {2,3}: anticommute =", majorana_anticommutes(a, b))
 print("{1,2} vs {3,4}: anticommute =", majorana_anticommutes(a, c))
 
-# Hermitized monomials square to the identity.
-M = materialize(MajoranaMonomial(n, (1, 2, 3, 4))).entries
+# Hermitized monomials square to the identity (dense matrix of the
+# Jordan-Wigner image, which carries the Hermitizing phase i**(q/2)).
+M = pauli_matrix(majorana_to_pauli(MajoranaMonomial(n, (1, 2, 3, 4))))
 print("\nhermitized quartic: ||M - M^dag|| =", np.abs(M - M.conj().T).max(),
       " ||M^2 - I|| =", np.abs(M @ M - np.eye(M.shape[0])).max())
 

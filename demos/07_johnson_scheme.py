@@ -18,7 +18,7 @@ print("eigenvalue table (m=6, r=2), rows d = 0..2, columns x = 0..2:")
 print(HahnTable(6, 2).to_csv())
 
 # the distance-1 relation is the triangular graph: spectrum {8, 2, -2}
-w = np.linalg.eigvalsh(johnson_adjacency(6, 2, 1).entries)
+w = np.linalg.eigvalsh(johnson_adjacency(6, 2, 1))
 print("brute-force distance-1 spectrum:", sorted(set(np.round(w).astype(int))))
 print("predicted:", [dual_hahn(6, 2, 1, x) for x in (0, 1, 2)])
 

@@ -11,7 +11,6 @@ from .algebra import (
     jordan_wigner_majorana,
     majorana_anticommutes,
     majorana_to_pauli,
-    materialize,
     multiply_paulis,
     pauli_anticommutes,
 )
@@ -48,12 +47,10 @@ from .lab import (
 )
 from .kernel import (
     CapacityError,
-    DenseHermitian,
     InputError,
     RandomStream,
     Spectrum,
     eigh,
-    expm_hermitian,
     gaussian_stream,
 )
 from .models import (

@@ -26,8 +26,10 @@ Majorana indices are 1-based externally and converted at this boundary.
 :class:`TermBank` is the term kernel: the one matrix-free representation of
 a family's action (term i sends basis state c to
 phase_i (-1)^popcount(c & z_i) |c ^ x_i>), read by expectations, products
-A_i v and Hamiltonian assembly alike.  :func:`pauli_matrix` and
-:func:`materialize` build dense matrices of single operators as references.
+A_i v and Hamiltonian assembly alike.  No library path builds the dense
+matrix of a term: :func:`pauli_matrix` and
+:meth:`OperatorSet.hermitized_matrices` exist only as independent references
+for tests and demos.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .kernel import CapacityError, DenseHermitian, InputError
+from .kernel import CapacityError, InputError
 
 __all__ = [
     "PauliString",
@@ -53,7 +55,6 @@ __all__ = [
     "multiply_paulis",
     "jordan_wigner_majorana",
     "majorana_to_pauli",
-    "materialize",
     "enumerate_set",
     "family_size",
     "TermBank",
@@ -254,28 +255,16 @@ def _check_dim(dim: int, max_dim: int):
         raise CapacityError(f"dense dimension {dim} exceeds the requested cap {max_dim}")
 
 
-def _hermitian_pauli(op: Operator, hermitize: bool, max_dim: int) -> PauliString:
-    """Pauli image of an operator, checked against the dense cap and for
-    Hermiticity before anything of dimension 2^n is allocated."""
-    if isinstance(op, MajoranaMonomial):
-        P = majorana_to_pauli(op, hermitize=hermitize)
-    elif isinstance(op, PauliString):
-        P = op
-    else:
-        raise InputError(f"cannot materialize {type(op).__name__}")
+def _hermitian_pauli(op: Operator, max_dim: int) -> PauliString:
+    """Hermitian Pauli image of an operator: Pauli strings as stored,
+    Majorana monomials through Jordan-Wigner with the Hermitizing phase.
+    Checked against the dense cap and for Hermiticity before anything of
+    dimension 2^n is allocated."""
+    P = majorana_to_pauli(op) if isinstance(op, MajoranaMonomial) else op
     _check_dim(1 << P.n_qubits, max_dim)
     if not P.is_hermitian:
         raise InputError("operator materializes to a non-Hermitian matrix")
     return P
-
-
-def materialize(op: Operator, hermitize: bool = True, max_dim: int = DEFAULT_DENSE_DIM) -> DenseHermitian:
-    """Dense Hermitian matrix of an operator.
-
-    Pauli strings materialize as stored; Majorana monomials go through
-    Jordan-Wigner with the even-degree Hermitizing phase when requested.
-    """
-    return DenseHermitian(pauli_matrix(_hermitian_pauli(op, hermitize, max_dim)))
 
 
 @dataclass(frozen=True)
@@ -312,7 +301,7 @@ class OperatorSet:
     def hermitized_matrices(self, max_dim: int = DEFAULT_DENSE_DIM) -> list[np.ndarray]:
         """Dense matrices of the Hermitized members (a reference for
         :class:`TermBank`, which never builds them)."""
-        return [materialize(m, hermitize=True, max_dim=max_dim).entries for m in self.members]
+        return [pauli_matrix(_hermitian_pauli(m, max_dim)) for m in self.members]
 
     def to_json(self) -> str:
         if self.kind == "pauli":
@@ -534,7 +523,7 @@ class TermBank:
             masks = _majorana_masks(ops)
             _check_dim(ops.dim, max_dim)
             return cls(masks, ops.dim)
-        return cls([_hermitian_pauli(op, True, max_dim) for op in ops.members], ops.dim)
+        return cls([_hermitian_pauli(op, max_dim) for op in ops.members], ops.dim)
 
     def __len__(self):
         return self.rows.shape[0]
@@ -573,14 +562,17 @@ class TermBank:
         return np.real(np.einsum("mc,mc,c->m", bra, self.vals, psi))
 
     def apply(self, v: np.ndarray, terms=slice(None)) -> np.ndarray:
-        """A_i v for the selected terms: an (m, dim) stack for the default
-        slice of all terms, one vector for an integer index.
+        """A_i v for the selected terms: an (m, dim, ...) stack for the
+        default slice of all terms, one (dim, ...) array for an integer
+        index.  ``v`` is (dim, ...): a vector, or vectors along trailing
+        column axes.
 
         (A_i v)[r] = vals[i, rows[i, r]] * v[rows[i, r]], because
         c -> c ^ x_i is an involution.
         """
         rows = self.rows[terms]
-        return np.take_along_axis(self.vals[terms], rows, axis=-1) * v[rows]
+        coef = np.take_along_axis(self.vals[terms], rows, axis=-1)
+        return coef.reshape(coef.shape + (1,) * (v.ndim - 1)) * v[rows]
 
 
 @lru_cache(maxsize=16)

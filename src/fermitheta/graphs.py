@@ -16,8 +16,6 @@ family's matrix-free :class:`~fermitheta.algebra.TermBank`.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 from dataclasses import dataclass
@@ -110,13 +108,11 @@ class CommutationGraph:
         )
 
     def to_edge_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["u", "v"])
+        lines = ["u,v\r\n"]
         for u, row in enumerate(self._bits()):
             later = np.flatnonzero(row[u + 1 :]) + u + 1
-            w.writerows(zip(itertools.repeat(u), later.tolist()))
-        return buf.getvalue()
+            lines.append("".join(f"{u},{v}\r\n" for v in later.tolist()))
+        return "".join(lines)
 
 
 # rows per block of a pairwise product: the scratch of a block, about

@@ -1,7 +1,11 @@
-"""Dense Hermitian linear algebra and reproducible Gaussian sampling.
+"""Checked Hermitian eigensolver, error types and reproducible Gaussian
+sampling.
 
-All numeric modules funnel their matrix work through this kernel so that
-tolerances and random-number conventions are pinned in exactly one place.
+:func:`eigh` is the Hermiticity-checked eigensolver of the see-saw and
+the off-diagonal check in :mod:`fermitheta.index`.  Matrices that are
+Hermitian by construction (disorder samples, the theta SDP, Johnson
+adjacencies) go to numpy's solvers directly.  Every coupling of every
+disorder sample comes from :func:`gaussian_stream`.
 
 Randomness is counter-based: a :class:`RandomStream` is an immutable
 (base_seed, stream_index) pair fed to a Philox-4x64 generator, and normal
@@ -17,11 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DenseHermitian",
     "Spectrum",
     "RandomStream",
     "eigh",
-    "expm_hermitian",
     "gaussian_stream",
     "InputError",
     "CapacityError",
@@ -36,43 +38,6 @@ class InputError(ValueError):
 
 class CapacityError(RuntimeError):
     """A request exceeds the configured dense-matrix or enumeration budget."""
-
-
-def _require_hermitian(a: np.ndarray, tol: float):
-    """Raise InputError unless ``a`` is square and Hermitian to within
-    ``tol`` relative to its largest entry (at least 1)."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {a.shape}")
-    dev = np.abs(a - a.conj().T).max() if a.size else 0.0
-    if dev > tol * max(1.0, np.abs(a).max()):
-        raise InputError(f"matrix is not Hermitian (max asymmetry {dev:.3e})")
-
-
-@dataclass(frozen=True)
-class DenseHermitian:
-    """A dense complex Hermitian matrix with validated symmetry.
-
-    The wrapped array is never mutated after construction.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=complex)
-        _require_hermitian(a, 1e-12)
-        a = (a + a.conj().T) / 2
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-def _as_matrix(H) -> np.ndarray:
-    if isinstance(H, DenseHermitian):
-        return H.entries
-    return np.asarray(H, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -91,7 +56,7 @@ class Spectrum:
         return len(self.eigenvalues)
 
     def reconstruction_residual(self, H) -> float:
-        H = _as_matrix(H)
+        H = np.asarray(H, dtype=complex)
         R = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T - H
         return float(np.linalg.norm(R) / max(1.0, np.linalg.norm(H)))
 
@@ -106,25 +71,14 @@ def eigh(H) -> Spectrum:
     Raises :class:`InputError` if the input deviates from Hermiticity by
     more than ``1e-9`` relative to its magnitude.
     """
-    A = _as_matrix(H)
-    _require_hermitian(A, HERMITICITY_ATOL)
+    A = np.asarray(H, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {A.shape}")
+    dev = np.abs(A - A.conj().T).max() if A.size else 0.0
+    if dev > HERMITICITY_ATOL * max(1.0, np.abs(A).max()):
+        raise InputError(f"matrix is not Hermitian (max asymmetry {dev:.3e})")
     w, U = np.linalg.eigh((A + A.conj().T) / 2)
     return Spectrum(eigenvalues=w, eigenvectors=U)
-
-
-def expm_hermitian(H, s: complex) -> np.ndarray:
-    """exp(s*H) for Hermitian H via the spectral decomposition.
-
-    ``s`` must be real or purely imaginary: those are the only scalings used
-    (imaginary-time Gibbs weights and real-time evolution), and restricting
-    them keeps the unitarity/positivity contracts checkable.
-    """
-    s = complex(s)
-    if abs(s.real) > 1e-14 and abs(s.imag) > 1e-14:
-        raise InputError("scalar must be real or purely imaginary")
-    spec = eigh(H)
-    phases = np.exp(s * spec.eigenvalues)
-    return (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,10 @@ record is bit-identical to it.  The log-sum-exp is a numpy function that
 repeats ``scipy.special.logsumexp`` step by step; scipy's fixed cost per
 call dominated small-d runs.  A fixed state's energy is linear in the
 couplings of :func:`~fermitheta.models.sample_couplings`,
-g . <psi|A_i|psi> / sqrt(m); only the Gibbs-state observables diagonalize
-each sample with eigenvectors.  The
+g . <psi|A_i|psi> / sqrt(m).  Only the Gibbs-state observables diagonalize
+each sample with eigenvectors, and they apply their observables to the
+eigenvectors through :class:`~fermitheta.algebra.TermBank`, so every trace
+is a sum over the eigenbasis and no observable matrix is built.  The
 ``threads`` argument of every experiment is recorded in the report's
 params and does not change the computation.  Bound verdicts always use a
 rigorous upper bound on the commutation index (theta/m for Majorana
@@ -36,7 +38,7 @@ from math import comb, log
 
 import numpy as np
 
-from .algebra import MAX_DENSE_DIM, MajoranaMonomial, _walsh_hadamard, materialize
+from .algebra import MAX_DENSE_DIM, MajoranaMonomial, OperatorSet, TermBank, _walsh_hadamard
 from .graphs import commuting_majorana_family, stabilized_state
 from .index import pauli_index_weak_bound
 from .kernel import InputError, RandomStream, random_state
@@ -101,11 +103,6 @@ def _chunks(model: str, n: int, loc: int, seed: int, samples: int):
     return _spectrum_chunks(model, n, loc, seed, range(samples))
 
 
-def _spectra(model: str, n: int, loc: int, seed: int, samples: int):
-    """The rows of :func:`_chunks`: one spectrum per sample, in order."""
-    return (w for chunk in _chunks(model, n, loc, seed, samples) for w in chunk)
-
-
 def _logsumexp(x: np.ndarray) -> np.ndarray:
     """log sum exp over the last axis of a finite real array.
 
@@ -145,13 +142,6 @@ def _gibbs_weights(w: np.ndarray, scale) -> np.ndarray:
     shifted = -scale * w
     p = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
     return p / p.sum(axis=-1, keepdims=True)
-
-
-def _gibbs_state(H: np.ndarray, scale: float):
-    """Spectrum, eigenvectors and density matrix exp(-scale H) / Z."""
-    w, U = np.linalg.eigh(H)
-    p = _gibbs_weights(w, scale)
-    return w, U, (U * p) @ U.conj().T
 
 
 def _gauss_hermite_expect(f, nodes: int = 301) -> float:
@@ -291,7 +281,8 @@ def gradcheck_logZ(
     def ln_z(g: np.ndarray) -> float:
         return float(_logsumexp(-beta * sqrt_n * bank.eigvalsh(g)))
 
-    rho = _gibbs_state(bank.assemble(g0), beta * sqrt_n)[2]
+    w, U = np.linalg.eigh(bank.assemble(g0))
+    rho = (U * _gibbs_weights(w, beta * sqrt_n)) @ U.conj().T
     # Tr(A_i rho) from the monomial structure: sum_c v_i(c) rho[c, r_i(c)]
     tr_arho = np.real(np.einsum("mc,mc->m", bank.vals, rho[np.arange(bank.dim)[None, :], bank.rows]))
     analytic_all = -beta * math.sqrt(n / m) * tr_arho
@@ -393,12 +384,6 @@ def variance_identity_experiment(
     )
 
 
-def _observable_pair(n: int):
-    X = materialize(MajoranaMonomial(n, (1, 2)), max_dim=MAX_DENSE_DIM).entries
-    Y = materialize(MajoranaMonomial(n, (3, 4)), max_dim=MAX_DENSE_DIM).entries
-    return X, Y
-
-
 def tail_experiment(
     quantity: str,
     params: dict,
@@ -441,17 +426,24 @@ def tail_experiment(
     elif quantity == "fixed_state_energy":
         psi = _resolve_state(params.get("state", "random"), n, q, seed)
         raw, sigma_sq = _fixed_state_energies(bank, psi, n, q, seed, samples)
-    else:  # obs_expectation, two_point: the Gibbs state with its eigenvectors
-        X, Y = _observable_pair(n)
+    else:  # obs_expectation, two_point: Gibbs weights p_k in the eigenbasis u_k
+        # X = i g1 g2 and Y = i g3 g4, applied to the columns of U
+        pair = TermBank.from_set(
+            OperatorSet("majorana", n, 2, (MajoranaMonomial(n, (1, 2)), MajoranaMonomial(n, (3, 4)))),
+            MAX_DENSE_DIM,
+        )
         raw = []
         for g in sample_couplings("syk", n, q, seed, range(samples)):
-            w, U, rho = _gibbs_state(bank.assemble(g), beta * sqrt_n)
+            w, U = np.linalg.eigh(bank.assemble(g))
+            p = _gibbs_weights(w, beta * sqrt_n)
             if quantity == "obs_expectation":
-                raw.append(float(np.real(np.trace(X @ rho))))
+                # <X> = sum_k p_k <u_k|X|u_k>
+                raw.append(float(np.real(np.sum(U.conj() * pair.apply(U, 0), axis=0)) @ p))
                 continue
-            Ut = (U * np.exp(1j * tau * sqrt_n * w)) @ U.conj().T
-            Ytau = Ut @ Y @ Ut.conj().T
-            val = complex(np.trace(X @ Ytau @ rho))
+            # Tr(X Y(tau) rho) = sum_jk p_k X~_kj e^{i tau sqrt(n) w_j} Y~_jk e^{-i tau sqrt(n) w_k}
+            Xt, Yt = U.conj().T @ pair.apply(U)
+            e = np.exp(1j * tau * sqrt_n * w)
+            val = complex(np.sum((p * e.conj())[:, None] * Xt * e * Yt.T))
             raw.append((val.real, val.imag))
     vals = np.array(raw)  # thermal_energy and two_point have two columns
 

@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .graphs import _incidence, _overlap_blocks
-from .kernel import CapacityError, DenseHermitian, InputError, eigh
+from .kernel import CapacityError, InputError
 
 __all__ = [
     "binom0",
@@ -90,8 +90,9 @@ class HahnTable:
         return buf.getvalue()
 
 
-def johnson_adjacency(m: int, r: int, d: int) -> DenseHermitian:
-    """0/1 adjacency of the distance-d relation on r-subsets in lex order.
+def johnson_adjacency(m: int, r: int, d: int) -> np.ndarray:
+    """Read-only float 0/1 adjacency of the distance-d relation on r-subsets
+    in lex order.
 
     Subsets S, T are at distance d when r - |S & T| == d; every overlap
     comes from one row-blocked product of the subset incidence matrix with
@@ -106,7 +107,8 @@ def johnson_adjacency(m: int, r: int, d: int) -> DenseHermitian:
     A = np.empty((nverts, nverts))
     for start, block in _overlap_blocks(S, S, lambda overlaps: overlaps == r - d):
         A[start : start + len(block)] = block
-    return DenseHermitian(A)
+    A.setflags(write=False)
+    return A
 
 
 @dataclass
@@ -180,8 +182,7 @@ def verify_scheme_spectrum(m: int, r: int, tol: float = 1e-8) -> SchemeReport:
     rhs: list[int] = [comb(m, r)]
     ok = True
     for d in range(r + 1):
-        A = johnson_adjacency(m, r, d)
-        w = eigh(A).eigenvalues
+        w = np.linalg.eigvalsh(johnson_adjacency(m, r, d))
         scale = max(1.0, float(max(abs(v) for v in table.values[d])))
         rounded = np.rint(w).astype(int)
         if np.abs(w - rounded).max() > tol * scale:

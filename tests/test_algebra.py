@@ -13,10 +13,10 @@ from fermitheta.algebra import (
     jordan_wigner_majorana,
     majorana_anticommutes,
     majorana_to_pauli,
-    materialize,
     multiply_paulis,
     pauli_anticommutes,
     pauli_matrix,
+    TermBank,
 )
 from fermitheta.kernel import CapacityError, InputError
 
@@ -136,33 +136,51 @@ class TestJordanWigner:
             jordan_wigner_majorana(1, 5)
 
 
+def hermitized(op):
+    """Dense matrix of one Hermitized operator, from a one-member set."""
+    kind = "pauli" if isinstance(op, PauliString) else "majorana"
+    n = op.n_qubits if kind == "pauli" else op.n_modes
+    (M,) = OperatorSet(kind, n, 1, (op,)).hermitized_matrices()
+    return M
+
+
 class TestMaterialize:
+    """Dense Hermitized members (``hermitized_matrices``), and the checks
+    that ``TermBank.from_set`` shares with them."""
+
     def test_quadratic_monomial_two_level(self):
-        M = materialize(MajoranaMonomial(4, (1, 2))).entries
+        M = hermitized(MajoranaMonomial(4, (1, 2)))
         w = np.linalg.eigvalsh(M)
         assert np.allclose(sorted(set(np.round(w, 9))), [-1, 1])
 
     def test_zz_diagonal(self):
-        M = materialize(P("ZZ")).entries
+        M = hermitized(P("ZZ"))
         assert np.allclose(np.diag(M), [1, -1, -1, 1])
         assert np.abs(M - np.diag(np.diag(M))).max() == 0
 
     def test_degree_four_hermitized(self):
-        M = materialize(MajoranaMonomial(8, (1, 2, 3, 4))).entries
+        M = hermitized(MajoranaMonomial(8, (1, 2, 3, 4)))
         assert np.abs(M - M.conj().T).max() < 1e-12
         assert np.abs(M @ M - np.eye(16)).max() < 1e-12
 
     def test_every_enumerated_hermitized_operator(self):
-        for m in enumerate_set("majorana", 6, 2).members:
-            M = materialize(m).entries
+        ops = enumerate_set("majorana", 6, 2)
+        mats = ops.hermitized_matrices()
+        for M in mats:
             dim = M.shape[0]
             assert np.abs(M - M.conj().T).max() < 1e-12
             assert np.abs(M @ M - np.eye(dim)).max() < 1e-12
             assert abs(np.trace(M)) < 1e-12
+        # the term kernel acts as the same matrices
+        bank = TermBank.from_set(ops, 1 << 12)
+        assert np.abs(bank.apply(np.eye(bank.dim)) - np.array(mats)).max() == 0
 
     def test_capacity_guard(self):
+        ops = OperatorSet("pauli", 20, 1, (PauliString(20, 1, 0),))
         with pytest.raises(CapacityError):
-            materialize(PauliString(20, 1, 0), max_dim=1 << 14)
+            ops.hermitized_matrices(max_dim=1 << 14)
+        with pytest.raises(CapacityError):
+            TermBank.from_set(ops, 1 << 14)
 
 
 class TestEnumeration:

@@ -84,7 +84,7 @@ class TestDispatch:
         argv = ["model", kind, "--n", str(n), "--loc", str(loc), "--seed", "5"]
         assert dispatch([*argv, "--spectrum", str(out)]) == EXIT_OK
         capsys.readouterr()
-        want = np.sort(next(lab._spectra(kind, n, loc, 5, lab.MIN_SAMPLES)))
+        want = np.sort(next(lab._chunks(kind, n, loc, 5, lab.MIN_SAMPLES))[0])
         assert json.loads(out.read_text())["eigenvalues"] == [float(v) for v in want]
 
     @pytest.mark.parametrize(

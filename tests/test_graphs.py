@@ -170,7 +170,8 @@ class TestAnticommutationKernel:
     def test_adjacency_matches_pairwise_reference(self, ops):
         g = commutation_graph(ops)
         assert g.adjacency == pairwise_reference(ops)
-        assert set_bit_walk_exports(g)[0] == g.to_json()
+        text, edges, _ = set_bit_walk_exports(g)
+        assert g.to_json() == text and g.to_edge_csv() == edges
 
     @pytest.mark.parametrize("kind,n,k", _ENUMERATED[1:-1])  # the scalar loop is slow on the ends
     def test_enumerated_sets(self, kind, n, k):

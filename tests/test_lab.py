@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from scipy.special import logsumexp
 
-from fermitheta.algebra import _walsh_hadamard
+from fermitheta.algebra import MajoranaMonomial, _walsh_hadamard, majorana_to_pauli, pauli_matrix
 from fermitheta.graphs import commuting_majorana_family, stabilized_state
 from fermitheta.kernel import InputError, RandomStream, gaussian_stream, random_state
 from fermitheta.lab import (
@@ -370,6 +370,23 @@ class TestDenseReferences:
             else:
                 energy = np.sum(w * gibbs(w, beta * math.sqrt(8)))
                 assert abs(rep.records["thermal_energy"][i - pilot] - energy) <= 1e-12
+
+    @pytest.mark.parametrize("n,beta,tau", [(8, 2.0, 1.3), (10, 1.0, 0.5), (12, 0.0, 0.7)])
+    def test_tail_gibbs_observables(self, n, beta, tau):
+        """obs_expectation and two_point against the dense trace formulas
+        Tr(X rho) and Tr(X U_t Y U_t^dag rho), X = i g1 g2 and Y = i g3 g4."""
+        params = {"n": n, "q": 4, "beta": beta, "tau": tau}
+        obs = tail_experiment("obs_expectation", params, SAMPLES, seed=SEED).records["obs"]
+        two = tail_experiment("two_point", params, SAMPLES, seed=SEED).records
+        X, Y = (pauli_matrix(majorana_to_pauli(MajoranaMonomial(n, s))) for s in ((1, 2), (3, 4)))
+        for i in INDICES:
+            w, U = np.linalg.eigh(dense_hamiltonian(n, 4, i))
+            rho = (U * gibbs(w, beta * math.sqrt(n))) @ U.conj().T
+            Ut = (U * np.exp(1j * tau * math.sqrt(n) * w)) @ U.conj().T
+            assert abs(obs[i] - np.real(np.trace(X @ rho))) <= 1e-12
+            val = np.trace(X @ Ut @ Y @ Ut.conj().T @ rho)
+            assert abs(two["two_point_hermitian"][i] - val.real) <= 1e-12
+            assert abs(two["two_point_antihermitian"][i] - val.imag) <= 1e-12
 
     def test_tail_fixed_state_energy(self):
         rep = tail_experiment("fixed_state_energy", {"n": 8, "q": 4}, SAMPLES, seed=SEED)

@@ -187,6 +187,27 @@ class TestTermBank:
     def test_custom_sets_match_dense(self, ops, seed):
         _dense_check(ops, seed)
 
+    @given(_FAMILIES, st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_apply_to_columns_matches_dense(self, family, seed, data):
+        """apply on a (dim, k) block of columns, k == dim included, acts on
+        every column as the dense stack does."""
+        ops = enumerate_set(*family)
+        bank = TermBank.from_set(ops, 1 << 12)
+        mats = np.array(ops.hermitized_matrices())
+        k = data.draw(st.one_of(st.just(bank.dim), st.integers(1, bank.dim + 1)))
+        z = gaussian_stream(RandomStream(seed, 1), 2 * bank.dim * k)
+        V = (z[0::2] + 1j * z[1::2]).reshape(bank.dim, k)
+        ref = mats @ V
+        got = bank.apply(V)
+        assert got.shape == (len(bank), bank.dim, k)
+        assert np.abs(got - ref).max() <= 1e-12
+        i = seed % len(bank)
+        assert np.abs(bank.apply(V, i) - ref[i]).max() <= 1e-12
+        # further trailing axes are columns too
+        W = V.reshape(bank.dim, 1, k)
+        assert np.abs(bank.apply(W, i)[:, 0] - ref[i]).max() <= 1e-12
+
     def test_from_set_validates_before_building(self):
         with pytest.raises(CapacityError):
             TermBank.from_set(enumerate_set("majorana", 14, 2), 1 << 6)

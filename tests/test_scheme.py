@@ -66,17 +66,18 @@ class TestHahnTable:
 
 class TestJohnsonAdjacency:
     def test_perfect_matching(self):
-        A = johnson_adjacency(4, 2, 2).entries
+        A = johnson_adjacency(4, 2, 2)
         assert np.array_equal(A.sum(axis=0), np.ones(6))
         assert np.array_equal(A, A.T)
 
     def test_distance_one_regular(self):
-        A = johnson_adjacency(6, 2, 1).entries
-        assert set(A.sum(axis=0).real.astype(int)) == {comb(2, 1) * comb(4, 1)}
+        A = johnson_adjacency(6, 2, 1)
+        assert set(A.sum(axis=0).astype(int)) == {comb(2, 1) * comb(4, 1)}
 
     def test_distance_zero_identity(self):
-        A = johnson_adjacency(5, 2, 0).entries
+        A = johnson_adjacency(5, 2, 0)
         assert np.array_equal(A, np.eye(10))
+        assert A.dtype == np.float64 and not A.flags.writeable
 
     @pytest.mark.parametrize("m", range(8))
     def test_matches_frozenset_reference(self, m):
@@ -84,7 +85,7 @@ class TestJohnsonAdjacency:
             subsets = [frozenset(s) for s in itertools.combinations(range(m), r)]
             for d in range(r + 1):
                 ref = np.array([[float(r - len(a & b) == d) for b in subsets] for a in subsets])
-                A = johnson_adjacency(m, r, d).entries
+                A = johnson_adjacency(m, r, d)
                 assert np.array_equal(A, ref), (m, r, d)
 
     def test_matches_reference_across_row_blocks(self):
@@ -92,7 +93,7 @@ class TestJohnsonAdjacency:
         subsets = [frozenset(s) for s in itertools.combinations(range(10), 4)]
         for d in range(5):
             ref = np.array([[float(4 - len(a & b) == d) for b in subsets] for a in subsets])
-            assert np.array_equal(johnson_adjacency(10, 4, d).entries, ref)
+            assert np.array_equal(johnson_adjacency(10, 4, d), ref)
 
 
 class TestVerifySpectrum:
@@ -106,6 +107,15 @@ class TestVerifySpectrum:
     def test_examples(self, m, r):
         report = verify_scheme_spectrum(m, r)
         assert report.ok, report.notes
+
+    @pytest.mark.parametrize("m,r", [(6, 2), (8, 3), (9, 4), (10, 5)])
+    def test_spectra_match_complex_eigh(self, m, r):
+        # the real eigvalsh of the check rounds to the counts of a complex eigh
+        report = verify_scheme_spectrum(m, r)
+        for entry in report.per_distance:
+            w = np.linalg.eigh(johnson_adjacency(m, r, entry["d"]).astype(complex))[0]
+            values, counts = np.unique(np.rint(w).astype(int), return_counts=True)
+            assert entry["spectrum"] == {str(v): int(c) for v, c in zip(values, counts)}
 
     def test_multiplicities_johnson_62(self):
         report = verify_scheme_spectrum(6, 2)
