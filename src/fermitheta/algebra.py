@@ -30,6 +30,19 @@ A_i v and Hamiltonian assembly alike.  No library path builds the dense
 matrix of a term: :func:`pauli_matrix` and
 :meth:`OperatorSet.hermitized_matrices` exist only as independent references
 for tests and demos.
+
+Even-degree Majorana banks preserve fermion parity and are solved in two
+popcount-parity blocks.  Their random-matrix class follows n mod 8: when
+n = 2 mod 4, the antiunitary P = M K, with M the Jordan-Wigner image of
+g1 g3 ... g_{n-1} and K complex conjugation, swaps the two blocks, and
+P g_j P^-1 = (-1)^{n/2-1} g_j sends a Hermitized degree-q term to
+(-1)^{q/2} times itself.  A bank whose terms all get the same sign is
+``mirrored``: one block gives the whole spectrum (the other block's is
+the same, or its negative) and, through M conj(v), every eigenvector.
+The full SYK families at n = 10 and 18 are mirrored, those at n = 8 and
+12 are not; a bank mixing q = 2 and q = 4 terms is not, and neither is any
+Pauli bank.  The bank decides from its masks (:func:`_mirror`), never from
+(n, q).
 """
 
 from __future__ import annotations
@@ -444,6 +457,38 @@ def _majorana_masks(ops: OperatorSet) -> np.ndarray:
     return np.stack([x, z, power])
 
 
+def _particle_hole_masks(n_modes: int) -> tuple[int, int]:
+    """(x, z) masks of the Jordan-Wigner image of g1 g3 ... g_{n-1}.
+
+    Odd generator 2t+1 is X on qubit t with Z below it, so the product has
+    X on every qubit and Z on qubit t iff an odd number of the n/2 - 1 - t
+    generators above t sit beyond it.
+    """
+    half = n_modes // 2
+    z = sum(1 << t for t in range(half) if (half - 1 - t) % 2)
+    return (1 << half) - 1, z
+
+
+def _mirror(x: np.ndarray, z: np.ndarray, power: np.ndarray, masks) -> int:
+    """``mirror`` of a parity-preserving bank for the candidate M with
+    (x, z) ``masks``: (-1)^s if P = M K swaps the parity sectors (x_M has
+    odd popcount) and sends every term A_i to the same (-1)^s A_i, else 0.
+
+    A Pauli string is real up to its phase, so K A_i K = (-1)^{power_i} A_i,
+    and M A_i M^dag = (-1)^{<M, A_i>} A_i with the symplectic form; the
+    check runs on the masks of every term.
+    """
+    if masks is None or len(x) == 0:
+        return 0
+    mx, mz = masks
+    if mx.bit_count() % 2 == 0:
+        return 0
+    s = (power + _popcount_array(x & mz) + _popcount_array(z & mx)) & 1
+    if np.any(s != s[0]):
+        return 0
+    return 1 - 2 * int(s[0])
+
+
 def _check_bank_entries(terms: int, dim: int):
     """Refuse a bank of terms x dim table entries above ``MAX_BANK_ENTRIES``."""
     if terms * dim > MAX_BANK_ENTRIES:
@@ -464,14 +509,24 @@ class TermBank:
     of coefficients is written to H[c ^ x, c].  Distinct x-masks never
     share an entry.  ``parity`` is true when every x-mask has even
     popcount, so that H maps each popcount-parity sector of the basis into
-    itself.  :meth:`eigvalsh` takes one coupling row or a stack of them;
-    each row of a stack gets the same arithmetic as a row alone, and
-    ``sample_bytes`` is the working set that one row adds to the stack.
+    itself.  :meth:`eigvalsh` and :meth:`eigh` take one coupling row or a
+    stack of them; each row of a stack gets the same arithmetic as a row
+    alone, and ``sample_bytes`` is the working set that one row adds to
+    the stack.
+
+    ``mirror`` is +1 or -1 when the antiunitary P = M K (M a Pauli string,
+    K complex conjugation in the computational basis) swaps the two parity
+    sectors and sends every term to the same sign s times itself: then
+    P H P^-1 = s H for real couplings, and P maps each sector-0
+    eigenvector of eigenvalue w to a sector-1 eigenvector of eigenvalue
+    s w, so only the sector-0 blocks are solved.  It is 0 otherwise.
     """
 
-    def __init__(self, paulis, dim: int):
+    def __init__(self, paulis, dim: int, mirror_masks: tuple[int, int] | None = None):
         """``paulis``: the terms, as a list of :class:`PauliString` or as a
-        (3, m) int64 array of their x-masks, z-masks and phase powers."""
+        (3, m) int64 array of their x-masks, z-masks and phase powers.
+        ``mirror_masks``: the (x, z) masks of a candidate M for ``mirror``,
+        which is set only if the terms pass its checks."""
         if not isinstance(paulis, np.ndarray):
             paulis = np.array(
                 [(p.x_mask, p.z_mask, p.phase_power) for p in paulis], dtype=np.int64
@@ -496,15 +551,27 @@ class TermBank:
         self._to_full = targets * dim + cols
 
         self.parity = bool(np.all(_popcount_array(xs) & 1 == 0))
+        self.mirror = _mirror(x, z, power, mirror_masks) if self.parity else 0
         sectors = 2 if self.parity else 1
         sector = odd.astype(np.int64) if self.parity else np.zeros(dim, dtype=np.int64)
         side = dim // sectors
+        members = np.argsort(sector, kind="stable").reshape(sectors, side)
         pos = np.empty(dim, dtype=np.int64)  # index of c within its sector
-        pos[np.argsort(sector, kind="stable")] = cols % side
-        self._block_shape = (sectors, side, side)
-        self._to_blocks = sector * side * side + pos[targets] * side + pos
+        pos[members] = np.arange(side)
+        solved = 1 if self.mirror else sectors
+        self._block_shape = (solved, side, side)
+        self._filled = members[0] if self.mirror else slice(None)  # columns of the solved blocks
+        self._to_blocks = (sector * side * side + pos[targets] * side + pos)[:, self._filled]
+        # entry r of an eigenvector of block b is the amplitude of basis
+        # state _vector_rows[b, r]; a mirrored bank's sector-1 vectors are
+        # M conj(v) with M |c> = +-|c ^ x_M> (the global phase of M dropped)
+        self._vector_rows = members
+        if self.mirror:
+            mx, mz = mirror_masks
+            self._vector_rows = np.stack([members[0], members[0] ^ mx])
+            self._mirror_signs = 1 - 2 * odd[members[0] & mz]
         # the real table and its complex coefficients (8 bytes per table
-        # entry each), and the complex parity blocks
+        # entry each), and the complex parity blocks that are solved
         self.sample_bytes = 16 * (math.prod(self._table_shape) + math.prod(self._block_shape))
 
     @classmethod
@@ -522,7 +589,7 @@ class TermBank:
         if ops.kind == "majorana":
             masks = _majorana_masks(ops)
             _check_dim(ops.dim, max_dim)
-            return cls(masks, ops.dim)
+            return cls(masks, ops.dim, _particle_hole_masks(ops.n))
         return cls([_hermitian_pauli(op, max_dim) for op in ops.members], ops.dim)
 
     def __len__(self):
@@ -546,15 +613,50 @@ class TermBank:
         H.reshape(-1)[self._to_full] = self._coefficients(g)
         return H
 
-    def eigvalsh(self, g: np.ndarray) -> np.ndarray:
-        """Ascending spectrum of (1/sqrt(m)) sum_i g_i A_i for each coupling
-        row of g (..., m), from one batched eigensolve over the parity
-        blocks of every row (one block per row when parity is false)."""
+    def _blocks(self, g: np.ndarray) -> np.ndarray:
+        """(rows x solved, side, side) stack of the solved blocks of every
+        coupling row of g (..., m)."""
         lead = g.shape[:-1]
         blocks = np.zeros((*lead, *self._block_shape), dtype=complex)
-        blocks.reshape(*lead, -1)[..., self._to_blocks] = self._coefficients(g)
-        w = np.linalg.eigvalsh(blocks.reshape(-1, *self._block_shape[1:]))
-        return np.sort(w.reshape(*lead, self.dim), axis=-1)
+        blocks.reshape(*lead, -1)[..., self._to_blocks] = self._coefficients(g)[..., self._filled]
+        return blocks.reshape(-1, *self._block_shape[1:])
+
+    def _mirrored(self, w: np.ndarray) -> np.ndarray:
+        """The solved eigenvalues (..., solved x side), followed by their
+        mirror images when the bank is mirrored."""
+        return np.concatenate([w, self.mirror * w], axis=-1) if self.mirror else w
+
+    def eigvalsh(self, g: np.ndarray) -> np.ndarray:
+        """Ascending spectrum of (1/sqrt(m)) sum_i g_i A_i for each coupling
+        row of g (..., m), from one batched eigensolve over the solved
+        parity blocks of every row (one block per row when parity is false,
+        the sector-0 block alone when the bank is mirrored)."""
+        lead = g.shape[:-1]
+        w = np.linalg.eigvalsh(self._blocks(g)).reshape(*lead, -1)
+        return np.sort(self._mirrored(w), axis=-1)
+
+    def eigh(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues (..., dim) and orthonormal eigenvectors
+        (..., dim, dim), as columns, of (1/sqrt(m)) sum_i g_i A_i for each
+        coupling row of g (..., m), from one batched eigensolve over the
+        solved blocks.  In a mirrored bank the sector-1 eigenvectors are
+        the signed, row-permuted conjugates of the sector-0 ones."""
+        lead, dim = g.shape[:-1], self.dim
+        count = math.prod(lead)
+        sectors, side = self._vector_rows.shape
+        w, v = np.linalg.eigh(self._blocks(g))
+        w = self._mirrored(w.reshape(count, -1))  # block order
+        v = v.reshape(count, -1, side, side)
+        if self.mirror:
+            v = np.concatenate([v, self._mirror_signs[:, None] * v.conj()], axis=1)
+        rank = np.empty((count, dim), dtype=np.int64)  # ascending position of each eigenpair
+        np.put_along_axis(rank, np.argsort(w, axis=-1, kind="stable"), np.arange(dim), axis=-1)
+        # entry r of eigenvector k of block b goes to U[rows[b, r], rank[b * side + k]]
+        at = ((np.arange(count)[:, None, None, None] * dim + self._vector_rows[:, :, None]) * dim
+              + rank.reshape(count, sectors, 1, side))
+        U = np.zeros((*lead, dim, dim), dtype=complex)
+        U.reshape(-1)[at] = v
+        return np.sort(w, axis=-1).reshape(*lead, dim), U
 
     def expectations(self, psi: np.ndarray) -> np.ndarray:
         """<psi|A_i|psi> for every term, exactly (real for Hermitian terms)."""

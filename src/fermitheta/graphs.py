@@ -98,14 +98,22 @@ class CommutationGraph:
         return self._bits().astype(float)
 
     def to_json(self) -> str:
-        return json.dumps(
+        """The graph as ``json.dumps`` writes its vertices, kind, labels
+        and adjacency lists; the adjacency text is joined row by row from
+        the bitsets, so no m x m matrix or Python int list is built."""
+        head = json.dumps(
             {
                 "vertices": len(self),
                 "kind": self.operators.kind,
                 "labels": json.loads(self.operators.to_json())["members"],
-                "adjacency": [np.flatnonzero(row).tolist() for row in self._bits()],
             }
         )
+        names = np.array([str(v) for v in range(len(self))], dtype=object)
+        rows = (
+            "[" + ", ".join(names[np.flatnonzero(_unpack_masks((bits,), len(self))[0])]) + "]"
+            for bits in self.adjacency
+        )
+        return head[:-1] + ', "adjacency": [' + ", ".join(rows) + "]}"
 
     def to_edge_csv(self) -> str:
         lines = ["u,v\r\n"]

@@ -51,19 +51,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-    def reconstruction_residual(self, H) -> float:
-        H = np.asarray(H, dtype=complex)
-        R = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T - H
-        return float(np.linalg.norm(R) / max(1.0, np.linalg.norm(H)))
-
-    def orthonormality_residual(self) -> float:
-        U = self.eigenvectors
-        return float(np.abs(U.conj().T @ U - np.eye(self.dim)).max())
-
 
 def eigh(H) -> Spectrum:
     """Full ascending spectrum of a Hermitian matrix.

@@ -14,10 +14,13 @@ record is bit-identical to it.  The log-sum-exp is a numpy function that
 repeats ``scipy.special.logsumexp`` step by step; scipy's fixed cost per
 call dominated small-d runs.  A fixed state's energy is linear in the
 couplings of :func:`~fermitheta.models.sample_couplings`,
-g . <psi|A_i|psi> / sqrt(m).  Only the Gibbs-state observables diagonalize
-each sample with eigenvectors, and they apply their observables to the
-eigenvectors through :class:`~fermitheta.algebra.TermBank`, so every trace
-is a sum over the eigenbasis and no observable matrix is built.  The
+g . <psi|A_i|psi> / sqrt(m).  Only the Gibbs-state observables need
+eigenvectors: they take the couplings in the same chunks as the spectra,
+diagonalize each chunk with one ``TermBank.eigh`` call and apply their
+observables to the eigenvectors through
+:class:`~fermitheta.algebra.TermBank`, so every trace is a sum over the
+eigenbasis, reduced over the chunk at once, and no observable matrix is
+built.  The
 ``threads`` argument of every experiment is recorded in the report's
 params and does not change the computation.  Bound verdicts always use a
 rigorous upper bound on the commutation index (theta/m for Majorana
@@ -42,7 +45,7 @@ from .algebra import MAX_DENSE_DIM, MajoranaMonomial, OperatorSet, TermBank, _wa
 from .graphs import commuting_majorana_family, stabilized_state
 from .index import pauli_index_weak_bound
 from .kernel import InputError, RandomStream, random_state
-from .models import _spectrum_chunks, h_comm_count, model_bank, sample_couplings
+from .models import _coupling_chunks, _spectrum_chunks, h_comm_count, model_bank, sample_couplings
 from .reports import (
     Z99,
     ExperimentReport,
@@ -281,7 +284,7 @@ def gradcheck_logZ(
     def ln_z(g: np.ndarray) -> float:
         return float(_logsumexp(-beta * sqrt_n * bank.eigvalsh(g)))
 
-    w, U = np.linalg.eigh(bank.assemble(g0))
+    w, U = bank.eigh(g0)
     rho = (U * _gibbs_weights(w, beta * sqrt_n)) @ U.conj().T
     # Tr(A_i rho) from the monomial structure: sum_c v_i(c) rho[c, r_i(c)]
     tr_arho = np.real(np.einsum("mc,mc->m", bank.vals, rho[np.arange(bank.dim)[None, :], bank.rows]))
@@ -400,6 +403,12 @@ def tail_experiment(
     below the theorem curve evaluated with the rigorous index bound; a
     curve undefined at the given parameters (beta = 0 scaling) skips the
     point with a note.
+
+    obs_expectation is vacuous for q = 0 mod 4: the antiunitary P = M K
+    (M the image of g1 g3 ... g_{n-1}) sends every g_j to +-g_j, so it
+    leaves H unchanged and sends X = i g1 g2 to -X, and <X> = 0 in every
+    Gibbs state; the recorded values are rounding noise (below 1e-15 at
+    n = 8 to 14).
     """
     t0 = time.perf_counter()
     if quantity not in TAIL_QUANTITIES:
@@ -432,19 +441,25 @@ def tail_experiment(
             OperatorSet("majorana", n, 2, (MajoranaMonomial(n, (1, 2)), MajoranaMonomial(n, (3, 4)))),
             MAX_DENSE_DIM,
         )
+        _, chunks = _coupling_chunks("syk", n, q, seed, range(samples))
         raw = []
-        for g in sample_couplings("syk", n, q, seed, range(samples)):
-            w, U = np.linalg.eigh(bank.assemble(g))
+        for g in chunks:
+            w, U = bank.eigh(g)  # (b, d), (b, d, d)
             p = _gibbs_weights(w, beta * sqrt_n)
+            # the operators act on the basis axis: (b, d, k) -> (d, b, k)
+            columns = np.moveaxis(U, 1, 0)
             if quantity == "obs_expectation":
                 # <X> = sum_k p_k <u_k|X|u_k>
-                raw.append(float(np.real(np.sum(U.conj() * pair.apply(U, 0), axis=0)) @ p))
+                xu = np.moveaxis(pair.apply(columns, 0), 0, 1)
+                raw.append(np.einsum("bck,bck,bk->b", U.conj(), xu, p).real)
                 continue
             # Tr(X Y(tau) rho) = sum_jk p_k X~_kj e^{i tau sqrt(n) w_j} Y~_jk e^{-i tau sqrt(n) w_k}
-            Xt, Yt = U.conj().T @ pair.apply(U)
+            Xt, Yt = np.swapaxes(U.conj(), 1, 2)[None] @ np.moveaxis(pair.apply(columns), 1, 2)
             e = np.exp(1j * tau * sqrt_n * w)
-            val = complex(np.sum((p * e.conj())[:, None] * Xt * e * Yt.T))
-            raw.append((val.real, val.imag))
+            val = np.sum((p * e.conj())[:, :, None] * Xt * e[:, None, :] * np.swapaxes(Yt, 1, 2),
+                         axis=(1, 2))
+            raw.append(np.stack([val.real, val.imag], axis=1))
+        raw = np.concatenate(raw)
     vals = np.array(raw)  # thermal_energy and two_point have two columns
 
     records: dict[str, np.ndarray] = {}

@@ -16,7 +16,11 @@ one group, over all columns c, into the Walsh-Hadamard transform of its
 couplings placed at their z-masks, so a sample is assembled by one small
 transform and one plain assignment.  When every x-mask has even popcount
 (even-degree Majorana families), H also preserves the parity of
-popcount(c) and its spectrum is computed from two half-size blocks.
+popcount(c) and its spectrum is computed from two half-size blocks.  At
+n = 2 mod 4 the particle-hole antiunitary of the bank maps one block onto
+the other (``TermBank.mirror``), so only one is solved: the SYK banks at
+n = 10 and 18 are mirrored, those at n = 8 and 12 are not, and the
+spin-glass (Pauli) banks, which have no parity blocks, never are.
 Classical p-spin energies over all 2^n configurations are the same
 Walsh-Hadamard transform, applied to the couplings placed at the spin
 masks of their subsets.
@@ -69,6 +73,10 @@ MAX_CLASSICAL_SPINS = 22
 # a sweep over 16 KiB - 1 MiB on the d = 16 / 4096 free-energy benchmark,
 # 64 KiB ran fastest and left peak RSS flat; larger chunks ran slower
 # (their temporaries outgrow the cache) and 1 MiB raised peak RSS by 14%.
+# Re-swept with the eigenvector path, which takes the same chunks: budgets
+# of 128 KiB and more ran the d = 32 Gibbs observables faster but the
+# classical (12, 4) free energy about 45% slower (21 -> 30 ms per 250
+# samples, one BLAS thread).
 _CHUNK_BYTES = 64 << 10
 _KINDS = {"syk": "majorana", "sg": "pauli"}
 
@@ -168,10 +176,19 @@ def _spectrum_chunks(model: str, n: int, loc: int, seed: int, streams):
             np.stack([sample_classical_pspin(n, loc, seed, stream=i) for i in batch])
             for batch in _batches(streams, size)
         )
+    bank, chunks = _coupling_chunks(model, n, loc, seed, streams)
+    return (bank.eigvalsh(g) for g in chunks)
+
+
+def _coupling_chunks(model: str, n: int, loc: int, seed: int, streams):
+    """The model's term bank and the couplings of :func:`sample_couplings`
+    as (b, m) stacks of b consecutive samples, b sized by the bank's
+    ``sample_bytes`` as in :func:`_spectrum_chunks`.  Checked and built
+    before the generator is returned."""
     bank = model_bank(model, n, loc)
     couplings = sample_couplings(model, n, loc, seed, streams)
     size = _chunk_size(bank.sample_bytes)
-    return (bank.eigvalsh(np.stack(rows)) for rows in _batches(couplings, size))
+    return bank, (np.stack(rows) for rows in _batches(couplings, size))
 
 
 @lru_cache(maxsize=16)

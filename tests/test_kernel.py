@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermitheta.algebra import term_bank
 from fermitheta.kernel import InputError, RandomStream, eigh, gaussian_stream
 
 
@@ -24,10 +25,18 @@ class TestEigh:
         assert np.allclose(s.eigenvalues, [-1, 1])
 
     def test_residuals_random(self):
-        H = random_hermitian(64, 0)
-        s = eigh(H)
-        assert s.reconstruction_residual(H) <= 1e-9
-        assert s.orthonormality_residual() <= 1e-10
+        # the eigenvectors TermBank.eigh builds from its parity blocks: a
+        # mirrored bank (10, 4), a two-block bank (12, 2) and a one-block
+        # Pauli bank
+        for family in (("majorana", 10, 4), ("majorana", 12, 2), ("pauli", 5, 2)):
+            bank = term_bank(*family)
+            g = np.stack([gaussian_stream(RandomStream(0, i), len(bank)) for i in range(3)])
+            w, U = bank.eigh(g)
+            for row, wi, Ui in zip(g, w, U):
+                H = bank.assemble(row)
+                R = (Ui * wi) @ Ui.conj().T - H
+                assert np.linalg.norm(R) / max(1.0, np.linalg.norm(H)) <= 1e-9, family
+                assert np.abs(Ui.conj().T @ Ui - np.eye(bank.dim)).max() <= 1e-10, family
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(InputError):

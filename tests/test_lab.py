@@ -164,6 +164,14 @@ class TestTails:
         )
         assert rep.all_passed
 
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_obs_expectation_vanishes_for_q_4(self, n):
+        # P = M K with M the image of g1 g3 ... g_{n-1} commutes with every
+        # q = 4 Hamiltonian and sends i g1 g2 to -i g1 g2, so <i g1 g2> = 0
+        # in every Gibbs state: the recorded series is rounding noise
+        rep = tail_experiment("obs_expectation", {"n": n, "q": 4, "beta": 1.0}, 32, seed=n)
+        assert np.abs(rep.records["obs"]).max() <= 1e-12
+
     def test_thermal_energy_pilot_split(self):
         rep = tail_experiment(
             "thermal_energy", {"n": 10, "q": 4, "beta": 1.0}, 200, seed=4

@@ -14,6 +14,8 @@ from fermitheta.algebra import (
     OperatorSet,
     PauliString,
     _majorana_masks,
+    _mirror,
+    _particle_hole_masks,
     _popcount_array,
     enumerate_set,
     majorana_to_pauli,
@@ -362,6 +364,103 @@ class TestBatchedSpectra:
         with pytest.raises(InputError):
             TermBank.from_set(mixed, 1 << 12)
 
+
+
+def _expected_mirror(n, degrees):
+    """The mirror of a Majorana set from the algebra alone: P = M K with M
+    the image of g1 g3 ... g_{n-1} sends every generator to (-1)^{n/2-1}
+    times itself, so the Hermitized i^{q/2} g_S to (-1)^{q/2} times itself,
+    and M swaps the parity sectors iff n/2 is odd."""
+    signs = {(-1) ** (q // 2) for q in degrees}
+    return signs.pop() if n % 4 == 2 and len(signs) == 1 else 0
+
+
+def _check_spectra(bank, seed, rows=2):
+    """eigvalsh and eigh of a bank against the dense assembled matrix."""
+    g = np.stack([gaussian_stream(RandomStream(seed, i), len(bank)) for i in range(rows)])
+    w, U = bank.eigh(g)
+    assert w.shape == (rows, bank.dim) and U.shape == (rows, bank.dim, bank.dim)
+    for row, values, wi, Ui in zip(g, bank.eigvalsh(g), w, U):
+        H = bank.assemble(row)
+        ref = np.linalg.eigvalsh(H)
+        tol = 1e-12 * max(1.0, np.abs(ref).max())
+        assert np.abs(values - ref).max() <= tol
+        assert np.abs(wi - ref).max() <= tol
+        assert np.linalg.norm(H @ Ui - Ui * wi) <= 1e-12
+        assert np.linalg.norm(Ui.conj().T @ Ui - np.eye(bank.dim)) <= 1e-12
+
+
+class TestParticleHoleMirror:
+    """Banks solved from one parity block through P = M K."""
+
+    @pytest.mark.parametrize("n", range(2, 26, 2))
+    def test_masks_are_the_image_of_the_odd_generators(self, n):
+        P = majorana_to_pauli(MajoranaMonomial(n, tuple(range(1, n, 2))), hermitize=False)
+        assert _particle_hole_masks(n) == (P.x_mask, P.z_mask)
+
+    @given(st.integers(3, 9), st.sampled_from((2, 4, 6)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_full_families(self, h, q, seed):
+        n = 2 * h
+        if q > n:
+            return
+        masks = _majorana_masks(enumerate_set("majorana", n, q))
+        want = _expected_mirror(n, (q,))
+        assert _mirror(*masks, _particle_hole_masks(n)) == want
+        if comb(n, q) << h > 1 << 21:  # (18, 6): 9.5M table entries, masks only
+            return
+        bank = term_bank("majorana", n, q)
+        assert bank.mirror == want
+        _check_spectra(bank, seed)
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda h: st.tuples(
+                st.just(2 * h),
+                st.sets(st.frozensets(st.integers(1, 2 * h)).filter(lambda s: len(s) % 2 == 0),
+                        min_size=1, max_size=24),
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_even_degree_sets(self, family, seed):
+        n, supports = family
+        ops = OperatorSet("majorana", n, 0, tuple(MajoranaMonomial(n, tuple(sorted(s)))
+                                                  for s in supports))
+        bank = TermBank.from_set(ops, 1 << 12)
+        assert bank.mirror == _expected_mirror(n, [len(s) for s in supports])
+        _check_spectra(bank, seed)
+
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_mixed_degree_two_and_four_is_not_mirrored(self, h, seed):
+        n = 4 * h + 2  # a sector-swapping M: only the degrees disagree
+        pick = np.random.default_rng(seed).permutation(n) + 1
+        ops = OperatorSet("majorana", n, 0, (MajoranaMonomial(n, tuple(sorted(pick[:2]))),
+                                             MajoranaMonomial(n, tuple(sorted(pick[2:6])))))
+        bank = TermBank.from_set(ops, 1 << 12)
+        assert bank.parity and bank.mirror == 0
+        _check_spectra(bank, seed)
+
+    @given(_FAMILIES, st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_pauli_banks_are_not_mirrored(self, family, seed):
+        bank = term_bank(*family)
+        if family[0] == "pauli":
+            assert not bank.parity and bank.mirror == 0
+        _check_spectra(bank, seed)
+
+    def test_eigh_takes_any_leading_axes(self):
+        bank = term_bank("majorana", 10, 4)
+        g = np.stack([gaussian_stream(RandomStream(1, i), len(bank)) for i in range(3)])
+        w, U = bank.eigh(g)
+        one_w, one_U = bank.eigh(g[1])
+        assert one_w.shape == (bank.dim,) and one_U.shape == (bank.dim, bank.dim)
+        assert np.array_equal(one_w, w[1]) and np.array_equal(one_U, U[1])
+        nested_w, nested_U = bank.eigh(g[None])
+        assert np.array_equal(nested_w[0], w) and np.array_equal(nested_U[0], U)
+        assert np.all(np.diff(w, axis=-1) >= 0)
 
 class TestClassical:
     def test_single_term_sign(self):
