@@ -458,11 +458,12 @@ def _majorana_masks(ops: OperatorSet) -> np.ndarray:
 
 
 def _particle_hole_masks(n_modes: int) -> tuple[int, int]:
-    """(x, z) masks of the Jordan-Wigner image of g1 g3 ... g_{n-1}.
+    """(x, z) masks of the Jordan-Wigner image of g1 g3 ... g_{n-1}, its
+    phase left out.
 
-    Odd generator 2t+1 is X on qubit t with Z below it, so the product has
-    X on every qubit and Z on qubit t iff an odd number of the n/2 - 1 - t
-    generators above t sit beyond it.
+    Odd generator 2s+1 is X on qubit s and Z on every qubit below s, so the
+    product has X on every qubit, and Z on qubit t iff the number of
+    generators with s > t, n/2 - 1 - t, is odd.
     """
     half = n_modes // 2
     z = sum(1 << t for t in range(half) if (half - 1 - t) % 2)

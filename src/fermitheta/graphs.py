@@ -6,8 +6,9 @@ and anticommuting family checks) goes through one kernel: the parity of a
 row-blocked BLAS product of 0/1 bit matrices, the symplectic form for
 Paulis and the support overlaps for Majorana monomials.  Adjacency is
 stored as one Python-int bitset per vertex, which keeps pairwise queries
-cheap for sets up to the 10^4-vertex cap; the exports unpack the bitsets
-into one boolean matrix.
+cheap for sets up to the 10^4-vertex cap; the JSON export reads the
+bitsets row by row, the matrix and CSV exports unpack them into one
+boolean matrix.
 
 Eigenstates of commuting families are found by projecting a seeded random
 vector with (psi + s B psi) / 2 term by term, where B psi comes from the

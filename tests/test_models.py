@@ -365,7 +365,6 @@ class TestBatchedSpectra:
             TermBank.from_set(mixed, 1 << 12)
 
 
-
 def _expected_mirror(n, degrees):
     """The mirror of a Majorana set from the algebra alone: P = M K with M
     the image of g1 g3 ... g_{n-1} sends every generator to (-1)^{n/2-1}
@@ -443,12 +442,11 @@ class TestParticleHoleMirror:
         assert bank.parity and bank.mirror == 0
         _check_spectra(bank, seed)
 
-    @given(_FAMILIES, st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
+    @given(_FAMILIES.filter(lambda f: f[0] == "pauli"), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
     def test_pauli_banks_are_not_mirrored(self, family, seed):
         bank = term_bank(*family)
-        if family[0] == "pauli":
-            assert not bank.parity and bank.mirror == 0
+        assert not bank.parity and bank.mirror == 0
         _check_spectra(bank, seed)
 
     def test_eigh_takes_any_leading_axes(self):
@@ -461,6 +459,7 @@ class TestParticleHoleMirror:
         nested_w, nested_U = bank.eigh(g[None])
         assert np.array_equal(nested_w[0], w) and np.array_equal(nested_U[0], U)
         assert np.all(np.diff(w, axis=-1) >= 0)
+
 
 class TestClassical:
     def test_single_term_sign(self):
