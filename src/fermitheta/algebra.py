@@ -334,27 +334,9 @@ class OperatorSet:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "OperatorSet":
-        data = json.loads(text)
-        if data["kind"] == "pauli":
-            members = tuple(
-                PauliString.from_label(m["label"], _phase_value(m["phase"]))
-                for m in data["members"]
-            )
-        else:
-            members = tuple(
-                MajoranaMonomial(data["n"], tuple(s)) for s in data["members"]
-            )
-        return cls(data["kind"], data["n"], data["locality"], members, data.get("provenance", "custom"))
-
 
 def _phase_str(g: complex) -> str:
     return {1: "+1", 1j: "+i", -1: "-1", -1j: "-i"}[complex(g)]
-
-
-def _phase_value(s: str) -> complex:
-    return {"+1": 1, "+i": 1j, "-1": -1, "-i": -1j}[s]
 
 
 def family_size(kind: str, n: int, locality: int) -> int:

@@ -6,8 +6,8 @@ and anticommuting family checks) goes through one kernel: the parity of a
 row-blocked BLAS product of 0/1 bit matrices, the symplectic form for
 Paulis and the support overlaps for Majorana monomials.  Adjacency is
 stored as one Python-int bitset per vertex, which keeps pairwise queries
-cheap for sets up to the 10^4-vertex cap; the JSON export reads the
-bitsets row by row, the matrix and CSV exports unpack them into one
+cheap for sets up to the 10^4-vertex cap; the JSON and CSV exports read
+the bitsets row by row, the adjacency matrix unpacks them into one
 boolean matrix.
 
 Eigenstates of commuting families are found by projecting a seeded random
@@ -69,34 +69,12 @@ class CommutationGraph:
     def __len__(self):
         return len(self.adjacency)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adjacency[u] >> v) & 1)
-
     def degrees(self) -> list[int]:
         return [b.bit_count() for b in self.adjacency]
 
-    @property
-    def degree_stats(self) -> tuple[int, int, float]:
-        degs = self.degrees()
-        return (max(degs), min(degs), sum(degs) / len(degs)) if degs else (0, 0, 0.0)
-
-    def edge_count(self) -> int:
-        return sum(self.degrees()) // 2
-
-    def neighbors(self, u: int):
-        """Neighbours of vertex u in increasing order (one set-bit walk)."""
-        bits = self.adjacency[u]
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
-
-    def _bits(self) -> np.ndarray:
-        """The (m, m) boolean adjacency, unpacked from the bitsets."""
-        return _unpack_masks(self.adjacency, len(self))
-
     def adjacency_matrix(self) -> np.ndarray:
-        return self._bits().astype(float)
+        """The (m, m) 0/1 float adjacency, unpacked from the bitsets."""
+        return _unpack_masks(self.adjacency, len(self), float)
 
     def to_json(self) -> str:
         """The graph as ``json.dumps`` writes its vertices, kind, labels
@@ -117,10 +95,17 @@ class CommutationGraph:
         return head[:-1] + ', "adjacency": [' + ", ".join(rows) + "]}"
 
     def to_edge_csv(self) -> str:
+        """The edges u < v as ``csv.writer`` writes them, one ``u,v`` line
+        each under a ``u,v`` header; like :meth:`to_json`, the text is
+        joined row by row from the bitsets."""
+        m = len(self)
+        names = np.array([str(v) for v in range(m)], dtype=object)
         lines = ["u,v\r\n"]
-        for u, row in enumerate(self._bits()):
-            later = np.flatnonzero(row[u + 1 :]) + u + 1
-            lines.append("".join(f"{u},{v}\r\n" for v in later.tolist()))
+        for u, bits in enumerate(self.adjacency):
+            later = names[u + 1 + np.flatnonzero(_unpack_masks((bits >> u + 1,), m - u - 1)[0])]
+            if len(later):
+                head = f"{u},"
+                lines.append(head + ("\r\n" + head).join(later.tolist()) + "\r\n")
         return "".join(lines)
 
 

@@ -120,9 +120,6 @@ class ExperimentReport:
             w.writerow([i] + [s[i] if i < len(s) else "" for s in series])
         return buf.getvalue()
 
-    def write_json(self, path: str):
-        _atomic_write(path, self.to_json())
-
     def write_csv(self, path: str):
         _atomic_write(path, self.records_csv())
 

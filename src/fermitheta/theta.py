@@ -9,14 +9,33 @@ Two routes:
   x = 1..q, and the value is C(n, q) / (1 + p(0)).  Solved exactly in
   rational arithmetic.
 
-* ``theta_sdp`` -- a generic numeric solver for arbitrary small graphs.
-  It minimizes lambda_max(A) over symmetric matrices that are fixed to 1
-  on the diagonal and on non-edges while edge entries float (the standard
-  dual characterization of theta), using a log-sum-exp smoothing of
-  lambda_max with decreasing smoothing parameter and L-BFGS.  The softmax
-  gradient matrix at the optimum doubles as a primal certificate: it is
-  positive semidefinite with unit trace, and its residual edge entries
-  measure feasibility.
+* ``theta_sdp`` -- a numeric solver for arbitrary graphs of at most 600
+  vertices.  It minimizes lambda_max(A) over symmetric matrices that are
+  fixed to 1 on the diagonal and on non-edges while edge entries float
+  (the standard dual characterization of theta), by one of two paths,
+  chosen from the graph alone:
+
+  - coherent-closure LP: the vertex pairs are refined from {diagonal,
+    edge, non-edge} to the graph's coherent closure.  When its diagonal
+    stays one class and its class matrices commute (a generic
+    combination of them has as many eigenspaces as there are classes),
+    the classes form an association scheme and the optimum lies in its
+    algebra (de Klerk, Pasechnik & Schrijver 2007), so theta is a
+    Delsarte-type LP over one edge weight per class (Schrijver 1979),
+    solved by HiGHS.  Full Pauli and Majorana families, cycles, Paley and
+    other vertex-transitive graphs with commutative orbitals take it.
+  - smoothing: a log-sum-exp smoothing of lambda_max with decreasing
+    smoothing parameter and L-BFGS; its softmax gradient matrix is the
+    primal.  Runs when the closure splits the diagonal, is not
+    commutative, or its LP result fails the certificate below.
+
+  Either way ``converged`` is a full-matrix certificate: the value is
+  lambda_max of the assembled m x m dual matrix, an upper bound on theta,
+  and the m x m primal must be PSD with unit trace, vanish on every edge
+  and match that value within ``tol`` (one ``eigvalsh`` each).  A wrong
+  closure therefore falls through to the smoothing path and never
+  passes.  ``residuals`` name the route and, for the smoothing path, each
+  stage's L-BFGS status, iteration and evaluation counts.
 """
 
 from __future__ import annotations
@@ -28,7 +47,7 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from .graphs import CommutationGraph
 from .kernel import CapacityError, InputError
@@ -151,21 +170,96 @@ def _edge_list(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(np.triu(adj, 1))
 
 
-def theta_sdp(g: CommutationGraph | np.ndarray, tol: float = 1e-6) -> ThetaResult:
-    """Numeric theta of an arbitrary graph with primal-feasibility residuals."""
-    adj = g.adjacency_matrix() if isinstance(g, CommutationGraph) else np.asarray(g, dtype=float)
+# Seeded class weights of the closure rounds: below 2^12, so every entry of
+# R @ R is an integer below 600 * 2^24 < 2^53, exact in float64.
+_CLOSURE_SEED = 20070101
+_CLOSURE_WEIGHT = 1 << 12
+# Eigenvalues of the generic class combination closer than this, relative to
+# its spectral radius, belong to one eigenspace.
+_EIGENSPACE_RTOL = 1e-8
+
+
+def _coherent_closure(adj: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Vertex-pair classes of the graph's coherent closure.
+
+    Starts from the partition {diagonal, edge, non-edge} of the pairs.  Each
+    round draws seeded integer weights r, one per class, and splits every
+    class by the entries of R @ R, R = r[labels]; stops when the class
+    count stops growing, or as soon as the diagonal splits.  Returns the
+    (m, m) class labels, the class count and whether the diagonal is one
+    class (class 0).  A chance collision of two entries can only leave the
+    partition too coarse, which the reduced certificate then rejects.
+    """
+    m = len(adj)
+    labels = np.where(adj > 0, 1, 2)
+    np.fill_diagonal(labels, 0)
+    labels = np.unique(labels, return_inverse=True)[1].reshape(m, m)
+    classes = int(labels.max()) + 1
+    rng = np.random.default_rng(_CLOSURE_SEED)
+    while True:
+        r = rng.integers(1, _CLOSURE_WEIGHT, size=classes).astype(float)
+        R = r[labels]
+        walks = np.unique(R @ R, return_inverse=True)[1].reshape(m, m)
+        key = labels * (int(walks.max()) + 1) + walks
+        labels = np.unique(key, return_inverse=True)[1].reshape(m, m)
+        grown, classes = classes, int(labels.max()) + 1
+        homogeneous = int(labels.diagonal().max()) == 0
+        if not homogeneous or classes == grown:
+            return labels, classes, homogeneous
+
+
+def _eigenspaces(labels: np.ndarray, classes: int) -> tuple[np.ndarray, list]:
+    """Eigenvectors U of a seeded generic combination of the classes and
+    the column ranges of its eigenspaces.  A commutative closure has as
+    many eigenspaces as classes, and its class matrices act on each as a
+    scalar."""
+    s = np.random.default_rng(_CLOSURE_SEED).uniform(1.0, 2.0, size=classes)
+    w, U = np.linalg.eigh(s[labels])
+    split = _EIGENSPACE_RTOL * max(abs(w[0]), abs(w[-1]))
+    return U, np.split(np.arange(len(w)), np.flatnonzero(np.diff(w) > split) + 1)
+
+
+def _coherent_lp(labels, classes, U, spaces, ei, ej):
+    """Dual matrix A and primal X from the LP of a commutative closure.
+
+    P[j, c], the eigenvalue of class c's 0/1 matrix on eigenspace E_j, is
+    its entry sum over E_j divided by dim E_j.  With edge weight y_c on
+    each edge class and 1 on the others, lambda_j(y) is linear in y and
+    theta = min t s.t. t >= lambda_j(y) for all j.  The LP duals x_j give
+    X = sum_j x_j E_j / dim E_j, whose entries on class c are (x P)_c / |c|
+    (zero on the edge classes by dual feasibility).  None if HiGHS
+    reports no optimum.
+    """
+    flat = labels.ravel()
+    sums = np.stack([
+        np.bincount(flat, weights=(U[:, cols] @ U[:, cols].T).ravel(), minlength=classes)
+        for cols in spaces
+    ])
+    P = sums / np.array([len(cols) for cols in spaces])[:, None]
+    edge = np.zeros(classes, bool)
+    edge[labels[ei, ej]] = True
+    cost = np.zeros(1 + int(edge.sum()))
+    cost[0] = 1.0
+    lp = linprog(
+        cost,
+        A_ub=np.hstack([-np.ones((len(spaces), 1)), P[:, edge]]),
+        b_ub=-P[:, ~edge].sum(axis=1),
+        bounds=(None, None),
+        method="highs",
+    )
+    if lp.status != 0:
+        return None
+    weights = np.ones(classes)
+    weights[edge] = lp.x[1:]
+    x = -lp.ineqlin.marginals
+    primal = (x @ P) / np.bincount(flat, minlength=classes)
+    return weights[labels], primal[labels]
+
+
+def _smoothing(adj, ei, ej, tol):
+    """Dual matrix A, primal S and per-stage L-BFGS records of the
+    log-sum-exp smoothing of lambda_max."""
     m = adj.shape[0]
-    _check_sdp_vertices(m)
-    t0 = time.perf_counter()
-    ei, ej = _edge_list(adj)
-    if len(ei) == 0:
-        return ThetaResult(
-            value=float(m),
-            method="generic-sdp",
-            certificate={"primal_trace": 1.0, "primal_rank_hint": 1},
-            residuals={"edge_residual": 0.0, "psd_violation": 0.0, "duality_gap": 0.0},
-            wall_time=time.perf_counter() - t0,
-        )
     base = np.ones((m, m)) - adj  # fixed entries; edges float
 
     def assemble(y):
@@ -191,7 +285,7 @@ def theta_sdp(g: CommutationGraph | np.ndarray, tol: float = 1e-6) -> ThetaResul
         schedule.append(mu)
         mu /= 10.0
     schedule.append(mu_final)
-    converged = True
+    stages = []
     for mu in schedule:
         res = minimize(
             lambda yy: smoothed(yy, mu)[:2],
@@ -201,27 +295,85 @@ def theta_sdp(g: CommutationGraph | np.ndarray, tol: float = 1e-6) -> ThetaResul
             options={"maxiter": 5000, "ftol": 1e-18, "gtol": 1e-12},
         )
         y = res.x
-    value, _, S = smoothed(y, mu_final)
-    lam = float(np.linalg.eigvalsh(assemble(y))[-1])
-    edge_residual = float(np.abs(S[ei, ej]).max())
-    primal_value = float(np.ones(m) @ S @ np.ones(m))
+        stages.append(
+            {"mu": float(mu), "status": int(res.status), "iterations": int(res.nit),
+             "evaluations": int(res.nfev)}
+        )
+    S = smoothed(y, mu_final)[2]
+    return assemble(y), S, {"smoothing": float(mu_final), "stages": stages}
+
+
+def _certified(A, X, ei, ej, tol, t0, residuals) -> ThetaResult:
+    """The theta result of dual matrix A and primal X, checked on the full
+    m x m matrices: the value is lambda_max(A), an upper bound since A is
+    fixed to 1 off the edges; ``converged`` needs X's edge entries, PSD
+    violation and trace error within tol, and |lambda_max(A) - 1'X1|
+    within tol * max(1, lambda)."""
+    m = A.shape[0]
+    lam = float(np.linalg.eigvalsh(A)[-1])
+    edge_residual = float(np.abs(X[ei, ej]).max())
+    primal_value = float(np.ones(m) @ X @ np.ones(m))
+    primal_trace = float(np.trace(X))
+    psd_violation = max(0.0, -float(np.linalg.eigvalsh(X)[0]))
     gap = abs(lam - primal_value)
-    if edge_residual > tol or gap > max(tol * max(lam, 1.0), tol):
-        converged = False
+    converged = (
+        edge_residual <= tol
+        and psd_violation <= tol
+        and abs(primal_trace - 1.0) <= tol
+        and gap <= tol * max(lam, 1.0)
+    )
     return ThetaResult(
         value=lam,
         method="generic-sdp",
         certificate={
             "primal_value": primal_value,
-            "primal_trace": float(np.trace(S)),
-            "dual_edge_weights_norm": float(np.abs(y).max()),
+            "primal_trace": primal_trace,
+            "dual_edge_weights_norm": float(np.abs(A[ei, ej]).max()),
         },
         residuals={
             "edge_residual": edge_residual,
-            "psd_violation": max(0.0, -float(np.linalg.eigvalsh(S)[0])),
+            "psd_violation": psd_violation,
             "duality_gap": float(gap),
-            "smoothing": float(mu_final),
+            **residuals,
         },
         wall_time=time.perf_counter() - t0,
         converged=converged,
     )
+
+
+def theta_sdp(g: CommutationGraph | np.ndarray, tol: float = 1e-6) -> ThetaResult:
+    """Numeric theta of an arbitrary graph with primal-feasibility residuals.
+
+    Takes the coherent-closure LP when the closure is homogeneous and
+    commutative and its result is certified, else the smoothing path;
+    ``residuals`` name the route, the class and eigenspace counts, and the
+    smoothing path's per-stage L-BFGS status, iterations and evaluations.
+    """
+    adj = g.adjacency_matrix() if isinstance(g, CommutationGraph) else np.asarray(g, dtype=float)
+    m = adj.shape[0]
+    _check_sdp_vertices(m)
+    t0 = time.perf_counter()
+    ei, ej = _edge_list(adj)
+    if len(ei) == 0:
+        return ThetaResult(
+            value=float(m),
+            method="generic-sdp",
+            certificate={"primal_trace": 1.0, "primal_rank_hint": 1},
+            residuals={"edge_residual": 0.0, "psd_violation": 0.0, "duality_gap": 0.0,
+                       "route": "edgeless"},
+            wall_time=time.perf_counter() - t0,
+        )
+    labels, classes, homogeneous = _coherent_closure(adj)
+    closure = {"classes": classes, "eigenspaces": None}
+    if homogeneous:
+        U, spaces = _eigenspaces(labels, classes)
+        closure["eigenspaces"] = len(spaces)
+        if len(spaces) == classes:
+            reduced = _coherent_lp(labels, classes, U, spaces, ei, ej)
+            if reduced is not None:
+                res = _certified(*reduced, ei, ej, tol, t0,
+                                 {"smoothing": 0.0, "route": "coherent-lp", **closure})
+                if res.converged:
+                    return res
+    A, S, smoothing = _smoothing(adj, ei, ej, tol)
+    return _certified(A, S, ei, ej, tol, t0, {**smoothing, "route": "smoothing", **closure})

@@ -27,6 +27,7 @@ from fermitheta.lab import (
     _logsumexp,
 )
 from fermitheta.models import sample_classical_pspin, term_bank
+from fermitheta.reports import _atomic_write
 
 
 class TestFreeEnergy:
@@ -283,7 +284,7 @@ class TestReportPlumbing:
 
         rep = free_energy_experiment("syk", 8, 4, [0.5], 24, seed=9)
         path = tmp_path / "report.json"
-        rep.write_json(str(path))
+        _atomic_write(str(path), rep.to_json())
         payload = json.loads(path.read_text())
         for key in ("schema_version", "experiment", "params", "seed", "records", "summary", "verdicts", "duration_ms"):
             assert key in payload

@@ -1,17 +1,30 @@
 """Lovasz theta: exact LP values, SDP solver, cross-validation."""
 
+import itertools
+import math
+import time
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermitheta.algebra import enumerate_set
 from fermitheta.graphs import commutation_graph, commuting_majorana_family
 from fermitheta.kernel import InputError
 from fermitheta.scheme import HahnTable
 from fermitheta.simplex import solve_lp_max
-from fermitheta.theta import round_half_up, theta_johnson_lp, theta_sdp
+import fermitheta.theta as theta_module
+from fermitheta.theta import (
+    _certified,
+    _edge_list,
+    _smoothing,
+    round_half_up,
+    theta_johnson_lp,
+    theta_sdp,
+)
 
 
 def cycle_adjacency(m):
@@ -121,6 +134,168 @@ class TestThetaSDP:
         res = theta_sdp(cycle_adjacency(5))
         payload = json.loads(res.to_json())
         assert payload["method"] == "generic-sdp"
+        assert payload["residuals"]["route"] == "coherent-lp"
+        fallback = json.loads(theta_sdp(path_adjacency(5)).to_json())
+        assert fallback["residuals"]["route"] == "smoothing"
+        assert len(fallback["residuals"]["stages"]) == 9
+
+
+def circulant(m, dists):
+    A = np.zeros((m, m))
+    for i in range(m):
+        for d in dists:
+            A[i, (i + d) % m] = A[(i + d) % m, i] = 1
+    return A
+
+
+def path_adjacency(m):
+    A = np.zeros((m, m))
+    for i in range(m - 1):
+        A[i, i + 1] = A[i + 1, i] = 1
+    return A
+
+
+def star_adjacency(leaves):
+    A = np.zeros((leaves + 1, leaves + 1))
+    A[0, 1:] = A[1:, 0] = 1
+    return A
+
+
+def random_adjacency(m, p, seed):
+    A = np.triu(np.random.default_rng(seed).random((m, m)) < p, 1).astype(float)
+    return A + A.T
+
+
+def independence_number(A):
+    m = len(A)
+    for k in range(m, 0, -1):
+        if any(not A[np.ix_(S, S)].any() for S in itertools.combinations(range(m), k)):
+            return k
+    return 0
+
+
+def smoothing_reference(A, tol=1e-6):
+    """theta_sdp's smoothing path alone, certified on the full matrices."""
+    ei, ej = _edge_list(A)
+    dual, primal, extra = _smoothing(A, ei, ej, tol)
+    return _certified(dual, primal, ei, ej, tol, time.perf_counter(), extra)
+
+
+@st.composite
+def circulants(draw):
+    m = draw(st.integers(3, 30))
+    dists = draw(st.sets(st.integers(1, m // 2), min_size=1))
+    return circulant(m, dists)
+
+
+def assert_reduced(res, tol=1e-9):
+    """The coherent-closure route ran and its full-matrix certificate is tight."""
+    assert res.residuals["route"] == "coherent-lp"
+    assert res.residuals["classes"] == res.residuals["eigenspaces"]
+    assert res.converged
+    assert res.residuals["duality_gap"] <= tol * max(1.0, res.value)
+    assert res.residuals["edge_residual"] <= 1e-12
+    assert res.residuals["psd_violation"] <= 1e-12
+    assert abs(res.certificate["primal_trace"] - 1.0) <= 1e-12
+
+
+class TestCoherentRoute:
+    @given(circulants())
+    @settings(max_examples=30, deadline=None)
+    def test_circulants_match_smoothing(self, A):
+        res = theta_sdp(A)
+        assert_reduced(res)
+        assert abs(res.value - smoothing_reference(A).value) <= 1e-6
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 13, 29])
+    def test_odd_cycles(self, n):
+        res = theta_sdp(cycle_adjacency(n))
+        assert_reduced(res)
+        c = math.cos(math.pi / n)
+        assert abs(res.value - n * c / (1 + c)) <= 1e-9
+
+    def test_petersen(self):
+        pairs = list(itertools.combinations(range(5), 2))
+        A = np.array([[float(not set(a) & set(b)) for b in pairs] for a in pairs])
+        res = theta_sdp(A)
+        assert_reduced(res)
+        assert res.residuals["classes"] == 3
+        assert abs(res.value - 4) <= 1e-9
+
+    def test_paley_13(self):
+        squares = {x * x % 13 for x in range(1, 13)}
+        res = theta_sdp(circulant(13, squares))
+        assert_reduced(res)
+        assert abs(res.value - math.sqrt(13)) <= 1e-9
+
+    @pytest.mark.parametrize("n,q", [(6, 2), (8, 2), (8, 4), (10, 4)])
+    def test_full_majorana_families_match_lp(self, n, q):
+        res = theta_sdp(commutation_graph(enumerate_set("majorana", n, q)))
+        assert_reduced(res)
+        assert abs(res.value - float(theta_johnson_lp(n, q).value)) <= 1e-9
+
+    @pytest.mark.parametrize("n,k,theta", [(4, 2, 6), (4, 3, 8), (3, 2, 3)])
+    def test_full_pauli_families(self, n, k, theta):
+        res = theta_sdp(commutation_graph(enumerate_set("pauli", n, k)))
+        assert_reduced(res)
+        assert abs(res.value - theta) <= 1e-9
+
+
+class TestSmoothingFallback:
+    @pytest.mark.parametrize("m", [4, 5, 6, 7])
+    def test_paths(self, m):
+        res = theta_sdp(path_adjacency(m))
+        assert res.residuals["route"] == "smoothing"
+        assert abs(res.value - (m + 1) // 2) <= 1e-6  # bipartite: theta = alpha
+
+    @pytest.mark.parametrize("leaves", [2, 4, 7])
+    def test_stars(self, leaves):
+        res = theta_sdp(star_adjacency(leaves))
+        assert res.residuals["route"] == "smoothing"
+        assert res.residuals["eigenspaces"] is None  # the centre splits the diagonal
+        assert abs(res.value - leaves) <= 1e-6
+
+    def test_random_graph_keeps_the_smoothing_value(self):
+        A = random_adjacency(10, 0.4, 3)
+        res = theta_sdp(A)
+        assert res.residuals["route"] == "smoothing"
+        ref = smoothing_reference(A)
+        assert res.value == ref.value
+        # frozen from the smoothing-only solver this path replaced
+        assert abs(res.value - 4.236068001093845) <= 1e-12 * res.value
+        assert independence_number(A) <= res.value + 1e-9
+        stages = res.residuals["stages"]
+        assert len(stages) == 9
+        assert all(set(s) == {"mu", "status", "iterations", "evaluations"} for s in stages)
+        assert all(s["evaluations"] >= 1 for s in stages)
+
+
+class TestWrongClosureFallsThrough:
+    def test_failed_certificate_runs_smoothing(self, monkeypatch):
+        real = theta_module._coherent_lp
+
+        def perturbed(*args):
+            A, X = real(*args)
+            return A, X + 1e-3 * np.eye(len(X))[::-1]
+
+        monkeypatch.setattr(theta_module, "_coherent_lp", perturbed)
+        res = theta_sdp(cycle_adjacency(5))
+        assert res.residuals["route"] == "smoothing"
+        assert res.residuals["classes"] == res.residuals["eigenspaces"] == 3
+        assert abs(res.value - 5**0.5) <= 1e-6
+
+    def test_too_coarse_partition_runs_smoothing(self, monkeypatch):
+        # C6 has 4 distance classes; {diagonal, edge, non-edge} is not closed
+        def coarse(adj):
+            labels = np.where(adj > 0, 1, 2)
+            np.fill_diagonal(labels, 0)
+            return labels, 3, True
+
+        monkeypatch.setattr(theta_module, "_coherent_closure", coarse)
+        res = theta_sdp(cycle_adjacency(6))
+        assert res.residuals["route"] == "smoothing"
+        assert res.residuals["eigenspaces"] != 3
+        assert abs(res.value - 3) <= 1e-6
 
 
 class TestRounding:

@@ -40,7 +40,7 @@ def test_graph_counter_reads_a_real_graph():
     m = len(g)
     counts = Counter()
     _load_tracer()._graph((), {}, g, counts)
-    assert counts["graphs.edges"] == g.edge_count() > 0
+    assert counts["graphs.edges"] == sum(g.degrees()) // 2 > 0
     assert counts["graphs.pairs"] == m * (m - 1) // 2
 
 
