@@ -22,8 +22,8 @@ Two routes:
     the classes form an association scheme and the optimum lies in its
     algebra (de Klerk, Pasechnik & Schrijver 2007), so theta is a
     Delsarte-type LP over one edge weight per class (Schrijver 1979),
-    solved by HiGHS.  Full Pauli and Majorana families, cycles, Paley and
-    other vertex-transitive graphs with commutative orbitals take it.
+    solved by HiGHS.  Full Pauli and Majorana families, circulants and
+    strongly regular graphs take it.
   - smoothing: a log-sum-exp smoothing of lambda_max with decreasing
     smoothing parameter and L-BFGS; its softmax gradient matrix is the
     primal.  Runs when the closure splits the diagonal, is not
@@ -179,8 +179,9 @@ _CLOSURE_WEIGHT = 1 << 12
 _EIGENSPACE_RTOL = 1e-8
 
 
-def _coherent_closure(adj: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    """Vertex-pair classes of the graph's coherent closure.
+def _coherent_closure(m: int, ei, ej) -> tuple[np.ndarray, int, bool]:
+    """Vertex-pair classes of the coherent closure of the graph on m
+    vertices with edges (ei, ej).
 
     Starts from the partition {diagonal, edge, non-edge} of the pairs.  Each
     round draws seeded integer weights r, one per class, and splits every
@@ -190,11 +191,10 @@ def _coherent_closure(adj: np.ndarray) -> tuple[np.ndarray, int, bool]:
     class (class 0).  A chance collision of two entries can only leave the
     partition too coarse, which the reduced certificate then rejects.
     """
-    m = len(adj)
-    labels = np.where(adj > 0, 1, 2)
+    labels = np.full((m, m), 2)
+    labels[ei, ej] = labels[ej, ei] = 1
     np.fill_diagonal(labels, 0)
-    labels = np.unique(labels, return_inverse=True)[1].reshape(m, m)
-    classes = int(labels.max()) + 1
+    classes = int(labels.max()) + 1  # 2 for a complete graph
     rng = np.random.default_rng(_CLOSURE_SEED)
     while True:
         r = rng.integers(1, _CLOSURE_WEIGHT, size=classes).astype(float)
@@ -295,10 +295,8 @@ def _smoothing(adj, ei, ej, tol):
             options={"maxiter": 5000, "ftol": 1e-18, "gtol": 1e-12},
         )
         y = res.x
-        stages.append(
-            {"mu": float(mu), "status": int(res.status), "iterations": int(res.nit),
-             "evaluations": int(res.nfev)}
-        )
+        stages.append({"mu": float(mu), "status": int(res.status),
+                       "iterations": int(res.nit), "evaluations": int(res.nfev)})
     S = smoothed(y, mu_final)[2]
     return assemble(y), S, {"smoothing": float(mu_final), "stages": stages}
 
@@ -363,7 +361,7 @@ def theta_sdp(g: CommutationGraph | np.ndarray, tol: float = 1e-6) -> ThetaResul
                        "route": "edgeless"},
             wall_time=time.perf_counter() - t0,
         )
-    labels, classes, homogeneous = _coherent_closure(adj)
+    labels, classes, homogeneous = _coherent_closure(m, ei, ej)
     closure = {"classes": classes, "eigenspaces": None}
     if homogeneous:
         U, spaces = _eigenspaces(labels, classes)

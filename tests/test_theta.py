@@ -27,11 +27,67 @@ from fermitheta.theta import (
 )
 
 
-def cycle_adjacency(m):
+def circulant(m, dists):
     A = np.zeros((m, m))
     for i in range(m):
-        A[i, (i + 1) % m] = A[(i + 1) % m, i] = 1
+        for d in dists:
+            A[i, (i + d) % m] = A[(i + d) % m, i] = 1
     return A
+
+
+def cycle_adjacency(m):
+    return circulant(m, {1})
+
+
+def path_adjacency(m):
+    A = np.zeros((m, m))
+    for i in range(m - 1):
+        A[i, i + 1] = A[i + 1, i] = 1
+    return A
+
+
+def star_adjacency(leaves):
+    A = np.zeros((leaves + 1, leaves + 1))
+    A[0, 1:] = A[1:, 0] = 1
+    return A
+
+
+def random_adjacency(m, p, seed):
+    A = np.triu(np.random.default_rng(seed).random((m, m)) < p, 1).astype(float)
+    return A + A.T
+
+
+def independence_number(A):
+    m = len(A)
+    for k in range(m, 0, -1):
+        if any(not A[np.ix_(S, S)].any() for S in itertools.combinations(range(m), k)):
+            return k
+    return 0
+
+
+def smoothing_reference(A, tol=1e-6):
+    """theta_sdp's smoothing path alone, certified on the full matrices."""
+    ei, ej = _edge_list(A)
+    dual, primal, extra = _smoothing(A, ei, ej, tol)
+    return _certified(dual, primal, ei, ej, tol, time.perf_counter(), extra)
+
+
+@st.composite
+def circulants(draw):
+    m = draw(st.integers(3, 30))
+    dists = draw(st.sets(st.integers(1, m // 2), min_size=1))
+    return circulant(m, dists)
+
+
+def assert_reduced(res, tol=1e-9):
+    """The coherent-closure route ran and its full-matrix certificate is tight."""
+    assert res.residuals["route"] == "coherent-lp"
+    assert res.residuals["classes"] == res.residuals["eigenspaces"]
+    assert res.converged
+    assert res.residuals["duality_gap"] <= tol * max(1.0, res.value)
+    assert res.residuals["edge_residual"] <= 1e-12
+    assert res.residuals["psd_violation"] <= 1e-12
+    assert abs(res.certificate["primal_trace"] - 1.0) <= 1e-12
 
 
 class TestSimplex:
@@ -123,10 +179,11 @@ class TestThetaSDP:
         assert res.residuals["psd_violation"] <= 1e-6
 
     def test_matches_lp_on_johnson_graphs(self):
-        for n, q in [(6, 2), (8, 4)]:
+        for n, q in [(6, 2), (8, 2), (8, 4), (10, 4)]:
             lp = float(theta_johnson_lp(n, q).value)
-            sdp = theta_sdp(commutation_graph(enumerate_set("majorana", n, q))).value
-            assert abs(sdp - lp) <= 1e-3 * lp
+            res = theta_sdp(commutation_graph(enumerate_set("majorana", n, q)))
+            assert_reduced(res)
+            assert abs(res.value - lp) <= 1e-9
 
     def test_json_serializable(self):
         import json
@@ -138,65 +195,6 @@ class TestThetaSDP:
         fallback = json.loads(theta_sdp(path_adjacency(5)).to_json())
         assert fallback["residuals"]["route"] == "smoothing"
         assert len(fallback["residuals"]["stages"]) == 9
-
-
-def circulant(m, dists):
-    A = np.zeros((m, m))
-    for i in range(m):
-        for d in dists:
-            A[i, (i + d) % m] = A[(i + d) % m, i] = 1
-    return A
-
-
-def path_adjacency(m):
-    A = np.zeros((m, m))
-    for i in range(m - 1):
-        A[i, i + 1] = A[i + 1, i] = 1
-    return A
-
-
-def star_adjacency(leaves):
-    A = np.zeros((leaves + 1, leaves + 1))
-    A[0, 1:] = A[1:, 0] = 1
-    return A
-
-
-def random_adjacency(m, p, seed):
-    A = np.triu(np.random.default_rng(seed).random((m, m)) < p, 1).astype(float)
-    return A + A.T
-
-
-def independence_number(A):
-    m = len(A)
-    for k in range(m, 0, -1):
-        if any(not A[np.ix_(S, S)].any() for S in itertools.combinations(range(m), k)):
-            return k
-    return 0
-
-
-def smoothing_reference(A, tol=1e-6):
-    """theta_sdp's smoothing path alone, certified on the full matrices."""
-    ei, ej = _edge_list(A)
-    dual, primal, extra = _smoothing(A, ei, ej, tol)
-    return _certified(dual, primal, ei, ej, tol, time.perf_counter(), extra)
-
-
-@st.composite
-def circulants(draw):
-    m = draw(st.integers(3, 30))
-    dists = draw(st.sets(st.integers(1, m // 2), min_size=1))
-    return circulant(m, dists)
-
-
-def assert_reduced(res, tol=1e-9):
-    """The coherent-closure route ran and its full-matrix certificate is tight."""
-    assert res.residuals["route"] == "coherent-lp"
-    assert res.residuals["classes"] == res.residuals["eigenspaces"]
-    assert res.converged
-    assert res.residuals["duality_gap"] <= tol * max(1.0, res.value)
-    assert res.residuals["edge_residual"] <= 1e-12
-    assert res.residuals["psd_violation"] <= 1e-12
-    assert abs(res.certificate["primal_trace"] - 1.0) <= 1e-12
 
 
 class TestCoherentRoute:
@@ -227,12 +225,6 @@ class TestCoherentRoute:
         res = theta_sdp(circulant(13, squares))
         assert_reduced(res)
         assert abs(res.value - math.sqrt(13)) <= 1e-9
-
-    @pytest.mark.parametrize("n,q", [(6, 2), (8, 2), (8, 4), (10, 4)])
-    def test_full_majorana_families_match_lp(self, n, q):
-        res = theta_sdp(commutation_graph(enumerate_set("majorana", n, q)))
-        assert_reduced(res)
-        assert abs(res.value - float(theta_johnson_lp(n, q).value)) <= 1e-9
 
     @pytest.mark.parametrize("n,k,theta", [(4, 2, 6), (4, 3, 8), (3, 2, 3)])
     def test_full_pauli_families(self, n, k, theta):
@@ -286,8 +278,9 @@ class TestWrongClosureFallsThrough:
 
     def test_too_coarse_partition_runs_smoothing(self, monkeypatch):
         # C6 has 4 distance classes; {diagonal, edge, non-edge} is not closed
-        def coarse(adj):
-            labels = np.where(adj > 0, 1, 2)
+        def coarse(m, ei, ej):
+            labels = np.full((m, m), 2)
+            labels[ei, ej] = labels[ej, ei] = 1
             np.fill_diagonal(labels, 0)
             return labels, 3, True
 
