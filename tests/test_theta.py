@@ -253,8 +253,8 @@ class TestSmoothingFallback:
         assert res.residuals["route"] == "smoothing"
         ref = smoothing_reference(A)
         assert res.value == ref.value
-        # frozen from the smoothing-only solver this path replaced
-        assert abs(res.value - 4.236068001093845) <= 1e-12 * res.value
+        # the smoothing path's value, frozen before the closure route existed
+        assert abs(res.value - 4.236068001093845) <= 1e-9
         assert independence_number(A) <= res.value + 1e-9
         stages = res.residuals["stages"]
         assert len(stages) == 9
