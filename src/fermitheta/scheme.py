@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 MAX_SCHEME_VERTICES = 2000
+# Cap on _hahn_work, sized from perf_counter timings on one core:
+# HahnTable(200, 100) is 6.8e6 units and takes 0.84 s, (10**300, 30) is
+# 7.2e6 units and takes 1.9 s; (300, 150) would be 3.8e7 units and 4.9 s.
+MAX_HAHN_WORK = 10**7
 
 
 def binom0(a: int, b: int) -> int:
@@ -60,6 +64,12 @@ def dual_hahn(m: int, r: int, d: int, x: int) -> int:
     return total
 
 
+def _hahn_work(m: int, r: int) -> int:
+    """Cost of a Hahn table in 64-bit limb operations: (r+1)^2 (r+2)/2
+    binomial products, each about r log2(m) bits wide."""
+    return (r + 1) ** 2 * (r + 2) // 2 * (1 + r * m.bit_length() // 64)
+
+
 @dataclass(frozen=True)
 class HahnTable:
     """All eigenvalues of the scheme on [m] choose r, indexed [d][x]."""
@@ -71,6 +81,12 @@ class HahnTable:
     def __post_init__(self):
         if not 0 <= self.r <= self.m:
             raise InputError("require 0 <= r <= m")
+        work = _hahn_work(self.m, self.r)
+        if work > MAX_HAHN_WORK:
+            raise CapacityError(
+                f"Hahn table ({self.m}, {self.r}) needs {work} limb operations,"
+                f" above the cap of {MAX_HAHN_WORK}"
+            )
         vals = tuple(
             tuple(dual_hahn(self.m, self.r, d, x) for x in range(self.r + 1))
             for d in range(self.r + 1)

@@ -1,15 +1,32 @@
-"""Exact rational simplex for small linear programs.
+"""Exact fraction-free simplex for small linear programs.
 
-Solves  max c.y  subject to  A y <= b,  y >= 0  over Fractions with Bland's
+Solves  max c.y  subject to  A y <= b,  y >= 0  exactly, with Bland's
 anti-cycling rule.  Intended for problems with at most tens of variables
 and constraints; the symmetry-reduced theta programs have q/2 free
 variables and q constraints.
+
+The tableau is kept as integers over one common denominator D
+(Edmonds/Bareiss fraction-free elimination, Bareiss 1968): each
+constraint row is scaled by the lcm of its denominators, its slack
+column stays the unit vector (only the slack variable is rescaled, and
+it is not returned), the cost row is scaled the same way, and D starts
+at 1.  A pivot on the entry p updates every other entry a of the
+tableau to (a p - f q) / D, where f is the entry of a's row in the
+pivot column and q that of a's column in the pivot row, then sets
+D = p.  Every entry is a minor of the integer starting tableau, so the
+division is exact, and D stays positive, so every entry has the sign of
+the rational it stands for.  Bland's rule reads the entering column
+from the signs of the integer cost row and compares ratios by integer
+cross-multiplication, ties going to the smaller basis index; the pivot
+sequence, the optimal point and the value are those of the rational
+tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 __all__ = ["LPSolution", "solve_lp_max", "UnboundedProgram", "InfeasibleProgram"]
@@ -29,6 +46,17 @@ class LPSolution:
     point: tuple[Fraction, ...]
 
 
+def _rational(v) -> int | Fraction:
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _integer_row(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """The numerators of ``values`` over the lcm of their denominators, and
+    that lcm."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def solve_lp_max(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPSolution:
     """Maximize c.y over {A y <= b, y >= 0}.
 
@@ -36,39 +64,48 @@ def solve_lp_max(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPSolution:
     this); Bland's rule guarantees termination.
     """
     ncons, nvar = len(A), len(c)
-    if any(Fraction(v) < 0 for v in b):
+    rhs = [_rational(v) for v in b]
+    if any(v < 0 for v in rhs):
         raise InfeasibleProgram("slack basis infeasible: negative right-hand side")
-    tableau = [
-        [Fraction(A[i][j]) for j in range(nvar)]
-        + [Fraction(1) if k == i else Fraction(0) for k in range(ncons)]
-        + [Fraction(b[i])]
-        for i in range(ncons)
-    ]
-    cost = [-Fraction(v) for v in c] + [Fraction(0)] * (ncons + 1)
+    width = nvar + ncons
+    # constraint rows, then the cost row last
+    tableau = []
+    for i in range(ncons):
+        ints, _ = _integer_row([_rational(A[i][j]) for j in range(nvar)] + [rhs[i]])
+        slack = [0] * ncons
+        slack[i] = 1
+        tableau.append(ints[:nvar] + slack + ints[nvar:])
+    cost, cost_scale = _integer_row([-_rational(v) for v in c])
+    tableau.append(cost + [0] * (ncons + 1))
     basis = [nvar + i for i in range(ncons)]
+    denom = 1
     while True:
-        enter = next((j for j in range(nvar + ncons) if cost[j] < 0), None)
+        cost = tableau[-1]
+        enter = next((j for j in range(width) if cost[j] < 0), None)
         if enter is None:
             break
-        leave, best = None, None
+        leave = None
         for i in range(ncons):
-            if tableau[i][enter] > 0:
-                ratio = tableau[i][-1] / tableau[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            a = tableau[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # ratio_i = rhs_i / a versus ratio_leave, both a's positive
+                cross = tableau[i][-1] * tableau[leave][enter] - tableau[leave][-1] * a
+                if cross < 0 or (cross == 0 and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             raise UnboundedProgram("objective unbounded above")
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
-        for i in range(ncons):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * p for a, p in zip(tableau[i], tableau[leave])]
-        f = cost[enter]
-        if f != 0:
-            cost = [a - f * p for a, p in zip(cost, tableau[leave])]
+        prow = tableau[leave]
+        piv = prow[enter]
+        for i, row in enumerate(tableau):
+            if i != leave:
+                f = row[enter]
+                tableau[i] = [(a * piv - f * q) // denom for a, q in zip(row, prow)]
+        denom = piv
         basis[leave] = enter
-    point = [Fraction(0)] * (nvar + ncons)
+    point = [Fraction(0)] * width
     for i, var in enumerate(basis):
-        point[var] = tableau[i][-1]
-    return LPSolution(value=cost[-1], point=tuple(point[:nvar]))
+        point[var] = Fraction(tableau[i][-1], denom)
+    return LPSolution(value=Fraction(cost[-1], denom * cost_scale), point=tuple(point[:nvar]))

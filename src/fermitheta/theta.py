@@ -6,8 +6,9 @@ Two routes:
   Majorana family is a union of odd-distance Johnson relations, so its
   theta reduces to a tiny linear program over exact integers: maximize
   p(0) = sum over odd d of a_d * H(d, 0) subject to p(x) >= -1 for
-  x = 1..q, and the value is C(n, q) / (1 + p(0)).  Solved exactly in
-  rational arithmetic.
+  x = 1..q, and the value is C(n, q) / (1 + p(0)).  Solved exactly by
+  the fraction-free integer simplex of ``simplex.py``; the optimal
+  coefficients must then satisfy every constraint exactly.
 
 * ``theta_sdp`` -- a numeric solver for arbitrary graphs of at most 600
   vertices.  It minimizes lambda_max(A) over symmetric matrices that are
@@ -44,7 +45,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -145,14 +146,17 @@ def theta_johnson_lp(n: int, q: int) -> ThetaResult:
     coeffs = {
         d: sol.point[2 * i] - sol.point[2 * i + 1] for i, d in enumerate(odd_ds)
     }
-    # exact feasibility of the optimal certificate, zero tolerance
+    # exact feasibility of the optimal certificate, zero tolerance, on the
+    # integer numerators of p(x) over the coefficients' common denominator
+    den = lcm(*(a.denominator for a in coeffs.values()))
+    nums = {d: a.numerator * (den // a.denominator) for d, a in coeffs.items()}
     min_slack = None
     for x in range(1, q + 1):
-        px = sum(coeffs[d] * table[d, x] for d in odd_ds)
-        if px < -1:
-            raise StructuralError(f"certificate infeasible at x={x}: p(x)={px}")
-        slack = px + 1
-        min_slack = slack if min_slack is None else min(min_slack, slack)
+        px = sum(nums[d] * table[d, x] for d in odd_ds)
+        if px < -den:
+            raise StructuralError(f"certificate infeasible at x={x}: p(x)={Fraction(px, den)}")
+        min_slack = px + den if min_slack is None else min(min_slack, px + den)
+    min_slack = Fraction(min_slack, den)
     value = Fraction(comb(n, q), 1) / (1 + p0)
     return ThetaResult(
         value=value,

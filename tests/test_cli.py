@@ -1,8 +1,10 @@
 """Command-line surface: exit codes, outputs, determinism."""
 
 import csv
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import fermitheta.algebra
 import fermitheta.cli
 import fermitheta.models
+import fermitheta.scheme
 from fermitheta import lab
 from fermitheta.cli import (
     EXIT_CAPACITY,
@@ -133,6 +136,32 @@ class TestDispatch:
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("capacity error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hahn", "--m", "800", "--r", "400"],
+            ["hahn", "--m", "300", "--r", "150", "--verify"],
+            ["theta", "johnson", "--n", "800", "--q", "400"],
+        ],
+        ids=["hahn", "hahn-verify", "theta-johnson"],
+    )
+    def test_hahn_cap_refused_before_any_entry(self, monkeypatch, capsys, argv):
+        def refuse(*args):
+            raise AssertionError("Hahn entry computed for a table over the cap")
+
+        monkeypatch.setattr(fermitheta.scheme, "dual_hahn", refuse)
+        assert dispatch(argv) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("capacity error: Hahn table")
+
+    def test_expmoment_negative_beta(self, capsys):
+        argv = ["lab", "expmoment", "--n", "4", "--loc", "2", "--samples", "16", "--beta=-1"]
+        assert dispatch(argv) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"]["rows"][0]["c1_required"] >= 0.0
 
     def test_bounds(self, capsys):
         assert dispatch(
@@ -270,6 +299,13 @@ class TestReproduceTable:
         assert table[(6, 2)][2] == "3" and table[(6, 2)][5] == "True"
         assert table[(8, 4)][2] == "14" and table[(8, 4)][5] == "False"
         assert table[(10, 4)][3] == "14.57"
+
+    def test_max_n_40_digest_matches_benchmark_reference(self):
+        # The benchmark hashes the command's stdout, which print ends with "\n".
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+        want = json.loads(path.read_text())["theta-index"]["table --max-n 40"]["sha256"]
+        text = reproduce_table(40, [2, 4, 6, 8, 10]) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == want
 
     def test_q2_all_equal(self):
         text = reproduce_table(20, [2])

@@ -240,6 +240,16 @@ class TestExpMoment:
         rows = {r["beta"]: r for r in rep.summary["rows"]}
         assert abs(rows[0.1]["mean"] - 1.005) < 5e-3
 
+    def test_negative_beta_fits_c1(self):
+        rep = exp_moment_check(4, 2, [-1.0], 16, seed=0)
+        assert rep.all_passed
+        assert [v.name for v in rep.verdicts] == []
+        row = rep.summary["rows"][0]
+        ln_est = np.log(row["mean"])
+        m, hc = rep.summary["m"], rep.summary["h_comm"]
+        assert row["c1_required"] == max(0.0, (0.5 - ln_est) * 4.0 * m / hc)
+        assert rep.summary["fitted_c1"] == row["c1_required"]
+
     def test_reference_overflow_refused(self):
         # exp(40^2 / 2) overflows a float
         with pytest.raises(InputError):

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermitheta.kernel import InputError
+import fermitheta.scheme
+from fermitheta.kernel import CapacityError, InputError
 from fermitheta.scheme import (
+    MAX_HAHN_WORK,
     HahnTable,
+    _hahn_work,
     dual_hahn,
     johnson_adjacency,
     verify_scheme_spectrum,
@@ -62,6 +65,22 @@ class TestHahnTable:
         text = HahnTable(6, 2).to_csv()
         lines = text.strip().splitlines()
         assert len(lines) == 4  # header + 3 distance rows
+
+    def test_cap_refuses_before_any_entry(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Hahn entry computed for a table over the cap")
+
+        monkeypatch.setattr(fermitheta.scheme, "dual_hahn", refuse)
+        for m, r in [(800, 400), (300, 150), (10**400, 40)]:
+            assert _hahn_work(m, r) > MAX_HAHN_WORK
+            with pytest.raises(CapacityError):
+                HahnTable(m, r)
+
+    def test_cap_admits_every_table_in_use(self):
+        # table --max-n 40 reaches (40, 10); the tests and README use the rest
+        for m, r in [(40, 10), (12, 6), (8, 4), (20, 10), (26, 6), (200, 100)]:
+            assert _hahn_work(m, r) <= MAX_HAHN_WORK
+        assert HahnTable(40, 20)[1, 0] == comb(20, 1) ** 2
 
 
 class TestJohnsonAdjacency:
