@@ -657,8 +657,8 @@ def exp_moment_check(
     smallest constant c1 for which the lower bound
     exp(beta^2/2 (1 - c1 beta^2 h_comm / (2 m))) holds across the grid.
     The fitted c1 is reported as a diagnostic, not asserted; it is fitted
-    at every nonzero beta, and beta == 0 checks the normalization instead.  A beta whose
-    reference exp(beta^2/2) overflows a float is refused.
+    at every nonzero beta, and beta == 0 checks the normalization instead.
+    A beta whose reference exp(beta^2/2) overflows a float is refused.
     """
     t0 = time.perf_counter()
     betas = [float(b) for b in beta_grid]

@@ -245,7 +245,7 @@ class TestExpMoment:
         assert rep.all_passed
         assert [v.name for v in rep.verdicts] == []
         row = rep.summary["rows"][0]
-        ln_est = np.log(row["mean"])
+        ln_est = math.log(row["mean"])
         m, hc = rep.summary["m"], rep.summary["h_comm"]
         assert row["c1_required"] == max(0.0, (0.5 - ln_est) * 4.0 * m / hc)
         assert rep.summary["fitted_c1"] == row["c1_required"]
