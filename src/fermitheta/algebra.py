@@ -488,10 +488,12 @@ class TermBank:
     of coefficients is written to H[c ^ x, c].  Distinct x-masks never
     share an entry.  ``parity`` is true when every x-mask has even
     popcount, so that H maps each popcount-parity sector of the basis into
-    itself.  :meth:`eigvalsh` and :meth:`eigh` take one coupling row or a
-    stack of them; each row of a stack gets the same arithmetic as a row
-    alone, and ``sample_bytes`` is the working set that one row adds to
-    the stack.
+    itself.  ``sector_rows[s, r]`` is the basis state of entry r of a
+    sector-s vector (one sector holding every state when parity is
+    false).  :meth:`eigvalsh`, :meth:`sector_eigh` and :meth:`eigh` take
+    one coupling row or a stack of them; each row of a stack gets the same
+    arithmetic as a row alone, and ``sample_bytes`` is the working set
+    that one row adds to the stack of :meth:`eigvalsh`.
 
     ``mirror`` is +1 or -1 when the antiunitary P = M K (M a Pauli string,
     K complex conjugation in the computational basis) swaps the two parity
@@ -541,13 +543,12 @@ class TermBank:
         self._block_shape = (solved, side, side)
         self._filled = members[0] if self.mirror else slice(None)  # columns of the solved blocks
         self._to_blocks = (sector * side * side + pos[targets] * side + pos)[:, self._filled]
-        # entry r of an eigenvector of block b is the amplitude of basis
-        # state _vector_rows[b, r]; a mirrored bank's sector-1 vectors are
-        # M conj(v) with M |c> = +-|c ^ x_M> (the global phase of M dropped)
-        self._vector_rows = members
+        # a mirrored bank's sector-1 vectors are M conj(v) with
+        # M |c> = +-|c ^ x_M> (the global phase of M dropped)
+        self.sector_rows = members
         if self.mirror:
             mx, mz = mirror_masks
-            self._vector_rows = np.stack([members[0], members[0] ^ mx])
+            self.sector_rows = np.stack([members[0], members[0] ^ mx])
             self._mirror_signs = 1 - 2 * odd[members[0] & mz]
         # the real table and its complex coefficients (8 bytes per table
         # entry each), and the complex parity blocks that are solved
@@ -614,27 +615,41 @@ class TermBank:
         w = np.linalg.eigvalsh(self._blocks(g)).reshape(*lead, -1)
         return np.sort(self._mirrored(w), axis=-1)
 
+    def sector_eigh(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (..., sectors, side) and orthonormal eigenvectors
+        (..., sectors, side, side), as columns, of (1/sqrt(m)) sum_i g_i A_i
+        in each sector, for each coupling row of g (..., m): entry r of a
+        sector-s vector is the amplitude of basis state ``sector_rows[s, r]``.
+        One batched eigensolve over the solved blocks, whose eigenvalues
+        ascend.  In a mirrored bank the sector-1 pairs are the mirror images
+        of the sector-0 ones: eigenvalues times ``mirror`` (descending when
+        it is -1), eigenvectors their signed conjugates."""
+        lead, side = g.shape[:-1], self.sector_rows.shape[1]
+        w, v = np.linalg.eigh(self._blocks(g))
+        w = w.reshape(*lead, -1, side)
+        v = v.reshape(*lead, -1, side, side)
+        if self.mirror:
+            w = np.concatenate([w, self.mirror * w], axis=-2)
+            v = np.concatenate([v, self._mirror_signs[:, None] * v.conj()], axis=-3)
+        return w, v
+
     def eigh(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues (..., dim) and orthonormal eigenvectors
         (..., dim, dim), as columns, of (1/sqrt(m)) sum_i g_i A_i for each
-        coupling row of g (..., m), from one batched eigensolve over the
-        solved blocks.  In a mirrored bank the sector-1 eigenvectors are
-        the signed, row-permuted conjugates of the sector-0 ones."""
+        coupling row of g (..., m): the pairs of :meth:`sector_eigh`, sorted
+        and scattered into the full basis."""
         lead, dim = g.shape[:-1], self.dim
         count = math.prod(lead)
-        sectors, side = self._vector_rows.shape
-        w, v = np.linalg.eigh(self._blocks(g))
-        w = self._mirrored(w.reshape(count, -1))  # block order
-        v = v.reshape(count, -1, side, side)
-        if self.mirror:
-            v = np.concatenate([v, self._mirror_signs[:, None] * v.conj()], axis=1)
+        sectors, side = self.sector_rows.shape
+        w, v = self.sector_eigh(g)
+        w = w.reshape(count, dim)  # sector order
         rank = np.empty((count, dim), dtype=np.int64)  # ascending position of each eigenpair
         np.put_along_axis(rank, np.argsort(w, axis=-1, kind="stable"), np.arange(dim), axis=-1)
-        # entry r of eigenvector k of block b goes to U[rows[b, r], rank[b * side + k]]
-        at = ((np.arange(count)[:, None, None, None] * dim + self._vector_rows[:, :, None]) * dim
+        # entry r of eigenvector k of sector s goes to U[sector_rows[s, r], rank[s * side + k]]
+        at = ((np.arange(count)[:, None, None, None] * dim + self.sector_rows[:, :, None]) * dim
               + rank.reshape(count, sectors, 1, side))
         U = np.zeros((*lead, dim, dim), dtype=complex)
-        U.reshape(-1)[at] = v
+        U.reshape(-1)[at] = v.reshape(count, sectors, side, side)
         return np.sort(w, axis=-1).reshape(*lead, dim), U
 
     def expectations(self, psi: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from .graphs import _check_graph_vertices, commutation_graph, ternary_tree_pauli
 from .index import _check_estimate, index_estimate
 from .kernel import CapacityError, InputError
 from .models import ansatz_bounds_report, sample_spectra
-from .reports import ExperimentReport, _atomic_write
+from .reports import ExperimentReport, _atomic_write, _finite_json
 from .scheme import HahnTable, verify_scheme_spectrum
 from .theta import _check_sdp_vertices, round_half_up, theta_johnson_lp, theta_sdp
 
@@ -84,15 +84,20 @@ def _emit(args, text: str):
         print(text)
 
 
-def _write_report(args, report: ExperimentReport) -> int:
+def _report_text(args, report: ExperimentReport) -> str:
+    """The report's JSON with the run's config; refused (InputError) when
+    a value is not a finite float."""
     payload = report.to_dict()
     payload["config"] = {
         k: v for k, v in vars(args).items() if k != "func" and v is not None
     }
-    text = json.dumps(payload)
-    if getattr(args, "out", None):
-        _atomic_write(args.out, text)
-        print(f"report written to {args.out}")
+    return _finite_json(payload)
+
+
+def _write_report(args, report: ExperimentReport, text: str, out: str | None) -> int:
+    if out:
+        _atomic_write(out, text)
+        print(f"report written to {out}")
     else:
         print(text)
     if getattr(args, "csv", None):
@@ -224,6 +229,14 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_lab(args) -> int:
+    # A float that overflows at the given parameters ends up as a non-finite
+    # report value, which _finite_json refuses; numpy's warnings would only
+    # announce it on stderr first.
+    with np.errstate(all="ignore"):
+        return _run_lab(args)
+
+
+def _run_lab(args) -> int:
     threads = _threads(args)
     betas = args.beta if args.beta else [1.0]
     if args.experiment == "free-energy":
@@ -232,7 +245,7 @@ def _cmd_lab(args) -> int:
         )
     elif args.experiment == "gradcheck":
         res = lab_mod.gradcheck_logZ(args.n, args.loc, betas[0], args.seed)
-        print(json.dumps({"max_rel_error": res.max_rel_error, "beta": res.beta}))
+        print(_finite_json({"max_rel_error": res.max_rel_error, "beta": res.beta}))
         return EXIT_OK if res.max_rel_error <= 1e-5 else EXIT_VERDICT
     elif args.experiment == "variance":
         rep = lab_mod.variance_identity_experiment(
@@ -240,22 +253,26 @@ def _cmd_lab(args) -> int:
         )
     elif args.experiment == "tails":
         quantities = [args.quantity] if args.quantity else list(lab_mod.TAIL_QUANTITIES)
-        base_out = args.out
-        codes = []
-        for quantity in quantities:
-            rep = lab_mod.tail_experiment(
+        reports = [
+            lab_mod.tail_experiment(
                 quantity,
                 {"n": args.n, "q": args.loc, "beta": betas[0], "tau": args.tau},
                 args.samples,
                 seed=args.seed,
                 threads=threads,
             )
+            for quantity in quantities
+        ]
+        base_out = args.out
+        outs, texts = [], []
+        for quantity, rep in zip(quantities, reports):
             if base_out and len(quantities) > 1:
                 stem, dot, ext = base_out.rpartition(".")
                 args.out = f"{stem}.{quantity}.{ext}" if dot else f"{base_out}.{quantity}"
-            codes.append(_write_report(args, rep))
+            outs.append(args.out)
+            texts.append(_report_text(args, rep))  # every report is checked before any is written
         args.out = base_out
-        return max(codes)
+        return max([_write_report(args, rep, text, out) for rep, text, out in zip(reports, texts, outs)])
     elif args.experiment == "mgf":
         rep = lab_mod.mgf_check(args.n, args.loc, args.samples, seed=args.seed, threads=threads)
     elif args.experiment == "expmoment":
@@ -273,7 +290,7 @@ def _cmd_lab(args) -> int:
         )
     else:
         raise InputError(f"unknown experiment {args.experiment!r}")
-    return _write_report(args, rep)
+    return _write_report(args, rep, _report_text(args, rep), args.out)
 
 
 def _cmd_table(args) -> int:

@@ -15,12 +15,13 @@ repeats ``scipy.special.logsumexp`` step by step; scipy's fixed cost per
 call dominated small-d runs.  A fixed state's energy is linear in the
 couplings of :func:`~fermitheta.models.sample_couplings`,
 g . <psi|A_i|psi> / sqrt(m).  Only the Gibbs-state observables need
-eigenvectors: they take the couplings in the same chunks as the spectra,
-diagonalize each chunk with one ``TermBank.eigh`` call and apply their
-observables to the eigenvectors through
-:class:`~fermitheta.algebra.TermBank`, so every trace is a sum over the
-eigenbasis, reduced over the chunk at once, and no observable matrix is
-built.  The
+eigenvectors, and only inside each parity sector: H, X = i g1 g2 and
+Y = i g3 g4 all preserve fermion parity.  They take the couplings in
+chunks sized by their own working set, diagonalize each chunk with one
+``TermBank.sector_eigh`` call and apply X and Y to the sector
+eigenvectors as signed row permutations, so every trace is a sum over
+the sectors' eigenbases, reduced over the chunk at once, and neither a
+full eigenvector matrix nor an observable matrix is built.  The
 ``threads`` argument of every experiment is recorded in the report's
 params and does not change the computation.  Bound verdicts always use a
 rigorous upper bound on the commutation index (theta/m for Majorana
@@ -46,7 +47,15 @@ from .algebra import MAX_DENSE_DIM, MajoranaMonomial, OperatorSet, TermBank, _wa
 from .graphs import commuting_majorana_family, stabilized_state
 from .index import pauli_index_weak_bound
 from .kernel import CapacityError, InputError, RandomStream, random_state
-from .models import _coupling_chunks, _spectrum_chunks, h_comm_count, model_bank, sample_couplings
+from .models import (
+    _VECTOR_CHUNK_BYTES,
+    _chunk_size,
+    _coupling_chunks,
+    _spectrum_chunks,
+    h_comm_count,
+    model_bank,
+    sample_couplings,
+)
 from .reports import (
     Z99,
     ExperimentReport,
@@ -146,6 +155,27 @@ def _fixed_state_energies(bank, psi: np.ndarray, n: int, q: int, seed: int, samp
     a = bank.expectations(psi)
     e = np.array([g @ a for g in sample_couplings("syk", n, q, seed, range(samples))])
     return e / math.sqrt(len(a)), float(np.mean(a**2))
+
+
+def _sector_pair(bank: TermBank, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """X = i g1 g2 and Y = i g3 g4 inside the sectors of ``bank``, as
+    signed row permutations: (A v)[r] = sign[a, s, r] v[perm[a, s, r]] for
+    a vector v of sector s in the coordinates of ``bank.sector_rows``
+    (a = 0 for X, 1 for Y; both arrays (2, sectors, side)).
+
+    Both operators have even-popcount x-masks, so they map each parity
+    sector into itself; the signs and source rows are ``TermBank.apply``'s
+    (A v)[c] = vals[rows[c]] v[rows[c]], read at the sector rows.
+    """
+    pair = TermBank.from_set(
+        OperatorSet("majorana", n, 2, (MajoranaMonomial(n, (1, 2)), MajoranaMonomial(n, (3, 4)))),
+        MAX_DENSE_DIM,
+    )
+    rows = bank.sector_rows
+    pos = np.empty(bank.dim, dtype=np.int64)  # index of each basis state within its sector
+    pos[rows] = np.arange(rows.shape[1])
+    sign = np.take_along_axis(pair.vals, pair.rows, axis=-1)[:, rows]
+    return pos[pair.rows[:, rows]], sign
 
 
 def _gibbs_weights(w: np.ndarray, scale) -> np.ndarray:
@@ -438,29 +468,30 @@ def tail_experiment(
     elif quantity == "fixed_state_energy":
         psi = _resolve_state("random", n, q, seed)
         raw, sigma_sq = _fixed_state_energies(bank, psi, n, q, seed, samples)
-    else:  # obs_expectation, two_point: Gibbs weights p_k in the eigenbasis u_k
-        # X = i g1 g2 and Y = i g3 g4, applied to the columns of U
-        pair = TermBank.from_set(
-            OperatorSet("majorana", n, 2, (MajoranaMonomial(n, (1, 2)), MajoranaMonomial(n, (3, 4)))),
-            MAX_DENSE_DIM,
-        )
-        _, chunks = _coupling_chunks("syk", n, q, seed, range(samples))
+    else:  # obs_expectation, two_point: Gibbs weights p_sk of the eigenvectors v_sk of each sector s
+        perm, sign = _sector_pair(bank, n)
+        sectors, side = bank.sector_rows.shape
+        at = np.arange(sectors)[:, None]
+        # per sample: the table and blocks of the eigensolve (sample_bytes),
+        # then complex (side, side) arrays per sector for the vectors, X v and
+        # Y v, and X~ and Y~
+        size = _chunk_size(bank.sample_bytes + 5 * 16 * sectors * side * side, _VECTOR_CHUNK_BYTES)
         raw = []
-        for g in chunks:
-            w, U = bank.eigh(g)  # (b, d), (b, d, d)
-            p = _gibbs_weights(w, beta * sqrt_n)
-            # the operators act on the basis axis: (b, d, k) -> (d, b, k)
-            columns = np.moveaxis(U, 1, 0)
+        for g in _coupling_chunks("syk", n, q, seed, range(samples), size):
+            w, v = bank.sector_eigh(g)  # (b, sectors, side), (b, sectors, side, side)
+            p = _gibbs_weights(w.reshape(len(g), -1), beta * sqrt_n).reshape(w.shape)
             if quantity == "obs_expectation":
-                # <X> = sum_k p_k <u_k|X|u_k>
-                xu = np.moveaxis(pair.apply(columns, 0), 0, 1)
-                raw.append(np.einsum("bck,bck,bk->b", U.conj(), xu, p).real)
+                # <X> = sum_sk p_sk <v_sk|X|v_sk>
+                xv = sign[0, :, :, None] * v[:, at, perm[0]]
+                raw.append(np.einsum("bsrk,bsrk,bsk->b", v.conj(), xv, p).real)
                 continue
-            # Tr(X Y(tau) rho) = sum_jk p_k X~_kj e^{i tau sqrt(n) w_j} Y~_jk e^{-i tau sqrt(n) w_k}
-            Xt, Yt = np.swapaxes(U.conj(), 1, 2)[None] @ np.moveaxis(pair.apply(columns), 1, 2)
+            # X and Y keep each sector, so Tr(X Y(tau) rho) is a sum over
+            # sectors of sum_jk p_k X~_kj e^{i tau sqrt(n) w_j} Y~_jk e^{-i tau sqrt(n) w_k}
+            av = sign[:, None, :, :, None] * np.moveaxis(v[:, at, perm], 1, 0)
+            Xt, Yt = np.swapaxes(v.conj(), -1, -2) @ av
             e = np.exp(1j * tau * sqrt_n * w)
-            val = np.sum((p * e.conj())[:, :, None] * Xt * e[:, None, :] * np.swapaxes(Yt, 1, 2),
-                         axis=(1, 2))
+            val = np.sum((p * e.conj())[..., None] * Xt * e[..., None, :] * np.swapaxes(Yt, -1, -2),
+                         axis=(1, 2, 3))
             raw.append(np.stack([val.real, val.imag], axis=1))
         raw = np.concatenate(raw)
     vals = np.array(raw)  # thermal_energy and two_point have two columns

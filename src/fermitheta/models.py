@@ -34,7 +34,11 @@ eigensolve gives every sample the arithmetic it gets alone, so chunking
 changes no bit of any spectrum.  b is bounded by the byte budget
 ``_CHUNK_BYTES`` on the per-sample working set, which keeps the chunks of
 d = 16 models small enough not to raise peak memory and makes b = 1 at
-d = 512, where a chunk would only add memory.
+d = 512, where a chunk would only add memory.  The eigenvector path of
+the Gibbs observables takes the couplings in chunks of its own
+(:func:`_coupling_chunks`), sized by ``_VECTOR_CHUNK_BYTES`` over its
+larger per-sample working set (eigenvectors and transformed operators
+besides the blocks), so the spectra's chunks do not change with it.
 """
 
 from __future__ import annotations
@@ -73,11 +77,18 @@ MAX_CLASSICAL_SPINS = 22
 # a sweep over 16 KiB - 1 MiB on the d = 16 / 4096 free-energy benchmark,
 # 64 KiB ran fastest and left peak RSS flat; larger chunks ran slower
 # (their temporaries outgrow the cache) and 1 MiB raised peak RSS by 14%.
-# Re-swept with the eigenvector path, which takes the same chunks: budgets
-# of 128 KiB and more ran the d = 32 Gibbs observables faster but the
-# classical (12, 4) free energy about 45% slower (21 -> 30 ms per 250
-# samples, one BLAS thread).
+# Budgets of 128 KiB and more ran the classical (12, 4) free energy about
+# 45% slower (21 -> 30 ms per 250 samples, one BLAS thread), so the
+# eigenvector path has its own budget below.
 _CHUNK_BYTES = 64 << 10
+# Budget of one chunk on the eigenvector path (the Gibbs observables of
+# lab.tail_experiment), over that path's own per-sample working set.  In an
+# interleaved sweep over 64 KiB - 3 MiB (600 samples, median of 7 runs, one
+# BLAS thread), obs_expectation and two_point at n = 10 fell from 168 / 232
+# ms at 64 KiB (b = 1) to 87 / 106 ms at 768 KiB (b = 12) and stayed flat
+# above it; 768 KiB was also at the flat optimum at n = 8 (b = 48) and
+# n = 12 (b = 3).
+_VECTOR_CHUNK_BYTES = 768 << 10
 _KINDS = {"syk": "majorana", "sg": "pauli"}
 
 
@@ -151,9 +162,9 @@ def _batches(items, size: int):
         yield batch
 
 
-def _chunk_size(sample_bytes: int) -> int:
-    """Samples per chunk: as many as fit ``_CHUNK_BYTES``, at least one."""
-    return max(1, _CHUNK_BYTES // sample_bytes)
+def _chunk_size(sample_bytes: int, budget: int = _CHUNK_BYTES) -> int:
+    """Samples per chunk: as many as fit ``budget``, at least one."""
+    return max(1, budget // sample_bytes)
 
 
 def _spectrum_chunks(model: str, n: int, loc: int, seed: int, streams):
@@ -176,19 +187,17 @@ def _spectrum_chunks(model: str, n: int, loc: int, seed: int, streams):
             np.stack([sample_classical_pspin(n, loc, seed, stream=i) for i in batch])
             for batch in _batches(streams, size)
         )
-    bank, chunks = _coupling_chunks(model, n, loc, seed, streams)
+    bank = model_bank(model, n, loc)
+    chunks = _coupling_chunks(model, n, loc, seed, streams, _chunk_size(bank.sample_bytes))
     return (bank.eigvalsh(g) for g in chunks)
 
 
-def _coupling_chunks(model: str, n: int, loc: int, seed: int, streams):
-    """The model's term bank and the couplings of :func:`sample_couplings`
-    as (b, m) stacks of b consecutive samples, b sized by the bank's
-    ``sample_bytes`` as in :func:`_spectrum_chunks`.  Checked and built
-    before the generator is returned."""
-    bank = model_bank(model, n, loc)
+def _coupling_chunks(model: str, n: int, loc: int, seed: int, streams, size: int):
+    """The couplings of :func:`sample_couplings` as (size, m) stacks of
+    consecutive samples; the last one may be shorter.  Checked before the
+    generator is returned."""
     couplings = sample_couplings(model, n, loc, seed, streams)
-    size = _chunk_size(bank.sample_bytes)
-    return bank, (np.stack(rows) for rows in _batches(couplings, size))
+    return (np.stack(rows) for rows in _batches(couplings, size))
 
 
 @lru_cache(maxsize=16)

@@ -19,6 +19,8 @@ from typing import Any
 
 import numpy as np
 
+from .kernel import InputError
+
 __all__ = [
     "ExperimentReport",
     "Verdict",
@@ -95,7 +97,7 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=False)
+        return _finite_json(self.to_dict())
 
     def records_csv(self) -> str:
         """Per-sample records as CSV, one row per sample."""
@@ -122,6 +124,33 @@ class ExperimentReport:
 
     def write_csv(self, path: str):
         _atomic_write(path, self.records_csv())
+
+
+def _finite_json(obj) -> str:
+    """JSON text of a JSON-ready object that holds only finite floats.
+
+    ``json.dumps`` would write a NaN or an infinity as the non-JSON token
+    NaN or Infinity; the first one found here raises :class:`InputError`
+    naming where it sits, so that no such text is ever written.
+    """
+    try:
+        return json.dumps(obj, allow_nan=False)
+    except ValueError:
+        where, value = _nonfinite(obj, "")
+        raise InputError(f"{where.lstrip('.')} is {value}, not a finite float,"
+                         " so no result is written") from None
+
+
+def _nonfinite(obj, where: str):
+    """Place and value of the first NaN or infinite float in obj, or None."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return where, obj
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        found = _nonfinite(value, f"{where}.{key}" if isinstance(key, str) else f"{where}[{key}]")
+        if found:
+            return found
+    return None
 
 
 def _atomic_write(path: str, text: str):

@@ -70,6 +70,15 @@ def _hahn_work(m: int, r: int) -> int:
     return (r + 1) ** 2 * (r + 2) // 2 * (1 + r * m.bit_length() // 64)
 
 
+def _check_hahn_work(m: int, r: int):
+    """Refuse a Hahn table over ``MAX_HAHN_WORK`` before any entry."""
+    work = _hahn_work(m, r)
+    if work > MAX_HAHN_WORK:
+        raise CapacityError(
+            f"Hahn table ({m}, {r}) needs {work} limb operations, above the cap of {MAX_HAHN_WORK}"
+        )
+
+
 @dataclass(frozen=True)
 class HahnTable:
     """All eigenvalues of the scheme on [m] choose r, indexed [d][x]."""
@@ -81,12 +90,7 @@ class HahnTable:
     def __post_init__(self):
         if not 0 <= self.r <= self.m:
             raise InputError("require 0 <= r <= m")
-        work = _hahn_work(self.m, self.r)
-        if work > MAX_HAHN_WORK:
-            raise CapacityError(
-                f"Hahn table ({self.m}, {self.r}) needs {work} limb operations,"
-                f" above the cap of {MAX_HAHN_WORK}"
-            )
+        _check_hahn_work(self.m, self.r)
         vals = tuple(
             tuple(dual_hahn(self.m, self.r, d, x) for x in range(self.r + 1))
             for d in range(self.r + 1)

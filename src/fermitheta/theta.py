@@ -52,12 +52,19 @@ from scipy.optimize import linprog, minimize
 
 from .graphs import CommutationGraph
 from .kernel import CapacityError, InputError
-from .scheme import HahnTable
+from .scheme import HahnTable, _check_hahn_work
 from .simplex import LPSolution, solve_lp_max
 
 __all__ = ["ThetaResult", "theta_johnson_lp", "theta_sdp", "round_half_up"]
 
 MAX_SDP_VERTICES = 600
+# Cap on _lp_work, sized from perf_counter timings of theta_johnson_lp on
+# one core (71 (n, q) points with q = 10..70 and n = 2q..10^300): one
+# unit took 0.3e-12 to 8.8e-12 s.  Admitted: (100, 40) at 3.7e11 units,
+# 2.2 s, the slowest admitted point measured.  Refused: (120, 44) 7.9e11
+# units 5.1 s, (120, 60) 5.3e12 3.0 s, (150, 50) 2.1e12 9.6 s,
+# (10^300, 20) 3.7e12 14.7 s, and (160, 80) (21.8 s).
+MAX_LP_WORK = 4 * 10**11
 
 
 def _check_sdp_vertices(m: int):
@@ -114,12 +121,42 @@ class ThetaResult:
         )
 
 
+def _lp_work(q: int, bits: int) -> int:
+    """Cost model of the exact Johnson LP (q constraints over q variables)
+    whose largest Hahn entry has ``bits`` bits: q^5 bits (q + bits/512).
+    The time tracks q^6 bits while the entries are a few hundred bits wide
+    (the pivot count leads) and q^5 bits^2 beyond (the width of the
+    integer tableau leads)."""
+    return q**5 * bits * (q + bits // 512)
+
+
+def _check_lp_work(n: int, q: int):
+    """Refuse a Johnson LP over ``MAX_LP_WORK`` before its Hahn table.
+
+    The largest Hahn entry is a valency C(q, d) C(n - q, d); the d = 1
+    valency bounds the work from below first, so that a huge n or q is
+    refused without computing the others."""
+    low = _lp_work(q, (q * (n - q)).bit_length())
+    if low <= MAX_LP_WORK:
+        bits = max((comb(q, d) * comb(n - q, d)).bit_length() for d in range(q + 1))
+        low = _lp_work(q, bits)
+    if low > MAX_LP_WORK:
+        raise CapacityError(
+            f"Johnson LP ({n}, {q}) needs at least {low} work units, above the cap of {MAX_LP_WORK}"
+        )
+
+
 def theta_johnson_lp(n: int, q: int) -> ThetaResult:
-    """Exact theta of the degree-q Majorana commutation graph on n modes."""
+    """Exact theta of the degree-q Majorana commutation graph on n modes.
+
+    Refuses (:class:`CapacityError`) an (n, q) over the Hahn-table cap or
+    over ``MAX_LP_WORK``, before the table is built."""
     if n % 2 != 0 or q % 2 != 0:
         raise InputError("n and q must both be even")
     if not 0 < q <= n:
         raise InputError("q must lie in 1..n")
+    _check_hahn_work(n, q)
+    _check_lp_work(n, q)
     t0 = time.perf_counter()
     table = HahnTable(n, q)
     odd_ds = list(range(1, q, 2))

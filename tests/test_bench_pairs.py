@@ -1,0 +1,64 @@
+"""The verdict of tools/bench_pairs.py on synthetic paired runs."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from bench_pairs import verdict  # noqa: E402
+
+PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.3]
+
+
+def shifted(runs, by):
+    return [r + by for r in runs]
+
+
+class TestVerdict:
+    def test_clear_gain(self):
+        assert verdict(PARENT, shifted(PARENT, -20.0), "lower", 0.24) == "gain"
+
+    def test_gain_in_the_higher_direction(self):
+        assert verdict(PARENT, shifted(PARENT, 20.0), "higher", 0.05) == "gain"
+        assert verdict(PARENT, shifted(PARENT, -30.0), "higher", 0.24) == "regressed"
+
+    def test_eight_wins_of_ten_is_no_gain(self):
+        change = shifted(PARENT, -20.0)
+        change[0] = change[1] = 200.0
+        assert verdict(PARENT, change, "lower", 0.24) == "within bound"
+
+    def test_ties_count_for_neither_side(self):
+        change = shifted(PARENT, -20.0)
+        change[0] = PARENT[0]
+        change[1] = PARENT[1]
+        assert verdict(PARENT, change, "lower", 0.24) == "within bound"
+        change[1] = PARENT[1] - 20.0
+        assert verdict(PARENT, change, "lower", 0.24) == "gain"
+
+    def test_median_difference_must_exceed_the_parent_iqr(self):
+        # the change wins every pair by a margin below the parent's spread
+        wide = [80.0, 120.0, 90.0, 110.0, 85.0, 115.0, 95.0, 105.0, 100.0, 100.0]
+        assert verdict(wide, shifted(wide, -1.0), "lower", 0.5) == "within bound"
+
+    def test_same_runs_are_within_bound(self):
+        assert verdict(PARENT, list(PARENT), "lower", 0.05) == "within bound"
+
+    def test_regression_beyond_the_bound(self):
+        assert verdict(PARENT, shifted(PARENT, 30.0), "lower", 0.24) == "regressed"
+        assert verdict(PARENT, shifted(PARENT, 20.0), "lower", 0.24) == "within bound"
+
+    def test_spread_wider_than_the_bound_is_unresolved(self):
+        wide = [80.0, 120.0, 90.0, 110.0, 85.0, 115.0, 95.0, 105.0, 100.0, 100.0]
+        assert verdict(wide, list(wide), "lower", 0.05) == "unresolved"
+        # unless every change run is better than every parent run
+        better = [r - 50.0 for r in wide]
+        better[0] = better[1] = 200.0  # two lost pairs: no gain, yet the median is better
+        assert verdict(wide, better, "lower", 0.05) == "unresolved"
+        assert verdict(wide, [60.0] * 10, "lower", 0.05) == "gain"
+        assert verdict(wide, [79.0] * 10, "lower", 0.05) == "within bound"
+
+    @pytest.mark.parametrize("better", ["lower", "higher"])
+    def test_a_single_pair(self, better):
+        assert verdict([1.0], [1.0], better, 0.1) == "within bound"

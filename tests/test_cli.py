@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import fermitheta.algebra
 import fermitheta.cli
 import fermitheta.models
 import fermitheta.scheme
+import fermitheta.theta
 from fermitheta import lab
 from fermitheta.cli import (
     EXIT_CAPACITY,
@@ -156,6 +158,17 @@ class TestDispatch:
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("capacity error: Hahn table")
+
+    def test_johnson_lp_cap_refused_before_the_hahn_table(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("Hahn table built for an LP over the cap")
+
+        monkeypatch.setattr(fermitheta.theta, "HahnTable", refuse)
+        assert dispatch(["theta", "johnson", "--n", "160", "--q", "80"]) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("capacity error: Johnson LP (160, 80)")
 
     def test_expmoment_negative_beta(self, capsys):
         argv = ["lab", "expmoment", "--n", "4", "--loc", "2", "--samples", "16", "--beta=-1"]
@@ -442,6 +455,27 @@ class TestFuzz:
             if code in (EXIT_USAGE, EXIT_CAPACITY) and out:
                 bad.append((argv, f"exit {code} with stdout {out[:80]!r}"))
         assert not bad, bad
+
+    @pytest.mark.parametrize(
+        "name,flag",
+        [("lab-free-energy", "--beta"), ("lab-gradcheck", "--beta"), ("lab-tails", "--beta"),
+         ("lab-overlap", "--beta"), ("lab-contrast", "--beta"), ("lab-tails", "--tau")],
+    )
+    def test_overflowing_float_refused(self, capsys, tmp_path, name, flag):
+        """A finite option that overflows inside the run (Gibbs weights,
+        log-sum-exp, phases) leaves a non-finite value: the result is refused
+        with one error line and no warning, and nothing is written."""
+        out = tmp_path / "report.json"
+        argv = _with_option([*_FUZZ_COMMANDS[name][0], "--out", str(out)], flag, "1e308")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dispatch(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines[0].endswith("not a finite float, so no result is written")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["0", "-1e-6"])
     def test_tol_must_be_positive(self, capsys, value):

@@ -395,15 +395,18 @@ class TestDenseReferences:
                 energy = np.sum(w * gibbs(w, beta * math.sqrt(8)))
                 assert abs(rep.records["thermal_energy"][i - pilot] - energy) <= 1e-12
 
-    @pytest.mark.parametrize("n,beta,tau", [(8, 2.0, 1.3), (10, 1.0, 0.5), (12, 0.0, 0.7)])
+    @pytest.mark.parametrize("n,beta,tau", [(8, 2.0, 1.3), (10, 1.0, 0.5), (12, 0.0, 0.7),
+                                            (14, 1.0, 0.5)])
     def test_tail_gibbs_observables(self, n, beta, tau):
         """obs_expectation and two_point against the dense trace formulas
-        Tr(X rho) and Tr(X U_t Y U_t^dag rho), X = i g1 g2 and Y = i g3 g4."""
+        Tr(X rho) and Tr(X U_t Y U_t^dag rho), X = i g1 g2 and Y = i g3 g4.
+        53 samples end in a short chunk at n = 8, 10 and 12 (48, 12 and 3
+        samples per chunk); n = 14 is mirrored with sectors of side 64."""
         params = {"n": n, "q": 4, "beta": beta, "tau": tau}
-        obs = tail_experiment("obs_expectation", params, SAMPLES, seed=SEED).records["obs"]
-        two = tail_experiment("two_point", params, SAMPLES, seed=SEED).records
+        obs = tail_experiment("obs_expectation", params, 53, seed=SEED).records["obs"]
+        two = tail_experiment("two_point", params, 53, seed=SEED).records
         X, Y = (pauli_matrix(majorana_to_pauli(MajoranaMonomial(n, s))) for s in ((1, 2), (3, 4)))
-        for i in INDICES:
+        for i in (*INDICES, 52):
             w, U = np.linalg.eigh(dense_hamiltonian(n, 4, i))
             rho = (U * gibbs(w, beta * math.sqrt(n))) @ U.conj().T
             Ut = (U * np.exp(1j * tau * math.sqrt(n) * w)) @ U.conj().T

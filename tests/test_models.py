@@ -461,6 +461,77 @@ class TestParticleHoleMirror:
         assert np.all(np.diff(w, axis=-1) >= 0)
 
 
+_EVEN_MAJORANA_SETS = st.integers(1, 7).flatmap(
+    lambda h: st.tuples(
+        st.just(2 * h),
+        st.sets(st.frozensets(st.integers(1, 2 * h)).filter(lambda s: len(s) % 2 == 0),
+                min_size=1, max_size=24),
+    )
+)
+
+
+def _scattered(bank, w, v):
+    """(w, U) of one coupling row from its sector eigenpairs, by a loop:
+    the pairs in ascending order, ties in sector order, and each vector's
+    entries at the basis states of its sector."""
+    flat = w.reshape(-1)
+    side = bank.sector_rows.shape[1]
+    U = np.zeros((bank.dim, bank.dim), dtype=complex)
+    for col, at in enumerate(np.argsort(flat, kind="stable")):
+        s, k = divmod(int(at), side)
+        U[bank.sector_rows[s], col] = v[s, :, k]
+    return np.sort(flat), U
+
+
+def _check_scatter(bank, seed, rows=2):
+    """eigh is the scatter of sector_eigh, bit for bit."""
+    g = np.stack([gaussian_stream(RandomStream(seed, i), len(bank)) for i in range(rows)])
+    w, U = bank.eigh(g)
+    sw, sv = bank.sector_eigh(g)
+    sectors, side = bank.sector_rows.shape
+    assert sectors == (2 if bank.parity else 1) and sectors * side == bank.dim
+    assert sw.shape == (rows, sectors, side) and sv.shape == (rows, sectors, side, side)
+    assert np.array_equal(np.sort(bank.sector_rows, axis=None), np.arange(bank.dim))
+    for wi, Ui, swi, svi in zip(w, U, sw, sv):
+        want_w, want_U = _scattered(bank, swi, svi)
+        assert wi.tobytes() == want_w.tobytes() and Ui.tobytes() == want_U.tobytes()
+
+
+class TestSectorEigh:
+    """TermBank.sector_eigh, the one eigensolve behind TermBank.eigh."""
+
+    @given(_EVEN_MAJORANA_SETS, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_eigh_is_the_scatter_of_even_majorana_sectors(self, family, seed):
+        n, supports = family
+        ops = OperatorSet("majorana", n, 0, tuple(MajoranaMonomial(n, tuple(sorted(s)))
+                                                  for s in supports))
+        _check_scatter(TermBank.from_set(ops, 1 << 12), seed)
+
+    @pytest.mark.parametrize("n,q,mirror", [(10, 4, 1), (10, 2, -1), (14, 4, 1), (8, 4, 0)])
+    def test_eigh_is_the_scatter_of_syk_sectors(self, n, q, mirror):
+        bank = term_bank("majorana", n, q)
+        assert bank.mirror == mirror
+        _check_scatter(bank, n + q, rows=3)
+
+    @given(_FAMILIES.filter(lambda f: f[0] == "pauli"), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_eigh_is_the_scatter_of_one_pauli_sector(self, family, seed):
+        _check_scatter(term_bank(*family), seed)
+
+    def test_mirrored_sector_pairs(self):
+        """Sector 1 of a mirrored bank holds eigenpairs of H in its own rows."""
+        bank = term_bank("majorana", 10, 2)
+        g = gaussian_stream(RandomStream(4, 0), len(bank))
+        w, v = bank.sector_eigh(g)
+        H = bank.assemble(g)
+        for s in range(2):
+            rows = bank.sector_rows[s]
+            block = H[np.ix_(rows, rows)]
+            assert np.linalg.norm(block @ v[s] - v[s] * w[s]) <= 1e-12
+        assert np.array_equal(w[1], bank.mirror * w[0])
+
+
 class TestClassical:
     def test_single_term_sign(self):
         g, energies = first("classical", 4, 4, 2)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fermitheta.algebra import enumerate_set
 from fermitheta.graphs import commutation_graph, commuting_majorana_family
-from fermitheta.kernel import InputError
+from fermitheta.kernel import CapacityError, InputError
 from fermitheta.scheme import HahnTable
 from fermitheta.simplex import solve_lp_max
 import fermitheta.theta as theta_module
@@ -149,6 +149,21 @@ class TestJohnsonLP:
             theta_johnson_lp(9, 4)
         with pytest.raises(InputError):
             theta_johnson_lp(10, 3)
+
+    def test_lp_cap_refuses_before_the_hahn_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Hahn table built for an LP over the cap")
+
+        monkeypatch.setattr(theta_module, "HahnTable", refuse)
+        for n, q in [(160, 80), (120, 60), (120, 44), (150, 50), (10**300, 20), (10**12, 40)]:
+            with pytest.raises(CapacityError, match="Johnson LP"):
+                theta_johnson_lp(n, q)
+
+    def test_lp_cap_admits_the_sizes_in_use(self):
+        # table --max-n 40 reaches (40, 10), bounds and the README (100, 4);
+        # (100, 40) is the slowest admitted size measured
+        for n, q in [(40, 10), (100, 4), (24, 12), (80, 40), (100, 40), (10**300, 10)]:
+            theta_module._check_lp_work(n, q)
 
     def test_sandwich_against_commuting_family(self):
         for n, q in [(6, 2), (8, 4), (12, 4)]:

@@ -12,9 +12,12 @@ change first, so that a drift of the machine does not favour one side.
 
 The file records, per workload, every run of both sides (seed, order,
 the end-to-end metrics, the failure share and the output digest), and per
-metric each side's median and quartiles and the number of pairs the change
-wins.  The environment block is the workers' own fingerprint (Python,
-numpy, scipy, BLAS build and threads) plus the core count.
+metric each side's median and quartiles, the number of pairs the change
+wins and, for the end-to-end metrics of BENCHMARK.json, a verdict
+(:func:`verdict`).  The environment block is the workers' own fingerprint
+(Python, numpy, scipy, BLAS build and threads) plus the core count.
+Without ``--workdir`` the copies go to a temporary directory that is
+deleted at the end.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -70,6 +74,37 @@ def summary(values: list) -> dict:
     return {"runs": values, "median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """Verdict on one metric from paired runs (parent[i] and change[i] ran
+    as pair i).
+
+    - "gain": the change is better in at least nine tenths of the pairs
+      (ties count for neither side) and its median is better than the
+      parent's by more than the parent's interquartile range;
+    - "unresolved": the parent's interquartile range exceeds ``bound``
+      times its median, unless every change run is better than every
+      parent run;
+    - "within bound": the change's median is worse than the parent's by at
+      most ``bound`` times the parent's median;
+    - "regressed": it is worse by more.
+
+    ``better`` is "lower" or "higher"; ``bound`` is the share of the
+    parent's median given in BENCHMARK.json.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    base = summary(parent)
+    spread = base["q3"] - base["q1"]
+    limit = bound * abs(base["median"])
+    margin = sign * (base["median"] - statistics.median(change))  # > 0: the change's median is better
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    if wins >= 0.9 * len(parent) and margin > spread:
+        return "gain"
+    every_run_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    if spread > limit and not every_run_better:
+        return "unresolved"
+    return "within bound" if -margin <= limit else "regressed"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="tree-ish of the parent side")
@@ -83,6 +118,18 @@ def main():
     args = ap.parse_args()
 
     work = Path(args.workdir or tempfile.mkdtemp(prefix="bench_pairs_"))
+    try:
+        bench = run_pairs(args, work)
+    finally:
+        if not args.workdir:
+            shutil.rmtree(work)
+    Path(args.out).write_text(json.dumps(bench, indent=1) + "\n")
+
+
+def run_pairs(args, work: Path) -> dict:
+    """Unpack both sides into ``work``, run the pairs and return the BENCH
+    file's content."""
+    end_to_end = {e["name"]: e for e in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     copies, names = {}, {}
     for side in SIDES:
         copies[side] = work / side
@@ -115,6 +162,10 @@ def main():
                              for side in SIDES}
             metrics[name]["change_lower"] = sum(
                 p["change"]["metrics"][name] < p["parent"]["metrics"][name] for p in pairs)
+            if name in end_to_end:
+                metrics[name]["verdict"] = verdict(
+                    metrics[name]["parent"]["runs"], metrics[name]["change"]["runs"],
+                    end_to_end[name]["better"], end_to_end[name]["bound"])
         workloads[workload] = {
             "pairs": pairs,
             "metrics": metrics,
@@ -124,7 +175,7 @@ def main():
             "same_digest": all(p["parent"]["digest"] == p["change"]["digest"] for p in pairs),
         }
 
-    bench = {
+    return {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds "
                    f"{args.seconds} --trace 0",
         "parent": names["parent"],
@@ -138,7 +189,6 @@ def main():
                         "machine": platform.machine()},
         "workloads": workloads,
     }
-    Path(args.out).write_text(json.dumps(bench, indent=1) + "\n")
 
 
 if __name__ == "__main__":
