@@ -253,26 +253,23 @@ def _run_lab(args) -> int:
         )
     elif args.experiment == "tails":
         quantities = [args.quantity] if args.quantity else list(lab_mod.TAIL_QUANTITIES)
-        reports = [
-            lab_mod.tail_experiment(
+        base_out = args.out
+        done = []
+        for quantity in quantities:
+            rep = lab_mod.tail_experiment(
                 quantity,
                 {"n": args.n, "q": args.loc, "beta": betas[0], "tau": args.tau},
                 args.samples,
                 seed=args.seed,
                 threads=threads,
             )
-            for quantity in quantities
-        ]
-        base_out = args.out
-        outs, texts = [], []
-        for quantity, rep in zip(quantities, reports):
             if base_out and len(quantities) > 1:
                 stem, dot, ext = base_out.rpartition(".")
                 args.out = f"{stem}.{quantity}.{ext}" if dot else f"{base_out}.{quantity}"
-            outs.append(args.out)
-            texts.append(_report_text(args, rep))  # every report is checked before any is written
+            done.append((rep, _report_text(args, rep), args.out))
         args.out = base_out
-        return max([_write_report(args, rep, text, out) for rep, text, out in zip(reports, texts, outs)])
+        # every report was checked before any is written
+        return max([_write_report(args, *entry) for entry in done])
     elif args.experiment == "mgf":
         rep = lab_mod.mgf_check(args.n, args.loc, args.samples, seed=args.seed, threads=threads)
     elif args.experiment == "expmoment":
