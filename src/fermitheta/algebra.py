@@ -312,21 +312,24 @@ class OperatorSet:
         :class:`TermBank`, which never builds them)."""
         return [pauli_matrix(_hermitian_pauli(m, max_dim)) for m in self.members]
 
-    def to_json(self) -> str:
+    def _json_members(self) -> list:
+        """The members as JSON-ready values: a label and phase per Pauli
+        string, a support list per Majorana monomial."""
         if self.kind == "pauli":
-            members = [
+            return [
                 {"label": m.label(), "phase": _phase_str(m.label_phase())}
                 for m in self.members
             ]
-        else:
-            members = [list(m.support) for m in self.members]
+        return [list(m.support) for m in self.members]
+
+    def to_json(self) -> str:
         return json.dumps(
             {
                 "kind": self.kind,
                 "n": self.n,
                 "locality": self.locality,
                 "provenance": self.provenance,
-                "members": members,
+                "members": self._json_members(),
             }
         )
 

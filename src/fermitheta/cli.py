@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -94,15 +95,21 @@ def _report_text(args, report: ExperimentReport) -> str:
     return _finite_json(payload)
 
 
-def _write_report(args, report: ExperimentReport, text: str, out: str | None) -> int:
-    if out:
-        _atomic_write(out, text)
-        print(f"report written to {out}")
+def _write_report(args, report: ExperimentReport, text: str) -> int:
+    if args.out:
+        _atomic_write(args.out, text)
+        print(f"report written to {args.out}")
     else:
         print(text)
-    if getattr(args, "csv", None):
+    if args.csv:
         report.write_csv(args.csv)
     return EXIT_OK if report.all_passed else EXIT_VERDICT
+
+
+def _quantity_path(path: str, quantity: str) -> str:
+    """``t.json`` -> ``t.<quantity>.json`` (``t`` -> ``t.<quantity>``)."""
+    stem, dot, ext = path.rpartition(".")
+    return f"{stem}.{quantity}.{ext}" if dot else f"{path}.{quantity}"
 
 
 def reproduce_table(max_n: int, q_list) -> str:
@@ -253,7 +260,6 @@ def _run_lab(args) -> int:
         )
     elif args.experiment == "tails":
         quantities = [args.quantity] if args.quantity else list(lab_mod.TAIL_QUANTITIES)
-        base_out = args.out
         done = []
         for quantity in quantities:
             rep = lab_mod.tail_experiment(
@@ -263,13 +269,13 @@ def _run_lab(args) -> int:
                 seed=args.seed,
                 threads=threads,
             )
-            if base_out and len(quantities) > 1:
-                stem, dot, ext = base_out.rpartition(".")
-                args.out = f"{stem}.{quantity}.{ext}" if dot else f"{base_out}.{quantity}"
-            done.append((rep, _report_text(args, rep), args.out))
-        args.out = base_out
+            paths = {"out": args.out, "csv": args.csv}
+            if len(quantities) > 1:  # each quantity gets its own report and CSV
+                paths = {k: p and _quantity_path(p, quantity) for k, p in paths.items()}
+            qargs = argparse.Namespace(**{**vars(args), **paths})
+            done.append((qargs, rep, _report_text(qargs, rep)))
         # every report was checked before any is written
-        return max([_write_report(args, *entry) for entry in done])
+        return max([_write_report(*entry) for entry in done])
     elif args.experiment == "mgf":
         rep = lab_mod.mgf_check(args.n, args.loc, args.samples, seed=args.seed, threads=threads)
     elif args.experiment == "expmoment":
@@ -287,7 +293,7 @@ def _run_lab(args) -> int:
         )
     else:
         raise InputError(f"unknown experiment {args.experiment!r}")
-    return _write_report(args, rep, _report_text(args, rep), args.out)
+    return _write_report(args, rep, _report_text(args, rep))
 
 
 def _cmd_table(args) -> int:
@@ -428,8 +434,15 @@ def _config_flags(args, argv) -> list[str]:
     return flags
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; every ``parse_args`` on it returns a new
+    Namespace, so no state crosses calls."""
+    return build_parser()
+
+
 def dispatch(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         if argv is None:
             argv = sys.argv[1:]

@@ -84,7 +84,7 @@ class CommutationGraph:
             {
                 "vertices": len(self),
                 "kind": self.operators.kind,
-                "labels": json.loads(self.operators.to_json())["members"],
+                "labels": self.operators._json_members(),
             }
         )
         names = np.array([str(v) for v in range(len(self))], dtype=object)

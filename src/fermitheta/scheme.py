@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 import numpy as np
 
@@ -32,9 +33,10 @@ __all__ = [
 ]
 
 MAX_SCHEME_VERTICES = 2000
-# Cap on _hahn_work, sized from perf_counter timings on one core:
-# HahnTable(200, 100) is 6.8e6 units and takes 0.84 s, (10**300, 30) is
-# 7.2e6 units and takes 1.9 s; (300, 150) would be 3.8e7 units and 4.9 s.
+# Cap on _hahn_work, first sized from per-entry sums (0.6-0.8 s at
+# (200, 100)).  perf_counter timings of the G F product on one core:
+# HahnTable(200, 100) is 6.8e6 units and takes 0.06 s, (10**300, 30) is
+# 7.2e6 units and takes 0.05 s; (300, 150) would be 3.8e7 units and 0.19 s.
 MAX_HAHN_WORK = 10**7
 
 
@@ -81,20 +83,27 @@ def _check_hahn_work(m: int, r: int):
 
 @dataclass(frozen=True)
 class HahnTable:
-    """All eigenvalues of the scheme on [m] choose r, indexed [d][x]."""
+    """All eigenvalues of the scheme on [m] choose r, indexed [d][x].
+
+    Entry [d][x] equals :func:`dual_hahn` (m, r, d, x); the table is its
+    eigenmatrix, computed as one exact integer product."""
 
     m: int
     r: int
     values: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
-        if not 0 <= self.r <= self.m:
+        m, r = self.m, self.r
+        if not 0 <= r <= m:
             raise InputError("require 0 <= r <= m")
-        _check_hahn_work(self.m, self.r)
-        vals = tuple(
-            tuple(dual_hahn(self.m, self.r, d, x) for x in range(self.r + 1))
-            for d in range(self.r + 1)
-        )
+        _check_hahn_work(m, r)
+        # dual_hahn's sum regrouped as one integer product E = G F:
+        # G[d][j] = (-1)^(d-j) C(r-j, d-j) for j <= d depends only on r, and
+        # column x of F, C(r-x, j) C(m-r+j-x, j), vanishes beyond j = r - x
+        G = [[(-1) ** (d - j) * binom0(r - j, d - j) for j in range(d + 1)] for d in range(r + 1)]
+        F = [[binom0(r - x, j) * binom0(m - r + j - x, j) for j in range(r - x + 1)]
+             for x in range(r + 1)]
+        vals = tuple(tuple(sum(map(mul, g, f)) for f in F) for g in G)
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, dx: tuple[int, int]) -> int:

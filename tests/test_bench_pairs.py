@@ -1,4 +1,4 @@
-"""The verdict of tools/bench_pairs.py on synthetic paired runs."""
+"""The verdict and failure share of tools/bench_pairs.py on synthetic paired runs."""
 
 import sys
 from pathlib import Path
@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from bench_pairs import verdict  # noqa: E402
+from bench_pairs import failed_share, verdict  # noqa: E402
 
 PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.3]
 
@@ -62,3 +62,26 @@ class TestVerdict:
     @pytest.mark.parametrize("better", ["lower", "higher"])
     def test_a_single_pair(self, better):
         assert verdict([1.0], [1.0], better, 0.1) == "within bound"
+
+
+def run(failed, attempted):
+    return {"failed": failed, "attempted": attempted, "failed_share": failed / attempted}
+
+
+class TestFailedShare:
+    def test_equal_per_run_shares_read_equal(self):
+        # the change runs twice the passes of the parent at the same share
+        pairs = [{"parent": run(1, 7), "change": run(2, 14)},
+                 {"parent": run(0, 7), "change": run(0, 21)}]
+        share = failed_share(pairs)
+        assert share["parent"] == share["change"] == pytest.approx(1 / 14)
+        assert share["change_higher"] == 0
+
+    def test_pairs_where_the_change_fails_more(self):
+        pairs = [{"parent": run(0, 10), "change": run(1, 10)},
+                 {"parent": run(2, 10), "change": run(1, 20)},
+                 {"parent": run(1, 10), "change": run(3, 20)}]
+        share = failed_share(pairs)
+        assert share["parent"] == pytest.approx(0.1)
+        assert share["change"] == pytest.approx((0.1 + 0.05 + 0.15) / 3)
+        assert share["change_higher"] == 2

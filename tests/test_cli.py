@@ -150,9 +150,9 @@ class TestDispatch:
     )
     def test_hahn_cap_refused_before_any_entry(self, monkeypatch, capsys, argv):
         def refuse(*args):
-            raise AssertionError("Hahn entry computed for a table over the cap")
+            raise AssertionError("binomial computed for a Hahn table over the cap")
 
-        monkeypatch.setattr(fermitheta.scheme, "dual_hahn", refuse)
+        monkeypatch.setattr(fermitheta.scheme, "binom0", refuse)
         assert dispatch(argv) == EXIT_CAPACITY
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -214,6 +214,26 @@ class TestDispatch:
         assert a["records"] == b["records"]
         assert a["config"]["seed"] == 11
         capsys.readouterr()
+
+    def test_lab_tails_csv_per_quantity(self, capsys, tmp_path):
+        argv = ["lab", "tails", "--n", "4", "--loc", "2", "--samples", "16",
+                "--csv", str(tmp_path / "t.csv"), "--out", str(tmp_path / "t.json")]
+        assert dispatch(argv) in (EXIT_OK, EXIT_VERDICT)
+        capsys.readouterr()
+        assert not (tmp_path / "t.csv").exists()
+        for quantity in lab.TAIL_QUANTITIES:
+            report = json.loads((tmp_path / f"t.{quantity}.json").read_text())
+            assert report["config"]["csv"] == str(tmp_path / f"t.{quantity}.csv")
+            rows = list(csv.reader(io.StringIO((tmp_path / f"t.{quantity}.csv").read_text())))
+            assert rows[0] == ["sample", *report["records"]], quantity
+            assert len(rows) > 1
+        # a single quantity keeps the given paths
+        argv = ["lab", "tails", "--n", "4", "--loc", "2", "--samples", "16", "--quantity",
+                "two_point", "--csv", str(tmp_path / "s.csv"), "--out", str(tmp_path / "s.json")]
+        assert dispatch(argv) in (EXIT_OK, EXIT_VERDICT)
+        capsys.readouterr()
+        rows = list(csv.reader(io.StringIO((tmp_path / "s.csv").read_text())))
+        assert rows[0] == ["sample", "two_point_hermitian", "two_point_antihermitian"]
 
     def test_lab_gradcheck(self, capsys):
         assert dispatch(
@@ -301,6 +321,58 @@ class TestDispatch:
         assert captured.err.strip().splitlines() == [
             "capacity error: 1000001 samples exceed the cap of 1000000"
         ]
+
+
+class TestParserReuse:
+    """dispatch parses with one parser per process, and no state crosses calls."""
+
+    def test_one_parser_per_process(self, monkeypatch, capsys):
+        built = []
+        build = fermitheta.cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        fermitheta.cli._parser.cache_clear()
+        monkeypatch.setattr(fermitheta.cli, "build_parser", counting)
+        try:
+            for _ in range(3):
+                assert dispatch(["ternary", "--k", "1"]) == EXIT_OK
+        finally:
+            fermitheta.cli._parser.cache_clear()
+        assert len(built) == 1
+        assert build() is not build()
+        capsys.readouterr()
+
+    def test_appended_list_starts_empty_each_call(self, capsys):
+        argv = ["lab", "free-energy", "--model", "sg", "--n", "2", "--loc", "1",
+                "--samples", "16", "--beta", "0.5", "--beta", "1.0"]
+        for _ in range(2):
+            assert dispatch(argv) in (EXIT_OK, EXIT_VERDICT)
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["params"]["beta_list"] == [0.5, 1.0]
+            assert payload["config"]["beta"] == [0.5, 1.0]
+
+    def test_config_values_do_not_reach_the_next_call(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=13\nbeta=0.5\n")
+        argv = ["lab", "mgf", "--n", "4", "--loc", "2", "--samples", "16"]
+        assert dispatch(["--config", str(cfg), *argv]) in (EXIT_OK, EXIT_VERDICT)
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["seed"], config["beta"]) == (13, [0.5])
+        assert dispatch(argv) in (EXIT_OK, EXIT_VERDICT)
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["seed"] == 0
+        assert "beta" not in config and "config" not in config
+
+    def test_usage_error_then_valid_command(self, capsys):
+        assert dispatch(["theta", "johnson", "--n", "8", "--q", "4", "--bogus"]) == EXIT_USAGE
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert dispatch(["theta", "johnson", "--n", "8", "--q", "4"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "14.00"
+        assert captured.err == ""
 
 
 class TestReproduceTable:

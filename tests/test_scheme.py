@@ -66,11 +66,32 @@ class TestHahnTable:
         lines = text.strip().splitlines()
         assert len(lines) == 4  # header + 3 distance rows
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_product_equals_the_per_entry_sum(self, data):
+        # r > m/2 and entries at x > m - r included; m up to 10^30
+        m = data.draw(st.one_of(st.integers(0, 60), st.integers(61, 10**30)))
+        r = data.draw(st.integers(0, min(m, 14)))
+        expected = [[dual_hahn(m, r, d, x) for x in range(r + 1)] for d in range(r + 1)]
+        assert [list(row) for row in HahnTable(m, r).values] == expected
+
+    def test_product_equals_the_per_entry_sum_on_every_small_table(self):
+        for m in range(45):
+            for r in range(min(m, 14) + 1):
+                table = HahnTable(m, r)
+                for d in range(r + 1):
+                    assert list(table.values[d]) == [dual_hahn(m, r, d, x) for x in range(r + 1)]
+        for m, r in [(100, 40), (200, 100), (10**30, 20)]:
+            table = HahnTable(m, r)
+            for d in range(r + 1):
+                assert list(table.values[d]) == [dual_hahn(m, r, d, x) for x in range(r + 1)], (m, r)
+
     def test_cap_refuses_before_any_entry(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("Hahn entry computed for a table over the cap")
+            raise AssertionError("binomial computed for a Hahn table over the cap")
 
-        monkeypatch.setattr(fermitheta.scheme, "dual_hahn", refuse)
+        # every table entry is a sum of products of binom0 values
+        monkeypatch.setattr(fermitheta.scheme, "binom0", refuse)
         for m, r in [(800, 400), (300, 150), (10**400, 40)]:
             assert _hahn_work(m, r) > MAX_HAHN_WORK
             with pytest.raises(CapacityError):

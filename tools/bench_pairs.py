@@ -11,9 +11,10 @@ seed S = first_seed + i; even pairs run the parent first, odd pairs the
 change first, so that a drift of the machine does not favour one side.
 
 The file records, per workload, every run of both sides (seed, order,
-the end-to-end metrics, the failure share and the output digest), and per
-metric each side's median and quartiles, the number of pairs the change
-wins and, for the end-to-end metrics of BENCHMARK.json, a verdict
+the end-to-end metrics, the failure share and the output digest), each
+side's mean per-run failure share (:func:`failed_share`), and per metric
+each side's median and quartiles, the number of pairs the change wins
+and, for the end-to-end metrics of BENCHMARK.json, a verdict
 (:func:`verdict`).  The environment block is the workers' own fingerprint
 (Python, numpy, scipy, BLAS build and threads) plus the core count.
 Without ``--workdir`` the copies go to a temporary directory that is
@@ -105,6 +106,18 @@ def verdict(parent: list, change: list, better: str, bound: float) -> str:
     return "within bound" if -margin <= limit else "regressed"
 
 
+def failed_share(pairs: list) -> dict:
+    """Each side's mean per-run failure share and the number of pairs in
+    which the change's share exceeds the parent's.
+
+    A run's share is its own failed / attempted, so a side that runs more
+    passes per run weighs no more than the other.
+    """
+    shares = {s: [p[s]["failed_share"] for p in pairs] for s in SIDES}
+    return {**{s: statistics.fmean(shares[s]) for s in SIDES},
+            "change_higher": sum(c > p for p, c in zip(shares["parent"], shares["change"]))}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="tree-ish of the parent side")
@@ -151,6 +164,7 @@ def run_pairs(args, work: Path) -> dict:
                     "correct": res["correct"],
                     "failed": res["failed"],
                     "attempted": res["attempted"],
+                    "failed_share": res["failed"] / res["attempted"],
                     "digest": out["detail"]["digest"],
                 }
                 print(f"{workload} seed {seed} {side}: "
@@ -170,8 +184,7 @@ def run_pairs(args, work: Path) -> dict:
             "pairs": pairs,
             "metrics": metrics,
             "all_correct": all(p[s]["correct"] for p in pairs for s in SIDES),
-            "failed_share": {s: sum(p[s]["failed"] for p in pairs)
-                             / sum(p[s]["attempted"] for p in pairs) for s in SIDES},
+            "failed_share": failed_share(pairs),
             "same_digest": all(p["parent"]["digest"] == p["change"]["digest"] for p in pairs),
         }
 
