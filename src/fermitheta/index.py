@@ -84,8 +84,10 @@ def _is_full_majorana_family(ops: OperatorSet) -> bool:
 
 
 def index_upper(ops: OperatorSet) -> Fraction | float:
-    """theta(G(S)) / |S|: exact rational for full Majorana families,
-    numeric SDP (at ``theta_sdp``'s tolerance 1e-6) otherwise."""
+    """theta(G(S)) / |S|: exact rational for full even-degree Majorana
+    families, else ``theta_sdp``'s coherent-closure LP at its tolerance
+    1e-6, which refuses a graph that is not a commutative association
+    scheme (:class:`InputError`)."""
     return _theta_for_set(ops).value / len(ops)
 
 

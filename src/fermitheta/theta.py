@@ -10,45 +10,36 @@ Two routes:
   the fraction-free integer simplex of ``simplex.py``; the optimal
   coefficients must then satisfy every constraint exactly.
 
-* ``theta_sdp`` -- a numeric solver for arbitrary graphs of at most 600
-  vertices.  It minimizes lambda_max(A) over symmetric matrices that are
-  fixed to 1 on the diagonal and on non-edges while edge entries float
-  (the standard dual characterization of theta), by one of two paths,
-  chosen from the graph alone:
+* ``theta_sdp`` -- a numeric solver for graphs of at most 600 vertices
+  whose coherent closure is a commutative association scheme, which
+  every full Pauli and Majorana family is, as are circulants and strongly
+  regular graphs.  It has one route.  The vertex pairs are refined from
+  {diagonal, edge, non-edge} to the graph's coherent closure.  When its
+  diagonal stays one class and its class matrices commute (a generic
+  combination of them has as many eigenspaces as there are classes), the
+  optimum of the dual characterization of theta -- minimize lambda_max(A)
+  over symmetric A fixed to 1 on the diagonal and on non-edges -- lies in
+  the scheme's algebra (de Klerk, Pasechnik & Schrijver 2007), so theta
+  is a Delsarte-type LP over one edge weight per class (Schrijver 1979),
+  solved by HiGHS.  Any other graph is refused (:class:`InputError`).
 
-  - coherent-closure LP: the vertex pairs are refined from {diagonal,
-    edge, non-edge} to the graph's coherent closure.  When its diagonal
-    stays one class and its class matrices commute (a generic
-    combination of them has as many eigenspaces as there are classes),
-    the classes form an association scheme and the optimum lies in its
-    algebra (de Klerk, Pasechnik & Schrijver 2007), so theta is a
-    Delsarte-type LP over one edge weight per class (Schrijver 1979),
-    solved by HiGHS.  Full Pauli and Majorana families, circulants and
-    strongly regular graphs take it.
-  - smoothing: a log-sum-exp smoothing of lambda_max with decreasing
-    smoothing parameter and L-BFGS; its softmax gradient matrix is the
-    primal.  Runs when the closure splits the diagonal, is not
-    commutative, or its LP result fails the certificate below.
-
-  Either way ``converged`` is a full-matrix certificate: the value is
-  lambda_max of the assembled m x m dual matrix, an upper bound on theta,
-  and the m x m primal must be PSD with unit trace, vanish on every edge
-  and match that value within ``tol`` (one ``eigvalsh`` each).  A wrong
-  closure therefore falls through to the smoothing path and never
-  passes.  ``residuals`` name the route and, for the smoothing path, each
-  stage's L-BFGS status, iteration and evaluation counts.
+  ``converged`` is a full-matrix certificate: the value is lambda_max of
+  the assembled m x m dual matrix, an upper bound on theta, and the m x m
+  primal must be PSD with unit trace, vanish on every edge and match that
+  value within ``tol`` (one ``eigvalsh`` each).  A wrong closure is
+  therefore refused or returned unconverged, never passed.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
 from .graphs import CommutationGraph
 from .kernel import CapacityError, InputError
@@ -229,7 +220,8 @@ def _coherent_closure(m: int, ei, ej) -> tuple[np.ndarray, int, bool]:
     count stops growing, or as soon as the diagonal splits.  Returns the
     (m, m) class labels, the class count and whether the diagonal is one
     class (class 0).  A chance collision of two entries can only leave the
-    partition too coarse, which the reduced certificate then rejects.
+    partition too coarse, which the eigenspace count or the full-matrix
+    certificate then rejects.
     """
     labels = np.full((m, m), 2)
     labels[ei, ej] = labels[ej, ei] = 1
@@ -267,8 +259,8 @@ def _coherent_lp(labels, classes, U, spaces, ei, ej):
     each edge class and 1 on the others, lambda_j(y) is linear in y and
     theta = min t s.t. t >= lambda_j(y) for all j.  The LP duals x_j give
     X = sum_j x_j E_j / dim E_j, whose entries on class c are (x P)_c / |c|
-    (zero on the edge classes by dual feasibility).  None if HiGHS
-    reports no optimum.
+    (zero on the edge classes by dual feasibility).  The LP is feasible
+    and bounded, so HiGHS reporting no optimum is a :class:`StructuralError`.
     """
     flat = labels.ravel()
     sums = np.stack([
@@ -288,57 +280,12 @@ def _coherent_lp(labels, classes, U, spaces, ei, ej):
         method="highs",
     )
     if lp.status != 0:
-        return None
+        raise StructuralError(f"coherent LP: HiGHS status {lp.status}: {lp.message}")
     weights = np.ones(classes)
     weights[edge] = lp.x[1:]
     x = -lp.ineqlin.marginals
     primal = (x @ P) / np.bincount(flat, minlength=classes)
     return weights[labels], primal[labels]
-
-
-def _smoothing(adj, ei, ej, tol):
-    """Dual matrix A, primal S and per-stage L-BFGS records of the
-    log-sum-exp smoothing of lambda_max."""
-    m = adj.shape[0]
-    base = np.ones((m, m)) - adj  # fixed entries; edges float
-
-    def assemble(y):
-        A = base.copy()
-        A[ei, ej] = y
-        A[ej, ei] = y
-        return A
-
-    def smoothed(y, mu):
-        w, U = np.linalg.eigh(assemble(y))
-        shifted = (w - w[-1]) / mu
-        weights = np.exp(shifted)
-        Z = weights.sum()
-        value = w[-1] + mu * np.log(Z)
-        S = (U * (weights / Z)) @ U.T
-        return value, 2.0 * S[ei, ej], S
-
-    y = np.zeros(len(ei))
-    mu_final = max(tol / max(np.log(m), 1.0) * 1e-1, 1e-9)
-    mu = 1.0
-    schedule = []
-    while mu > mu_final:
-        schedule.append(mu)
-        mu /= 10.0
-    schedule.append(mu_final)
-    stages = []
-    for mu in schedule:
-        res = minimize(
-            lambda yy: smoothed(yy, mu)[:2],
-            y,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 5000, "ftol": 1e-18, "gtol": 1e-12},
-        )
-        y = res.x
-        stages.append({"mu": float(mu), "status": int(res.status),
-                       "iterations": int(res.nit), "evaluations": int(res.nfev)})
-    S = smoothed(y, mu_final)[2]
-    return assemble(y), S, {"smoothing": float(mu_final), "stages": stages}
 
 
 def _certified(A, X, ei, ej, tol, t0, residuals) -> ThetaResult:
@@ -379,15 +326,30 @@ def _certified(A, X, ei, ej, tol, t0, residuals) -> ThetaResult:
     )
 
 
-def theta_sdp(g: CommutationGraph | np.ndarray, tol: float = 1e-6) -> ThetaResult:
-    """Numeric theta of an arbitrary graph with primal-feasibility residuals.
+def _adjacency(g: CommutationGraph | np.ndarray) -> np.ndarray:
+    """The adjacency matrix of g; an array must be square, symmetric and
+    0/1 with a zero diagonal (:class:`InputError` otherwise)."""
+    if isinstance(g, CommutationGraph):
+        return g.adjacency_matrix()
+    adj = np.asarray(g, dtype=float)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise InputError(f"adjacency matrix must be square, got shape {adj.shape}")
+    if not (np.isin(adj, (0.0, 1.0)).all() and (adj == adj.T).all() and not adj.diagonal().any()):
+        raise InputError("adjacency matrix must be symmetric and 0/1 with a zero diagonal")
+    return adj
 
-    Takes the coherent-closure LP when the closure is homogeneous and
-    commutative and its result is certified, else the smoothing path;
-    ``residuals`` name the route, the class and eigenspace counts, and the
-    smoothing path's per-stage L-BFGS status, iterations and evaluations.
+
+def theta_sdp(g: CommutationGraph | np.ndarray, tol: float = 1e-6) -> ThetaResult:
+    """Numeric theta, with primal-feasibility residuals, of a graph whose
+    coherent closure is a commutative association scheme.
+
+    One route: the coherent-closure LP, checked by the full-matrix
+    certificate; a result that fails it is returned with ``converged``
+    False.  A graph whose closure splits the diagonal, or has another
+    eigenspace count than class count, is refused (:class:`InputError`).
+    ``residuals`` name the route and the class and eigenspace counts.
     """
-    adj = g.adjacency_matrix() if isinstance(g, CommutationGraph) else np.asarray(g, dtype=float)
+    adj = _adjacency(g)
     m = adj.shape[0]
     _check_sdp_vertices(m)
     t0 = time.perf_counter()
@@ -402,16 +364,14 @@ def theta_sdp(g: CommutationGraph | np.ndarray, tol: float = 1e-6) -> ThetaResul
             wall_time=time.perf_counter() - t0,
         )
     labels, classes, homogeneous = _coherent_closure(m, ei, ej)
-    closure = {"classes": classes, "eigenspaces": None}
-    if homogeneous:
-        U, spaces = _eigenspaces(labels, classes)
-        closure["eigenspaces"] = len(spaces)
-        if len(spaces) == classes:
-            reduced = _coherent_lp(labels, classes, U, spaces, ei, ej)
-            if reduced is not None:
-                res = _certified(*reduced, ei, ej, tol, t0,
-                                 {"smoothing": 0.0, "route": "coherent-lp", **closure})
-                if res.converged:
-                    return res
-    A, S, smoothing = _smoothing(adj, ei, ej, tol)
-    return _certified(A, S, ei, ej, tol, t0, {**smoothing, "route": "smoothing", **closure})
+    if not homogeneous:
+        raise InputError("graph is not a commutative association scheme: "
+                         "its coherent closure splits the diagonal")
+    U, spaces = _eigenspaces(labels, classes)
+    if len(spaces) != classes:
+        raise InputError(f"graph is not a commutative association scheme: its coherent "
+                         f"closure has {classes} classes but {len(spaces)} eigenspaces")
+    # "smoothing" stays in the residuals schema, always 0.0
+    return _certified(*_coherent_lp(labels, classes, U, spaces, ei, ej), ei, ej, tol, t0,
+                      {"smoothing": 0.0, "route": "coherent-lp", "classes": classes,
+                       "eigenspaces": len(spaces)})

@@ -1,9 +1,9 @@
 """Command-line surface: exit codes, outputs, determinism."""
 
 import csv
-import hashlib
 import io
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -24,6 +24,10 @@ from fermitheta.cli import (
     dispatch,
     reproduce_table,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402  (the benchmark's commands and reference checks)
 
 
 _EVERY_LAB_EXPERIMENT = pytest.mark.parametrize(
@@ -385,18 +389,21 @@ class TestReproduceTable:
         assert table[(8, 4)][2] == "14" and table[(8, 4)][5] == "False"
         assert table[(10, 4)][3] == "14.57"
 
-    def test_max_n_40_digest_matches_benchmark_reference(self):
-        # The benchmark hashes the command's stdout, which print ends with "\n".
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
-        want = json.loads(path.read_text())["theta-index"]["table --max-n 40"]["sha256"]
-        text = reproduce_table(40, [2, 4, 6, 8, 10]) + "\n"
-        assert hashlib.sha256(text.encode()).hexdigest() == want
-
     def test_q2_all_equal(self):
         text = reproduce_table(20, [2])
         for row in csv.reader(io.StringIO(text)):
             if row[0] != "n":
                 assert row[5] == "True"
+
+
+class TestBenchmarkContract:
+    @pytest.mark.parametrize("key", workloads.THETA_INDEX)
+    def test_theta_index_command(self, key):
+        # each benchmark command, run as the benchmark runs it, against its
+        # frozen reference output
+        rc, text = workloads.command(key, seed=5).run()
+        assert rc == EXIT_OK
+        assert workloads.check_cli(key, (rc, text)) == []
 
 
 class TestThreadsEnv:

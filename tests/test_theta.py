@@ -2,9 +2,9 @@
 
 import itertools
 import math
-import time
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,14 +17,7 @@ from fermitheta.kernel import CapacityError, InputError
 from fermitheta.scheme import HahnTable
 from fermitheta.simplex import solve_lp_max
 import fermitheta.theta as theta_module
-from fermitheta.theta import (
-    _certified,
-    _edge_list,
-    _smoothing,
-    round_half_up,
-    theta_johnson_lp,
-    theta_sdp,
-)
+from fermitheta.theta import StructuralError, round_half_up, theta_johnson_lp, theta_sdp
 
 
 def circulant(m, dists):
@@ -57,21 +50,6 @@ def random_adjacency(m, p, seed):
     return A + A.T
 
 
-def independence_number(A):
-    m = len(A)
-    for k in range(m, 0, -1):
-        if any(not A[np.ix_(S, S)].any() for S in itertools.combinations(range(m), k)):
-            return k
-    return 0
-
-
-def smoothing_reference(A, tol=1e-6):
-    """theta_sdp's smoothing path alone, certified on the full matrices."""
-    ei, ej = _edge_list(A)
-    dual, primal, extra = _smoothing(A, ei, ej, tol)
-    return _certified(dual, primal, ei, ej, tol, time.perf_counter(), extra)
-
-
 @st.composite
 def circulants(draw):
     m = draw(st.integers(3, 30))
@@ -88,6 +66,25 @@ def assert_reduced(res, tol=1e-9):
     assert res.residuals["edge_residual"] <= 1e-12
     assert res.residuals["psd_violation"] <= 1e-12
     assert abs(res.certificate["primal_trace"] - 1.0) <= 1e-12
+
+
+def assert_refused(A, reason):
+    """theta_sdp refuses A with the one-line message that names the reason."""
+    with pytest.raises(InputError) as exc:
+        theta_sdp(A)
+    assert str(exc.value) == f"graph is not a commutative association scheme: {reason}"
+
+
+DIAGONAL_SPLIT = "its coherent closure splits the diagonal"
+
+# Every Pauli and Majorana family with 2 <= m <= 150 members, as (kind, n, loc).
+ENUMERABLE_FAMILIES = [
+    (kind, n, loc)
+    for kind, step, letters in (("majorana", 2, 1), ("pauli", 1, 3))
+    for n in range(step, 151, step)
+    for loc in range(1, n + 1)
+    if 2 <= comb(n, loc) * letters**loc <= 150
+]
 
 
 class TestSimplex:
@@ -207,18 +204,36 @@ class TestThetaSDP:
         payload = json.loads(res.to_json())
         assert payload["method"] == "generic-sdp"
         assert payload["residuals"]["route"] == "coherent-lp"
-        fallback = json.loads(theta_sdp(path_adjacency(5)).to_json())
-        assert fallback["residuals"]["route"] == "smoothing"
-        assert len(fallback["residuals"]["stages"]) == 9
+        assert payload["residuals"]["smoothing"] == 0.0
+        assert payload["residuals"]["eigenspaces"] == 3
+
+    @pytest.mark.parametrize(
+        "adj",
+        [
+            np.zeros((3, 4)),
+            [[0, 1], [0, 0]],
+            [[0, 2], [2, 0]],
+            [[1, 1], [1, 1]],
+            [[0, np.nan], [np.nan, 0]],
+        ],
+        ids=["not-square", "asymmetric", "not-0-1", "nonzero-diagonal", "nan"],
+    )
+    def test_malformed_adjacency_refused(self, adj):
+        with pytest.raises(InputError, match="^adjacency matrix must be"):
+            theta_sdp(adj)
 
 
 class TestCoherentRoute:
     @given(circulants())
     @settings(max_examples=30, deadline=None)
-    def test_circulants_match_smoothing(self, A):
-        res = theta_sdp(A)
+    def test_circulants_satisfy_vertex_transitive_identity(self, A):
+        # theta(G) theta(complement of G) = m for vertex-transitive G (Lovasz 1979)
+        m = len(A)
+        res, co = theta_sdp(A), theta_sdp(1.0 - np.eye(m) - A)
         assert_reduced(res)
-        assert abs(res.value - smoothing_reference(A).value) <= 1e-6
+        if co.residuals["route"] != "edgeless":  # G complete
+            assert_reduced(co)
+        assert abs(res.value * co.value - m) <= 1e-9
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 13, 29])
     def test_odd_cycles(self, n):
@@ -249,36 +264,34 @@ class TestCoherentRoute:
 
 
 class TestSmoothingFallback:
+    """Graphs whose closure is no commutative scheme are refused with one
+    line (the class keeps its name so that its test ids stay stable)."""
+
     @pytest.mark.parametrize("m", [4, 5, 6, 7])
     def test_paths(self, m):
-        res = theta_sdp(path_adjacency(m))
-        assert res.residuals["route"] == "smoothing"
-        assert abs(res.value - (m + 1) // 2) <= 1e-6  # bipartite: theta = alpha
+        assert_refused(path_adjacency(m), DIAGONAL_SPLIT)
 
     @pytest.mark.parametrize("leaves", [2, 4, 7])
     def test_stars(self, leaves):
-        res = theta_sdp(star_adjacency(leaves))
-        assert res.residuals["route"] == "smoothing"
-        assert res.residuals["eigenspaces"] is None  # the centre splits the diagonal
-        assert abs(res.value - leaves) <= 1e-6
+        assert_refused(star_adjacency(leaves), DIAGONAL_SPLIT)  # the centre splits it
 
-    def test_random_graph_keeps_the_smoothing_value(self):
-        A = random_adjacency(10, 0.4, 3)
-        res = theta_sdp(A)
-        assert res.residuals["route"] == "smoothing"
-        ref = smoothing_reference(A)
-        assert res.value == ref.value
-        # the smoothing path's value, frozen before the closure route existed
-        assert abs(res.value - 4.236068001093845) <= 1e-9
-        assert independence_number(A) <= res.value + 1e-9
-        stages = res.residuals["stages"]
-        assert len(stages) == 9
-        assert all(set(s) == {"mu", "status", "iterations", "evaluations"} for s in stages)
-        assert all(s["evaluations"] >= 1 for s in stages)
+    def test_random_graph_refused(self):
+        assert_refused(random_adjacency(10, 0.4, 3), DIAGONAL_SPLIT)
 
 
-class TestWrongClosureFallsThrough:
-    def test_failed_certificate_runs_smoothing(self, monkeypatch):
+class TestEnumerableFamilies:
+    def test_every_family_takes_the_certified_lp(self):
+        assert len(ENUMERABLE_FAMILIES) == 226
+        bad = []
+        for kind, n, loc in ENUMERABLE_FAMILIES:
+            res = theta_sdp(commutation_graph(enumerate_set(kind, n, loc)))
+            if res.residuals["route"] != "coherent-lp" or not res.converged:
+                bad.append((kind, n, loc, res.residuals["route"], res.converged))
+        assert bad == []
+
+
+class TestWrongClosure:
+    def test_failed_certificate_returns_unconverged(self, monkeypatch):
         real = theta_module._coherent_lp
 
         def perturbed(*args):
@@ -287,11 +300,13 @@ class TestWrongClosureFallsThrough:
 
         monkeypatch.setattr(theta_module, "_coherent_lp", perturbed)
         res = theta_sdp(cycle_adjacency(5))
-        assert res.residuals["route"] == "smoothing"
+        assert not res.converged
+        assert res.residuals["route"] == "coherent-lp"
         assert res.residuals["classes"] == res.residuals["eigenspaces"] == 3
-        assert abs(res.value - 5**0.5) <= 1e-6
+        assert res.residuals["edge_residual"] >= 1e-3 - 1e-12  # (0, 4) is an edge
+        assert abs(res.value - 5**0.5) <= 1e-9  # the dual matrix is untouched
 
-    def test_too_coarse_partition_runs_smoothing(self, monkeypatch):
+    def test_too_coarse_partition_refused(self, monkeypatch):
         # C6 has 4 distance classes; {diagonal, edge, non-edge} is not closed
         def coarse(m, ei, ej):
             labels = np.full((m, m), 2)
@@ -300,10 +315,15 @@ class TestWrongClosureFallsThrough:
             return labels, 3, True
 
         monkeypatch.setattr(theta_module, "_coherent_closure", coarse)
-        res = theta_sdp(cycle_adjacency(6))
-        assert res.residuals["route"] == "smoothing"
-        assert res.residuals["eigenspaces"] != 3
-        assert abs(res.value - 3) <= 1e-6
+        assert_refused(cycle_adjacency(6), "its coherent closure has 3 classes but 4 eigenspaces")
+
+    def test_lp_without_optimum_is_structural(self, monkeypatch):
+        def failed(*args, **kwargs):
+            return SimpleNamespace(status=2, message="The problem is infeasible.")
+
+        monkeypatch.setattr(theta_module, "linprog", failed)
+        with pytest.raises(StructuralError, match="HiGHS status 2"):
+            theta_sdp(cycle_adjacency(5))
 
 
 class TestRounding:
