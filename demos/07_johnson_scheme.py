@@ -22,7 +22,8 @@ w = np.linalg.eigvalsh(johnson_adjacency(6, 2, 1))
 print("brute-force distance-1 spectrum:", sorted(set(np.round(w).astype(int))))
 print("predicted:", [dual_hahn(6, 2, 1, x) for x in (0, 1, 2)])
 
-# full verification, multiplicities recovered from the counting system
+# full verification: every spectrum against the closed-form multiplicities
+# C(m, x) - C(m, x - 1) of the eigenspaces x <= m - r
 for m, r in [(6, 2), (8, 3), (10, 4)]:
     report = verify_scheme_spectrum(m, r)
     print(f"\n(m={m}, r={r}): ok={report.ok}, eigenspace multiplicities",

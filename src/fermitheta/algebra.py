@@ -493,10 +493,11 @@ class TermBank:
     popcount, so that H maps each popcount-parity sector of the basis into
     itself.  ``sector_rows[s, r]`` is the basis state of entry r of a
     sector-s vector (one sector holding every state when parity is
-    false).  :meth:`eigvalsh`, :meth:`sector_eigh` and :meth:`eigh` take
-    one coupling row or a stack of them; each row of a stack gets the same
-    arithmetic as a row alone, and ``sample_bytes`` is the working set
-    that one row adds to the stack of :meth:`eigvalsh`.
+    false).  :meth:`eigvalsh` and :meth:`sector_eigh`, the bank's one
+    eigenvector solver, take one coupling row or a stack of them; each row
+    of a stack gets the same arithmetic as a row alone, and
+    ``sample_bytes`` is the working set that one row adds to the stack of
+    :meth:`eigvalsh`.
 
     ``mirror`` is +1 or -1 when the antiunitary P = M K (M a Pauli string,
     K complex conjugation in the computational basis) swaps the two parity
@@ -635,25 +636,6 @@ class TermBank:
             w = np.concatenate([w, self.mirror * w], axis=-2)
             v = np.concatenate([v, self._mirror_signs[:, None] * v.conj()], axis=-3)
         return w, v
-
-    def eigh(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues (..., dim) and orthonormal eigenvectors
-        (..., dim, dim), as columns, of (1/sqrt(m)) sum_i g_i A_i for each
-        coupling row of g (..., m): the pairs of :meth:`sector_eigh`, sorted
-        and scattered into the full basis."""
-        lead, dim = g.shape[:-1], self.dim
-        count = math.prod(lead)
-        sectors, side = self.sector_rows.shape
-        w, v = self.sector_eigh(g)
-        w = w.reshape(count, dim)  # sector order
-        rank = np.empty((count, dim), dtype=np.int64)  # ascending position of each eigenpair
-        np.put_along_axis(rank, np.argsort(w, axis=-1, kind="stable"), np.arange(dim), axis=-1)
-        # entry r of eigenvector k of sector s goes to U[sector_rows[s, r], rank[s * side + k]]
-        at = ((np.arange(count)[:, None, None, None] * dim + self.sector_rows[:, :, None]) * dim
-              + rank.reshape(count, sectors, 1, side))
-        U = np.zeros((*lead, dim, dim), dtype=complex)
-        U.reshape(-1)[at] = v.reshape(count, sectors, side, side)
-        return np.sort(w, axis=-1).reshape(*lead, dim), U
 
     def expectations(self, psi: np.ndarray) -> np.ndarray:
         """<psi|A_i|psi> for every term, exactly (real for Hermitian terms)."""

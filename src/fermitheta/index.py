@@ -8,20 +8,22 @@ maximizers in between.
 
 Witnesses, see-saw and off-diagonal steps run on the matrix-free
 :class:`~fermitheta.algebra.TermBank`, so no m x d x d stack of term
-matrices is ever built.
+matrices is ever built.  The see-saw takes its eigenvectors from the
+bank's parity sectors (``TermBank.sector_eigh``); only the off-diagonal
+check, whose matrix is not a sum of bank terms, solves a dense d x d
+matrix (:func:`~fermitheta.kernel.eigh`).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from .algebra import OperatorSet, TermBank, _check_bank_entries, term_bank
+from .algebra import OperatorSet, TermBank, _check_bank_entries, _check_dim, term_bank
 from .graphs import (
     _check_graph_vertices,
     best_commuting_family,
@@ -174,11 +176,16 @@ def index_seesaw(
     M(psi) = (1/m) sum_i <psi|A_i|psi> A_i, which never decreases the
     objective; a run stops when an iteration gains less than 1e-12, and
     the best run over seeded restarts is returned.  Always a valid lower
-    bound on the index.  M(psi) is the bank's assembly of the
-    expectations, divided by sqrt(m).
+    bound on the index.  M(psi) is sqrt(m)^-1 times the bank's Hamiltonian
+    of the expectations, so its top eigenpair is the largest of
+    :meth:`~fermitheta.algebra.TermBank.sector_eigh` over all sectors,
+    placed at that sector's basis states.  In a mirror +1 bank both
+    sectors share the top level; the objective is invariant under the
+    mirror P, so either vector serves, and the first (sector 0) is taken.
     """
     bank = TermBank.from_set(ops, MAX_SEESAW_DIM)
-    m, d = len(bank), bank.dim
+    d = bank.dim
+    side = bank.sector_rows.shape[1]
     best = None
     for r in range(restarts):
         psi = random_state(RandomStream(seed, r), d)
@@ -191,8 +198,11 @@ def index_seesaw(
             if obj - prev < 1e-12 and len(history) > 1:
                 break
             prev = obj
-            _, U = eigh(bank.assemble(w) / math.sqrt(m))
-            psi = U[:, -1]
+            # argmax over every sector: a mirror -1 bank stores sector 1 descending
+            values, vectors = bank.sector_eigh(w)
+            s, k = divmod(int(np.argmax(values)), side)
+            psi = np.zeros(d, dtype=complex)
+            psi[bank.sector_rows[s]] = vectors[s, :, k]
         final = float(np.mean(bank.expectations(psi) ** 2))
         history.append(final)
         cand = SeesawResult(final, psi, tuple(history), r)
@@ -242,12 +252,15 @@ def _check_estimate(kind: str, n: int, locality: int, members: int):
     """Refuse, from its member count alone, an enumerated family that
     :func:`index_estimate` would refuse: an even-degree Majorana family
     (theta from the Johnson LP) at its see-saw's term bank, any other at
-    its commutation graph or theta SDP."""
+    its commutation graph or theta SDP; then any family above the
+    see-saw's dense dimension cap ``MAX_SEESAW_DIM``."""
+    dim = 1 << (n // 2 if kind == "majorana" else n)
     if kind == "majorana" and locality % 2 == 0:
-        _check_bank_entries(members, 1 << (n // 2))
+        _check_bank_entries(members, dim)
     else:
         _check_graph_vertices(members)
         _check_sdp_vertices(members)
+    _check_dim(dim, MAX_SEESAW_DIM)
 
 
 def index_estimate(ops: OperatorSet, seed: int = 7) -> IndexEstimate:

@@ -1,10 +1,12 @@
 """Checked Hermitian eigensolver, error types and reproducible Gaussian
 sampling.
 
-:func:`eigh` is the Hermiticity-checked eigensolver of the see-saw and
-the off-diagonal check in :mod:`fermitheta.index`.  Matrices that are
-Hermitian by construction (disorder samples, the theta SDP, Johnson
-adjacencies) go to numpy's solvers directly.  Every coupling of every
+:func:`eigh` is the Hermiticity-checked eigensolver of the off-diagonal
+check in :mod:`fermitheta.index`, its one caller.  Term banks solve their
+own parity blocks (``TermBank.eigvalsh`` for disorder spectra,
+``TermBank.sector_eigh`` for the see-saw and Gibbs states), and other
+matrices that are Hermitian by construction (the theta LP's eigenspaces,
+Johnson adjacencies) go to numpy's solvers directly.  Every coupling of every
 disorder sample comes from :func:`gaussian_stream`.
 
 Randomness is counter-based: a :class:`RandomStream` is an immutable

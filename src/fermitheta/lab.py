@@ -237,8 +237,8 @@ def free_energy_experiment(
         }
         if model == "classical":
             entry["annealed_reference"] = log(2.0) + b * b / 2.0
-        if model in ("syk", "sg") and comb(n, loc) * (3**loc if model == "sg" else 1) == 1:
-            dim_log = (n // 2 if model == "syk" else n) * log(2.0)
+        if model == "syk" and comb(n, loc) == 1:
+            dim_log = (n // 2) * log(2.0)
             quad = _gauss_hermite_expect(lambda g: _ln_cosh(b * sqrt_n * g))
             entry["quenched_quadrature"] = (dim_log + quad) / n
             entry["annealed_analytic"] = (dim_log + b * b * n / 2.0) / n
@@ -316,8 +316,12 @@ def gradcheck_logZ(n: int, q: int, beta: float, seed: int) -> GradcheckResult:
     def ln_z(g: np.ndarray) -> float:
         return float(_logsumexp(-beta * sqrt_n * bank.eigvalsh(g)))
 
-    w, U = bank.eigh(g0)
-    rho = (U * _gibbs_weights(w, beta * sqrt_n)) @ U.conj().T
+    # rho keeps each parity sector: build it block by block from the sector pairs
+    w, v = bank.sector_eigh(g0)
+    p = _gibbs_weights(w.reshape(-1), beta * sqrt_n).reshape(w.shape)
+    rho = np.zeros((bank.dim, bank.dim), dtype=complex)
+    for rows, ps, vs in zip(bank.sector_rows, p, v):
+        rho[np.ix_(rows, rows)] = (vs * ps) @ vs.conj().T
     # Tr(A_i rho) from the monomial structure: sum_c v_i(c) rho[c, r_i(c)]
     tr_arho = np.real(np.einsum("mc,mc->m", bank.vals, rho[np.arange(bank.dim)[None, :], bank.rows]))
     analytic_all = -beta * math.sqrt(n / m) * tr_arho

@@ -2,7 +2,8 @@
 
 The distance-d relation on r-subsets of [m] (edge iff r - |S ∩ T| = d) has
 adjacency eigenvalues given by an explicit alternating binomial sum indexed
-by an eigenspace label x in 0..r.  Everything here is integer arithmetic;
+by an eigenspace label x in 0..min(r, m - r), of multiplicity
+C(m, x) - C(m, x - 1).  Everything here is integer arithmetic;
 floating point enters only when brute-force diagonalization cross-checks
 the predicted spectra.
 """
@@ -13,8 +14,8 @@ import csv
 import io
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from operator import mul
 
@@ -148,7 +149,7 @@ class SchemeReport:
     r: int
     ok: bool
     per_distance: list[dict]
-    multiplicities: dict[int, int] | None
+    multiplicities: dict[int, int]
     notes: list[str]
 
     def to_json(self) -> str:
@@ -164,53 +165,23 @@ class SchemeReport:
         )
 
 
-def _solve_multiplicities(rows: list[list[int]], rhs: list[int]) -> tuple[dict[int, int] | None, bool]:
-    """Solve the integer counting system exactly; (solution or None, consistent)."""
-    nvar = len(rows[0]) if rows else 0
-    M = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(nvar):
-        piv = next((i for i in range(rank, len(M)) if M[i][col] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        M[rank] = [v / M[rank][col] for v in M[rank]]
-        for i in range(len(M)):
-            if i != rank and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
-        pivots.append((rank, col))
-        rank += 1
-    for i in range(rank, len(M)):
-        if M[i][nvar] != 0:
-            return None, False
-    if rank < nvar:
-        return None, True  # consistent but underdetermined
-    sol = {}
-    for row, col in pivots:
-        v = M[row][nvar]
-        if v.denominator != 1 or v < 0:
-            return None, False
-        sol[col] = int(v)
-    return sol, True
-
-
 def verify_scheme_spectrum(m: int, r: int) -> SchemeReport:
     """Check that every distance relation has the predicted integer spectrum.
 
-    For each d <= r the brute-force eigenvalues must be integers to within
-    1e-8 times the row's largest magnitude (at least 1) and round to
-    values in the d-th row of the Hahn table, and one set of eigenspace
-    multiplicities must account for the counts across all d
-    simultaneously.  Mismatches produce a failing report, not an
-    exception.
+    Eigenspace x of the scheme has multiplicity C(m, x) - C(m, x-1) for
+    x <= m - r; for r > m - r the columns x > m - r of the Hahn table are
+    not eigenspaces, multiplicity 0.  Relation d is predicted to have
+    eigenvalue table[d][x] with multiplicity summed over the x that share
+    it.  For each d <= r the brute-force eigenvalues must be integers to
+    within 1e-8 times the row's largest magnitude (at least 1), and their
+    rounded counts must equal that prediction.  Mismatches produce a
+    failing report, not an exception.
     """
     table = HahnTable(m, r)
+    multiplicities = {x: binom0(m, x) - binom0(m, x - 1) if x <= m - r else 0
+                      for x in range(r + 1)}
     notes: list[str] = []
     per_distance: list[dict] = []
-    rows: list[list[int]] = [[1] * (r + 1)]
-    rhs: list[int] = [comb(m, r)]
     ok = True
     for d in range(r + 1):
         w = np.linalg.eigvalsh(johnson_adjacency(m, r, d))
@@ -219,29 +190,21 @@ def verify_scheme_spectrum(m: int, r: int) -> SchemeReport:
         if np.abs(w - rounded).max() > 1e-8 * scale:
             ok = False
             notes.append(f"d={d}: eigenvalues deviate from integers beyond tolerance")
-        counts: dict[int, int] = {}
-        for v in rounded.tolist():
-            counts[v] = counts.get(v, 0) + 1
-        predicted = set(table.values[d])
-        stray = sorted(set(counts) - predicted)
-        if stray:
+        counts = Counter(rounded.tolist())
+        predicted: Counter = Counter()
+        for value, mult in zip(table.values[d], multiplicities.values()):
+            if mult:
+                predicted[value] += mult
+        if counts != predicted:
             ok = False
-            notes.append(f"d={d}: unpredicted eigenvalues {stray}")
+            notes.append(f"d={d}: spectrum {dict(sorted(counts.items()))} "
+                         f"differs from the predicted {dict(sorted(predicted.items()))}")
         per_distance.append({"d": d, "spectrum": {str(k): v for k, v in sorted(counts.items())}})
-        for v in sorted(predicted):
-            rows.append([1 if table.values[d][x] == v else 0 for x in range(r + 1)])
-            rhs.append(counts.get(v, 0))
-    sol, consistent = _solve_multiplicities(rows, rhs)
-    if not consistent:
-        ok = False
-        notes.append("no eigenspace multiplicity assignment fits all distance classes")
-    elif sol is None:
-        notes.append("multiplicities underdetermined by value coincidences; left unresolved")
     return SchemeReport(
         m=m,
         r=r,
         ok=ok,
         per_distance=per_distance,
-        multiplicities=sol,
+        multiplicities=multiplicities,
         notes=notes,
     )

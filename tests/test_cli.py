@@ -405,6 +405,28 @@ class TestBenchmarkContract:
         assert rc == EXIT_OK
         assert workloads.check_cli(key, (rc, text)) == []
 
+    @pytest.mark.parametrize("key,stdout", [
+        ("theta sdp --set pauli --n 4 --loc 2 --tol 1e-6", "6.000000\n"),
+        ("theta sdp --set majorana --n 8 --loc 4", "14.000000\n"),
+        ("theta sdp --set pauli --n 4 --loc 3", "8.000000\n"),
+    ])
+    def test_theta_sdp_stdout(self, key, stdout):
+        # the benchmark's reference checks these by value within 1e-4 only
+        assert workloads.command(key, seed=5).run() == (EXIT_OK, stdout)
+
+    @pytest.mark.parametrize("name,index", [
+        pytest.param(name, index, id=f"{name}: {op.name}")
+        for name in ("mc-small-d", "mc-large-d", "mc-observables")
+        for index, op in enumerate(workloads.build(name, 5, tiny=True).ops)
+    ])
+    def test_mc_operation(self, name, index):
+        # each Monte Carlo operation at the benchmark's tiny size: no failed
+        # verdict, and its records match the oracle's recomputation
+        op = workloads.build(name, 5, tiny=True).ops[index]
+        out = op.run()
+        assert op.failures(out) == []
+        assert op.check(out) == []
+
 
 class TestThreadsEnv:
     def test_env_fallback(self, monkeypatch, capsys):
@@ -445,9 +467,13 @@ class TestFamilyCaps:
              "192456 vertices exceed the graph cap 10000"),
             (["graph", "--set", "pauli", "--n", "20", "--loc", "5"],
              "enumeration of 3767472 members exceeds cap"),
+            (["index", "--set", "majorana", "--n", "26", "--loc", "2"],
+             "dense dimension 8192 exceeds the requested cap 4096"),
+            (["index", "--set", "pauli", "--n", "13", "--loc", "1"],
+             "dense dimension 8192 exceeds the requested cap 4096"),
         ],
         ids=["index-majorana", "graph-majorana", "sdp-majorana", "index-pauli", "sdp-pauli",
-             "graph-pauli", "enumeration"],
+             "graph-pauli", "enumeration", "index-majorana-seesaw-dim", "index-pauli-seesaw-dim"],
     )
     def test_refused_before_enumeration(self, monkeypatch, capsys, argv, message):
         def refuse(*args, **kwargs):

@@ -125,10 +125,15 @@ class TestSeesaw:
             enumerate_set("majorana", 8, 4),
             enumerate_set("pauli", 3, 2),
             xyz(),
+            enumerate_set("majorana", 10, 2),
+            enumerate_set("majorana", 10, 4),
+            enumerate_set("majorana", 12, 4),
         ],
-        ids=["majorana-6-2", "majorana-8-4", "pauli-3-2", "xyz"],
+        ids=["majorana-6-2", "majorana-8-4", "pauli-3-2", "xyz", "majorana-10-2", "majorana-10-4",
+             "majorana-12-4"],
     )
     def test_matches_dense_reference(self, ops):
+        # majorana (10, 2) is a mirror -1 bank, whose sector 1 descends
         got, ref = index_seesaw(ops, seed=7), dense_seesaw(ops, seed=7)
         assert abs(got.value - ref.value) <= 1e-12
         # the returned state attains the returned value

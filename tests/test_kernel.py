@@ -25,18 +25,19 @@ class TestEigh:
         assert np.allclose(w, [-1, 1])
 
     def test_residuals_random(self):
-        # the eigenvectors TermBank.eigh builds from its parity blocks: a
-        # mirrored bank (10, 4), a two-block bank (12, 2) and a one-block
-        # Pauli bank
+        # random Hermitian matrices, and assembled bank Hamiltonians with
+        # parity blocks: a mirrored bank (10, 4), a two-block bank (12, 2)
+        # and a one-block Pauli bank
+        mats = [random_hermitian(dim, seed) for seed, dim in enumerate((1, 7, 32))]
         for family in (("majorana", 10, 4), ("majorana", 12, 2), ("pauli", 5, 2)):
             bank = term_bank(*family)
-            g = np.stack([gaussian_stream(RandomStream(0, i), len(bank)) for i in range(3)])
-            w, U = bank.eigh(g)
-            for row, wi, Ui in zip(g, w, U):
-                H = bank.assemble(row)
-                R = (Ui * wi) @ Ui.conj().T - H
-                assert np.linalg.norm(R) / max(1.0, np.linalg.norm(H)) <= 1e-9, family
-                assert np.abs(Ui.conj().T @ Ui - np.eye(bank.dim)).max() <= 1e-10, family
+            mats += [bank.assemble(gaussian_stream(RandomStream(0, i), len(bank))) for i in range(3)]
+        for H in mats:
+            w, U = eigh(H)
+            R = (U * w) @ U.conj().T - H
+            assert np.all(np.diff(w) >= 0)
+            assert np.linalg.norm(R) / max(1.0, np.linalg.norm(H)) <= 1e-9
+            assert np.abs(U.conj().T @ U - np.eye(len(H))).max() <= 1e-10
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(InputError):

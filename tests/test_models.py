@@ -374,12 +374,30 @@ def _expected_mirror(n, degrees):
     return signs.pop() if n % 4 == 2 and len(signs) == 1 else 0
 
 
+def _scattered(bank, w, v):
+    """(w, U) of one coupling row from its sector eigenpairs, by a loop:
+    the pairs in ascending order, ties in sector order, and each vector's
+    entries at the basis states of its sector."""
+    flat = w.reshape(-1)
+    side = bank.sector_rows.shape[1]
+    U = np.zeros((bank.dim, bank.dim), dtype=complex)
+    for col, at in enumerate(np.argsort(flat, kind="stable")):
+        s, k = divmod(int(at), side)
+        U[bank.sector_rows[s], col] = v[s, :, k]
+    return np.sort(flat), U
+
+
 def _check_spectra(bank, seed, rows=2):
-    """eigvalsh and eigh of a bank against the dense assembled matrix."""
+    """eigvalsh, and sector_eigh through its scatter, against the dense
+    assembled matrix; the sectors partition the basis."""
     g = np.stack([gaussian_stream(RandomStream(seed, i), len(bank)) for i in range(rows)])
-    w, U = bank.eigh(g)
-    assert w.shape == (rows, bank.dim) and U.shape == (rows, bank.dim, bank.dim)
-    for row, values, wi, Ui in zip(g, bank.eigvalsh(g), w, U):
+    sw, sv = bank.sector_eigh(g)
+    sectors, side = bank.sector_rows.shape
+    assert sectors == (2 if bank.parity else 1) and sectors * side == bank.dim
+    assert sw.shape == (rows, sectors, side) and sv.shape == (rows, sectors, side, side)
+    assert np.array_equal(np.sort(bank.sector_rows, axis=None), np.arange(bank.dim))
+    for row, values, swi, svi in zip(g, bank.eigvalsh(g), sw, sv):
+        wi, Ui = _scattered(bank, swi, svi)
         H = bank.assemble(row)
         ref = np.linalg.eigvalsh(H)
         tol = 1e-12 * max(1.0, np.abs(ref).max())
@@ -452,13 +470,17 @@ class TestParticleHoleMirror:
     def test_eigh_takes_any_leading_axes(self):
         bank = term_bank("majorana", 10, 4)
         g = np.stack([gaussian_stream(RandomStream(1, i), len(bank)) for i in range(3)])
-        w, U = bank.eigh(g)
-        one_w, one_U = bank.eigh(g[1])
-        assert one_w.shape == (bank.dim,) and one_U.shape == (bank.dim, bank.dim)
-        assert np.array_equal(one_w, w[1]) and np.array_equal(one_U, U[1])
-        nested_w, nested_U = bank.eigh(g[None])
-        assert np.array_equal(nested_w[0], w) and np.array_equal(nested_U[0], U)
-        assert np.all(np.diff(w, axis=-1) >= 0)
+        w, v = bank.sector_eigh(g)
+        one_w, one_v = bank.sector_eigh(g[1])
+        assert one_w.shape == (2, bank.dim // 2) and one_v.shape == (2, bank.dim // 2, bank.dim // 2)
+        assert np.array_equal(one_w, w[1]) and np.array_equal(one_v, v[1])
+        nested_w, nested_v = bank.sector_eigh(g[None])
+        assert np.array_equal(nested_w[0], w) and np.array_equal(nested_v[0], v)
+        assert np.all(np.diff(w[:, 0], axis=-1) >= 0)  # the solved sector ascends
+        for row, wi, vi in zip(g, w, v):
+            scattered_w, U = _scattered(bank, wi, vi)
+            H = bank.assemble(row)
+            assert np.linalg.norm(H @ U - U * scattered_w) <= 1e-12
 
 
 _EVEN_MAJORANA_SETS = st.integers(1, 7).flatmap(
@@ -470,35 +492,10 @@ _EVEN_MAJORANA_SETS = st.integers(1, 7).flatmap(
 )
 
 
-def _scattered(bank, w, v):
-    """(w, U) of one coupling row from its sector eigenpairs, by a loop:
-    the pairs in ascending order, ties in sector order, and each vector's
-    entries at the basis states of its sector."""
-    flat = w.reshape(-1)
-    side = bank.sector_rows.shape[1]
-    U = np.zeros((bank.dim, bank.dim), dtype=complex)
-    for col, at in enumerate(np.argsort(flat, kind="stable")):
-        s, k = divmod(int(at), side)
-        U[bank.sector_rows[s], col] = v[s, :, k]
-    return np.sort(flat), U
-
-
-def _check_scatter(bank, seed, rows=2):
-    """eigh is the scatter of sector_eigh, bit for bit."""
-    g = np.stack([gaussian_stream(RandomStream(seed, i), len(bank)) for i in range(rows)])
-    w, U = bank.eigh(g)
-    sw, sv = bank.sector_eigh(g)
-    sectors, side = bank.sector_rows.shape
-    assert sectors == (2 if bank.parity else 1) and sectors * side == bank.dim
-    assert sw.shape == (rows, sectors, side) and sv.shape == (rows, sectors, side, side)
-    assert np.array_equal(np.sort(bank.sector_rows, axis=None), np.arange(bank.dim))
-    for wi, Ui, swi, svi in zip(w, U, sw, sv):
-        want_w, want_U = _scattered(bank, swi, svi)
-        assert wi.tobytes() == want_w.tobytes() and Ui.tobytes() == want_U.tobytes()
-
-
 class TestSectorEigh:
-    """TermBank.sector_eigh, the one eigensolve behind TermBank.eigh."""
+    """TermBank.sector_eigh, the one eigenvector solver of a bank: the
+    scatter of its sector pairs into the full basis is an eigendecomposition
+    of the assembled Hamiltonian."""
 
     @given(_EVEN_MAJORANA_SETS, st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -506,18 +503,18 @@ class TestSectorEigh:
         n, supports = family
         ops = OperatorSet("majorana", n, 0, tuple(MajoranaMonomial(n, tuple(sorted(s)))
                                                   for s in supports))
-        _check_scatter(TermBank.from_set(ops, 1 << 12), seed)
+        _check_spectra(TermBank.from_set(ops, 1 << 12), seed)
 
     @pytest.mark.parametrize("n,q,mirror", [(10, 4, 1), (10, 2, -1), (14, 4, 1), (8, 4, 0)])
     def test_eigh_is_the_scatter_of_syk_sectors(self, n, q, mirror):
         bank = term_bank("majorana", n, q)
         assert bank.mirror == mirror
-        _check_scatter(bank, n + q, rows=3)
+        _check_spectra(bank, n + q, rows=3)
 
     @given(_FAMILIES.filter(lambda f: f[0] == "pauli"), st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_eigh_is_the_scatter_of_one_pauli_sector(self, family, seed):
-        _check_scatter(term_bank(*family), seed)
+        _check_spectra(term_bank(*family), seed)
 
     def test_mirrored_sector_pairs(self):
         """Sector 1 of a mirrored bank holds eigenpairs of H in its own rows."""

@@ -161,6 +161,33 @@ class TestVerifySpectrum:
         report = verify_scheme_spectrum(6, 2)
         assert report.multiplicities == {0: 1, 1: 5, 2: 9}
 
+    def test_multiplicities_above_half(self):
+        # for r > m - r the Hahn columns x > m - r are not eigenspaces
+        report = verify_scheme_spectrum(8, 6)
+        assert report.ok, report.notes
+        assert report.multiplicities == {0: 1, 1: 7, 2: 20, 3: 0, 4: 0, 5: 0, 6: 0}
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_multiplicities_closed_form(self, m):
+        for r in range(m + 1):
+            report = verify_scheme_spectrum(m, r)
+            assert report.ok, (m, r, report.notes)
+            want = {x: comb(m, x) - (comb(m, x - 1) if x else 0) if x <= m - r else 0
+                    for x in range(r + 1)}
+            assert report.multiplicities == want
+            assert sum(want.values()) == comb(m, r)
+
+    @pytest.mark.parametrize("d,x", [(1, 0), (1, 2), (2, 1), (3, 3)])
+    def test_corrupted_hahn_entry_fails(self, monkeypatch, d, x):
+        table = HahnTable(7, 3)
+        values = [list(row) for row in table.values]
+        values[d][x] += 1
+        object.__setattr__(table, "values", tuple(map(tuple, values)))
+        monkeypatch.setattr(fermitheta.scheme, "HahnTable", lambda m, r: table)
+        report = verify_scheme_spectrum(7, 3)
+        assert not report.ok
+        assert any(note.startswith(f"d={d}: spectrum ") for note in report.notes)
+
     def test_report_json(self):
         import json
 
