@@ -406,9 +406,11 @@ class TestBenchmarkContract:
         assert workloads.check_cli(key, (rc, text)) == []
 
     @pytest.mark.parametrize("key,stdout", [
-        ("theta sdp --set pauli --n 4 --loc 2 --tol 1e-6", "6.000000\n"),
-        ("theta sdp --set majorana --n 8 --loc 4", "14.000000\n"),
-        ("theta sdp --set pauli --n 4 --loc 3", "8.000000\n"),
+        pytest.param(key, stdout, id=key) for key, stdout in (
+            ("theta sdp --set pauli --n 4 --loc 2 --tol 1e-6", "6.000000\n"),
+            ("theta sdp --set majorana --n 8 --loc 4", "14.000000\n"),
+            ("theta sdp --set pauli --n 4 --loc 3", "8.000000\n"),
+        )
     ])
     def test_theta_sdp_stdout(self, key, stdout):
         # the benchmark's reference checks these by value within 1e-4 only
