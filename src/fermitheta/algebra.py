@@ -555,8 +555,9 @@ class TermBank:
             self.sector_rows = np.stack([members[0], members[0] ^ mx])
             self._mirror_signs = 1 - 2 * odd[members[0] & mz]
         # the real table and its complex coefficients (8 bytes per table
-        # entry each), and the complex parity blocks that are solved
-        self.sample_bytes = 16 * (math.prod(self._table_shape) + math.prod(self._block_shape))
+        # entry each), the complex parity blocks that are solved, and the
+        # weights and slots of the table's bincount (8 bytes per term each)
+        self.sample_bytes = 16 * (math.prod(self._table_shape) + math.prod(self._block_shape) + m)
 
     @classmethod
     def from_set(cls, ops: OperatorSet, max_dim: int) -> "TermBank":

@@ -17,11 +17,12 @@ couplings of :func:`~fermitheta.models.sample_couplings`,
 g . <psi|A_i|psi> / sqrt(m).  Only the Gibbs-state observables need
 eigenvectors, and only inside each parity sector: H, X = i g1 g2 and
 Y = i g3 g4 all preserve fermion parity.  They take the couplings in
-chunks sized by their own working set, diagonalize each chunk with one
-``TermBank.sector_eigh`` call and apply X and Y to the sector
-eigenvectors as signed row permutations, so every trace is a sum over
-the sectors' eigenbases, reduced over the chunk at once, and neither a
-full eigenvector matrix nor an observable matrix is built.  The
+chunks sized by the same budget over their own, larger working set,
+diagonalize each chunk with one ``TermBank.sector_eigh`` call and apply
+X and Y to the sector eigenvectors as signed row permutations, so every
+trace is a sum over the sectors' eigenbases, reduced over the chunk at
+once, and neither a full eigenvector matrix nor an observable matrix is
+built.  The
 ``threads`` argument of every experiment is recorded in the report's
 params and does not change the computation.  Bound verdicts always use a
 rigorous upper bound on the commutation index (theta/m for Majorana
@@ -48,8 +49,6 @@ from .graphs import commuting_majorana_family, stabilized_state
 from .index import pauli_index_weak_bound
 from .kernel import CapacityError, InputError, RandomStream, random_state
 from .models import (
-    _VECTOR_CHUNK_BYTES,
-    _chunk_size,
     _coupling_chunks,
     _spectrum_chunks,
     h_comm_count,
@@ -95,6 +94,15 @@ TAIL_QUANTITIES = (
 _AUX_STREAM_BASE = 1 << 32
 # largest x with a finite math.exp(x)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# Bytes per spectrum entry and temperature that a chunk's reduction holds
+# at its peak (see models._spectrum_chunks).  The log-sum-exp over
+# temperatures: the scaled copy -beta sqrt(n) w (8), its shift in
+# _logsumexp (8) and the tie mask (1).  The Gibbs weights of the classical
+# overlap: three float arrays at once (8 each), both in _gibbs_weights
+# (-scale w, its exponential, the normalized weights) and in their
+# Walsh-Hadamard transform (the weights and the two matrix products).
+_LOGSUMEXP_BYTES = 17
+_GIBBS_BYTES = 24
 
 
 def delta_upper_bound(model: str, n: int, loc: int) -> float:
@@ -115,12 +123,13 @@ def _check_samples(samples: int):
         raise CapacityError(f"{samples} samples exceed the cap of {MAX_SAMPLES}")
 
 
-def _chunks(model: str, n: int, loc: int, seed: int, samples: int):
+def _chunks(model: str, n: int, loc: int, seed: int, samples: int, reduce_bytes: int = 0):
     """Spectra of samples 0..samples-1 as (b, d) chunks (see
     :func:`fermitheta.models.sample_spectra`), after the sample count is
-    checked."""
+    checked.  ``reduce_bytes`` per spectrum entry are the temporaries of
+    the caller's reduction of a chunk, which its width makes room for."""
     _check_samples(samples)
-    return _spectrum_chunks(model, n, loc, seed, range(samples))
+    return _spectrum_chunks(model, n, loc, seed, range(samples), reduce_bytes)
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
@@ -130,12 +139,19 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     step, so results are bit-identical to it: the maxima are taken out of
     the sum and counted, and the sum of the rest is scaled by the count.
     One call reduces a whole (samples, betas, d) chunk, where scipy's
-    per-call overhead dominated at small d.
+    per-call overhead dominated at small d.  The shift x - max is the one
+    new full-size float array, besides the boolean tie mask: x - max is
+    exactly 0 where x is a maximum, and the exponential, the zeroing of
+    the ties and the sum all work in place on that temporary, so ``x``
+    itself is left unchanged.
     """
     top = x.max(axis=-1, keepdims=True)
-    ties = x == top
+    e = x - top
+    ties = e == 0
     count = ties.sum(axis=-1, keepdims=True, dtype=x.dtype)
-    rest = np.exp(np.where(ties, -np.inf, x) - top).sum(axis=-1, keepdims=True) / count
+    np.exp(e, out=e)
+    np.copyto(e, 0.0, where=ties)
+    rest = e.sum(axis=-1, keepdims=True) / count
     return (np.log1p(rest) + np.log(count) + top)[..., 0]
 
 
@@ -215,7 +231,7 @@ def free_energy_experiment(
     """
     t0 = time.perf_counter()
     betas = [float(b) for b in beta_list]
-    chunks = _chunks(model, n, loc, seed, samples)
+    chunks = _chunks(model, n, loc, seed, samples, _LOGSUMEXP_BYTES * len(betas))
     sqrt_n = math.sqrt(n)
     scale = -np.asarray(betas)[:, None] * sqrt_n
     lnz = np.concatenate([_logsumexp(scale * w[:, None, :]) for w in chunks])
@@ -467,7 +483,7 @@ def tail_experiment(
     elif quantity == "thermal_energy":
         raw = np.concatenate([
             np.stack([w[:, -1], np.sum(w * _gibbs_weights(w, beta * sqrt_n), axis=-1)], axis=1)
-            for w in _chunks("syk", n, q, seed, samples)
+            for w in _chunks("syk", n, q, seed, samples, _GIBBS_BYTES + 8)  # the weights, w p
         ])
     elif quantity == "fixed_state_energy":
         psi = _resolve_state("random", n, q, seed)
@@ -476,12 +492,14 @@ def tail_experiment(
         perm, sign = _sector_pair(bank, n)
         sectors, side = bank.sector_rows.shape
         at = np.arange(sectors)[:, None]
-        # per sample: the table and blocks of the eigensolve (sample_bytes),
-        # then complex (side, side) arrays per sector for the vectors, X v and
-        # Y v, and X~ and Y~
-        size = _chunk_size(bank.sample_bytes + 5 * 16 * sectors * side * side, _VECTOR_CHUNK_BYTES)
+        # per sample, besides the couplings and the eigensolve: complex
+        # (side, side) arrays per sector at the peak, for obs_expectation the
+        # vectors v, X v and v^dagger (3); for two_point v, X v and Y v, X~
+        # and Y~, and two temporaries of the trace's elementwise product (7)
+        held = 3 if quantity == "obs_expectation" else 7
         raw = []
-        for g in _coupling_chunks("syk", n, q, seed, range(samples), size):
+        for g in _coupling_chunks("syk", n, q, seed, range(samples), bank,
+                                  held * 16 * sectors * side * side):
             w, v = bank.sector_eigh(g)  # (b, sectors, side), (b, sectors, side, side)
             p = _gibbs_weights(w.reshape(len(g), -1), beta * sqrt_n).reshape(w.shape)
             if quantity == "obs_expectation":
@@ -700,7 +718,7 @@ def exp_moment_check(
     for b in betas:
         if b * b / 2.0 > _LOG_FLOAT_MAX:
             raise InputError(f"exp(beta^2/2) overflows a float at beta={b}")
-    chunks = _chunks("syk", n, q, seed, samples)
+    chunks = _chunks("syk", n, q, seed, samples, 16 * len(betas))  # beta w and its exponential
     m = comb(n, q)
     hc = h_comm_count("majorana", n, q)
     grid = np.array(betas)[:, None]
@@ -772,8 +790,8 @@ def classical_overlap_experiment(
     t0 = time.perf_counter()
     if n > 20:
         raise InputError("exact Gibbs enumeration limited to 20 spins")
-    chunks = _chunks("classical", n, p, seed, samples)
     betas = [float(b) for b in beta_grid]
+    chunks = _chunks("classical", n, p, seed, samples, _GIBBS_BYTES * len(betas))
     scales = np.array([b * math.sqrt(n) for b in betas])[:, None]
     # <s_j s_k> is the Walsh-Hadamard coefficient of the Gibbs weights at
     # mask (1 << j) | (1 << k); the n diagonal terms are 1
@@ -853,7 +871,7 @@ def glassiness_contrast(
     cl_rows = []
     for n in n_list:
         for rows, model, model_seed in ((syk_rows, "syk", seed), (cl_rows, "classical", seed + 1)):
-            chunks = _chunks(model, n, 4, model_seed, samples)
+            chunks = _chunks(model, n, 4, model_seed, samples, _LOGSUMEXP_BYTES)
             lnz = np.concatenate([_logsumexp(-beta * math.sqrt(n) * w) for w in chunks])
             gap, se = _gap(lnz, n)[:2]
             rows.append({"n": n, "gap": gap, "se": se})

@@ -31,14 +31,17 @@ the fixed cost of each numpy, LAPACK and reduction call, which one call
 per chunk shares among b samples.  Each stream's couplings and each
 classical sample are still drawn on their own, and the batched
 eigensolve gives every sample the arithmetic it gets alone, so chunking
-changes no bit of any spectrum.  b is bounded by the byte budget
-``_CHUNK_BYTES`` on the per-sample working set, which keeps the chunks of
-d = 16 models small enough not to raise peak memory and makes b = 1 at
-d = 512, where a chunk would only add memory.  The eigenvector path of
-the Gibbs observables takes the couplings in chunks of its own
-(:func:`_coupling_chunks`), sized by ``_VECTOR_CHUNK_BYTES`` over its
-larger per-sample working set (eigenvectors and transformed operators
-besides the blocks), so the spectra's chunks do not change with it.
+changes no bit of any spectrum.  One byte budget, ``_CHUNK_BYTES``, sizes
+every chunk: the spectra's, and the couplings' of the eigenvector path
+of the Gibbs observables (:func:`_coupling_chunks`).  Each path counts
+the bytes that one sample adds to its chunk from the arrays it holds:
+the couplings, the eigensolve's table and blocks, the spectrum, and the
+temporaries of the caller's reduction (the (beta, d) arrays of lab's
+log-sum-exp, or the sector eigenvectors and transformed operators of the
+Gibbs observables).  The budget, chosen by the sweep recorded beside
+``_CHUNK_BYTES``, gives the d = 16 free energy 60 to 90 samples per
+chunk and classical (12, 4) three, and makes b = 1 at d = 512, where a
+chunk would only add memory.
 """
 
 from __future__ import annotations
@@ -73,22 +76,32 @@ __all__ = [
 MAX_SYK_MODES = 24
 MAX_SG_QUBITS = 12
 MAX_CLASSICAL_SPINS = 22
-# Working-set budget of one chunk of samples (see _spectrum_chunks).  In
-# a sweep over 16 KiB - 1 MiB on the d = 16 / 4096 free-energy benchmark,
-# 64 KiB ran fastest and left peak RSS flat; larger chunks ran slower
-# (their temporaries outgrow the cache) and 1 MiB raised peak RSS by 14%.
-# Budgets of 128 KiB and more ran the classical (12, 4) free energy about
-# 45% slower (21 -> 30 ms per 250 samples, one BLAS thread), so the
-# eigenvector path has its own budget below.
-_CHUNK_BYTES = 64 << 10
-# Budget of one chunk on the eigenvector path (the Gibbs observables of
-# lab.tail_experiment), over that path's own per-sample working set.  In an
-# interleaved sweep over 64 KiB - 3 MiB (600 samples, median of 7 runs, one
-# BLAS thread), obs_expectation and two_point at n = 10 fell from 168 / 232
-# ms at 64 KiB (b = 1) to 87 / 106 ms at 768 KiB (b = 12) and stayed flat
-# above it; 768 KiB was also at the flat optimum at n = 8 (b = 48) and
-# n = 12 (b = 3).
-_VECTOR_CHUNK_BYTES = 768 << 10
+# Working-set budget of one chunk of samples: every chunk of spectra
+# (_spectrum_chunks) and every chunk of couplings on the eigenvector path
+# (lab.tail_experiment) holds at most this many bytes of per-sample arrays,
+# as each path counts them (at least one sample).  Interleaved sweep, median
+# ms of 21 runs, one BLAS thread on a 2-core Intel Xeon (2 MiB L2 per core);
+# free energy over 250 samples at three betas, Gibbs observables over 600
+# samples at n = 10 (samples per chunk in brackets):
+#
+#   budget  syk (8,4)   sg (4,2)   classical (12,4)  obs_expectation  two_point
+#   256 KiB 15.0 [28]   17.6 [21]  44.1 [1]          106 [5]          142 [3]
+#   384 KiB 14.2 [42]   16.8 [31]  42.6 [1]           94 [7]          134 [4]
+#   512 KiB 14.4 [56]   17.5 [42]  40.7 [2]           93 [10]         116 [6]
+#   640 KiB 14.2 [70]   16.8 [52]  41.3 [2]           89 [12]         110 [7]
+#   768 KiB 14.2 [84]   16.8 [63]  42.5 [3]           93 [15]         113 [9]
+#     1 MiB 14.7 [112]  16.8 [84]  43.9 [4]           88 [20]         108 [12]
+#   1.5 MiB 14.5 [168]  17.7 [126] 43.4 [6]           86 [30]         104 [18]
+#     2 MiB 15.1 [224]  16.9 [169] 67.6 [8]           89 [40]         102 [24]
+#
+# The benchmark's pass_rel (median of 3-4 interleaved runs) was 52.9 / 51.7 /
+# 52.6 on mc-small-d and 69.1 / 68.5 / 70.9 on mc-observables at 640 KiB /
+# 768 KiB / 1 MiB, with peak RSS rising by about 0.4 MB per step.  768 KiB
+# is the smallest budget at that flat optimum.  Classical chunks slow down
+# sharply from b = 5 on (their working set nears the 2 MiB L2 cache), and
+# the budget must stay below the 3.6 MiB of one syk (18, 4) sample so that
+# d = 512 runs one sample at a time.
+_CHUNK_BYTES = 768 << 10
 _KINDS = {"syk": "majorana", "sg": "pauli"}
 
 
@@ -162,12 +175,12 @@ def _batches(items, size: int):
         yield batch
 
 
-def _chunk_size(sample_bytes: int, budget: int = _CHUNK_BYTES) -> int:
-    """Samples per chunk: as many as fit ``budget``, at least one."""
-    return max(1, budget // sample_bytes)
+def _chunk_size(sample_bytes: int) -> int:
+    """Samples per chunk: as many as fit ``_CHUNK_BYTES``, at least one."""
+    return max(1, _CHUNK_BYTES // sample_bytes)
 
 
-def _spectrum_chunks(model: str, n: int, loc: int, seed: int, streams):
+def _spectrum_chunks(model: str, n: int, loc: int, seed: int, streams, reduce_bytes: int = 0):
     """The spectra of :func:`sample_spectra` as (b, d) arrays of b
     consecutive samples.
 
@@ -175,28 +188,46 @@ def _spectrum_chunks(model: str, n: int, loc: int, seed: int, streams):
     drawn by its own ``gaussian_stream``, and solves every parity block of
     every sample in one ``bank.eigvalsh`` call; a classical chunk stacks b
     ``sample_classical_pspin`` energy arrays.  b is bounded by
-    ``_CHUNK_BYTES`` over the per-sample working set (``bank.sample_bytes``,
-    or 8 bytes per classical energy), so large dimensions run one sample
-    at a time.  Checked like :func:`sample_spectra`, before the generator
-    is returned.
+    ``_CHUNK_BYTES`` over the bytes that one sample adds to a chunk:
+
+    - its spectrum, 8 bytes per entry;
+    - the temporaries of the caller's reduction of the chunk,
+      ``reduce_bytes`` per spectrum entry (lab's log-sum-exp over the
+      temperatures, for example);
+    - for SYK and spin-glass samples, its couplings and eigensolve, as
+      :func:`_coupling_chunks` counts them.
+
+    So large dimensions run one sample at a time.  Checked like
+    :func:`sample_spectra`, before the generator is returned.
     """
     if model == "classical":
         _check(model, n, loc)
-        size = _chunk_size(8 << n)
+        size = _chunk_size((8 + reduce_bytes) << n)
         return (
             np.stack([sample_classical_pspin(n, loc, seed, stream=i) for i in batch])
             for batch in _batches(streams, size)
         )
     bank = model_bank(model, n, loc)
-    chunks = _coupling_chunks(model, n, loc, seed, streams, _chunk_size(bank.sample_bytes))
+    chunks = _coupling_chunks(model, n, loc, seed, streams, bank, (8 + reduce_bytes) * bank.dim)
     return (bank.eigvalsh(g) for g in chunks)
 
 
-def _coupling_chunks(model: str, n: int, loc: int, seed: int, streams, size: int):
-    """The couplings of :func:`sample_couplings` as (size, m) stacks of
-    consecutive samples; the last one may be shorter.  Checked before the
-    generator is returned."""
+def _coupling_chunks(model: str, n: int, loc: int, seed: int, streams, bank: TermBank,
+                     held_bytes: int):
+    """The couplings of :func:`sample_couplings` as (b, m) stacks of b
+    consecutive samples, for an eigensolve by ``bank``; the last one may
+    be shorter.  b is bounded by ``_CHUNK_BYTES`` over the bytes that one
+    sample adds to a chunk:
+
+    - its couplings, twice (the drawn row and its stacked copy, 8 bytes
+      per term each);
+    - the eigensolve's working set, ``bank.sample_bytes``;
+    - ``held_bytes`` of the caller's own arrays per sample.
+
+    Checked before the generator is returned.
+    """
     couplings = sample_couplings(model, n, loc, seed, streams)
+    size = _chunk_size(16 * len(bank) + bank.sample_bytes + held_bytes)
     return (np.stack(rows) for rows in _batches(couplings, size))
 
 

@@ -1,4 +1,5 @@
-"""The verdict and failure share of tools/bench_pairs.py on synthetic paired runs."""
+"""The verdict, failure share and summary line of tools/bench_pairs.py on
+synthetic paired runs."""
 
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from bench_pairs import failed_share, verdict  # noqa: E402
+from bench_pairs import failed_share, verdict, verdict_line  # noqa: E402
 
 PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.3]
 
@@ -85,3 +86,22 @@ class TestFailedShare:
         assert share["parent"] == pytest.approx(0.1)
         assert share["change"] == pytest.approx((0.1 + 0.05 + 0.15) / 3)
         assert share["change_higher"] == 2
+
+
+class TestVerdictLine:
+    ENTRY = {
+        "metrics": {
+            "setup_s": {"verdict": "within bound"},
+            "pass_rel": {"verdict": "gain"},
+            "peak_rss_mb": {"verdict": "within bound"},
+            "calib_ns": {"change_lower": 4},  # not an end-to-end metric: no verdict
+        },
+        "failed_share": {"parent": 0.0, "change": 1 / 7, "change_higher": 1},
+        "all_correct": True,
+        "same_digest": False,
+    }
+
+    def test_names_every_verdict_and_both_failure_shares(self):
+        assert verdict_line("mc-small-d", self.ENTRY) == (
+            "mc-small-d: setup_s within bound, pass_rel gain, peak_rss_mb within bound;"
+            " failed share 0 -> 0.1429; all_correct true; same_digest false")

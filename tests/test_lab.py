@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 from scipy.special import logsumexp
 
+import fermitheta.lab as lab
+import fermitheta.models as models
 from fermitheta.algebra import MajoranaMonomial, _walsh_hadamard, majorana_to_pauli, pauli_matrix
 from fermitheta.graphs import commuting_majorana_family, stabilized_state
 from fermitheta.kernel import InputError, RandomStream, gaussian_stream, random_state
@@ -105,6 +108,59 @@ class TestFreeEnergy:
         rep = free_energy_experiment(*family, [0.5, 1.0, 2.0], 16, seed=7)
         for i, want in self.GOLDEN_LN_Z[family].items():
             assert np.abs(rep.records["ln_z"][i] - np.array(want)).max() <= 1e-10
+
+
+def _chunk_widths(monkeypatch, run):
+    """Widths of the spectrum chunks that ``run()`` reduces."""
+    widths = []
+    spectrum_chunks = lab._spectrum_chunks
+
+    def spy(*args):
+        for w in spectrum_chunks(*args):
+            widths.append(len(w))
+            yield w
+
+    monkeypatch.setattr(lab, "_spectrum_chunks", spy)
+    run()
+    return widths
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes that ``run()`` allocates through the traced allocators
+    (numpy's array data included), after one untraced warm-up run."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkWidths:
+    """Every chunk width comes from one budget over each path's own count
+    of the bytes that one sample adds to a chunk."""
+
+    def test_classical_free_energy_takes_two_to_four_samples(self, monkeypatch):
+        # the log-sum-exp over three temperatures triples the working set
+        # of a classical (12, 4) sample; b = 8 ran about 60% slower
+        widths = _chunk_widths(monkeypatch, lambda: free_energy_experiment(
+            "classical", 12, 4, [0.5, 1.0, 2.0], 16, seed=0))
+        assert 2 <= widths[0] <= 4 and sum(widths) == 16
+
+    @pytest.mark.parametrize("run", [
+        lambda: free_energy_experiment("syk", 8, 4, [0.5, 1.0, 2.0], 250, seed=1),
+        lambda: free_energy_experiment("sg", 4, 2, [0.5, 1.0, 2.0], 250, seed=1),
+        lambda: free_energy_experiment("classical", 12, 4, [0.5, 1.0, 2.0], 16, seed=1),
+        lambda: tail_experiment("thermal_energy", {"n": 10, "q": 4}, 120, seed=1),
+        lambda: tail_experiment("obs_expectation", {"n": 10, "q": 4}, 64, seed=1),
+        lambda: tail_experiment("two_point", {"n": 10, "q": 4}, 64, seed=1),
+    ], ids=["free-energy-syk-8-4", "free-energy-sg-4-2", "free-energy-classical-12-4",
+            "thermal-energy-10", "obs-expectation-10", "two-point-10"])
+    def test_full_chunks_fill_the_budget(self, run):
+        # runs of at least two full chunks: the traced peak is the working
+        # set of one chunk, so a count that is off by half shows here
+        assert 0.6 <= _traced_peak(run) / models._CHUNK_BYTES <= 1.5
 
 
 class TestDeltaUpper:
@@ -491,10 +547,13 @@ class TestLogSumExp:
         x = x * spread
         ties = data.draw(hnp.arrays(np.bool_, x.shape))
         x = np.where(ties, x.max(axis=-1, keepdims=True), x)  # repeated maxima
+        before = x.copy()
         got = _logsumexp(x)
         want = np.asarray(logsumexp(x, axis=-1))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()  # the reduction works on its own temporary
 
     def test_all_ties(self):
         x = np.full((2, 5), 3.0)
         assert _logsumexp(x).tobytes() == np.asarray(logsumexp(x, axis=-1)).tobytes()
+        assert np.array_equal(x, np.full((2, 5), 3.0))

@@ -1,5 +1,6 @@
 """Random ensembles, commutation-degree counting, bound calculators."""
 
+import itertools
 import math
 from math import comb, log
 
@@ -291,6 +292,16 @@ class TestTermBank:
         assert np.allclose(H, 3.0 / math.sqrt(2) * _scatter_assemble(TermBank([x], 4), np.ones(1)))
 
 
+# even-degree Majorana sets: (n, supports)
+_EVEN_MAJORANA_SETS = st.integers(1, 7).flatmap(
+    lambda h: st.tuples(
+        st.just(2 * h),
+        st.sets(st.frozensets(st.integers(1, 2 * h)).filter(lambda s: len(s) % 2 == 0),
+                min_size=1, max_size=24),
+    )
+)
+
+
 class TestBatchedSpectra:
     """The chunked fast path against its one-sample references."""
 
@@ -308,9 +319,14 @@ class TestBatchedSpectra:
 
     @pytest.mark.parametrize("model,n,loc", [("syk", 8, 4), ("sg", 4, 2), ("classical", 12, 4),
                                              ("classical", 6, 3)])
-    @pytest.mark.parametrize("streams", [range(23), (5, 0, 3), (9,), ()],
-                             ids=["range23", "5-0-3", "9", "none"])
+    @pytest.mark.parametrize("streams", [lambda b: range(23), lambda b: (5, 0, 3),
+                                         lambda b: (9,), lambda b: (),
+                                         lambda b: range(7, 7 + 2 * b + 5)],
+                             ids=["range23", "5-0-3", "9", "none", "two-chunks"])
     def test_chunked_spectra_equal_per_stream(self, model, n, loc, streams):
+        # each case's streams, given the width b of a full chunk
+        width = len(next(models._spectrum_chunks(model, n, loc, 4, itertools.count())))
+        streams = streams(width)
         if model == "classical":
             want = [sample_classical_pspin(n, loc, 4, stream=i) for i in streams]
         else:
@@ -321,13 +337,13 @@ class TestBatchedSpectra:
         assert len(got) == len(want)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
         sizes = [len(c) for c in models._spectrum_chunks(model, n, loc, 4, streams)]
-        assert sum(sizes) == len(streams) and len(set(sizes[:-1])) <= 1
+        assert sum(sizes) == len(streams) and set(sizes[:-1]) <= {width}
 
     def test_chunks_batch_small_models(self):
         # small models (d = 16, and classical n = 12) take several samples
-        # per chunk, and 23 is not a multiple of any of their chunk sizes
+        # per chunk, and 401 is not a multiple of any of their chunk sizes
         for model, n, loc in (("syk", 8, 4), ("sg", 4, 2), ("classical", 12, 4)):
-            sizes = [len(c) for c in models._spectrum_chunks(model, n, loc, 0, range(23))]
+            sizes = [len(c) for c in models._spectrum_chunks(model, n, loc, 0, range(401))]
             assert sizes[0] > 1 and sizes[-1] != sizes[0], (model, sizes)
 
     @pytest.mark.parametrize("model,n,loc", [("syk", 18, 4), ("sg", 9, 2)])
@@ -336,15 +352,7 @@ class TestBatchedSpectra:
         assert models._chunk_size(bank.sample_bytes) == 1
         assert models._chunk_size(8 << 22) == 1  # classical at its cap
 
-    @given(
-        st.integers(1, 7).flatmap(
-            lambda h: st.tuples(
-                st.just(2 * h),
-                st.sets(st.frozensets(st.integers(1, 2 * h)).filter(lambda s: len(s) % 2 == 0),
-                        min_size=1, max_size=24),
-            )
-        )
-    )
+    @given(_EVEN_MAJORANA_SETS)
     @settings(max_examples=80, deadline=None)
     def test_majorana_masks_equal_per_member(self, family):
         n, supports = family
@@ -430,16 +438,7 @@ class TestParticleHoleMirror:
         assert bank.mirror == want
         _check_spectra(bank, seed)
 
-    @given(
-        st.integers(1, 7).flatmap(
-            lambda h: st.tuples(
-                st.just(2 * h),
-                st.sets(st.frozensets(st.integers(1, 2 * h)).filter(lambda s: len(s) % 2 == 0),
-                        min_size=1, max_size=24),
-            )
-        ),
-        st.integers(0, 2**32 - 1),
-    )
+    @given(_EVEN_MAJORANA_SETS, st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_even_degree_sets(self, family, seed):
         n, supports = family
@@ -483,27 +482,10 @@ class TestParticleHoleMirror:
             assert np.linalg.norm(H @ U - U * scattered_w) <= 1e-12
 
 
-_EVEN_MAJORANA_SETS = st.integers(1, 7).flatmap(
-    lambda h: st.tuples(
-        st.just(2 * h),
-        st.sets(st.frozensets(st.integers(1, 2 * h)).filter(lambda s: len(s) % 2 == 0),
-                min_size=1, max_size=24),
-    )
-)
-
-
 class TestSectorEigh:
     """TermBank.sector_eigh, the one eigenvector solver of a bank: the
     scatter of its sector pairs into the full basis is an eigendecomposition
     of the assembled Hamiltonian."""
-
-    @given(_EVEN_MAJORANA_SETS, st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_eigh_is_the_scatter_of_even_majorana_sectors(self, family, seed):
-        n, supports = family
-        ops = OperatorSet("majorana", n, 0, tuple(MajoranaMonomial(n, tuple(sorted(s)))
-                                                  for s in supports))
-        _check_spectra(TermBank.from_set(ops, 1 << 12), seed)
 
     @pytest.mark.parametrize("n,q,mirror", [(10, 4, 1), (10, 2, -1), (14, 4, 1), (8, 4, 0)])
     def test_eigh_is_the_scatter_of_syk_sectors(self, n, q, mirror):

@@ -15,8 +15,10 @@ the end-to-end metrics, the failure share and the output digest), each
 side's mean per-run failure share (:func:`failed_share`), and per metric
 each side's median and quartiles, the number of pairs the change wins
 and, for the end-to-end metrics of BENCHMARK.json, a verdict
-(:func:`verdict`).  The environment block is the workers' own fingerprint
-(Python, numpy, scipy, BLAS build and threads) plus the core count.
+(:func:`verdict`).  At the end, one stderr line per workload sums these
+verdicts up (:func:`verdict_line`).  The environment block is the
+workers' own fingerprint (Python, numpy, scipy, BLAS build and threads)
+plus the core count.
 Without ``--workdir`` the copies go to a temporary directory that is
 deleted at the end.
 """
@@ -118,6 +120,17 @@ def failed_share(pairs: list) -> dict:
             "change_higher": sum(c > p for p, c in zip(shares["parent"], shares["change"]))}
 
 
+def verdict_line(workload: str, entry: dict) -> str:
+    """One line on a workload of the BENCH file: each end-to-end verdict,
+    both sides' mean failure shares, ``all_correct`` and ``same_digest``."""
+    verdicts = ", ".join(f"{name} {metric['verdict']}"
+                         for name, metric in entry["metrics"].items() if "verdict" in metric)
+    share = entry["failed_share"]
+    return (f"{workload}: {verdicts}; failed share {share['parent']:.4g} -> {share['change']:.4g};"
+            f" all_correct {str(entry['all_correct']).lower()};"
+            f" same_digest {str(entry['same_digest']).lower()}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="tree-ish of the parent side")
@@ -137,6 +150,8 @@ def main():
         if not args.workdir:
             shutil.rmtree(work)
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n")
+    for workload, entry in bench["workloads"].items():
+        print(verdict_line(workload, entry), file=sys.stderr)
 
 
 def run_pairs(args, work: Path) -> dict:
