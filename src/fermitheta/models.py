@@ -168,13 +168,6 @@ def sample_spectra(model: str, n: int, loc: int, seed: int, streams):
     return (w for chunk in _spectrum_chunks(model, n, loc, seed, streams) for w in chunk)
 
 
-def _batches(items, size: int):
-    """Consecutive lists of ``size`` items; the last one may be shorter."""
-    items = iter(items)
-    while batch := list(itertools.islice(items, size)):
-        yield batch
-
-
 def _chunk_size(sample_bytes: int) -> int:
     """Samples per chunk: as many as fit ``_CHUNK_BYTES``, at least one."""
     return max(1, _CHUNK_BYTES // sample_bytes)
@@ -203,10 +196,7 @@ def _spectrum_chunks(model: str, n: int, loc: int, seed: int, streams, reduce_by
     if model == "classical":
         _check(model, n, loc)
         size = _chunk_size((8 + reduce_bytes) << n)
-        return (
-            np.stack([sample_classical_pspin(n, loc, seed, stream=i) for i in batch])
-            for batch in _batches(streams, size)
-        )
+        return _stacks((sample_classical_pspin(n, loc, seed, stream=i) for i in streams), size)
     bank = model_bank(model, n, loc)
     chunks = _coupling_chunks(model, n, loc, seed, streams, bank, (8 + reduce_bytes) * bank.dim)
     return (bank.eigvalsh(g) for g in chunks)
@@ -219,16 +209,26 @@ def _coupling_chunks(model: str, n: int, loc: int, seed: int, streams, bank: Ter
     be shorter.  b is bounded by ``_CHUNK_BYTES`` over the bytes that one
     sample adds to a chunk:
 
-    - its couplings, twice (the drawn row and its stacked copy, 8 bytes
-      per term each);
+    - its couplings, 8 bytes per term (the drawn rows are dropped once
+      stacked, see :func:`_stacks`);
     - the eigensolve's working set, ``bank.sample_bytes``;
     - ``held_bytes`` of the caller's own arrays per sample.
 
     Checked before the generator is returned.
     """
     couplings = sample_couplings(model, n, loc, seed, streams)
-    size = _chunk_size(16 * len(bank) + bank.sample_bytes + held_bytes)
-    return (np.stack(rows) for rows in _batches(couplings, size))
+    return _stacks(couplings, _chunk_size(8 * len(bank) + bank.sample_bytes + held_bytes))
+
+
+def _stacks(rows, size: int):
+    """``np.stack`` of each run of ``size`` consecutive rows; the last may
+    be shorter.  No list of rows stays alive beside its stack while the
+    consumer holds the stack."""
+    rows = iter(rows)
+    while batch := list(itertools.islice(rows, size)):
+        stack = np.stack(batch)
+        del batch
+        yield stack
 
 
 @lru_cache(maxsize=16)

@@ -22,6 +22,8 @@ Two routes:
   the scheme's algebra (de Klerk, Pasechnik & Schrijver 2007), so theta
   is a Delsarte-type LP over one edge weight per class (Schrijver 1979),
   solved by HiGHS.  Any other graph is refused (:class:`InputError`).
+  HiGHS (``scipy.optimize.linprog``) is imported at the first coherent
+  LP of a process, so importing this module loads no scipy module.
 
   ``converged`` is a full-matrix certificate: the value is lambda_max of
   the assembled m x m dual matrix, an upper bound on theta, and the m x m
@@ -39,7 +41,6 @@ from fractions import Fraction
 from math import comb, lcm
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .graphs import CommutationGraph
 from .kernel import CapacityError, InputError
@@ -262,6 +263,8 @@ def _coherent_lp(labels, classes, U, spaces, ei, ej):
     (zero on the edge classes by dual feasibility).  The LP is feasible
     and bounded, so HiGHS reporting no optimum is a :class:`StructuralError`.
     """
+    from scipy.optimize import linprog  # here, not at module level: 0.32 s of every cold start
+
     flat = labels.ravel()
     sums = np.stack([
         np.bincount(flat, weights=(U[:, cols] @ U[:, cols].T).ravel(), minlength=classes)

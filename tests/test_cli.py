@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -377,6 +379,41 @@ class TestParserReuse:
         captured = capsys.readouterr()
         assert captured.out.strip() == "14.00"
         assert captured.err == ""
+
+
+class TestColdStart:
+    """Only the coherent LP of theta imports HiGHS, so a command that never
+    reaches it starts without scipy."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+import fermitheta.cli as cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+codes, loaded = [], {}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in ("ternary --k 2", "theta johnson --n 8 --q 4",
+                 "index --set majorana --n 8 --loc 4"):
+        codes.append(cli.dispatch(argv.split()))
+    loaded["highs_free"] = scipy_modules()
+    codes.append(cli.dispatch("theta sdp --set pauli --n 4 --loc 2 --tol 1e-6".split()))
+    loaded["sdp"] = scipy_modules()
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+    def test_scipy_loads_only_at_the_first_coherent_lp(self):
+        src = str(Path(fermitheta.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout)
+        assert out["codes"] == [EXIT_OK] * 4
+        assert out["loaded"]["highs_free"] == []
+        assert "scipy.optimize" in out["loaded"]["sdp"]
 
 
 class TestReproduceTable:

@@ -321,7 +321,8 @@ class TestWrongClosure:
         def failed(*args, **kwargs):
             return SimpleNamespace(status=2, message="The problem is infeasible.")
 
-        monkeypatch.setattr(theta_module, "linprog", failed)
+        # _coherent_lp imports linprog when it runs, so patch it at its source
+        monkeypatch.setattr("scipy.optimize.linprog", failed)
         with pytest.raises(StructuralError, match="HiGHS status 2"):
             theta_sdp(cycle_adjacency(5))
 
