@@ -516,7 +516,7 @@ def tail_experiment(
             Xt, Yt = np.swapaxes(v.conj(), -1, -2) @ av
             del av
             e = np.exp(1j * tau * sqrt_n * w)
-            # the product in one temporary, multiplied in place left to right
+            # one temporary, multiplied in place in left-to-right order: same bits
             val = (p * e.conj())[..., None] * Xt
             val *= e[..., None, :]
             val *= np.swapaxes(Yt, -1, -2)

@@ -100,7 +100,9 @@ MAX_CLASSICAL_SPINS = 22
 # is the smallest budget at that flat optimum.  Classical chunks slow down
 # sharply from b = 5 on (their working set nears the 2 MiB L2 cache), and
 # the budget must stay below the 3.6 MiB of one syk (18, 4) sample so that
-# d = 512 runs one sample at a time.
+# d = 512 runs one sample at a time.  The bracketed widths are those of the
+# sweep's counts; with the couplings counted once and two_point holding 5
+# sector arrays, 768 KiB gives 89, 65, 3, 15 and 11.
 _CHUNK_BYTES = 768 << 10
 _KINDS = {"syk": "majorana", "sg": "pauli"}
 
