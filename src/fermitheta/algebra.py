@@ -25,11 +25,11 @@ Majorana indices are 1-based externally and converted at this boundary.
 
 :class:`TermBank` is the term kernel: the one matrix-free representation of
 a family's action (term i sends basis state c to
-phase_i (-1)^popcount(c & z_i) |c ^ x_i>), read by expectations, products
-A_i v and Hamiltonian assembly alike.  No library path builds the dense
-matrix of a term: :func:`pauli_matrix` and
-:meth:`OperatorSet.hermitized_matrices` exist only as independent references
-for tests and demos.
+phase_i (-1)^popcount(c & z_i) |c ^ x_i>), kept as the terms' masks and
+their x-mask groups, and read by expectations, products A_i v and
+Hamiltonian assembly alike.  No library path builds the dense matrix of a
+term: :func:`pauli_matrix` and :meth:`OperatorSet.hermitized_matrices`
+exist only as independent references for tests and demos.
 
 Even-degree Majorana banks preserve fermion parity and are solved in two
 popcount-parity blocks.  Their random-matrix class follows n mod 8: when
@@ -77,10 +77,11 @@ __all__ = [
 DEFAULT_DENSE_DIM = 1 << 12
 MAX_DENSE_DIM = 1 << 14
 MAX_ENUMERATION = 10**6
-# rows x columns of one TermBank: each entry costs 24 bytes of tables
+# terms x columns of one TermBank (it has at most as many x-mask groups as terms)
 MAX_BANK_ENTRIES = 1 << 26
 
 _PHASES = (1, 1j, -1, -1j)
+_SIGNED_PHASES = np.array([p * np.array([1, -1]) for p in _PHASES])  # as pauli_matrix has them
 
 
 @dataclass(frozen=True)
@@ -482,22 +483,22 @@ def _check_bank_entries(terms: int, dim: int):
 class TermBank:
     """Matrix-free tables of a family of Pauli terms.
 
-    ``rows[i, c]`` and ``vals[i, c]`` give the single nonzero of term i in
-    column c.  :meth:`expectations` and :meth:`apply` read them directly.
-    Samples H = m^{-1/2} sum_i g_i A_i are built from the terms grouped by
-    x-mask: each coupling goes to (part, group, z-mask) of a real table,
-    part 1 for an imaginary phase and 0 for a real one; the table is
-    Walsh-Hadamard transformed along its z-mask axis, and each group's row
-    of coefficients is written to H[c ^ x, c].  Distinct x-masks never
-    share an entry.  ``parity`` is true when every x-mask has even
-    popcount, so that H maps each popcount-parity sector of the basis into
-    itself.  ``sector_rows[s, r]`` is the basis state of entry r of a
-    sector-s vector (one sector holding every state when parity is
-    false).  :meth:`eigvalsh` and :meth:`sector_eigh`, the bank's one
-    eigenvector solver, take one coupling row or a stack of them; each row
-    of a stack gets the same arithmetic as a row alone, and
-    ``sample_bytes`` is the working set that one row adds to the stack of
-    :meth:`eigvalsh`.
+    The bank keeps the terms' masks (x, z, phase power) and their grouping
+    by x-mask; :meth:`apply` derives signed permutations from the masks.
+    Samples H = m^{-1/2} sum_i g_i A_i are built from the groups: each
+    coupling goes to (part, group, z-mask) of a real table, part 1 for an
+    imaginary phase and 0 for a real one; the table is Walsh-Hadamard
+    transformed along its z-mask axis, and each group's row of
+    coefficients is written to H[c ^ x, c].  Distinct x-masks never share
+    an entry.  :meth:`expectations` is the adjoint transform.  ``parity``
+    is true when every x-mask has even popcount, so that H maps each
+    popcount-parity sector of the basis into itself.  ``sector_rows[s, r]``
+    is the basis state of entry r of a sector-s vector (one sector holding
+    every state when parity is false).  :meth:`eigvalsh` and
+    :meth:`sector_eigh`, the bank's one eigenvector solver, take one
+    coupling row or a stack of them; each row of a stack gets the same
+    arithmetic as a row alone, and ``sample_bytes`` is the working set that
+    one row adds to the stack of :meth:`eigvalsh`.
 
     ``mirror`` is +1 or -1 when the antiunitary P = M K (M a Pauli string,
     K complex conjugation in the computational basis) swaps the two parity
@@ -516,24 +517,17 @@ class TermBank:
             paulis = np.array(
                 [(p.x_mask, p.z_mask, p.phase_power) for p in paulis], dtype=np.int64
             ).reshape(-1, 3).T
-        x, z, power = paulis
+        x, z, power = self._masks = paulis
         m = len(x)
         cols = np.arange(dim)
         odd = (_popcount_array(cols) & 1).astype(np.int8)
         self.dim = dim
-        self.rows = cols ^ x[:, None]
-        self.vals = np.array(_PHASES, dtype=complex)[power][:, None] * (
-            1 - 2 * odd[cols & z[:, None]]
-        )
-        # real phases carry an exact +0 imaginary part, as in an integer product
-        self.vals.imag[power % 2 == 0] = 0.0
-
         xs, group = np.unique(x, return_inverse=True)
         self._slot = ((power & 1) * len(xs) + group) * dim + z
-        self._weight = np.where(power < 2, 1.0, -1.0) / math.sqrt(m)
+        self._sign = np.where(power < 2, 1.0, -1.0)  # i**power is +-1 or +-i
+        self._weight = self._sign / math.sqrt(m)
         self._table_shape = (2 * len(xs), dim)
-        targets = cols ^ xs[:, None]
-        self._to_full = targets * dim + cols
+        self._targets = cols ^ xs[:, None]
 
         self.parity = bool(np.all(_popcount_array(xs) & 1 == 0))
         self.mirror = _mirror(x, z, power, mirror_masks) if self.parity else 0
@@ -546,7 +540,7 @@ class TermBank:
         solved = 1 if self.mirror else sectors
         self._block_shape = (solved, side, side)
         self._filled = members[0] if self.mirror else slice(None)  # columns of the solved blocks
-        self._to_blocks = (sector * side * side + pos[targets] * side + pos)[:, self._filled]
+        self._to_blocks = (sector * side * side + pos[self._targets] * side + pos)[:, self._filled]
         # a mirrored bank's sector-1 vectors are M conj(v) with
         # M |c> = +-|c ^ x_M> (the global phase of M dropped)
         self.sector_rows = members
@@ -578,7 +572,7 @@ class TermBank:
         return cls([_hermitian_pauli(op, max_dim) for op in ops.members], ops.dim)
 
     def __len__(self):
-        return self.rows.shape[0]
+        return self._masks.shape[1]
 
     def _coefficients(self, g: np.ndarray) -> np.ndarray:
         """(..., groups, dim) coefficients of each coupling row of g (..., m),
@@ -595,7 +589,7 @@ class TermBank:
     def assemble(self, g: np.ndarray) -> np.ndarray:
         """Dense (1/sqrt(m)) sum_i g_i A_i."""
         H = np.zeros((self.dim, self.dim), dtype=complex)
-        H.reshape(-1)[self._to_full] = self._coefficients(g)
+        H[self._targets, np.arange(self.dim)] = self._coefficients(g)
         return H
 
     def _blocks(self, g: np.ndarray) -> np.ndarray:
@@ -638,22 +632,28 @@ class TermBank:
             v = np.concatenate([v, self._mirror_signs[:, None] * v.conj()], axis=-3)
         return w, v
 
+    def _traces(self, Y: np.ndarray) -> np.ndarray:
+        """Re Tr(A_i rho) from Y[k, c] = rho[c, c ^ x_k], the adjoint of :meth:`_coefficients`:
+        Tr(A_i rho) is i**power_i times the Walsh-Hadamard transform of Y[k_i] at z_i."""
+        table = _walsh_hadamard(np.concatenate([Y.real, -Y.imag]))
+        return self._sign * table.reshape(-1)[self._slot]
+
     def expectations(self, psi: np.ndarray) -> np.ndarray:
-        """<psi|A_i|psi> for every term, exactly (real for Hermitian terms)."""
-        bra = psi.conj()[self.rows]
-        return np.real(np.einsum("mc,mc,c->m", bra, self.vals, psi))
+        """<psi|A_i|psi> for every term (real for Hermitian terms)."""
+        return self._traces(psi.conj()[self._targets] * psi)
+
+    def _signed_permutation(self, terms=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, coef) of the selected terms: (A_i v)[r] = coef[i, r] v[rows[i, r]] with
+        rows[i, r] = r ^ x_i and coef[i, r] = i**power_i (-1)^popcount(rows[i, r] & z_i)."""
+        x, z, power = self._masks[:, terms, None]
+        rows = np.arange(self.dim) ^ x
+        return rows, _SIGNED_PHASES[power, _popcount_array(rows & z) & 1]
 
     def apply(self, v: np.ndarray, terms=slice(None)) -> np.ndarray:
-        """A_i v for the selected terms: an (m, dim, ...) stack for the
-        default slice of all terms, one (dim, ...) array for an integer
-        index.  ``v`` is (dim, ...): a vector, or vectors along trailing
-        column axes.
-
-        (A_i v)[r] = vals[i, rows[i, r]] * v[rows[i, r]], because
-        c -> c ^ x_i is an involution.
-        """
-        rows = self.rows[terms]
-        coef = np.take_along_axis(self.vals[terms], rows, axis=-1)
+        """A_i v for the selected terms: an (m, dim, ...) stack for the default
+        slice of all terms, one (dim, ...) array for an integer index.  ``v``
+        is (dim, ...): a vector, or vectors along trailing column axes."""
+        rows, coef = self._signed_permutation(terms)
         return coef.reshape(coef.shape + (1,) * (v.ndim - 1)) * v[rows]
 
 

@@ -250,12 +250,15 @@ def offdiag_index_check(ops: OperatorSet, trials: int = 32, seed: int = 11, uppe
 
 def _check_estimate(kind: str, n: int, locality: int, members: int):
     """Refuse, from its member count alone, an enumerated family that
-    :func:`index_estimate` would refuse: an even-degree Majorana family
-    (theta from the Johnson LP) at its see-saw's term bank, any other at
-    its commutation graph or theta SDP; then any family above the
-    see-saw's dense dimension cap ``MAX_SEESAW_DIM``."""
+    :func:`index_estimate` would refuse: an odd-degree Majorana family (the
+    see-saw cannot hermitize it), an even-degree one (theta from the
+    Johnson LP) at its see-saw's term bank, any other at its commutation
+    graph or theta SDP; then any family above the see-saw's dense
+    dimension cap ``MAX_SEESAW_DIM``."""
     dim = 1 << (n // 2 if kind == "majorana" else n)
-    if kind == "majorana" and locality % 2 == 0:
+    if kind == "majorana" and locality % 2:
+        raise InputError("hermitization requires even degree")
+    if kind == "majorana":
         _check_bank_entries(members, dim)
     else:
         _check_graph_vertices(members)

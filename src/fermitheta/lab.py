@@ -180,18 +180,15 @@ def _sector_pair(bank: TermBank, n: int) -> tuple[np.ndarray, np.ndarray]:
     (a = 0 for X, 1 for Y; both arrays (2, sectors, side)).
 
     Both operators have even-popcount x-masks, so they map each parity
-    sector into itself; the signs and source rows are ``TermBank.apply``'s
-    (A v)[c] = vals[rows[c]] v[rows[c]], read at the sector rows.
+    sector into itself; the signs and source rows are those of
+    ``TermBank.apply``, read at the sector rows.
     """
-    pair = TermBank.from_set(
-        OperatorSet("majorana", n, 2, (MajoranaMonomial(n, (1, 2)), MajoranaMonomial(n, (3, 4)))),
-        MAX_DENSE_DIM,
-    )
+    ops = OperatorSet("majorana", n, 2, (MajoranaMonomial(n, (1, 2)), MajoranaMonomial(n, (3, 4))))
+    source, sign = TermBank.from_set(ops, MAX_DENSE_DIM)._signed_permutation()
     rows = bank.sector_rows
     pos = np.empty(bank.dim, dtype=np.int64)  # index of each basis state within its sector
     pos[rows] = np.arange(rows.shape[1])
-    sign = np.take_along_axis(pair.vals, pair.rows, axis=-1)[:, rows]
-    return pos[pair.rows[:, rows]], sign
+    return pos[source[:, rows]], sign[:, rows]
 
 
 def _gibbs_weights(w: np.ndarray, scale) -> np.ndarray:
@@ -338,8 +335,8 @@ def gradcheck_logZ(n: int, q: int, beta: float, seed: int) -> GradcheckResult:
     rho = np.zeros((bank.dim, bank.dim), dtype=complex)
     for rows, ps, vs in zip(bank.sector_rows, p, v):
         rho[np.ix_(rows, rows)] = (vs * ps) @ vs.conj().T
-    # Tr(A_i rho) from the monomial structure: sum_c v_i(c) rho[c, r_i(c)]
-    tr_arho = np.real(np.einsum("mc,mc->m", bank.vals, rho[np.arange(bank.dim)[None, :], bank.rows]))
+    # Tr(A_i rho) from rho[c, c ^ x_k] of every x-mask group k
+    tr_arho = bank._traces(rho[np.arange(bank.dim), bank._targets])
     analytic_all = -beta * math.sqrt(n / m) * tr_arho
     picker = np.random.Generator(RandomStream(seed, 1)._bit_generator())
     coords = tuple(int(c) for c in picker.permutation(m)[:20])
@@ -397,6 +394,10 @@ def variance_identity_experiment(
     with variance (1/m) sum_i <psi|A_i|psi>^2 exactly; the experiment
     checks the empirical variance (z-score) and Gaussianity (KS test).
     """
+    # imported here, before t0: no other command needs scipy.stats, whose cold
+    # import took 0.61-0.86 s (median 0.63 s of 8 fresh processes, 1 BLAS thread)
+    from scipy.stats import kstest
+
     t0 = time.perf_counter()
     _check_samples(samples)
     bank = model_bank("syk", n, q)
@@ -405,10 +406,6 @@ def variance_identity_experiment(
     emp_var = float(e.var(ddof=1))
     se_var = exact_var * math.sqrt(2.0 / (samples - 1))
     z = (emp_var - exact_var) / se_var
-    # imported here: no other command needs scipy.stats, whose cold import
-    # took 0.61-0.86 s (median 0.63 s of 8 fresh processes, 1 BLAS thread)
-    from scipy.stats import kstest
-
     ks_stat, ks_p = kstest(e / math.sqrt(exact_var), "norm")
     verdicts = [
         Verdict(

@@ -14,6 +14,7 @@ import pytest
 
 import fermitheta.algebra
 import fermitheta.cli
+import fermitheta.index
 import fermitheta.models
 import fermitheta.scheme
 import fermitheta.theta
@@ -383,7 +384,8 @@ class TestParserReuse:
 
 class TestColdStart:
     """Only the coherent LP of theta imports HiGHS, so a command that never
-    reaches it starts without scipy."""
+    reaches it starts without scipy; an odd-degree Majorana ``index`` is
+    refused before it."""
 
     SCRIPT = """
 import contextlib, io, json, sys
@@ -395,7 +397,7 @@ def scipy_modules():
 codes, loaded = [], {}
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in ("ternary --k 2", "theta johnson --n 8 --q 4",
-                 "index --set majorana --n 8 --loc 4"):
+                 "index --set majorana --n 8 --loc 4", "index --set majorana --n 8 --loc 3"):
         codes.append(cli.dispatch(argv.split()))
     loaded["highs_free"] = scipy_modules()
     codes.append(cli.dispatch("theta sdp --set pauli --n 4 --loc 2 --tol 1e-6".split()))
@@ -411,7 +413,7 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
         out = json.loads(proc.stdout)
-        assert out["codes"] == [EXIT_OK] * 4
+        assert out["codes"] == [EXIT_OK] * 3 + [EXIT_USAGE, EXIT_OK]
         assert out["loaded"]["highs_free"] == []
         assert "scipy.optimize" in out["loaded"]["sdp"]
 
@@ -487,43 +489,51 @@ class TestThreadsEnv:
 
 class TestFamilyCaps:
     """Over-cap families are refused from their closed-form size, before
-    enumeration, with the message of the cap that refused them after it."""
+    enumeration, with the message of the cap that refused them after it;
+    an odd-degree Majorana family, which the see-saw cannot hermitize, is
+    refused by ``index`` before its graph is built."""
 
     @pytest.mark.parametrize(
-        "argv,message",
+        "argv,code,message",
         [
             (["index", "--set", "majorana", "--n", "24", "--loc", "8", "--method", "seesaw"],
-             "735471 terms x 4096 columns exceed the term-bank budget of 67108864"),
+             EXIT_CAPACITY,
+             "capacity error: 735471 terms x 4096 columns exceed the term-bank budget of 67108864"),
             (["graph", "--set", "majorana", "--n", "24", "--loc", "8"],
-             "735471 vertices exceed the graph cap 10000"),
+             EXIT_CAPACITY, "capacity error: 735471 vertices exceed the graph cap 10000"),
             (["theta", "sdp", "--set", "majorana", "--n", "24", "--loc", "8"],
-             "735471 vertices exceed the graph cap 10000"),
+             EXIT_CAPACITY, "capacity error: 735471 vertices exceed the graph cap 10000"),
             (["index", "--set", "pauli", "--n", "9", "--loc", "3"],
-             "2268 vertices exceed the SDP cap 600"),
+             EXIT_CAPACITY, "capacity error: 2268 vertices exceed the SDP cap 600"),
             (["theta", "sdp", "--set", "pauli", "--n", "9", "--loc", "3"],
-             "2268 vertices exceed the SDP cap 600"),
+             EXIT_CAPACITY, "capacity error: 2268 vertices exceed the SDP cap 600"),
             (["graph", "--set", "pauli", "--n", "12", "--loc", "5"],
-             "192456 vertices exceed the graph cap 10000"),
+             EXIT_CAPACITY, "capacity error: 192456 vertices exceed the graph cap 10000"),
             (["graph", "--set", "pauli", "--n", "20", "--loc", "5"],
-             "enumeration of 3767472 members exceeds cap"),
+             EXIT_CAPACITY, "capacity error: enumeration of 3767472 members exceeds cap"),
             (["index", "--set", "majorana", "--n", "26", "--loc", "2"],
-             "dense dimension 8192 exceeds the requested cap 4096"),
+             EXIT_CAPACITY, "capacity error: dense dimension 8192 exceeds the requested cap 4096"),
             (["index", "--set", "pauli", "--n", "13", "--loc", "1"],
-             "dense dimension 8192 exceeds the requested cap 4096"),
+             EXIT_CAPACITY, "capacity error: dense dimension 8192 exceeds the requested cap 4096"),
+            (["index", "--set", "majorana", "--n", "8", "--loc", "3"],
+             EXIT_USAGE, "error: hermitization requires even degree"),
         ],
         ids=["index-majorana", "graph-majorana", "sdp-majorana", "index-pauli", "sdp-pauli",
-             "graph-pauli", "enumeration", "index-majorana-seesaw-dim", "index-pauli-seesaw-dim"],
+             "graph-pauli", "enumeration", "index-majorana-seesaw-dim", "index-pauli-seesaw-dim",
+             "index-majorana-odd-degree"],
     )
-    def test_refused_before_enumeration(self, monkeypatch, capsys, argv, message):
+    def test_refused_before_enumeration(self, monkeypatch, capsys, argv, code, message):
         def refuse(*args, **kwargs):
-            raise AssertionError("family enumerated before its size was checked")
+            raise AssertionError("family enumerated or its graph built before it was checked")
 
         monkeypatch.setattr(fermitheta.cli, "enumerate_set", refuse)
         monkeypatch.setattr(fermitheta.algebra, "enumerate_set", refuse)
-        assert dispatch(argv) == EXIT_CAPACITY
+        monkeypatch.setattr(fermitheta.cli, "commutation_graph", refuse)
+        monkeypatch.setattr(fermitheta.index, "commutation_graph", refuse)
+        assert dispatch(argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.strip().splitlines() == [f"capacity error: {message}"]
+        assert captured.err.strip().splitlines() == [message]
 
     def test_bad_family_input_is_usage_error(self, capsys):
         assert dispatch(["index", "--set", "majorana", "--n", "23", "--loc", "4"]) == EXIT_USAGE

@@ -136,12 +136,28 @@ def _loop_tables(paulis, dim):
     return rows, vals
 
 
-def _scatter_assemble(bank, g):
-    """Reference assembly: scatter-add of every term's m x d nonzeros."""
-    m, dim = bank.rows.shape
+def _scatter_assemble(paulis, dim, g):
+    """Reference assembly: scatter-add of every term's m x d nonzeros, as
+    :func:`_loop_tables` gives them."""
+    rows, vals = _loop_tables(paulis, dim)
+    m = len(paulis)
     H = np.zeros((dim, dim), dtype=complex)
-    np.add.at(H, (bank.rows, np.broadcast_to(np.arange(dim), (m, dim))), g[:, None] * bank.vals)
+    np.add.at(H, (rows, np.broadcast_to(np.arange(dim), (m, dim))), g[:, None] * vals)
     return H / math.sqrt(m)
+
+
+def _assert_action_is_loop(bank, paulis):
+    """The signed permutation that ``bank`` derives from its masks, and its
+    product with a vector, bit for bit against :func:`_loop_tables`: term
+    i takes entry r from row rows[i, r] = r ^ x_i, with the loop's value of
+    that column, because c -> c ^ x_i is an involution."""
+    rows, vals = _loop_tables(paulis, bank.dim)
+    coef = np.take_along_axis(vals, rows, axis=-1)
+    got_rows, got_coef = bank._signed_permutation()
+    assert got_rows.dtype == rows.dtype and got_rows.tobytes() == rows.tobytes()
+    assert got_coef.dtype == coef.dtype and got_coef.tobytes() == coef.tobytes()
+    v = np.cos(np.arange(bank.dim)) + 1j * np.sin(np.arange(bank.dim) ** 2)
+    assert bank.apply(v).tobytes() == (coef * v[rows]).tobytes()
 
 
 _FAMILIES = st.one_of(
@@ -228,17 +244,15 @@ class TestTermBank:
         "kind,n,k", [("majorana", 8, 4), ("majorana", 12, 6), ("pauli", 4, 2), ("pauli", 5, 3)]
     )
     def test_tables_bit_identical_to_loop(self, kind, n, k):
-        bank = term_bank(kind, n, k)
-        rows, vals = _loop_tables(*_family(kind, n, k))
-        assert bank.rows.dtype == rows.dtype and bank.rows.tobytes() == rows.tobytes()
-        assert bank.vals.dtype == vals.dtype and bank.vals.tobytes() == vals.tobytes()
+        paulis, _ = _family(kind, n, k)
+        _assert_action_is_loop(term_bank(kind, n, k), paulis)
 
     @given(_FAMILIES, st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_assemble_matches_scatter(self, family, seed):
         bank = term_bank(*family)
         g = gaussian_stream(RandomStream(seed, 0), len(bank))
-        assert np.abs(bank.assemble(g) - _scatter_assemble(bank, g)).max() <= 1e-12
+        assert np.abs(bank.assemble(g) - _scatter_assemble(*_family(*family), g)).max() <= 1e-12
 
     @given(_FAMILIES, st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -250,6 +264,33 @@ class TestTermBank:
         assert got.shape == (bank.dim,)
         assert np.all(np.diff(got) >= 0)
         assert np.abs(got - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+
+    @given(_FAMILIES, st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_traces_match_dense(self, family, seed):
+        """_traces of a random mixed state, from rho[c, c ^ x_k] of the
+        sorted distinct x-masks x_k, against Tr(A_i rho) of the dense
+        matrices."""
+        ops = enumerate_set(*family)
+        bank = TermBank.from_set(ops, 1 << 12)
+        d = bank.dim
+        z = gaussian_stream(RandomStream(seed, 2), 2 * d * 3)
+        w = (z[0::2] + 1j * z[1::2]).reshape(d, 3)
+        rho = w @ w.conj().T
+        rho /= np.trace(rho).real
+        cols = np.arange(d)
+        got = bank._traces(rho[cols, cols ^ np.unique(bank._masks[0])[:, None]])
+        want = np.einsum("mij,ji->m", np.array(ops.hermitized_matrices()), rho)
+        assert np.abs(want.imag).max() <= 1e-12
+        assert np.abs(got - want.real).max() <= 1e-12
+
+    def test_bank_stores_no_terms_by_columns_table(self):
+        # (18, 4): 3060 terms x 512 columns; the per-term (m, d) tables alone
+        # would take 37.6 MB
+        bank = term_bank("majorana", 18, 4)
+        arrays = [v for v in vars(bank).values() if isinstance(v, np.ndarray)]
+        assert all(a.size < len(bank) * bank.dim for a in arrays)
+        assert sum(a.nbytes for a in arrays) < 4 << 20
 
     def test_parity_flag(self):
         assert all(term_bank("majorana", n, q).parity for n, q in ((4, 2), (8, 4), (12, 6)))
@@ -289,7 +330,7 @@ class TestTermBank:
         x = PauliString.from_label("XZ")
         bank = TermBank([x, x], 4)
         H = bank.assemble(np.array([1.0, 2.0]))
-        assert np.allclose(H, 3.0 / math.sqrt(2) * _scatter_assemble(TermBank([x], 4), np.ones(1)))
+        assert np.allclose(H, 3.0 / math.sqrt(2) * _scatter_assemble([x], 4, np.ones(1)))
 
 
 # even-degree Majorana sets: (n, supports)
@@ -362,9 +403,8 @@ class TestBatchedSpectra:
         want = np.array([(p.x_mask, p.z_mask, p.phase_power) for p in paulis], dtype=np.int64).T
         got = _majorana_masks(ops)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        bank, ref = TermBank.from_set(ops, 1 << 12), TermBank(paulis, ops.dim)
-        assert bank.rows.tobytes() == ref.rows.tobytes()
-        assert bank.vals.tobytes() == ref.vals.tobytes()
+        _assert_action_is_loop(TermBank.from_set(ops, 1 << 12), paulis)
+        _assert_action_is_loop(TermBank(paulis, ops.dim), paulis)
 
     def test_majorana_masks_refuse_any_odd_member(self):
         mixed = OperatorSet("majorana", 6, 2, (MajoranaMonomial(6, (1, 2)),

@@ -2,16 +2,22 @@
 
 ``perfbench/tracer.py`` looks up each ``WRAPS`` entry when a ``Tracer`` is
 constructed, so a library rename or deletion that breaks a traced benchmark
-run fails here first.  Most tests build the tracer without installing it; the
-installed run uninstalls in ``finally`` so no patch outlives it.
+run fails here first.  Its counters read the arguments and results of the
+calls they wrap, so every benchmark operation also runs once under the
+installed tracer at its tiny size.  The installed runs uninstall in
+``finally`` so no patch outlives them.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import fermitheta.cli  # noqa: F401  (loads every module the tracer patches)
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+sys.path.insert(0, str(PERFBENCH))
+import workloads  # noqa: E402  (the benchmark's operations)
 
 
 def _load_tracer():
@@ -71,3 +77,19 @@ def test_installed_tracer_counts_sampling_layers():
     classical = [s for s in tracer.spans if s[2] == "models.classical_sample"]
     assert len(classical) == samples
     assert all(s[5][0] == "classical" for s in classical)
+
+
+def test_installed_tracer_runs_every_tiny_operation():
+    # a counter that reads what the library no longer has fails here
+    tracer = _load_tracer().Tracer()
+    names = ("mc-small-d", "mc-large-d", "mc-observables", "theta-index")
+    tracer.install()
+    try:
+        for name in names:
+            for j, op in enumerate(workloads.build(name, 5, tiny=True).ops):
+                tracer.op_id = (name, j)
+                assert op.failures(op.run()) == [], op.name
+    finally:
+        tracer.uninstall()
+    for name in names:
+        assert tracer.layer_totals({name})["trace.spans"] > 0, name
