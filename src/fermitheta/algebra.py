@@ -524,7 +524,7 @@ class TermBank:
         self.dim = dim
         xs, group = np.unique(x, return_inverse=True)
         self._slot = ((power & 1) * len(xs) + group) * dim + z
-        self._sign = np.where(power < 2, 1.0, -1.0)  # i**power is +-1 or +-i
+        self._sign = np.where(power < 2, 1.0, -1.0)  # sign of i**power, which is +-1 or +-i
         self._weight = self._sign / math.sqrt(m)
         self._table_shape = (2 * len(xs), dim)
         self._targets = cols ^ xs[:, None]
