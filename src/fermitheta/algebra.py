@@ -57,7 +57,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .kernel import CapacityError, InputError
+from .kernel import CapacityError, InputError, fresh_array
 
 __all__ = [
     "PauliString",
@@ -398,18 +398,23 @@ def _sylvester(bits: int) -> np.ndarray:
     return h
 
 
-def _walsh_hadamard(table: np.ndarray) -> np.ndarray:
+def _walsh_hadamard(table: np.ndarray, out=None, step=None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis.
 
     The axis has length 2^bits = d_hi * d_lo; splitting index c into
     (c_hi, c_lo) makes the transform the two Sylvester-matrix products
-    H_hi T H_lo, batched over any leading axes.
+    H_hi T H_lo, batched over any leading axes.  ``out`` and ``step``,
+    contiguous arrays of the table's shape, receive the transform and the
+    first product T H_lo when given; the arithmetic is the same either way.
     """
     shape = table.shape
     bits = shape[-1].bit_length() - 1
     hi = bits // 2
-    split = table.reshape(*shape[:-1], 1 << hi, shape[-1] >> hi)
-    return np.matmul(_sylvester(hi), split @ _sylvester(bits - hi)).reshape(shape)
+    split = (*shape[:-1], 1 << hi, shape[-1] >> hi)
+    step = np.matmul(table.reshape(split), _sylvester(bits - hi),
+                     out=None if step is None else step.reshape(split))
+    return np.matmul(_sylvester(hi), step,
+                     out=None if out is None else out.reshape(split)).reshape(shape)
 
 
 def _majorana_masks(ops: OperatorSet) -> np.ndarray:
@@ -548,10 +553,15 @@ class TermBank:
             mx, mz = mirror_masks
             self.sector_rows = np.stack([members[0], members[0] ^ mx])
             self._mirror_signs = 1 - 2 * odd[members[0] & mz]
-        # the real table and its complex coefficients (8 bytes per table
-        # entry each), the complex parity blocks that are solved, and the
-        # weights and slots of the table's bincount (8 bytes per term each)
-        self.sample_bytes = 16 * (math.prod(self._table_shape) + math.prod(self._block_shape) + m)
+        # a family such as (P, -P) puts two terms in one slot, whose
+        # couplings are summed; every enumerated family has distinct slots
+        self._distinct = len(np.unique(self._slot)) == m
+        # per coupling row, as _coefficients and _blocks take them: the
+        # weights (8 bytes per term), the table, the transform and its first
+        # step (8 bytes per table entry each; the step's bytes then hold the
+        # complex coefficients, and the transform's a mirrored bank's
+        # sector-0 columns), and the solved complex blocks
+        self.sample_bytes = 8 * m + 24 * math.prod(self._table_shape) + 16 * math.prod(self._block_shape)
 
     @classmethod
     def from_set(cls, ops: OperatorSet, max_dim: int) -> "TermBank":
@@ -574,30 +584,56 @@ class TermBank:
     def __len__(self):
         return self._masks.shape[1]
 
-    def _coefficients(self, g: np.ndarray) -> np.ndarray:
-        """(..., groups, dim) coefficients of each coupling row of g (..., m),
-        H[c ^ x_k, c] = out[..., k, c]."""
-        lead, shape = g.shape[:-1], self._table_shape
-        size = math.prod(shape)
-        slots = np.arange(math.prod(lead))[:, None] * size + self._slot
-        table = np.bincount(slots.ravel(), weights=(g * self._weight).ravel(),
-                            minlength=slots.shape[0] * size)
-        table = _walsh_hadamard(table.reshape(*lead, *shape))
-        table = table.reshape(*lead, 2, shape[0] // 2, self.dim)
-        return table[..., 0, :, :] + 1j * table[..., 1, :, :]
+    def _coefficients(self, g: np.ndarray, take) -> np.ndarray:
+        """(rows, groups, dim) coefficients of the coupling rows g (rows, m),
+        H[c ^ x_k, c] = out[r, k, c], in arrays from ``take``
+        (:meth:`~fermitheta.kernel.Workspace.take`, or
+        :func:`~fermitheta.kernel.fresh_array` for a one-off call).
+
+        Each weighted coupling is written to its slot of a table that is
+        zero elsewhere and stays so, since every row writes the same slots
+        (the value 0 + w of a bincount).  The Walsh-Hadamard transform of
+        the table goes to ``transform`` through ``step``, and the complex
+        coefficients, real part + 1j * imaginary part as two in-place
+        operations, to the bytes of ``step``.
+        """
+        rows, (parts, dim) = len(g), self._table_shape
+        table = take("table", (rows, parts * dim), zero=True)
+        weights = np.multiply(g, self._weight, out=take("weights", g.shape))
+        if self._distinct:
+            table[:, self._slot] = weights
+        else:
+            table[:, self._slot] = 0.0
+            np.add.at(table, (slice(None), self._slot), weights)
+        step = take("step", (rows, parts, dim))
+        transform = _walsh_hadamard(table.reshape(rows, parts, dim),
+                                    take("transform", (rows, parts, dim)), step)
+        real, imaginary = np.moveaxis(transform.reshape(rows, 2, parts // 2, dim), 1, 0)
+        coefficients = step.reshape(rows, -1).view(complex).reshape(rows, parts // 2, dim)
+        np.multiply(imaginary, 1j, out=coefficients)
+        return np.add(real, coefficients, out=coefficients)
 
     def assemble(self, g: np.ndarray) -> np.ndarray:
         """Dense (1/sqrt(m)) sum_i g_i A_i."""
         H = np.zeros((self.dim, self.dim), dtype=complex)
-        H[self._targets, np.arange(self.dim)] = self._coefficients(g)
+        H[self._targets, np.arange(self.dim)] = self._coefficients(g.reshape(1, -1), fresh_array)[0]
         return H
 
-    def _blocks(self, g: np.ndarray) -> np.ndarray:
-        """(rows x solved, side, side) stack of the solved blocks of every
-        coupling row of g (..., m)."""
-        lead = g.shape[:-1]
-        blocks = np.zeros((*lead, *self._block_shape), dtype=complex)
-        blocks.reshape(*lead, -1)[..., self._to_blocks] = self._coefficients(g)[..., self._filled]
+    def _blocks(self, g: np.ndarray, take) -> np.ndarray:
+        """(rows x solved, side, side) stack of the solved blocks of the
+        coupling rows g (rows, m), in arrays from ``take`` (see
+        :meth:`_coefficients`).  Entries outside ``_to_blocks`` are zero and
+        stay so; a mirrored bank first gathers the sector-0 columns of the
+        coefficients into the bytes of the spent transform."""
+        rows = len(g)
+        coefficients = self._coefficients(g, take)
+        blocks = take("blocks", (rows, *self._block_shape), complex, zero=True)
+        if self.mirror:
+            spare = take("transform", (rows, *self._table_shape)).reshape(-1).view(complex)
+            shape = (*coefficients.shape[:-1], len(self._filled))
+            coefficients = np.take(coefficients, self._filled, axis=-1, mode="clip",
+                                   out=spare[: math.prod(shape)].reshape(shape))
+        blocks.reshape(rows, -1)[:, self._to_blocks] = coefficients
         return blocks.reshape(-1, *self._block_shape[1:])
 
     def _mirrored(self, w: np.ndarray) -> np.ndarray:
@@ -611,8 +647,15 @@ class TermBank:
         parity blocks of every row (one block per row when parity is false,
         the sector-0 block alone when the bank is mirrored)."""
         lead = g.shape[:-1]
-        w = np.linalg.eigvalsh(self._blocks(g)).reshape(*lead, -1)
-        return np.sort(self._mirrored(w), axis=-1)
+        return self._eigvalsh(g.reshape(-1, len(self)), fresh_array).reshape(*lead, -1)
+
+    def _eigvalsh(self, g: np.ndarray, take) -> np.ndarray:
+        """:meth:`eigvalsh` of the coupling rows g (rows, m), its arrays
+        from ``take`` (see :meth:`_coefficients`); the spectra are a new
+        array, sorted in place."""
+        w = self._mirrored(np.linalg.eigvalsh(self._blocks(g, take)).reshape(len(g), -1))
+        w.sort(axis=-1)
+        return w
 
     def sector_eigh(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (..., sectors, side) and orthonormal eigenvectors
@@ -624,7 +667,7 @@ class TermBank:
         of the sector-0 ones: eigenvalues times ``mirror`` (descending when
         it is -1), eigenvectors their signed conjugates."""
         lead, side = g.shape[:-1], self.sector_rows.shape[1]
-        w, v = np.linalg.eigh(self._blocks(g))
+        w, v = np.linalg.eigh(self._blocks(g.reshape(-1, len(self)), fresh_array))
         w = w.reshape(*lead, -1, side)
         v = v.reshape(*lead, -1, side, side)
         if self.mirror:

@@ -1,5 +1,5 @@
-"""Checked Hermitian eigensolver, error types and reproducible Gaussian
-sampling.
+"""Checked Hermitian eigensolver, error types, reproducible Gaussian
+sampling and the chunk workspace of the sampling calls.
 
 :func:`eigh` is the Hermiticity-checked eigensolver of the off-diagonal
 check in :mod:`fermitheta.index`, its one caller.  Term banks solve their
@@ -17,6 +17,7 @@ parameters reproduce identical outputs bit-for-bit within one build.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -39,6 +40,64 @@ class InputError(ValueError):
 
 class CapacityError(RuntimeError):
     """A request exceeds the configured dense-matrix or enumeration budget."""
+
+
+class Workspace:
+    """One buffer for the chunks of a sampling call (not exported).
+
+    Every layer that handles a chunk (the coupling or energy stack, a term
+    bank's table, transform and blocks, the caller's reduction) takes its
+    arrays by key with :meth:`take`: the first request carves the array
+    from the unused bytes, sized for the first chunk, which is the widest;
+    a later request gets the same memory, its leading rows for a shorter
+    chunk.  So a call allocates one buffer however many chunks it has, and
+    no chunk array is freed and faulted in again.  The buffer is sized once
+    by :meth:`allocate` from the per-sample byte counts that also set the
+    chunk width; a request beyond it raises, so a count that misses an
+    array shows at once.  Freeing the buffer at the end of a call also
+    raises glibc's dynamic mmap threshold above every per-chunk allocation
+    of the call (numpy's own eigensolver copies among them), so later calls
+    of the process take them from the heap instead of fresh mappings.
+    """
+
+    _ALIGN = 64  # each array starts on a cache line
+    _SLACK = 16 * _ALIGN  # room for the alignment of up to 16 arrays
+
+    def __init__(self):
+        self._buffer = None
+        self._used = 0
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def allocate(self, nbytes: int):
+        """Allocate the buffer for arrays of ``nbytes`` in all."""
+        if self._buffer is not None:
+            raise RuntimeError("workspace already allocated")
+        self._buffer = np.empty(nbytes + self._SLACK, dtype=np.uint8)
+
+    def take(self, key: str, shape: tuple, dtype=float, zero: bool = False) -> np.ndarray:
+        """The array ``key`` with ``shape``: carved at the first request
+        (filled with zeros if ``zero``), later its leading ``shape[0]``
+        rows, as written by the last user."""
+        array = self._arrays.get(key)
+        if array is None:
+            base = self._buffer.ctypes.data if self._buffer is not None else 0
+            start = -(-(base + self._used) // self._ALIGN) * self._ALIGN - base
+            end = start + math.prod(shape) * np.dtype(dtype).itemsize
+            if self._buffer is None or end > len(self._buffer):
+                raise RuntimeError(f"workspace array {key!r} exceeds the allocated bytes")
+            array = self._arrays[key] = self._buffer[start:end].view(dtype).reshape(shape)
+            if zero:
+                array.fill(0)
+            self._used = end
+        elif array.shape[1:] != tuple(shape[1:]) or array.dtype != dtype or shape[0] > len(array):
+            raise RuntimeError(f"workspace array {key!r} requested as {shape}, carved as {array.shape}")
+        return array[: shape[0]]
+
+
+def fresh_array(key: str, shape: tuple, dtype=float, zero: bool = False) -> np.ndarray:
+    """A new array for a one-off call, with the signature of
+    :meth:`Workspace.take` (``key`` is unused)."""
+    return np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
 
 
 def eigh(H) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,10 @@ quantity is a reduction over the spectra of
 p-spin), taken chunk by chunk: each (samples, d) chunk is reduced by
 whole-array operations, such as one log-sum-exp over (samples, beta, d),
 that do the same arithmetic per sample as a loop over samples, so every
-record is bit-identical to it.  The log-sum-exp is a numpy function that
+record is bit-identical to it.  The free energy and the glassiness
+contrast take the log-sum-exp's arrays from the call's chunk workspace
+(:class:`~fermitheta.kernel.Workspace`), as the models layer takes the
+stacks and the eigensolve's.  The log-sum-exp is a numpy function that
 repeats ``scipy.special.logsumexp`` step by step; scipy's fixed cost per
 call dominated small-d runs.  A fixed state's energy is linear in the
 couplings of :func:`~fermitheta.models.sample_couplings`,
@@ -47,7 +50,7 @@ import numpy as np
 from .algebra import MAX_DENSE_DIM, MajoranaMonomial, OperatorSet, TermBank, _walsh_hadamard
 from .graphs import commuting_majorana_family, stabilized_state
 from .index import pauli_index_weak_bound
-from .kernel import CapacityError, InputError, RandomStream, random_state
+from .kernel import CapacityError, InputError, RandomStream, Workspace, random_state
 from .models import (
     _coupling_chunks,
     _spectrum_chunks,
@@ -97,7 +100,8 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # Bytes per spectrum entry and temperature that a chunk's reduction holds
 # at its peak (see models._spectrum_chunks).  The log-sum-exp over
 # temperatures: the scaled copy -beta sqrt(n) w (8), its shift in
-# _logsumexp (8) and the tie mask (1).  The Gibbs weights of the classical
+# _logsumexp (8) and the tie mask (1), all three in the call's chunk
+# workspace (_log_partition).  The Gibbs weights of the classical
 # overlap: three float arrays at once (8 each), both in _gibbs_weights
 # (-scale w, its exponential, the normalized weights) and in their
 # Walsh-Hadamard transform (the weights and the two matrix products).
@@ -123,16 +127,36 @@ def _check_samples(samples: int):
         raise CapacityError(f"{samples} samples exceed the cap of {MAX_SAMPLES}")
 
 
-def _chunks(model: str, n: int, loc: int, seed: int, samples: int, reduce_bytes: int = 0):
+def _chunks(model: str, n: int, loc: int, seed: int, samples: int, reduce_bytes: int = 0,
+            work: Workspace | None = None):
     """Spectra of samples 0..samples-1 as (b, d) chunks (see
     :func:`fermitheta.models.sample_spectra`), after the sample count is
     checked.  ``reduce_bytes`` per spectrum entry are the temporaries of
-    the caller's reduction of a chunk, which its width makes room for."""
+    the caller's reduction of a chunk, which its width makes room for (in
+    ``work``, when the caller takes them from it)."""
     _check_samples(samples)
-    return _spectrum_chunks(model, n, loc, seed, range(samples), reduce_bytes)
+    return _spectrum_chunks(model, n, loc, seed, range(samples), reduce_bytes, work)
 
 
-def _logsumexp(x: np.ndarray) -> np.ndarray:
+def _log_partition(model: str, n: int, loc: int, seed: int, samples: int, betas) -> np.ndarray:
+    """ln Z of the rescaled model sqrt(n) H for samples 0..samples-1 at
+    each of ``betas``, (samples, temperatures): the log-sum-exp of
+    -beta sqrt(n) w over each spectrum w.  The scaled spectra, their shift
+    and the tie mask of :func:`_logsumexp` (``_LOGSUMEXP_BYTES`` per entry
+    and temperature) are taken from the call's chunk workspace, so every
+    chunk reuses the same memory."""
+    work = Workspace()
+    chunks = _chunks(model, n, loc, seed, samples, _LOGSUMEXP_BYTES * len(betas), work)
+    scale = -np.asarray(betas)[:, None] * math.sqrt(n)
+    lnz = []
+    for w in chunks:
+        shape = (len(w), len(scale), w.shape[1])
+        x = np.multiply(scale, w[:, None, :], out=work.take("scaled", shape))
+        lnz.append(_logsumexp(x, work.take("shift", shape), work.take("ties", shape, bool)))
+    return np.concatenate(lnz)
+
+
+def _logsumexp(x: np.ndarray, shift=None, ties=None) -> np.ndarray:
     """log sum exp over the last axis of a finite real array.
 
     The arithmetic of ``scipy.special.logsumexp`` (scipy 1.17), step by
@@ -140,14 +164,15 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     the sum and counted, and the sum of the rest is scaled by the count.
     One call reduces a whole (samples, betas, d) chunk, where scipy's
     per-call overhead dominated at small d.  The shift x - max is the one
-    new full-size float array, besides the boolean tie mask: x - max is
+    full-size float temporary, besides the boolean tie mask: x - max is
     exactly 0 where x is a maximum, and the exponential, the zeroing of
-    the ties and the sum all work in place on that temporary, so ``x``
-    itself is left unchanged.
+    the ties and the sum all work in place on the shift, so ``x`` itself
+    is left unchanged.  ``shift`` and ``ties``, arrays of x's shape, hold
+    the two when given; new ones are allocated otherwise.
     """
     top = x.max(axis=-1, keepdims=True)
-    e = x - top
-    ties = e == 0
+    e = np.subtract(x, top, out=shift)
+    ties = np.equal(e, 0, out=ties)
     count = ties.sum(axis=-1, keepdims=True, dtype=x.dtype)
     np.exp(e, out=e)
     np.copyto(e, 0.0, where=ties)
@@ -228,10 +253,8 @@ def free_energy_experiment(
     """
     t0 = time.perf_counter()
     betas = [float(b) for b in beta_list]
-    chunks = _chunks(model, n, loc, seed, samples, _LOGSUMEXP_BYTES * len(betas))
+    lnz = _log_partition(model, n, loc, seed, samples, betas)
     sqrt_n = math.sqrt(n)
-    scale = -np.asarray(betas)[:, None] * sqrt_n
-    lnz = np.concatenate([_logsumexp(scale * w[:, None, :]) for w in chunks])
     delta_ub = delta_upper_bound(model, n, loc)
     verdicts = []
     summary = {"beta": betas, "delta_upper": delta_ub, "model": model}
@@ -875,8 +898,7 @@ def glassiness_contrast(
     cl_rows = []
     for n in n_list:
         for rows, model, model_seed in ((syk_rows, "syk", seed), (cl_rows, "classical", seed + 1)):
-            chunks = _chunks(model, n, 4, model_seed, samples, _LOGSUMEXP_BYTES)
-            lnz = np.concatenate([_logsumexp(-beta * math.sqrt(n) * w) for w in chunks])
+            lnz = _log_partition(model, n, 4, model_seed, samples, [beta])[:, 0]
             gap, se = _gap(lnz, n)[:2]
             rows.append({"n": n, "gap": gap, "se": se})
     verdicts = []

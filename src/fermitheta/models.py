@@ -35,13 +35,17 @@ changes no bit of any spectrum.  One byte budget, ``_CHUNK_BYTES``, sizes
 every chunk: the spectra's, and the couplings' of the eigenvector path
 of the Gibbs observables (:func:`_coupling_chunks`).  Each path counts
 the bytes that one sample adds to its chunk from the arrays it holds:
-the couplings, the eigensolve's table and blocks, the spectrum, and the
-temporaries of the caller's reduction (the (beta, d) arrays of lab's
-log-sum-exp, or the sector eigenvectors and transformed operators of the
-Gibbs observables).  The budget, chosen by the sweep recorded beside
-``_CHUNK_BYTES``, gives the d = 16 free energy 60 to 90 samples per
-chunk and classical (12, 4) three, and makes b = 1 at d = 512, where a
-chunk would only add memory.
+the couplings, the eigensolve's table, transform and blocks, the
+spectrum, and the temporaries of the caller's reduction (the (beta, d)
+arrays of lab's log-sum-exp, or the sector eigenvectors and transformed
+operators of the Gibbs observables).  The same counts size one
+workspace per call (:class:`~fermitheta.kernel.Workspace`): the stacks,
+the eigensolve's arrays and the log-sum-exp's are carved from one buffer
+allocated once, and every chunk of the call writes into it in place, so
+no chunk array is allocated, zero-filled or faulted in again.  The
+budget, chosen by the sweep recorded beside ``_CHUNK_BYTES``, gives the
+d = 16 free energy 50 to 80 samples per chunk and classical (12, 4)
+three, and makes b = 1 at d = 512, where a chunk would only add memory.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from math import comb, log
 import numpy as np
 
 from .algebra import TermBank, _check_bank_entries, _walsh_hadamard, term_bank
-from .kernel import CapacityError, InputError, RandomStream, gaussian_stream
+from .kernel import CapacityError, InputError, RandomStream, Workspace, gaussian_stream
 from .theta import theta_johnson_lp
 
 __all__ = [
@@ -79,7 +83,9 @@ MAX_CLASSICAL_SPINS = 22
 # Working-set budget of one chunk of samples: every chunk of spectra
 # (_spectrum_chunks) and every chunk of couplings on the eigenvector path
 # (lab.tail_experiment) holds at most this many bytes of per-sample arrays,
-# as each path counts them (at least one sample).  Interleaved sweep, median
+# as each path counts them (at least one sample).  The same counts size the
+# one workspace of a sampling call, so the budget also bounds the buffer
+# that a call allocates once and every chunk reuses.  Interleaved sweep, median
 # ms of 21 runs, one BLAS thread on a 2-core Intel Xeon (2 MiB L2 per core);
 # free energy over 250 samples at three betas, Gibbs observables over 600
 # samples at n = 10 (samples per chunk in brackets):
@@ -101,8 +107,9 @@ MAX_CLASSICAL_SPINS = 22
 # sharply from b = 5 on (their working set nears the 2 MiB L2 cache), and
 # the budget must stay below the 3.6 MiB of one syk (18, 4) sample so that
 # d = 512 runs one sample at a time.  The bracketed widths are those of the
-# sweep's counts; with the couplings counted once and two_point holding 5
-# sector arrays, 768 KiB gives 89, 65, 3, 15 and 11.
+# sweep's counts; with the couplings counted once, two_point holding 5
+# sector arrays and the eigensolve's table, transform and transform step
+# counted at 8 bytes per table entry each, 768 KiB gives 76, 54, 3, 13 and 10.
 _CHUNK_BYTES = 768 << 10
 _KINDS = {"syk": "majorana", "sg": "pauli"}
 
@@ -163,11 +170,12 @@ def sample_spectra(model: str, n: int, loc: int, seed: int, streams):
     SYK and spin-glass samples give their ascending eigenvalues
     (``bank.eigvalsh``), classical p-spin samples their energies in
     configuration order.  Everything is checked, and the term bank built,
-    before the generator is returned.  The spectra are the rows of
-    :func:`_spectrum_chunks`, so they are bit-identical to one
+    before the generator is returned.  The spectra are copies of the rows
+    of :func:`_spectrum_chunks`, which reuse their memory from chunk to
+    chunk, so each is the caller's own array, bit-identical to one
     ``bank.eigvalsh`` call per sample.
     """
-    return (w for chunk in _spectrum_chunks(model, n, loc, seed, streams) for w in chunk)
+    return (w.copy() for chunk in _spectrum_chunks(model, n, loc, seed, streams) for w in chunk)
 
 
 def _chunk_size(sample_bytes: int) -> int:
@@ -175,7 +183,8 @@ def _chunk_size(sample_bytes: int) -> int:
     return max(1, _CHUNK_BYTES // sample_bytes)
 
 
-def _spectrum_chunks(model: str, n: int, loc: int, seed: int, streams, reduce_bytes: int = 0):
+def _spectrum_chunks(model: str, n: int, loc: int, seed: int, streams, reduce_bytes: int = 0,
+                     work: Workspace | None = None):
     """The spectra of :func:`sample_spectra` as (b, d) arrays of b
     consecutive samples.
 
@@ -185,23 +194,36 @@ def _spectrum_chunks(model: str, n: int, loc: int, seed: int, streams, reduce_by
     ``sample_classical_pspin`` energy arrays.  b is bounded by
     ``_CHUNK_BYTES`` over the bytes that one sample adds to a chunk:
 
-    - its spectrum, 8 bytes per entry;
+    - its spectrum, 8 bytes per entry (a new array per chunk);
     - the temporaries of the caller's reduction of the chunk,
       ``reduce_bytes`` per spectrum entry (lab's log-sum-exp over the
       temperatures, for example);
-    - for SYK and spin-glass samples, its couplings and eigensolve, as
-      :func:`_coupling_chunks` counts them.
+    - for SYK and spin-glass samples, its couplings and eigensolve, 8 bytes
+      per term and ``bank.sample_bytes``; for classical samples the row of
+      energies, 8 bytes per entry.
 
-    So large dimensions run one sample at a time.  Checked like
-    :func:`sample_spectra`, before the generator is returned.
+    So large dimensions run one sample at a time.  The stacks and the
+    eigensolve's arrays are taken from one :class:`Workspace` per call,
+    allocated before the generator is returned, so each chunk reuses the
+    memory of the one before: a chunk is valid until the next is drawn.
+    The workspace has room for the reduction's ``reduce_bytes`` too: a
+    caller that passes its own unallocated ``work`` takes those arrays from
+    it.  Checked like :func:`sample_spectra`, before the generator is
+    returned.
     """
+    work = Workspace() if work is None else work
     if model == "classical":
         _check(model, n, loc)
         size = _chunk_size((8 + reduce_bytes) << n)
-        return _stacks((sample_classical_pspin(n, loc, seed, stream=i) for i in streams), size)
+        work.allocate(size * ((8 + reduce_bytes) << n))
+        energies = (sample_classical_pspin(n, loc, seed, stream=i) for i in streams)
+        return _stacks(energies, work.take("stack", (size, 1 << n)))
     bank = model_bank(model, n, loc)
-    chunks = _coupling_chunks(model, n, loc, seed, streams, bank, (8 + reduce_bytes) * bank.dim)
-    return (bank.eigvalsh(g) for g in chunks)
+    m, d = len(bank), bank.dim
+    size = _chunk_size(8 * m + bank.sample_bytes + (8 + reduce_bytes) * d)
+    work.allocate(size * (8 * m + bank.sample_bytes + reduce_bytes * d))
+    stacks = _stacks(sample_couplings(model, n, loc, seed, streams), work.take("stack", (size, m)))
+    return (bank._eigvalsh(g, work.take) for g in stacks)
 
 
 def _coupling_chunks(model: str, n: int, loc: int, seed: int, streams, bank: TermBank,
@@ -211,26 +233,31 @@ def _coupling_chunks(model: str, n: int, loc: int, seed: int, streams, bank: Ter
     be shorter.  b is bounded by ``_CHUNK_BYTES`` over the bytes that one
     sample adds to a chunk:
 
-    - its couplings, 8 bytes per term (the drawn rows are dropped once
-      stacked, see :func:`_stacks`);
+    - its couplings, 8 bytes per term, in one (b, m) array per call that
+      every chunk reuses (see :func:`_stacks`);
     - the eigensolve's working set, ``bank.sample_bytes``;
     - ``held_bytes`` of the caller's own arrays per sample.
 
     Checked before the generator is returned.
     """
     couplings = sample_couplings(model, n, loc, seed, streams)
-    return _stacks(couplings, _chunk_size(8 * len(bank) + bank.sample_bytes + held_bytes))
+    size = _chunk_size(8 * len(bank) + bank.sample_bytes + held_bytes)
+    return _stacks(couplings, np.empty((size, len(bank))))
 
 
-def _stacks(rows, size: int):
-    """``np.stack`` of each run of ``size`` consecutive rows; the last may
-    be shorter.  No list of rows stays alive beside its stack while the
-    consumer holds the stack."""
+def _stacks(rows, stack: np.ndarray):
+    """Runs of ``len(stack)`` consecutive rows, each copied into the
+    leading rows of ``stack`` as it is drawn; the last run may be shorter.
+    Every run overwrites the one before, so the consumer is done with a
+    run before it draws the next."""
     rows = iter(rows)
-    while batch := list(itertools.islice(rows, size)):
-        stack = np.stack(batch)
-        del batch
-        yield stack
+    while True:
+        k = 0
+        for k, row in enumerate(itertools.islice(rows, len(stack)), 1):
+            stack[k - 1] = row
+        if not k:
+            return
+        yield stack[:k]
 
 
 @lru_cache(maxsize=16)
@@ -296,6 +323,8 @@ def lambda_max_lower_bound(m: int, h_comm: int, delta_upper: float, c1: float = 
     """
     if c1 <= 0:
         raise InputError("c1 must be positive")
+    if h_comm <= 0:
+        raise InputError("h_comm must be positive: no term anticommutes with another")
     raw = math.sqrt(m) / (4 * math.sqrt(c1 * h_comm)) * (1 - 16 * delta_upper)
     return EigenvalueBound(
         bound=max(0.0, raw),
@@ -338,7 +367,8 @@ def ansatz_bounds_report(n: int, q: int, t: float, M: int, delta: float) -> Boun
     configurations, matrix product states exp(chi^2 + ln n), neural
     networks exp(W), and Gaussian states an n^2-scale net.  The
     eigenvalue bound takes c1 = 1.  An exponent E that is not a finite
-    float is refused.
+    float is refused, and so is q = n, whose single term gives the
+    eigenvalue bound no anticommuting pair (h_comm = 0).
     """
     if t <= 0:
         raise InputError("t must be positive")
@@ -346,6 +376,8 @@ def ansatz_bounds_report(n: int, q: int, t: float, M: int, delta: float) -> Boun
         raise InputError("gate set must contain at least 2 gates")
     if not 0 < delta < 1:
         raise InputError("delta must lie in (0, 1)")
+    if q == n:
+        raise InputError("q = n leaves a single term, which anticommutes with none: q must be below n")
     sigma_sq = float(theta_johnson_lp(n, q).value) / comb(n, q)
     exponent = t * t * n / (2 * sigma_sq)
     if not math.isfinite(exponent):

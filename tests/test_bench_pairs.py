@@ -1,5 +1,5 @@
-"""The verdict, failure share and summary line of tools/bench_pairs.py on
-synthetic paired runs."""
+"""The verdict, failure share, fault count and summary line of
+tools/bench_pairs.py on synthetic paired runs."""
 
 import sys
 from pathlib import Path
@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from bench_pairs import failed_share, verdict, verdict_line  # noqa: E402
+from bench_pairs import counted_run, failed_share, fault_medians, verdict, verdict_line  # noqa: E402
 
 PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.3]
 
@@ -105,3 +105,20 @@ class TestVerdictLine:
         assert verdict_line("mc-small-d", self.ENTRY) == (
             "mc-small-d: setup_s within bound, pass_rel gain, peak_rss_mb within bound;"
             " failed share 0 -> 0.1429; all_correct true; same_digest false")
+
+
+class TestMinorFaults:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt of children")
+    def test_counts_the_pages_a_child_touches(self, tmp_path):
+        # the child writes 64 MB of 4 KiB pages (a bytearray is not advised
+        # into huge pages): 16384 faults more than an empty child
+        touch = "b = bytearray(b'x') * (64 << 20)"
+        proc, faults = counted_run([sys.executable, "-c", touch], tmp_path)
+        empty, base = counted_run([sys.executable, "-c", "pass"], tmp_path)
+        assert proc.returncode == empty.returncode == 0
+        assert 0 < base and faults - base >= 16000
+
+    def test_medians_per_side(self):
+        pairs = [{"parent": {"minor_faults": f}, "change": {"minor_faults": c}}
+                 for f, c in [(900, 10), (1000, 12), (950, 8)]]
+        assert fault_medians(pairs) == {"parent": 950, "change": 10}

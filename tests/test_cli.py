@@ -190,6 +190,18 @@ class TestDispatch:
         payload = json.loads(capsys.readouterr().out)
         assert payload["circuit_gate_threshold"] == 3158
 
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_bounds_refuse_q_equal_to_n(self, capsys, n):
+        # a single term anticommutes with none (h_comm = 0): refused in one
+        # line, where the eigenvalue bound divided by zero
+        argv = ["bounds", "--n", str(n), "--q", str(n), "--t", "0.5", "--gateset", "64",
+                "--delta", "1e-3"]
+        assert dispatch(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: q = n")
+
     def test_index_all(self, capsys):
         assert dispatch(
             ["index", "--set", "majorana", "--n", "6", "--loc", "2", "--method", "all"]

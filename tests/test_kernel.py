@@ -1,4 +1,4 @@
-"""Kernel: eigensolver contracts and random streams."""
+"""Kernel: eigensolver contracts, random streams and the chunk workspace."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermitheta.algebra import term_bank
-from fermitheta.kernel import InputError, RandomStream, eigh, gaussian_stream
+from fermitheta.kernel import InputError, RandomStream, Workspace, eigh, gaussian_stream
 
 
 def random_hermitian(dim, seed):
@@ -113,3 +113,32 @@ class TestGaussianStream:
         with ThreadPoolExecutor(4) as pool:
             got = list(pool.map(lambda i: gaussian_stream(RandomStream(5, i), 64), range(32)))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+class TestWorkspace:
+    def test_arrays_are_carved_once_and_reused(self):
+        work = Workspace()
+        work.allocate(4 * 3 * 8 + 4 * 16 + 4)
+        table = work.take("table", (4, 3), zero=True)
+        blocks = work.take("blocks", (4, 2), complex)
+        mask = work.take("mask", (4,), bool)
+        assert not table.any() and blocks.dtype == complex and mask.dtype == bool
+        for a in (table, blocks, mask):
+            assert a.ctypes.data % 64 == 0 and a.flags.c_contiguous
+        table[:] = 7.0
+        again = work.take("table", (2, 3), zero=True)  # zeroed only when carved
+        assert again.shape == (2, 3) and np.shares_memory(again, table) and (again == 7.0).all()
+        assert not np.shares_memory(table, blocks) and not np.shares_memory(blocks, mask)
+
+    def test_requests_beyond_the_buffer_or_its_arrays_raise(self):
+        work = Workspace()
+        work.allocate(64)
+        work.take("a", (8,))
+        with pytest.raises(RuntimeError, match="exceeds"):
+            work.take("b", (8, 100))
+        with pytest.raises(RuntimeError, match="carved"):
+            work.take("a", (9,))
+        with pytest.raises(RuntimeError, match="carved"):
+            work.take("a", (8,), complex)
+        with pytest.raises(RuntimeError, match="already"):
+            work.allocate(64)

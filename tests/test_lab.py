@@ -1,8 +1,14 @@
 """Monte Carlo experiments: estimator identities and bound verdicts."""
 
 import itertools
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +167,50 @@ class TestChunkWidths:
         # runs of at least two full chunks: the traced peak is the working
         # set of one chunk, so a count that is off by half shows here
         assert 0.6 <= _traced_peak(run) / models._CHUNK_BYTES <= 1.5
+
+
+# Runs the mc-small-d free-energy calls (full size) once to warm up, frees a
+# 16 MB array when asked, then prints the minor page faults of each call of
+# a second round.
+_FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from fermitheta.lab import free_energy_experiment
+
+def round_of_calls():
+    faults = []
+    for model, n, loc in (("syk", 8, 4), ("sg", 4, 2), ("classical", 12, 4)):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        free_energy_experiment(model, n, loc, [0.5, 1.0, 2.0], 250, seed=3)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return faults
+
+round_of_calls()
+if sys.argv[1] == "free":
+    big = np.ones(2 << 20)
+    del big
+print(round_of_calls())
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="minor page faults under glibc's malloc")
+class TestAllocatorIndependence:
+    """A warm process runs the chunked free energy without page faults,
+    whatever the allocator's state: every chunk reuses the call's one
+    workspace, and freeing it leaves glibc's mmap threshold above every
+    per-chunk array, where scattered chunk temporaries were mapped and
+    faulted in again on every chunk."""
+
+    @pytest.mark.parametrize("prior", ["keep", "free"])
+    def test_second_round_takes_no_faults(self, prior):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", _FAULT_PROBE, prior], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        faults = json.loads(out)
+        assert len(faults) == 3 and max(faults) <= 50, faults
 
 
 class TestDeltaUpper:

@@ -29,7 +29,14 @@ from fermitheta.graphs import (
     stabilized_state,
     ternary_tree_paulis,
 )
-from fermitheta.kernel import CapacityError, InputError, RandomStream, gaussian_stream, random_state
+from fermitheta.kernel import (
+    CapacityError,
+    InputError,
+    RandomStream,
+    Workspace,
+    gaussian_stream,
+    random_state,
+)
 from fermitheta.models import (
     ansatz_bounds_report,
     depolarized_energy_identity,
@@ -332,6 +339,21 @@ class TestTermBank:
         H = bank.assemble(np.array([1.0, 2.0]))
         assert np.allclose(H, 3.0 / math.sqrt(2) * _scatter_assemble([x], 4, np.ones(1)))
 
+    def test_shared_slots_add_afresh_in_every_chunk(self):
+        # x, -x and x share a slot: each chunk of a reused workspace sums
+        # its own couplings there, none of the chunk before
+        x, z = PauliString.from_label("XZ"), PauliString.from_label("ZI")
+        minus_x = PauliString(2, x.x_mask, x.z_mask, x.phase_power + 2)
+        bank = TermBank([x, minus_x, z, x], 4)
+        work = Workspace()
+        work.allocate(2 * bank.sample_bytes)
+        for g in ([[1.0, 2.0, 3.0, 4.0], [0.5, -1.0, 2.0, 0.25]], [[-2.0, 1.5, 0.0, 1.0]]):
+            got = bank._eigvalsh(np.array(g), work.take)
+            for row, w in zip(g, got):
+                dense = _scatter_assemble([x, minus_x, z, x], 4, np.array(row))
+                assert np.abs(w - np.linalg.eigvalsh(dense)).max() <= 1e-12
+                assert w.tobytes() == bank.eigvalsh(np.array(row)).tobytes()
+
 
 # even-degree Majorana sets: (n, supports)
 _EVEN_MAJORANA_SETS = st.integers(1, 7).flatmap(
@@ -379,6 +401,22 @@ class TestBatchedSpectra:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
         sizes = [len(c) for c in models._spectrum_chunks(model, n, loc, 4, streams)]
         assert sum(sizes) == len(streams) and set(sizes[:-1]) <= {width}
+
+    @pytest.mark.parametrize("model,n,loc", [("syk", 8, 4), ("sg", 4, 2), ("classical", 12, 4),
+                                             ("sg", 9, 2)])
+    def test_listed_spectra_are_owned_copies(self, model, n, loc):
+        # the chunks reuse one workspace, so a spectrum that were a view of
+        # it would read as the last chunk's once the list is complete
+        width = len(next(models._spectrum_chunks(model, n, loc, 4, itertools.count())))
+        streams = range(2 * width + 1)  # two full chunks and one sample more
+        got = list(sample_spectra(model, n, loc, 4, streams))
+        if model == "classical":
+            want = [sample_classical_pspin(n, loc, 4, stream=i) for i in streams]
+        else:
+            bank = model_bank(model, n, loc)
+            want = [bank.eigvalsh(g) for g in sample_couplings(model, n, loc, 4, streams)]
+        assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
+        assert all(w.flags.owndata for w in got)
 
     def test_chunks_batch_small_models(self):
         # small models (d = 16, and classical n = 12) take several samples
@@ -623,6 +661,11 @@ class TestEigenvalueBound:
         assert abs(res.bound - 0.264) < 5e-4
         assert abs(res.beta_max - math.sqrt(1820 / 928)) < 1e-12
 
+    @pytest.mark.parametrize("h_comm", [0, -3])
+    def test_refuses_a_family_without_anticommuting_pairs(self, h_comm):
+        with pytest.raises(InputError, match="h_comm must be positive"):
+            lambda_max_lower_bound(1, h_comm, 0.0)
+
     def test_monotonicity(self):
         base = lambda_max_lower_bound(1820, 928, 0.01, c1=1.0)
         assert lambda_max_lower_bound(1820, 928, 0.02, c1=1.0).bound < base.bound
@@ -668,6 +711,15 @@ class TestAnsatzBounds:
         for t in (1e200, float("inf"), float("nan")):  # exponent t^2 n / (2 sigma^2) not finite
             with pytest.raises(InputError):
                 ansatz_bounds_report(100, 4, t, 64, 1e-3)
+
+    def test_q_equal_to_n_refused_before_the_lp(self, monkeypatch):
+        def lp(n, q):
+            raise AssertionError("the LP ran")
+
+        monkeypatch.setattr(models, "theta_johnson_lp", lp)
+        for n in (2, 4, 10):
+            with pytest.raises(InputError, match="q = n"):
+                ansatz_bounds_report(n, n, 0.5, 64, 1e-3)
 
 
 class TestDepolarizedIdentity:

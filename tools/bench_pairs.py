@@ -11,8 +11,10 @@ seed S = first_seed + i; even pairs run the parent first, odd pairs the
 change first, so that a drift of the machine does not favour one side.
 
 The file records, per workload, every run of both sides (seed, order,
-the end-to-end metrics, the failure share and the output digest), each
-side's mean per-run failure share (:func:`failed_share`), and per metric
+the end-to-end metrics, the failure share, the output digest and the
+minor page faults of the run), each side's mean per-run failure share
+(:func:`failed_share`) and median minor faults (:func:`fault_medians`),
+and per metric
 each side's median and quartiles, the number of pairs the change wins
 and, for the end-to-end metrics of BENCHMARK.json, a verdict
 (:func:`verdict`).  At the end, one stderr line per workload sums these
@@ -29,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -57,16 +60,26 @@ def unpack(rev: str, dest: Path) -> str:
     return name
 
 
+def counted_run(cmd: list, cwd: Path) -> tuple[subprocess.CompletedProcess, int]:
+    """Run ``cmd`` to completion; the process and the minor page faults
+    (``ru_minflt``) of it and of every descendant it waited for.  Faults
+    follow the allocator's state, which a pass time alone does not show."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
+    return proc, resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+
 def run_once(copy: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark invocation; its result and detail lines."""
+    """One untraced benchmark invocation; its result and detail lines and
+    its minor page faults (set-up and the worker processes included)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=copy, capture_output=True, text=True)
+    proc, faults = counted_run(cmd, copy)
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {copy} exited {proc.returncode}:"
                          f" {proc.stderr.strip()[-500:]}")
     detail, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
-    return {"detail": detail["detail"], "result": result}
+    return {"detail": detail["detail"], "result": result, "minor_faults": faults}
 
 
 def summary(values: list) -> dict:
@@ -118,6 +131,11 @@ def failed_share(pairs: list) -> dict:
     shares = {s: [p[s]["failed_share"] for p in pairs] for s in SIDES}
     return {**{s: statistics.fmean(shares[s]) for s in SIDES},
             "change_higher": sum(c > p for p, c in zip(shares["parent"], shares["change"]))}
+
+
+def fault_medians(pairs: list) -> dict:
+    """Each side's median of the minor page faults per run."""
+    return {s: statistics.median(p[s]["minor_faults"] for p in pairs) for s in SIDES}
 
 
 def verdict_line(workload: str, entry: dict) -> str:
@@ -181,6 +199,7 @@ def run_pairs(args, work: Path) -> dict:
                     "attempted": res["attempted"],
                     "failed_share": res["failed"] / res["attempted"],
                     "digest": out["detail"]["digest"],
+                    "minor_faults": out["minor_faults"],
                 }
                 print(f"{workload} seed {seed} {side}: "
                       f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr, flush=True)
@@ -200,6 +219,7 @@ def run_pairs(args, work: Path) -> dict:
             "metrics": metrics,
             "all_correct": all(p[s]["correct"] for p in pairs for s in SIDES),
             "failed_share": failed_share(pairs),
+            "minor_faults": fault_medians(pairs),
             "same_digest": all(p["parent"]["digest"] == p["change"]["digest"] for p in pairs),
         }
 
