@@ -555,7 +555,8 @@ class TermBank:
             self._mirror_signs = 1 - 2 * odd[members[0] & mz]
         # a family such as (P, -P) puts two terms in one slot, whose
         # couplings are summed; every enumerated family has distinct slots
-        self._distinct = len(np.unique(self._slot)) == m
+        ordered = np.sort(self._slot)
+        self._distinct = bool(np.all(ordered[1:] != ordered[:-1]))
         # per coupling row, as _coefficients and _blocks take them: the
         # weights (8 bytes per term), the table, the transform and its first
         # step (8 bytes per table entry each; the step's bytes then hold the
@@ -608,7 +609,8 @@ class TermBank:
         step = take("step", (rows, parts, dim))
         transform = _walsh_hadamard(table.reshape(rows, parts, dim),
                                     take("transform", (rows, parts, dim)), step)
-        real, imaginary = np.moveaxis(transform.reshape(rows, 2, parts // 2, dim), 1, 0)
+        halves = transform.reshape(rows, 2, parts // 2, dim)
+        real, imaginary = halves[:, 0], halves[:, 1]
         coefficients = step.reshape(rows, -1).view(complex).reshape(rows, parts // 2, dim)
         np.multiply(imaginary, 1j, out=coefficients)
         return np.add(real, coefficients, out=coefficients)
