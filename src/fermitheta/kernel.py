@@ -80,10 +80,12 @@ class Workspace:
         rows, as written by the last user."""
         array = self._arrays.get(key)
         if array is None:
-            base = self._buffer.ctypes.data if self._buffer is not None else 0
+            if self._buffer is None:
+                raise RuntimeError("workspace not allocated")
+            base = self._buffer.ctypes.data
             start = -(-(base + self._used) // self._ALIGN) * self._ALIGN - base
             end = start + math.prod(shape) * np.dtype(dtype).itemsize
-            if self._buffer is None or end > len(self._buffer):
+            if end > len(self._buffer):
                 raise RuntimeError(f"workspace array {key!r} exceeds the allocated bytes")
             array = self._arrays[key] = self._buffer[start:end].view(dtype).reshape(shape)
             if zero:

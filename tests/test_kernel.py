@@ -131,6 +131,8 @@ class TestWorkspace:
         assert not np.shares_memory(table, blocks) and not np.shares_memory(blocks, mask)
 
     def test_requests_beyond_the_buffer_or_its_arrays_raise(self):
+        with pytest.raises(RuntimeError, match="not allocated"):
+            Workspace().take("a", (8,))
         work = Workspace()
         work.allocate(64)
         work.take("a", (8,))
