@@ -8,7 +8,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from bench_pairs import counted_run, failed_share, fault_medians, verdict, verdict_line  # noqa: E402
+from bench_pairs import (  # noqa: E402
+    ROOT,
+    cold_run,
+    counted_run,
+    failed_share,
+    fault_medians,
+    pass_faults,
+    verdict,
+    verdict_line,
+)
 
 PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.3]
 
@@ -122,3 +131,14 @@ class TestMinorFaults:
         pairs = [{"parent": {"minor_faults": f}, "change": {"minor_faults": c}}
                  for f, c in [(900, 10), (1000, 12), (950, 8)]]
         assert fault_medians(pairs) == {"parent": 950, "change": 10}
+
+
+class TestProbes:
+    def test_cold_run_of_a_command_without_scipy(self):
+        run = cold_run(ROOT, "ternary --k 2")
+        assert run["code"] == 0 and run["scipy_modules"] == 0
+        assert run["wall_s"] > 0 and run["peak_rss_mb"] > 1
+
+    def test_pass_faults_count_each_pass(self):
+        faults = pass_faults(ROOT, "mc-observables", 1, 2, tiny=True)
+        assert len(faults) == 2 and all(isinstance(f, int) and f >= 0 for f in faults)

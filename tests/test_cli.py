@@ -397,7 +397,8 @@ class TestParserReuse:
 class TestColdStart:
     """Only the coherent LP of theta imports HiGHS, so a command that never
     reaches it starts without scipy; an odd-degree Majorana ``index`` is
-    refused before it."""
+    refused before it.  ``lab variance`` runs its Kolmogorov-Smirnov test
+    in numpy and loads no scipy module either."""
 
     SCRIPT = """
 import contextlib, io, json, sys
@@ -409,7 +410,8 @@ def scipy_modules():
 codes, loaded = [], {}
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in ("ternary --k 2", "theta johnson --n 8 --q 4",
-                 "index --set majorana --n 8 --loc 4", "index --set majorana --n 8 --loc 3"):
+                 "index --set majorana --n 8 --loc 4", "index --set majorana --n 8 --loc 3",
+                 "lab variance --n 8 --loc 4 --samples 64"):
         codes.append(cli.dispatch(argv.split()))
     loaded["highs_free"] = scipy_modules()
     codes.append(cli.dispatch("theta sdp --set pauli --n 4 --loc 2 --tol 1e-6".split()))
@@ -425,7 +427,7 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
         out = json.loads(proc.stdout)
-        assert out["codes"] == [EXIT_OK] * 3 + [EXIT_USAGE, EXIT_OK]
+        assert out["codes"] == [EXIT_OK] * 3 + [EXIT_USAGE, EXIT_OK, EXIT_OK]
         assert out["loaded"]["highs_free"] == []
         assert "scipy.optimize" in out["loaded"]["sdp"]
 

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtri
+from scipy.stats import kstest, kstwo
 
 import fermitheta.lab as lab
 import fermitheta.models as models
@@ -252,6 +253,90 @@ class TestVarianceIdentity:
     def test_random_84(self):
         rep = variance_identity_experiment("random", 8, 4, 400, seed=3)
         assert rep.all_passed
+
+    def test_ks_pass_bits_are_scipys(self):
+        # gaussian_ks is a 1%-level test: a correct program fails it on about
+        # 1% of seeds, and seed 108 is one of them at (8, 4) with 1000 samples
+        bits = {}
+        for seed in range(100, 112):
+            rep = variance_identity_experiment("random", 8, 4, 1000, seed)
+            z = rep.records["energy"] / math.sqrt(rep.summary["exact_variance"])
+            (ks,) = (v for v in rep.verdicts if v.name == "gaussian_ks")
+            assert ks.passed == (kstest(z, "norm").pvalue >= 0.01), seed
+            bits[seed] = ks.passed
+        assert not bits[108] and sum(bits.values()) == len(bits) - 1
+
+
+def _ks_sample(n: int, d: float) -> np.ndarray:
+    """n points whose KS distance to the normal law is d: the normal
+    quantiles of c (i + 1/2) / n, so D = D+ = 1 - c (1 - 1/(2n))."""
+    c = (1.0 - d) / (1.0 - 0.5 / n)
+    return ndtri(c * (np.arange(n) + 0.5) / n)
+
+
+class TestKsNormal:
+    """lab's numpy KS test against scipy's ``kstest(x, "norm")``.
+
+    D is a difference of CDF values in [0, 1], computed from math.erfc
+    here and from scipy's ndtr there, so it matches to 4 units in the last
+    place of 1.  The p-values match to a relative 1e-10.  The cases put
+    D in every region of the method selection (n d^2 in the comment)."""
+
+    CASES = [
+        (16, 0.5 / 16),  # n d = 1/2: p = 1
+        (16, 0.75 / 16),  # Ruben-Gambino, n d <= 1
+        (1000, 0.8 / 1000),  # the same for n > 140, through log(n!/n^n)
+        (16, 15.5 / 16),  # Ruben-Gambino, n d >= n - 1
+        (141, 140.5 / 141),
+        (17, 0.6),  # d >= 1/2: twice the one-sided sum, exactly
+        (141, 0.55),
+        (16, 1.3 / 16),  # Durbin's smallest matrices, with its corner term (n d = k - h, h > 1/2)
+        (141, 1.4 / 141),
+        (16, math.sqrt(0.5 / 16)),  # n <= 140, n d^2 <= 0.754693: Durbin
+        (140, math.sqrt(0.7 / 140)),
+        (17, math.sqrt(2.0 / 17)),  # n <= 140, n d^2 <= 4: Durbin
+        (100, math.sqrt(3.9 / 100)),
+        (140, math.sqrt(1.0 / 140)),
+        (100, math.sqrt(5.0 / 100)),  # n <= 140, n d^2 > 4: one-sided sum
+        (140, math.sqrt(18.5 / 140)),
+        (141, math.sqrt(2.5 / 141)),  # n > 140, n d^2 >= 2.2: one-sided sum
+        (1000, math.sqrt(3.0 / 1000)),
+        (10**4, math.sqrt(20.0 / 10**4)),  # n d^2 >= 18
+        (10**5, math.sqrt(2.3 / 10**5)),
+        (10**4, math.sqrt(400.0 / 10**4)),  # n d^2 >= 370: p = 0
+        (141, math.sqrt(0.3 / 141)),  # n d^1.5 <= 1.4: Durbin
+        (10**4, math.sqrt(0.05 / 10**4)),
+        (10**5, math.sqrt(0.02 / 10**5)),
+        (1000, math.sqrt(1.0 / 1000)),  # n d^1.5 > 1.4: Pelz-Good
+        (10**5, math.sqrt(1.0 / 10**5)),
+        (10**6, math.sqrt(0.5 / 10**6)),  # n > 10^5: Pelz-Good
+    ]
+
+    @pytest.mark.parametrize("n,d", CASES)
+    def test_matches_scipy(self, n, d):
+        x = _ks_sample(n, d)
+        got_d, got_p = lab._ks_normal(x)
+        want = kstest(x, "norm")
+        assert abs(got_d - d) < 1e-9  # the case sits in the region it names
+        assert abs(got_d - want.statistic) <= 4 * np.finfo(float).eps
+        assert abs(got_p - want.pvalue) <= 1e-10 * want.pvalue
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x=hnp.arrays(np.float64, st.integers(16, 300), elements=st.floats(-4.0, 4.0)),
+        shift=st.floats(-1.0, 1.0),
+        scale=st.floats(0.25, 4.0),
+    )
+    def test_random_samples(self, x, shift, scale):
+        x = x * scale + shift
+        got_d, got_p = lab._ks_normal(x)
+        assert abs(got_d - kstest(x, "norm").statistic) <= 4 * np.finfo(float).eps
+        # the p-value against scipy's law at the same D: at D near 1 the
+        # p-value moves by n/(1 - D) per unit of D, more than the few-ulp
+        # difference of the statistics allows for; below 1e-300 (subnormal
+        # or zero) both are zero to double precision
+        want = float(kstwo.sf(got_d, x.size))
+        assert math.isclose(got_p, want, rel_tol=1e-10, abs_tol=1e-300)
 
 
 class TestTails:

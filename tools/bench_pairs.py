@@ -23,6 +23,16 @@ workers' own fingerprint (Python, numpy, scipy, BLAS build and threads)
 plus the core count.
 Without ``--workdir`` the copies go to a temporary directory that is
 deleted at the end.
+
+Two probes run beside the pairs, interleaved the same way:
+
+- ``--cold "ARGV"`` runs the CLI command ARGV in ``--cold-runs`` fresh
+  processes per side (:func:`cold_run`) and records each one's wall time
+  from start to exit, its peak RSS and the number of scipy modules it
+  loaded;
+- ``--pass-faults W`` sets workload W up in one process per side as the
+  benchmark worker does and records the minor page faults of each of
+  ``FAULT_PASSES`` passes (:func:`pass_faults`).
 """
 
 from __future__ import annotations
@@ -43,6 +53,38 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+FAULT_PASSES = 5
+
+# one CLI command, its output discarded; prints its exit code, peak RSS and
+# the number of scipy modules it loaded
+COLD_SCRIPT = """\
+import contextlib, io, json, resource, sys
+import fermitheta.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.dispatch(sys.argv[1:])
+print(json.dumps({"code": code,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                  "scipy_modules": sum(name.split(".")[0] == "scipy" for name in sys.modules)}))
+"""
+
+# the worker's set-up and calibration kernel, then passes as worker.run_pass
+# runs them; prints the minor page faults of each pass
+FAULT_SCRIPT = """\
+import json, resource, sys
+import fermitheta.models
+import worker, workloads
+name, seed, passes, tiny = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4] == "1"
+work = workloads.build(name, seed, tiny)
+for key in work.banks:
+    fermitheta.models.term_bank(*key)
+calibrate = worker.Calibration()
+faults = []
+for number in range(passes):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    worker.run_pass(work.ops, None, number, calibrate)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
 
 
 def unpack(rev: str, dest: Path) -> str:
@@ -80,6 +122,46 @@ def run_once(copy: Path, workload: str, seed: int, seconds: int) -> dict:
                          f" {proc.stderr.strip()[-500:]}")
     detail, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     return {"detail": detail["detail"], "result": result, "minor_faults": faults}
+
+
+def probe_env(copy: Path) -> dict:
+    """The environment of a probe process in ``copy``: BLAS pinned to one
+    thread and ``src`` and ``perfbench`` on the path, as the benchmark
+    starts its workers."""
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join([str(copy / "src"), str(copy / "perfbench")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    env.pop("FERMITHETA_THREADS", None)
+    return env
+
+
+def probe(copy: Path, script: str, args: list) -> tuple[str, float]:
+    """Run ``script`` with ``args`` in a fresh process in ``copy``; its
+    last stdout line and its wall time from start to exit."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=copy, env=probe_env(copy),
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"bench_pairs: probe {args} in {copy} exited {proc.returncode}:"
+                         f" {proc.stderr.strip()[-500:]}")
+    return proc.stdout.strip().splitlines()[-1], wall
+
+
+def cold_run(copy: Path, argv: str) -> dict:
+    """One fresh process of the CLI command ``argv`` in ``copy``: its exit
+    code, wall time (s), peak RSS (MB, ru_maxrss) and the number of scipy
+    modules it loaded."""
+    line, wall = probe(copy, COLD_SCRIPT, argv.split())
+    return {"wall_s": wall, **json.loads(line)}
+
+
+def pass_faults(copy: Path, workload: str, seed: int, passes: int, tiny: bool = False) -> list:
+    """The minor page faults of each of ``passes`` passes of ``workload``
+    in one process, after the worker's set-up and calibration kernel."""
+    line, _ = probe(copy, FAULT_SCRIPT, [workload, str(seed), str(passes), str(int(tiny))])
+    return json.loads(line)
 
 
 def summary(values: list) -> dict:
@@ -154,6 +236,11 @@ def main():
     ap.add_argument("--parent", required=True, help="tree-ish of the parent side")
     ap.add_argument("--change", required=True, help="tree-ish of the change side")
     ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--cold", action="append", default=[], metavar="ARGV",
+                    help="a CLI command to time in fresh processes, e.g. 'lab variance --n 8 --loc 4'")
+    ap.add_argument("--cold-runs", type=int, default=5)
+    ap.add_argument("--pass-faults", action="append", default=[], metavar="WORKLOAD",
+                    help=f"a workload whose minor page faults to count over {FAULT_PASSES} passes")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--seconds", type=int, default=22)
@@ -223,6 +310,21 @@ def run_pairs(args, work: Path) -> dict:
             "same_digest": all(p["parent"]["digest"] == p["change"]["digest"] for p in pairs),
         }
 
+    cold = {}
+    for argv in args.cold:
+        runs = {side: [] for side in SIDES}
+        for i in range(args.cold_runs):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                runs[side].append(cold_run(copies[side], argv))
+        cold[argv] = {side: {key: summary([r[key] for r in runs[side]])
+                             for key in ("wall_s", "peak_rss_mb", "scipy_modules")}
+                      | {"codes": [r["code"] for r in runs[side]]} for side in SIDES}
+        print(f"cold {argv}: " + json.dumps({side: {key: cold[argv][side][key]["median"]
+                                                     for key in ("wall_s", "peak_rss_mb")}
+                                               for side in SIDES}), file=sys.stderr, flush=True)
+    faults = {workload: {side: pass_faults(copies[side], workload, args.first_seed, FAULT_PASSES)
+                         for side in SIDES} for workload in args.pass_faults}
+
     return {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds "
                    f"{args.seconds} --trace 0",
@@ -236,6 +338,11 @@ def run_pairs(args, work: Path) -> dict:
                         "affinity": len(os.sched_getaffinity(0)),
                         "machine": platform.machine()},
         "workloads": workloads,
+        "cold": {"method": f"{args.cold_runs} fresh processes per side, interleaved as the"
+                           " pairs; wall time from start to exit", "commands": cold},
+        "pass_faults": {"method": f"one process per side: the worker's set-up and calibration"
+                                  f" kernel, then {FAULT_PASSES} passes of seed {args.first_seed};"
+                                  " minor page faults of each pass", "workloads": faults},
     }
 
 
