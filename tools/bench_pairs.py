@@ -26,7 +26,7 @@ deleted at the end.
 
 Two probes run beside the pairs, interleaved the same way:
 
-- ``--cold "ARGV"`` runs the CLI command ARGV in ``--cold-runs`` fresh
+- ``--cold "ARGV"`` runs the CLI command ARGV in ``COLD_RUNS`` fresh
   processes per side (:func:`cold_run`) and records each one's wall time
   from start to exit, its peak RSS and the number of scipy modules it
   loaded;
@@ -53,6 +53,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+COLD_RUNS = 5
 FAULT_PASSES = 5
 
 # one CLI command, its output discarded; prints its exit code, peak RSS and
@@ -237,8 +238,8 @@ def main():
     ap.add_argument("--change", required=True, help="tree-ish of the change side")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--cold", action="append", default=[], metavar="ARGV",
-                    help="a CLI command to time in fresh processes, e.g. 'lab variance --n 8 --loc 4'")
-    ap.add_argument("--cold-runs", type=int, default=5)
+                    help=f"a CLI command to time in {COLD_RUNS} fresh processes per side,"
+                         " e.g. 'lab variance --n 8 --loc 4'")
     ap.add_argument("--pass-faults", action="append", default=[], metavar="WORKLOAD",
                     help=f"a workload whose minor page faults to count over {FAULT_PASSES} passes")
     ap.add_argument("--pairs", type=int, default=10)
@@ -313,7 +314,7 @@ def run_pairs(args, work: Path) -> dict:
     cold = {}
     for argv in args.cold:
         runs = {side: [] for side in SIDES}
-        for i in range(args.cold_runs):
+        for i in range(COLD_RUNS):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 runs[side].append(cold_run(copies[side], argv))
         cold[argv] = {side: {key: summary([r[key] for r in runs[side]])
@@ -338,7 +339,7 @@ def run_pairs(args, work: Path) -> dict:
                         "affinity": len(os.sched_getaffinity(0)),
                         "machine": platform.machine()},
         "workloads": workloads,
-        "cold": {"method": f"{args.cold_runs} fresh processes per side, interleaved as the"
+        "cold": {"method": f"{COLD_RUNS} fresh processes per side, interleaved as the"
                            " pairs; wall time from start to exit", "commands": cold},
         "pass_faults": {"method": f"one process per side: the worker's set-up and calibration"
                                   f" kernel, then {FAULT_PASSES} passes of seed {args.first_seed};"
