@@ -280,7 +280,8 @@ class TestKsNormal:
     D is a difference of CDF values in [0, 1], computed from math.erfc
     here and from scipy's ndtr there, so it matches to 4 units in the last
     place of 1.  The p-values match to a relative 1e-10.  The cases put
-    D in every region of the method selection (n d^2 in the comment)."""
+    D in every region of the method selection; a comment names the region
+    of each group."""
 
     CASES = [
         (16, 0.5 / 16),  # n d = 1/2: p = 1
