@@ -34,11 +34,14 @@ __all__ = [
 ]
 
 MAX_SCHEME_VERTICES = 2000
-# Cap on _hahn_work, first sized from per-entry sums (0.6-0.8 s at
-# (200, 100)).  perf_counter timings of the G F product on one core:
-# HahnTable(200, 100) is 6.8e6 units and takes 0.06 s, (10**300, 30) is
-# 7.2e6 units and takes 0.05 s; (300, 150) would be 3.8e7 units and 0.19 s.
-MAX_HAHN_WORK = 10**7
+# Cap on _hahn_work, sized from perf_counter timings of the G F product
+# on one core (59 points, m = 100..10^300, r = 40..250, min of 3-5 runs):
+# one unit took 2.8e-9 to 1.3e-8 s, and 2.8e-9 to 7.1e-9 s from 5e7 units
+# on.  Admitted: (1000, 200) 1.3e8 units 0.85 s, the slowest admitted
+# point measured, (10^300, 60) 1.1e8 0.76 s, (400, 200) 1.2e8 0.66 s and
+# (300, 150) 3.8e7 0.29 s.  Refused: (300, 250) 2.9e8 0.80 s,
+# (10^4, 200) 1.8e8 0.97 s and (10^300, 80) 3.4e8 2.1 s.
+MAX_HAHN_WORK = 15 * 10**7
 
 
 def binom0(a: int, b: int) -> int:
@@ -120,6 +123,14 @@ class HahnTable:
         return buf.getvalue()
 
 
+def _check_scheme_vertices(m: int, r: int) -> int:
+    """C(m, r), refused over ``MAX_SCHEME_VERTICES``."""
+    nverts = comb(m, r)
+    if nverts > MAX_SCHEME_VERTICES:
+        raise CapacityError(f"{nverts} vertices exceed the scheme cap {MAX_SCHEME_VERTICES}")
+    return nverts
+
+
 def johnson_adjacency(m: int, r: int, d: int) -> np.ndarray:
     """Read-only float 0/1 adjacency of the distance-d relation on r-subsets
     in lex order.
@@ -130,9 +141,7 @@ def johnson_adjacency(m: int, r: int, d: int) -> np.ndarray:
     """
     if not (0 <= d <= r <= m):
         raise InputError(f"require 0 <= d <= r <= m, got d={d} r={r} m={m}")
-    nverts = comb(m, r)
-    if nverts > MAX_SCHEME_VERTICES:
-        raise CapacityError(f"{nverts} vertices exceed the scheme cap {MAX_SCHEME_VERTICES}")
+    nverts = _check_scheme_vertices(m, r)
     S = _incidence(list(itertools.combinations(range(m), r)), m)
     A = np.empty((nverts, nverts))
     for start, block in _overlap_blocks(S, S, lambda overlaps: overlaps == r - d):
@@ -175,8 +184,13 @@ def verify_scheme_spectrum(m: int, r: int) -> SchemeReport:
     it.  For each d <= r the brute-force eigenvalues must be integers to
     within 1e-8 times the row's largest magnitude (at least 1), and their
     rounded counts must equal that prediction.  Mismatches produce a
-    failing report, not an exception.
+    failing report, not an exception.  A table over the Hahn cap, then a
+    scheme over ``MAX_SCHEME_VERTICES``, is refused before any entry.
     """
+    if not 0 <= r <= m:
+        raise InputError("require 0 <= r <= m")
+    _check_hahn_work(m, r)
+    _check_scheme_vertices(m, r)
     table = HahnTable(m, r)
     multiplicities = {x: binom0(m, x) - binom0(m, x - 1) if x <= m - r else 0
                       for x in range(r + 1)}

@@ -20,10 +20,10 @@ Two routes:
   optimum of the dual characterization of theta -- minimize lambda_max(A)
   over symmetric A fixed to 1 on the diagonal and on non-edges -- lies in
   the scheme's algebra (de Klerk, Pasechnik & Schrijver 2007), so theta
-  is a Delsarte-type LP over one edge weight per class (Schrijver 1979),
-  solved by HiGHS.  Any other graph is refused (:class:`InputError`).
-  HiGHS (``scipy.optimize.linprog``) is imported at the first coherent
-  LP of a process, so importing this module loads no scipy module.
+  is a Delsarte LP over one coefficient per edge class (Schrijver 1979),
+  of the same form as the Johnson LP, solved by the float simplex of
+  ``simplex.py``.  Any other graph is refused (:class:`InputError`).
+  Neither route imports scipy.
 
   ``converged`` is a full-matrix certificate: the value is lambda_max of
   the assembled m x m dual matrix, an upper bound on theta, and the m x m
@@ -45,7 +45,7 @@ import numpy as np
 from .graphs import CommutationGraph
 from .kernel import CapacityError, InputError
 from .scheme import HahnTable, _check_hahn_work
-from .simplex import LPSolution, solve_lp_max
+from .simplex import LPSolution, PivotLimit, UnboundedProgram, solve_lp_max, solve_lp_max_float
 
 __all__ = ["ThetaResult", "theta_johnson_lp", "theta_sdp", "round_half_up"]
 
@@ -138,6 +138,16 @@ def _check_lp_work(n: int, q: int):
         )
 
 
+def _delsarte_program(p0, rows) -> tuple[list, list, list]:
+    """The (c, A, b) of the Delsarte LP over one free coefficient a_c per
+    edge class c, split as a_c = u_c - v_c:  maximize p(0) = sum_c a_c
+    p0[c] subject to p(j) = sum_c a_c row[c] >= -1 for each row, that is
+    -p(j) <= 1.  Exact entries stay exact; theta is then m / (1 + p(0))."""
+    c = [v for h in p0 for v in (h, -h)]
+    A = [[v for h in row for v in (-h, h)] for row in rows]
+    return c, A, [1] * len(A)
+
+
 def theta_johnson_lp(n: int, q: int) -> ThetaResult:
     """Exact theta of the degree-q Majorana commutation graph on n modes.
 
@@ -154,19 +164,8 @@ def theta_johnson_lp(n: int, q: int) -> ThetaResult:
     odd_ds = list(range(1, q, 2))
     if not odd_ds:
         raise InputError("q must be at least 2")
-    # free variables a_d split into nonnegative parts u_d - v_d
-    c = []
-    for d in odd_ds:
-        h0 = table[d, 0]
-        c.extend([h0, -h0])
-    A, b = [], []
-    for x in range(1, q + 1):
-        row = []
-        for d in odd_ds:
-            h = table[d, x]
-            row.extend([-h, h])
-        A.append(row)
-        b.append(1)
+    c, A, b = _delsarte_program([table[d, 0] for d in odd_ds],
+                                [[table[d, x] for d in odd_ds] for x in range(1, q + 1)])
     try:
         sol: LPSolution = solve_lp_max(c, A, b)
     except Exception as exc:  # the program is always feasible and bounded
@@ -253,41 +252,55 @@ def _eigenspaces(labels: np.ndarray, classes: int) -> tuple[np.ndarray, list]:
 
 
 def _coherent_lp(labels, classes, U, spaces, ei, ej):
-    """Dual matrix A and primal X from the LP of a commutative closure.
+    """Dual matrix A and primal X from the Delsarte LP of a commutative
+    closure.
 
-    P[j, c], the eigenvalue of class c's 0/1 matrix on eigenspace E_j, is
-    its entry sum over E_j divided by dim E_j.  With edge weight y_c on
-    each edge class and 1 on the others, lambda_j(y) is linear in y and
-    theta = min t s.t. t >= lambda_j(y) for all j.  The LP duals x_j give
-    X = sum_j x_j E_j / dim E_j, whose entries on class c are (x P)_c / |c|
-    (zero on the edge classes by dual feasibility).  The LP is feasible
-    and bounded, so HiGHS reporting no optimum is a :class:`StructuralError`.
+    P[j, c], the eigenvalue of class c's 0/1 matrix A_c on eigenspace E_j,
+    is its entry sum over E_j divided by dim E_j; the sums run row by row
+    and then over the rows, so their rounding grows with m, not m^2 (the
+    complete graph K_544 read theta = 1 + 4e-9 with one sum over all
+    entries, and 1 + 1.3e-11 this way).  The trivial eigenspace
+    E_0 is the one holding the all-ones vector (1'E_j 1 is m there and 0
+    elsewhere), and its row is the valencies.  With a free a_c on each edge
+    class, maximize p0 = sum_c a_c P[0, c] subject to sum_c a_c P[j, c] >= -1
+    on every other E_j; then theta = m / (1 + p0) and A = J - theta sum_c
+    a_c A_c, edge weight 1 - theta a_c, has lambda_max theta.  The optimal
+    duals z give x = (1, z) / (1 + sum z) and X = sum_j x_j E_j / dim E_j,
+    whose entries on class c are (x P)_c / |c| (zero on the edge classes by
+    dual feasibility).
+
+    Solved by the float simplex of ``simplex.py``, not the exact one, whose
+    Bareiss integers grow with the row count and the entries' bit width: on
+    the program of a random circulant with m = 200 (101 classes, float
+    entries taken as exact binary fractions) the exact solver took 287 s
+    against 8.6 ms for the float one.  The program is feasible (a = 0)
+    and bounded, so an unbounded program or a hit pivot limit is a
+    :class:`StructuralError`.
     """
-    from scipy.optimize import linprog  # here, not at module level: 0.32 s of every cold start
-
+    m = labels.shape[0]
     flat = labels.ravel()
+    keys = (labels + classes * np.arange(m)[:, None]).ravel()
     sums = np.stack([
-        np.bincount(flat, weights=(U[:, cols] @ U[:, cols].T).ravel(), minlength=classes)
+        np.bincount(keys, weights=(U[:, cols] @ U[:, cols].T).ravel(),
+                    minlength=m * classes).reshape(m, classes).sum(axis=0)
         for cols in spaces
     ])
     P = sums / np.array([len(cols) for cols in spaces])[:, None]
     edge = np.zeros(classes, bool)
     edge[labels[ei, ej]] = True
-    cost = np.zeros(1 + int(edge.sum()))
-    cost[0] = 1.0
-    lp = linprog(
-        cost,
-        A_ub=np.hstack([-np.ones((len(spaces), 1)), P[:, edge]]),
-        b_ub=-P[:, ~edge].sum(axis=1),
-        bounds=(None, None),
-        method="highs",
-    )
-    if lp.status != 0:
-        raise StructuralError(f"coherent LP: HiGHS status {lp.status}: {lp.message}")
+    trivial = int(np.argmax(sums.sum(axis=1)))
+    rest = np.delete(np.arange(len(spaces)), trivial)
+    try:
+        p0, y, z = solve_lp_max_float(*_delsarte_program(P[trivial, edge], P[rest][:, edge]))
+    except (UnboundedProgram, PivotLimit) as exc:
+        raise StructuralError(f"coherent LP failed: {exc}") from exc
+    theta = m / (1 + p0)
     weights = np.ones(classes)
-    weights[edge] = lp.x[1:]
-    x = -lp.ineqlin.marginals
-    primal = (x @ P) / np.bincount(flat, minlength=classes)
+    weights[edge] = 1 - theta * (y[0::2] - y[1::2])
+    x = np.empty(len(spaces))
+    x[trivial] = 1.0
+    x[rest] = z
+    primal = (x / (1 + z.sum()) @ P) / np.bincount(flat, minlength=classes)
     return weights[labels], primal[labels]
 
 

@@ -150,7 +150,7 @@ class TestDispatch:
         "argv",
         [
             ["hahn", "--m", "800", "--r", "400"],
-            ["hahn", "--m", "300", "--r", "150", "--verify"],
+            ["hahn", "--m", "500", "--r", "250", "--verify"],
             ["theta", "johnson", "--n", "800", "--q", "400"],
         ],
         ids=["hahn", "hahn-verify", "theta-johnson"],
@@ -395,31 +395,26 @@ class TestParserReuse:
 
 
 class TestColdStart:
-    """Only the coherent LP of theta imports HiGHS, so a command that never
-    reaches it starts without scipy; an odd-degree Majorana ``index`` is
-    refused before it.  ``lab variance`` runs its Kolmogorov-Smirnov test
-    in numpy and loads no scipy module either."""
+    """No command loads scipy: the theta LPs run on the simplex solvers of
+    ``simplex.py`` and ``lab variance`` runs its Kolmogorov-Smirnov test in
+    numpy.  An odd-degree Majorana ``index`` is refused before any work."""
 
     SCRIPT = """
 import contextlib, io, json, sys
 import fermitheta.cli as cli
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.startswith("scipy"))
-
-codes, loaded = [], {}
+codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in ("ternary --k 2", "theta johnson --n 8 --q 4",
                  "index --set majorana --n 8 --loc 4", "index --set majorana --n 8 --loc 3",
-                 "lab variance --n 8 --loc 4 --samples 64"):
+                 "lab variance --n 8 --loc 4 --samples 64", "index --set pauli --n 4 --loc 2",
+                 "theta sdp --set pauli --n 4 --loc 2 --tol 1e-6"):
         codes.append(cli.dispatch(argv.split()))
-    loaded["highs_free"] = scipy_modules()
-    codes.append(cli.dispatch("theta sdp --set pauli --n 4 --loc 2 --tol 1e-6".split()))
-    loaded["sdp"] = scipy_modules()
-print(json.dumps({"codes": codes, "loaded": loaded}))
+print(json.dumps({"codes": codes,
+                  "loaded": sorted(name for name in sys.modules if name.startswith("scipy"))}))
 """
 
-    def test_scipy_loads_only_at_the_first_coherent_lp(self):
+    def test_no_command_loads_scipy(self):
         src = str(Path(fermitheta.cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
@@ -427,9 +422,8 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
         out = json.loads(proc.stdout)
-        assert out["codes"] == [EXIT_OK] * 3 + [EXIT_USAGE, EXIT_OK, EXIT_OK]
-        assert out["loaded"]["highs_free"] == []
-        assert "scipy.optimize" in out["loaded"]["sdp"]
+        assert out["codes"] == [EXIT_OK] * 3 + [EXIT_USAGE] + [EXIT_OK] * 3
+        assert out["loaded"] == []
 
 
 class TestReproduceTable:

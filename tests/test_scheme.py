@@ -92,16 +92,26 @@ class TestHahnTable:
 
         # every table entry is a sum of products of binom0 values
         monkeypatch.setattr(fermitheta.scheme, "binom0", refuse)
-        for m, r in [(800, 400), (300, 150), (10**400, 40)]:
+        for m, r in [(800, 400), (500, 250), (10**400, 80)]:
             assert _hahn_work(m, r) > MAX_HAHN_WORK
             with pytest.raises(CapacityError):
                 HahnTable(m, r)
 
     def test_cap_admits_every_table_in_use(self):
-        # table --max-n 40 reaches (40, 10); the tests and README use the rest
-        for m, r in [(40, 10), (12, 6), (8, 4), (20, 10), (26, 6), (200, 100)]:
+        # table --max-n 40 reaches (40, 10); the tests and README use the
+        # rest, and the largest products priced took under 1 s
+        for m, r in [(40, 10), (12, 6), (8, 4), (20, 10), (26, 6), (200, 100),
+                     (300, 150), (400, 200), (1000, 200), (10**300, 60)]:
             assert _hahn_work(m, r) <= MAX_HAHN_WORK
         assert HahnTable(40, 20)[1, 0] == comb(20, 1) ** 2
+
+    def test_verify_refuses_an_admitted_table_over_the_scheme_cap(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("binomial computed for a scheme over the cap")
+
+        monkeypatch.setattr(fermitheta.scheme, "binom0", refuse)
+        with pytest.raises(CapacityError, match="vertices exceed the scheme cap"):
+            verify_scheme_spectrum(300, 150)
 
 
 class TestJohnsonAdjacency:

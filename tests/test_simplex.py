@@ -1,21 +1,28 @@
-"""Fraction-free simplex against the rational tableau it replaces."""
+"""Fraction-free simplex against the rational tableau it replaces; the
+float simplex against HiGHS (``scipy.optimize.linprog``, a test-only
+reference)."""
 
 import csv
 import io
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+import fermitheta.simplex
 import fermitheta.theta as theta_module
 from fermitheta.cli import reproduce_table
 from fermitheta.scheme import HahnTable
 from fermitheta.simplex import (
     InfeasibleProgram,
     LPSolution,
+    PivotLimit,
     UnboundedProgram,
     solve_lp_max,
+    solve_lp_max_float,
 )
 from fermitheta.theta import StructuralError, theta_johnson_lp
 
@@ -196,3 +203,77 @@ def test_infeasible_certificate_rejected(monkeypatch):
     monkeypatch.setattr(theta_module, "solve_lp_max", overshoot)
     with pytest.raises(StructuralError, match="certificate infeasible"):
         theta_johnson_lp(10, 4)
+
+
+# Entries on a grid of 1/4 (ratio ties, degenerate vertices and zero
+# columns are common), or arbitrary floats spanning four decades.
+grid = st.integers(-12, 12).map(lambda v: v / 4)
+wide = st.floats(-100.0, 100.0, allow_nan=False).filter(lambda v: v == 0 or abs(v) >= 1e-2)
+
+
+@st.composite
+def float_programs(draw):
+    """max c.y over {A y <= 1, y >= 0}."""
+    nvar = draw(st.integers(1, 12))
+    ncons = draw(st.integers(1, 12))
+    entries = draw(st.sampled_from([grid, wide]))
+    c = np.array(draw(st.lists(entries, min_size=nvar, max_size=nvar)))
+    A = np.array(draw(st.lists(st.lists(entries, min_size=nvar, max_size=nvar),
+                               min_size=ncons, max_size=ncons)))
+    return c, A, np.ones(ncons)
+
+
+def check_against_highs(c, A, b, tol=1e-9):
+    """The float simplex reaches HiGHS's outcome and value, and its duals
+    certify the value: z >= 0, A'z >= c and b.z = c.y, within tol."""
+    # y = 0 is feasible, so the program is unbounded iff some ray r >= 0
+    # with A r <= 0 has c.r > 0: a bounded program that HiGHS always solves
+    ray = linprog(-c, A_ub=A, b_ub=np.zeros(len(b)), bounds=(0, 1), method="highs")
+    assert ray.status == 0
+    if -ray.fun > tol:
+        with pytest.raises(UnboundedProgram):
+            solve_lp_max_float(c, A, b)
+        return None
+    ref = linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    value, y, z = solve_lp_max_float(c, A, b)
+    scale = max(1.0, abs(value))
+    assert abs(value + ref.fun) <= tol * scale
+    assert abs(c @ y - value) <= tol * scale
+    assert (y >= -tol).all() and (A @ y <= b + tol * scale).all()
+    assert (z >= -tol).all()
+    assert (A.T @ z >= c - tol * scale).all()
+    assert abs(b @ z - value) <= tol * scale
+    return value, y, z
+
+
+class TestFloatAgainstHighs:
+    @settings(max_examples=300, deadline=None)
+    @given(float_programs())
+    def test_same_outcome_value_and_dual_certificate(self, program):
+        check_against_highs(*program)
+
+    def test_ratio_tie_goes_to_smaller_basis_index(self):
+        # The exact solver's tie case: all three rows bound y0 at 1, Bland's
+        # rule takes the first, and the degenerate second pivot leaves y1 at 0.
+        c, A, b = np.array([1.0, 1.0]), np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]), np.array([1.0, 2.0, 1.0])
+        value, y, z = check_against_highs(c, A, b)
+        assert value == 1.0 and y.tolist() == [1.0, 0.0]
+
+    def test_degenerate_vertex(self):
+        # Beale's program (Beale 1955): at the degenerate vertex y = 0,
+        # Dantzig's rule alone cycles until the pivot limit; the switch to
+        # Bland's rule after a degenerate pivot leaves the vertex.
+        c = np.array([0.75, -20.0, 0.5, -6.0])
+        A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+        value, y, z = check_against_highs(c, A, np.array([0.0, 0.0, 1.0]))
+        assert abs(value - 1.25) <= 1e-12
+
+    def test_unbounded(self):
+        check_against_highs(np.array([1.0, 0.0]), np.array([[-1.0, 1.0], [0.0, 1.0]]), np.ones(2))
+
+    def test_pivot_limit(self, monkeypatch):
+        monkeypatch.setattr(fermitheta.simplex, "FLOAT_PIVOTS_PER_COLUMN", 0)
+        with pytest.raises(PivotLimit, match="^no optimum within 0 pivots$"):
+            solve_lp_max_float([1.0], [[1.0]], [1.0])
+        assert solve_lp_max_float([-1.0], [[1.0]], [1.0])[0] == 0.0  # optimal at the slack basis

@@ -4,11 +4,10 @@ import itertools
 import math
 from fractions import Fraction
 from math import comb
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermitheta.algebra import enumerate_set
@@ -16,6 +15,7 @@ from fermitheta.graphs import commutation_graph, commuting_majorana_family
 from fermitheta.kernel import CapacityError, InputError
 from fermitheta.scheme import HahnTable
 from fermitheta.simplex import solve_lp_max
+import fermitheta.simplex
 import fermitheta.theta as theta_module
 from fermitheta.theta import StructuralError, round_half_up, theta_johnson_lp, theta_sdp
 
@@ -48,6 +48,12 @@ def star_adjacency(leaves):
 def random_adjacency(m, p, seed):
     A = np.triu(np.random.default_rng(seed).random((m, m)) < p, 1).astype(float)
     return A + A.T
+
+
+# 50 random distances on 200 vertices: the closure keeps all 101 distance
+# classes, so the coherent LP has 100 split variables and 100 constraints.
+CLASS_RICH_CIRCULANT = circulant(
+    200, np.random.default_rng(7).choice(np.arange(1, 101), 50, replace=False).tolist())
 
 
 @st.composite
@@ -225,6 +231,7 @@ class TestThetaSDP:
 
 class TestCoherentRoute:
     @given(circulants())
+    @example(CLASS_RICH_CIRCULANT)
     @settings(max_examples=30, deadline=None)
     def test_circulants_satisfy_vertex_transitive_identity(self, A):
         # theta(G) theta(complement of G) = m for vertex-transitive G (Lovasz 1979)
@@ -318,13 +325,24 @@ class TestWrongClosure:
         assert_refused(cycle_adjacency(6), "its coherent closure has 3 classes but 4 eigenspaces")
 
     def test_lp_without_optimum_is_structural(self, monkeypatch):
-        def failed(*args, **kwargs):
-            return SimpleNamespace(status=2, message="The problem is infeasible.")
-
-        # _coherent_lp imports linprog when it runs, so patch it at its source
-        monkeypatch.setattr("scipy.optimize.linprog", failed)
-        with pytest.raises(StructuralError, match="HiGHS status 2"):
+        # the program is feasible and bounded, so no optimum means a bug:
+        # a hit pivot limit, or a program that lost its constraints
+        monkeypatch.setattr(fermitheta.simplex, "FLOAT_PIVOTS_PER_COLUMN", 0)
+        with pytest.raises(StructuralError) as exc:
             theta_sdp(cycle_adjacency(5))
+        assert str(exc.value) == "coherent LP failed: no optimum within 0 pivots"
+        monkeypatch.undo()
+
+        real = theta_module._delsarte_program
+
+        def unconstrained(p0, rows):
+            c, A, b = real(p0, rows)
+            return c, np.zeros_like(A), b
+
+        monkeypatch.setattr(theta_module, "_delsarte_program", unconstrained)
+        with pytest.raises(StructuralError) as exc:
+            theta_sdp(cycle_adjacency(5))
+        assert str(exc.value) == "coherent LP failed: objective unbounded above"
 
 
 class TestRounding:
