@@ -278,7 +278,6 @@ def _coherent_lp(labels, classes, U, spaces, ei, ej):
     :class:`StructuralError`.
     """
     m = labels.shape[0]
-    flat = labels.ravel()
     keys = (labels + classes * np.arange(m)[:, None]).ravel()
     sums = np.stack([
         np.bincount(keys, weights=(U[:, cols] @ U[:, cols].T).ravel(),
@@ -300,7 +299,7 @@ def _coherent_lp(labels, classes, U, spaces, ei, ej):
     x = np.empty(len(spaces))
     x[trivial] = 1.0
     x[rest] = z
-    primal = (x / (1 + z.sum()) @ P) / np.bincount(flat, minlength=classes)
+    primal = (x / (1 + z.sum()) @ P) / np.bincount(labels.ravel(), minlength=classes)
     return weights[labels], primal[labels]
 
 

@@ -254,10 +254,10 @@ class TestFloatAgainstHighs:
         check_against_highs(*program)
 
     def test_ratio_tie_goes_to_smaller_basis_index(self):
-        # The exact solver's tie case: all three rows bound y0 at 1, Bland's
-        # rule takes the first, and the degenerate second pivot leaves y1 at 0.
-        c, A, b = np.array([1.0, 1.0]), np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]), np.array([1.0, 2.0, 1.0])
-        value, y, z = check_against_highs(c, A, b)
+        # The exact solver's tie case: all three rows bound y0 at 1, the
+        # first row leaves, and the degenerate second pivot leaves y1 at 0.
+        c, A = np.array([1.0, 1.0]), np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+        value, y, z = check_against_highs(c, A, np.array([1.0, 2.0, 1.0]))
         assert value == 1.0 and y.tolist() == [1.0, 0.0]
 
     def test_degenerate_vertex(self):
