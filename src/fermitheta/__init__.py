@@ -32,7 +32,6 @@ from .index import (
     index_pauli_product,
     index_seesaw,
     index_upper,
-    offdiag_index_check,
     pauli_index_weak_bound,
 )
 from .lab import (

@@ -43,14 +43,19 @@ EXIT_CAPACITY = 3
 def _load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else exc.strerror
+        raise InputError(f"cannot read config {path}: {reason}") from None
     cfg = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+    for line in text.split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#") or "=" not in line:
+            continue
+        key, value = line.split("=", 1)
+        cfg[key.strip()] = value.strip()
     return cfg
 
 
@@ -98,11 +103,9 @@ def _report_text(args, report: ExperimentReport) -> str:
 def _write_report(args, report: ExperimentReport, text: str) -> int:
     if args.out:
         _atomic_write(args.out, text)
-        print(f"report written to {args.out}")
-    else:
-        print(text)
     if args.csv:
         report.write_csv(args.csv)
+    print(f"report written to {args.out}" if args.out else text)
     return EXIT_OK if report.all_passed else EXIT_VERDICT
 
 
@@ -170,7 +173,7 @@ def _cmd_index(args) -> int:
     if args.method == "upper":
         print(float(est.upper))
     elif args.method == "lower":
-        print(float(est.lower) if est.lower is not None else "n/a")
+        print(float(est.lower))
     elif args.method == "seesaw":
         print(est.heuristic)
     else:
@@ -260,6 +263,8 @@ def _run_lab(args) -> int:
         )
     elif args.experiment == "tails":
         quantities = [args.quantity] if args.quantity else list(lab_mod.TAIL_QUANTITIES)
+        for quantity in quantities:  # refuse before the first quantity runs
+            lab_mod._check_tail(quantity, args.n)
         done = []
         for quantity in quantities:
             rep = lab_mod.tail_experiment(

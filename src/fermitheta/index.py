@@ -6,12 +6,11 @@ the commutation graph divided by m; rigorous lower bounds come from
 explicit witness states; a monotone see-saw ascent supplies heuristic
 maximizers in between.
 
-Witnesses, see-saw and off-diagonal steps run on the matrix-free
+Witnesses and the see-saw run on the matrix-free
 :class:`~fermitheta.algebra.TermBank`, so no m x d x d stack of term
-matrices is ever built.  The see-saw takes its eigenvectors from the
-bank's parity sectors (``TermBank.sector_eigh``); only the off-diagonal
-check, whose matrix is not a sum of bank terms, solves a dense d x d
-matrix (:func:`~fermitheta.kernel.eigh`).
+matrices is ever built, and the see-saw takes its eigenvectors from the
+bank's parity sectors (``TermBank.sector_eigh``).  An estimate is
+``exact`` only when its two rigorous bounds are equal rationals.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .graphs import (
     commutation_graph,
     joint_eigenstate,
 )
-from .kernel import InputError, RandomStream, eigh, random_state
+from .kernel import InputError, RandomStream, random_state
 from .theta import ThetaResult, _check_sdp_vertices, theta_johnson_lp, theta_sdp
 
 __all__ = [
@@ -40,22 +39,21 @@ __all__ = [
     "index_pauli_product",
     "index_seesaw",
     "pauli_index_weak_bound",
-    "offdiag_index_check",
     "index_estimate",
 ]
 
 MAX_SEESAW_DIM = 1 << 12
-MAX_OFFDIAG_DIM = 1 << 10
 
 
 @dataclass(frozen=True)
 class IndexEstimate:
-    """Bracketing of a commutation index, exact when the bracket closes."""
+    """Bracketing of a commutation index, exact when the bracket closes
+    on equal rationals."""
 
     upper: Fraction | float
-    lower: Fraction | float | None
+    lower: Fraction | float
     heuristic: float | None
-    exact: Fraction | float | None
+    exact: Fraction | None
     method: str
 
     def to_json(self) -> str:
@@ -211,43 +209,6 @@ def index_seesaw(
     return best
 
 
-def offdiag_index_check(ops: OperatorSet, trials: int = 32, seed: int = 11, upper=None) -> dict:
-    """Randomized search for the two-vector variant of the index.
-
-    Estimates sup over unit u, v of (1/m) sum_i |<u|A_i|v>|^2 by an
-    alternating top-eigenvector ascent and checks it against 16 times the
-    standard index upper bound.
-    """
-    bank = TermBank.from_set(ops, MAX_OFFDIAG_DIM)
-    m, d = len(bank), bank.dim
-    if upper is None:
-        upper = index_upper(ops)
-
-    def top(x):
-        # top eigenvector of (1/m) sum_i (A_i x)(A_i x)^dag
-        Ax = bank.apply(x)
-        K = Ax.T @ Ax.conj() / m
-        return eigh((K + K.conj().T) / 2)[1][:, -1]
-
-    best = 0.0
-    for t in range(trials):
-        u = random_state(RandomStream(seed, 2 * t), d)
-        v = random_state(RandomStream(seed, 2 * t + 1), d)
-        prev = -np.inf
-        for _ in range(100):
-            u = top(v)
-            v = top(u)
-            obj = float(np.mean(np.abs(bank.apply(v) @ u.conj()) ** 2))
-            if obj - prev < 1e-12:
-                break
-            prev = obj
-        best = max(best, prev)
-    bound = 16 * float(upper) + 1e-9
-    if best > bound:
-        raise RuntimeError(f"off-diagonal estimate {best} exceeds 16x index bound {bound}")
-    return {"estimate": best, "bound": bound, "trials": trials, "passed": True}
-
-
 def _check_estimate(kind: str, n: int, locality: int, members: int):
     """Refuse, from its member count alone, an enumerated family that
     :func:`index_estimate` would refuse: an odd-degree Majorana family (the
@@ -269,18 +230,18 @@ def _check_estimate(kind: str, n: int, locality: int, members: int):
 def index_estimate(ops: OperatorSet, seed: int = 7) -> IndexEstimate:
     """Aggregate upper/lower/heuristic information for one operator set:
     :func:`index_upper` and the see-saw at its 8 restarts of at most 200
-    iterations from ``seed``."""
+    iterations from ``seed``.  The lower bound is the commuting-family
+    bound of a full even-degree Majorana family, else the see-saw value;
+    ``exact`` is set only when both bounds are the same rational."""
     theta = _theta_for_set(ops)
     upper = theta.value / len(ops)
     seesaw = index_seesaw(ops, seed=seed)
-    lower: Fraction | float | None
-    if _is_full_majorana_family(ops):
-        lower, _ = index_lower_family(ops.n, ops.locality, verify_dim_cap=0)
-    else:
-        lower = seesaw.value
+    lower: Fraction | float = seesaw.value
     exact = None
-    if lower is not None and abs(float(upper) - float(lower)) <= 1e-9:
-        exact = upper if isinstance(upper, Fraction) else float(upper)
+    if _is_full_majorana_family(ops):  # both bounds rational
+        lower, _ = index_lower_family(ops.n, ops.locality, verify_dim_cap=0)
+        if lower == upper:
+            exact = upper
     return IndexEstimate(
         upper=upper,
         lower=lower,

@@ -1,9 +1,10 @@
 """Checked Hermitian eigensolver, error types, reproducible Gaussian
 sampling and the chunk workspace of the sampling calls.
 
-:func:`eigh` is the Hermiticity-checked eigensolver of the off-diagonal
-check in :mod:`fermitheta.index`, its one caller.  Term banks solve their
-own parity blocks (``TermBank.eigvalsh`` for disorder spectra,
+:func:`eigh` is a Hermiticity-checked wrapper of ``np.linalg.eigh``
+that no library module calls; it stays exported as the dense reference
+solver of the tests and the name the benchmark tracer wraps.  Term banks
+solve their own parity blocks (``TermBank.eigvalsh`` for disorder spectra,
 ``TermBank.sector_eigh`` for the see-saw and Gibbs states), and other
 matrices that are Hermitian by construction (the theta LP's eigenspaces,
 Johnson adjacencies) go to numpy's solvers directly.  Every coupling of every

@@ -52,6 +52,7 @@ from .graphs import commuting_majorana_family, stabilized_state
 from .index import pauli_index_weak_bound
 from .kernel import CapacityError, InputError, RandomStream, Workspace, random_state
 from .models import (
+    _check_q_below_n,
     _coupling_chunks,
     _spectrum_chunks,
     h_comm_count,
@@ -607,6 +608,15 @@ def variance_identity_experiment(
     )
 
 
+def _check_tail(quantity: str, n: int):
+    """Refuse an unknown tail quantity, or a Gibbs observable on fewer
+    than the 4 modes that X = i g1 g2 and Y = i g3 g4 act on."""
+    if quantity not in TAIL_QUANTITIES:
+        raise InputError(f"unknown tail quantity {quantity!r}")
+    if quantity in ("obs_expectation", "two_point") and n < 4:
+        raise InputError(f"{quantity} needs n >= 4: X = i g1 g2 and Y = i g3 g4 act on modes 1 to 4")
+
+
 def tail_experiment(
     quantity: str,
     params: dict,
@@ -633,11 +643,10 @@ def tail_experiment(
     n = 8 to 14).
     """
     t0 = time.perf_counter()
-    if quantity not in TAIL_QUANTITIES:
-        raise InputError(f"unknown tail quantity {quantity!r}")
-    _check_samples(samples)
     n = int(params["n"])
     q = int(params["q"])
+    _check_tail(quantity, n)
+    _check_samples(samples)
     beta = float(params.get("beta", 1.0))
     tau = float(params.get("tau", 0.5))
     bank = model_bank("syk", n, q)
@@ -884,9 +893,11 @@ def exp_moment_check(
     exp(beta^2/2 (1 - c1 beta^2 h_comm / (2 m))) holds across the grid.
     The fitted c1 is reported as a diagnostic, not asserted; it is fitted
     at every nonzero beta, and beta == 0 checks the normalization instead.
-    A beta whose reference exp(beta^2/2) overflows a float is refused.
+    A beta whose reference exp(beta^2/2) overflows a float is refused, and
+    so is q = n, where h_comm = 0 leaves c1 undefined.
     """
     t0 = time.perf_counter()
+    _check_q_below_n(n, q)
     betas = [float(b) for b in beta_grid]
     for b in betas:
         if b * b / 2.0 > _LOG_FLOAT_MAX:

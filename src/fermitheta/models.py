@@ -357,6 +357,13 @@ class BoundsReport:
         return json.dumps(self.__dict__)
 
 
+def _check_q_below_n(n: int, q: int):
+    """Refuse q = n, where h_comm = 0 leaves the bounds that divide by it
+    undefined."""
+    if q == n:
+        raise InputError("q = n leaves a single term, which anticommutes with none: q must be below n")
+
+
 def ansatz_bounds_report(n: int, q: int, t: float, M: int, delta: float) -> BoundsReport:
     """Largest ansatz sizes whose union bound stays below failure prob delta.
 
@@ -376,8 +383,7 @@ def ansatz_bounds_report(n: int, q: int, t: float, M: int, delta: float) -> Boun
         raise InputError("gate set must contain at least 2 gates")
     if not 0 < delta < 1:
         raise InputError("delta must lie in (0, 1)")
-    if q == n:
-        raise InputError("q = n leaves a single term, which anticommutes with none: q must be below n")
+    _check_q_below_n(n, q)
     sigma_sq = float(theta_johnson_lp(n, q).value) / comb(n, q)
     exponent = t * t * n / (2 * sigma_sq)
     if not math.isfinite(exponent):

@@ -154,16 +154,25 @@ def _nonfinite(obj, where: str):
 
 
 def _atomic_write(path: str, text: str):
+    """Write ``text`` to ``path`` through a temp file in its directory,
+    creating the directory if needed.  A path that cannot be written (a
+    parent that is a file, a directory in its place, no permission) is
+    refused with :class:`InputError` naming it, and no temp file is left."""
     d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            # makedirs raises FileExistsError when the directory is a file
+            reason = "Not a directory" if isinstance(exc, FileExistsError) else exc.strerror
+            raise InputError(f"cannot write {path}: {reason}") from None
         raise
 
 

@@ -202,6 +202,36 @@ class TestDispatch:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: q = n")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["expmoment", "--n", "4", "--loc", "4", "--samples", "16"], "q = n leaves a single term"),
+            (["expmoment", "--n", "2", "--loc", "2"], "q = n leaves a single term"),
+            (["expmoment", "--n", "6", "--loc", "6", "--beta", "0.5"], "q = n leaves a single term"),
+            (["tails", "--n", "2", "--loc", "2", "--quantity", "obs_expectation"],
+             "obs_expectation needs n >= 4: X = i g1 g2 and Y = i g3 g4"),
+            (["tails", "--n", "2", "--loc", "2", "--quantity", "two_point"],
+             "two_point needs n >= 4: X = i g1 g2 and Y = i g3 g4"),
+            (["tails", "--n", "2", "--loc", "2"], "obs_expectation needs n >= 4"),
+        ],
+        ids=["expmoment-4", "expmoment-2", "expmoment-6", "obs_expectation", "two_point",
+             "every-quantity"],
+    )
+    def test_degenerate_lab_input_refused_before_any_sample(self, monkeypatch, capsys, argv,
+                                                             message):
+        # expmoment divided by h_comm = 0 after every sample; the Gibbs
+        # observables at n = 2 failed inside their sector operators
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample drawn for a refused input")
+
+        for name in ("_chunks", "_coupling_chunks", "sample_couplings"):
+            monkeypatch.setattr(lab, name, refuse)
+        assert dispatch(["lab", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+
     def test_index_all(self, capsys):
         assert dispatch(
             ["index", "--set", "majorana", "--n", "6", "--loc", "2", "--method", "all"]
@@ -475,6 +505,72 @@ class TestBenchmarkContract:
         out = op.run()
         assert op.failures(out) == []
         assert op.check(out) == []
+
+
+class TestPathErrors:
+    """A path that cannot be read or written exits 2 with one line that
+    names it, and leaves no temp file behind."""
+
+    @pytest.mark.parametrize(
+        "argv,path",
+        [
+            (["--config", "{}/missing.cfg", "theta", "johnson", "--n", "8", "--q", "4"],
+             "missing.cfg"),
+            (["--config", "{}/adir", "theta", "johnson", "--n", "8", "--q", "4"], "adir"),
+            (["--config", "{}/latin1.cfg", "theta", "johnson", "--n", "8", "--q", "4"],
+             "latin1.cfg"),
+            (["hahn", "--m", "8", "--r", "4", "--out", "{}/afile/h.csv"], "afile/h.csv"),
+            (["hahn", "--m", "8", "--r", "4", "--out", "{}/adir"], "adir"),
+            (["lab", "mgf", "--n", "4", "--loc", "2", "--samples", "16", "--out",
+              "{}/afile/r.json"], "afile/r.json"),
+            (["lab", "mgf", "--n", "4", "--loc", "2", "--samples", "16", "--csv",
+              "{}/afile/r.csv"], "afile/r.csv"),
+            (["model", "syk", "--n", "8", "--loc", "4", "--spectrum", "{}/afile/s.json"],
+             "afile/s.json"),
+        ],
+        ids=["config-missing", "config-directory", "config-not-utf8", "hahn-out",
+             "hahn-out-directory", "lab-out", "lab-csv", "model-spectrum"],
+    )
+    def test_exit_2_with_one_line(self, capsys, tmp_path, argv, path):
+        (tmp_path / "afile").write_text("a regular file\n")
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "latin1.cfg").write_bytes("n=8 # caf\xe9\n".encode("latin-1"))
+        assert dispatch([a.format(tmp_path) for a in argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"{tmp_path}/{path}" in lines[0]
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def _readme_commands() -> list[list[str]]:
+    """The lines of README's ``## Command line`` sh block, continuations
+    joined and comments dropped, each without its ``fermitheta``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = line.split("#", 1)[0].split()
+        if words:
+            assert words[0] == "fermitheta", line
+            commands.append(words[1:])
+    return commands
+
+
+class TestReadme:
+    def test_block_is_found(self):
+        assert len(_readme_commands()) >= 10
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_command_runs(self, monkeypatch, capsys, tmp_path, argv):
+        # every advertised command runs, and writes the files it names
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(argv) == EXIT_OK
+        capsys.readouterr()
+        for flag in ("--out", "--spectrum"):
+            if flag in argv:
+                assert (tmp_path / argv[argv.index(flag) + 1]).is_file()
 
 
 class TestThreadsEnv:
