@@ -82,12 +82,19 @@ def _check_floats(args):
         raise InputError(f"--tol must be positive, got {args.tol}")
 
 
-def _emit(args, text: str):
+def _emit(args, pieces):
+    """Write the text made of ``pieces`` to --out (see ``_atomic_write``),
+    or else each piece to stdout as it comes and then one newline, which is
+    what ``print`` of the whole text writes.  ``sys.stdout`` is looked up
+    here, so a ``redirect_stdout`` around the call receives the pieces."""
     out = getattr(args, "out", None)
     if out:
-        _atomic_write(out, text)
+        _atomic_write(out, pieces)
     else:
-        print(text)
+        write = sys.stdout.write
+        for piece in pieces:
+            write(piece)
+        write("\n")
 
 
 def _report_text(args, report: ExperimentReport) -> str:
@@ -102,7 +109,7 @@ def _report_text(args, report: ExperimentReport) -> str:
 
 def _write_report(args, report: ExperimentReport, text: str) -> int:
     if args.out:
-        _atomic_write(args.out, text)
+        _atomic_write(args.out, (text,))
     if args.csv:
         report.write_csv(args.csv)
     print(f"report written to {args.out}" if args.out else text)
@@ -164,7 +171,7 @@ def _cmd_theta(args) -> int:
 
 def _emit_json_if_out(args, text: str):
     if getattr(args, "out", None):
-        _atomic_write(args.out, text)
+        _atomic_write(args.out, (text,))
 
 
 def _cmd_index(args) -> int:
@@ -185,19 +192,16 @@ def _cmd_index(args) -> int:
 def _cmd_hahn(args) -> int:
     if args.verify:
         report = verify_scheme_spectrum(args.m, args.r)
-        _emit(args, report.to_json())
+        _emit(args, (report.to_json(),))
         return EXIT_OK if report.ok else EXIT_VERDICT
-    _emit(args, HahnTable(args.m, args.r).to_csv())
+    _emit(args, (HahnTable(args.m, args.r).to_csv(),))
     return EXIT_OK
 
 
 def _cmd_graph(args) -> int:
     ops = _family(args, _check_graph_vertices)
     g = commutation_graph(ops)
-    if args.format == "csv":
-        _emit(args, g.to_edge_csv())
-    else:
-        _emit(args, g.to_json())
+    _emit(args, g._csv_pieces() if args.format == "csv" else g._json_pieces())
     return EXIT_OK
 
 
@@ -206,7 +210,7 @@ def _cmd_ternary(args) -> int:
     for p in fam.members:
         print(str(p))
     if args.out:
-        _atomic_write(args.out, fam.to_json())
+        _atomic_write(args.out, (fam.to_json(),))
     return EXIT_OK
 
 
@@ -225,7 +229,7 @@ def _cmd_model(args) -> int:
     }
     if args.spectrum:
         payload["eigenvalues"] = [float(v) for v in spec]
-        _atomic_write(args.spectrum, json.dumps(payload))
+        _atomic_write(args.spectrum, (json.dumps(payload),))
         print(f"spectrum written to {args.spectrum}")
     else:
         print(json.dumps(payload))
@@ -234,7 +238,7 @@ def _cmd_model(args) -> int:
 
 def _cmd_bounds(args) -> int:
     rep = ansatz_bounds_report(args.n, args.q, args.t, args.gateset, args.delta)
-    _emit(args, rep.to_json())
+    _emit(args, (rep.to_json(),))
     return EXIT_OK
 
 
@@ -303,7 +307,7 @@ def _run_lab(args) -> int:
 
 def _cmd_table(args) -> int:
     q_list = args.q_list if args.q_list else [2, 4, 6, 8, 10]
-    _emit(args, reproduce_table(args.max_n, q_list))
+    _emit(args, (reproduce_table(args.max_n, q_list),))
     return EXIT_OK
 
 

@@ -6,9 +6,10 @@ and anticommuting family checks) goes through one kernel: the parity of a
 row-blocked BLAS product of 0/1 bit matrices, the symplectic form for
 Paulis and the support overlaps for Majorana monomials.  Adjacency is
 stored as one Python-int bitset per vertex, which keeps pairwise queries
-cheap for sets up to the 10^4-vertex cap; the JSON and CSV exports read
-the bitsets row by row, the adjacency matrix unpacks them into one
-boolean matrix.
+cheap for sets up to the 10^4-vertex cap; the JSON and CSV exports are
+streamed, one piece per bitset row, so that the program holds one row of
+their text at a time, and the adjacency matrix unpacks the bitsets into
+one boolean matrix.
 
 Eigenstates of commuting families are found by projecting a seeded random
 vector with (psi + s B psi) / 2 term by term, where B psi comes from the
@@ -78,8 +79,20 @@ class CommutationGraph:
 
     def to_json(self) -> str:
         """The graph as ``json.dumps`` writes its vertices, kind, labels
-        and adjacency lists; the adjacency text is joined row by row from
-        the bitsets, so no m x m matrix or Python int list is built."""
+        and adjacency lists: the pieces of :meth:`_json_pieces`, joined."""
+        return "".join(self._json_pieces())
+
+    def to_edge_csv(self) -> str:
+        """The edges u < v as ``csv.writer`` writes them, one ``u,v`` line
+        each under a ``u,v`` header: the pieces of :meth:`_csv_pieces`,
+        joined."""
+        return "".join(self._csv_pieces())
+
+    def _json_pieces(self):
+        """The text of :meth:`to_json` in pieces: the head (vertices, kind,
+        labels), one ``[a, b, ...]`` adjacency list per vertex, then ``]}``.
+        Each list is read from its bitset when it is asked for, so no m x m
+        matrix, Python int list or whole text is built."""
         head = json.dumps(
             {
                 "vertices": len(self),
@@ -87,26 +100,27 @@ class CommutationGraph:
                 "labels": self.operators._json_members(),
             }
         )
+        yield head[:-1] + ', "adjacency": ['
         names = np.array([str(v) for v in range(len(self))], dtype=object)
-        rows = (
-            "[" + ", ".join(names[np.flatnonzero(_unpack_masks((bits,), len(self))[0])]) + "]"
-            for bits in self.adjacency
-        )
-        return head[:-1] + ', "adjacency": [' + ", ".join(rows) + "]}"
+        sep = ""
+        for bits in self.adjacency:
+            row = names[np.flatnonzero(_unpack_masks((bits,), len(self))[0])]
+            yield sep + "[" + ", ".join(row) + "]"
+            sep = ", "
+        yield "]}"
 
-    def to_edge_csv(self) -> str:
-        """The edges u < v as ``csv.writer`` writes them, one ``u,v`` line
-        each under a ``u,v`` header; like :meth:`to_json`, the text is
-        joined row by row from the bitsets."""
+    def _csv_pieces(self):
+        """The text of :meth:`to_edge_csv` in pieces: the ``u,v`` header,
+        then the ``u,v`` lines of each vertex u that has a later
+        neighbour, read from its bitset like :meth:`_json_pieces`."""
         m = len(self)
         names = np.array([str(v) for v in range(m)], dtype=object)
-        lines = ["u,v\r\n"]
+        yield "u,v\r\n"
         for u, bits in enumerate(self.adjacency):
             later = names[u + 1 + np.flatnonzero(_unpack_masks((bits >> u + 1,), m - u - 1)[0])]
             if len(later):
                 head = f"{u},"
-                lines.append(head + ("\r\n" + head).join(later.tolist()) + "\r\n")
-        return "".join(lines)
+                yield head + ("\r\n" + head).join(later.tolist()) + "\r\n"
 
 
 # rows per block of a pairwise product: the scratch of a block, about

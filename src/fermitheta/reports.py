@@ -15,7 +15,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -123,7 +123,7 @@ class ExperimentReport:
         return buf.getvalue()
 
     def write_csv(self, path: str):
-        _atomic_write(path, self.records_csv())
+        _atomic_write(path, (self.records_csv(),))
 
 
 def _finite_json(obj) -> str:
@@ -153,18 +153,21 @@ def _nonfinite(obj, where: str):
     return None
 
 
-def _atomic_write(path: str, text: str):
-    """Write ``text`` to ``path`` through a temp file in its directory,
-    creating the directory if needed.  A path that cannot be written (a
-    parent that is a file, a directory in its place, no permission) is
-    refused with :class:`InputError` naming it, and no temp file is left."""
+def _atomic_write(path: str, pieces: Iterable[str]):
+    """Write the text made of ``pieces`` to ``path`` through a temp file in
+    its directory, creating the directory if needed; each piece goes to the
+    temp file as it comes, so a caller with one string passes a 1-tuple and
+    a streamed export is never held whole.  A path that cannot be written
+    (a parent that is a file, a directory in its place, no permission) is
+    refused with :class:`InputError` naming it, and no temp file is left;
+    neither is one when ``pieces`` raises, and ``path`` keeps what it held."""
     d = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         os.makedirs(d, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

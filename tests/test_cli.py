@@ -1,11 +1,13 @@
 """Command-line surface: exit codes, outputs, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 
 import fermitheta.algebra
 import fermitheta.cli
+import fermitheta.graphs
 import fermitheta.index
 import fermitheta.models
 import fermitheta.scheme
@@ -27,6 +30,8 @@ from fermitheta.cli import (
     dispatch,
     reproduce_table,
 )
+from fermitheta.kernel import InputError
+from fermitheta.reports import _atomic_write
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -542,6 +547,84 @@ class TestPathErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert f"{tmp_path}/{path}" in lines[0]
         assert list(tmp_path.rglob("*.tmp")) == []
+
+
+class _Discard:
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestGraphStream:
+    """``graph`` streams its export: the bytes are those of the library's
+    whole-text methods, and neither stdout nor --out holds the whole text."""
+
+    @pytest.mark.parametrize("kind,n,loc", [("pauli", 3, 2), ("majorana", 6, 2)])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_and_out_match_the_library(self, capsys, tmp_path, kind, n, loc, fmt):
+        g = fermitheta.graphs.commutation_graph(fermitheta.algebra.enumerate_set(kind, n, loc))
+        text = g.to_edge_csv() if fmt == "csv" else g.to_json()
+        argv = ["graph", "--set", kind, "--n", str(n), "--loc", str(loc), "--format", fmt]
+        assert dispatch(argv) == EXIT_OK
+        assert capsys.readouterr().out == text + "\n"
+        path = tmp_path / f"g.{fmt}"
+        assert dispatch([*argv, "--out", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == text.encode()
+
+    def test_out_is_atomic_when_pieces_raise(self, tmp_path):
+        target = tmp_path / "g.json"
+        target.write_bytes(b"old contents\r\n")
+
+        def pieces():
+            for i in range(3):
+                yield f"piece {i}\n"
+            raise RuntimeError("export failed")
+
+        with pytest.raises(RuntimeError, match="export failed"):
+            _atomic_write(str(target), pieces())
+        assert target.read_bytes() == b"old contents\r\n"
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_unwritable_out_is_refused_before_any_piece(self, tmp_path):
+        (tmp_path / "afile").write_text("a regular file\n")
+        taken = []
+
+        def pieces():
+            taken.append(1)
+            yield "never written"
+
+        path = f"{tmp_path}/afile/g.json"
+        with pytest.raises(InputError) as err:
+            _atomic_write(path, pieces())
+        assert str(err.value) == f"cannot write {path}: Not a directory"
+        assert taken == []
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("fmt,chars", [("json", 5_904_651), ("csv", 5_289_210)])
+    def test_stdout_export_holds_one_row(self, fmt, chars):
+        # pauli (8,3): 1512 vertices, 5.9 MB of JSON; the whole text would
+        # take more than the bound several times over
+        sink = _Discard()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = dispatch(["graph", "--set", "pauli", "--n", "8", "--loc", "3",
+                                 "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert sink.chars == chars
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def _readme_commands() -> list[list[str]]:

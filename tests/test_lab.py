@@ -491,7 +491,7 @@ class TestReportPlumbing:
 
         rep = free_energy_experiment("syk", 8, 4, [0.5], 24, seed=9)
         path = tmp_path / "report.json"
-        _atomic_write(str(path), rep.to_json())
+        _atomic_write(str(path), (rep.to_json(),))
         payload = json.loads(path.read_text())
         for key in ("schema_version", "experiment", "params", "seed", "records", "summary", "verdicts", "duration_ms"):
             assert key in payload

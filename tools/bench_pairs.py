@@ -56,12 +56,13 @@ SIDES = ("parent", "change")
 COLD_RUNS = 5
 FAULT_PASSES = 5
 
-# one CLI command, its output discarded; prints its exit code, peak RSS and
-# the number of scipy modules it loaded
+# one CLI command, its output written to the null device (a buffer would add
+# the whole text to the peak RSS); prints its exit code, peak RSS and the
+# number of scipy modules it loaded
 COLD_SCRIPT = """\
-import contextlib, io, json, resource, sys
+import contextlib, json, os, resource, sys
 import fermitheta.cli as cli
-with contextlib.redirect_stdout(io.StringIO()):
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
     code = cli.dispatch(sys.argv[1:])
 print(json.dumps({"code": code,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
