@@ -17,7 +17,6 @@ from .algebra import (
 from .graphs import (
     CommutationGraph,
     best_commuting_family,
-    commutation_degree,
     commutation_graph,
     commuting_majorana_family,
     extended_hamming_family,
@@ -31,7 +30,6 @@ from .index import (
     index_lower_family,
     index_pauli_product,
     index_seesaw,
-    index_upper,
     pauli_index_weak_bound,
 )
 from .lab import (

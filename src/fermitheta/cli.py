@@ -38,6 +38,8 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+# lab experiments that draw SYK samples whatever --model says
+_SYK_ONLY = ("gradcheck", "variance", "tails", "mgf", "expmoment")
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -251,6 +253,8 @@ def _cmd_lab(args) -> int:
 
 
 def _run_lab(args) -> int:
+    if args.experiment in _SYK_ONLY and args.model != "syk":
+        raise InputError(f"lab {args.experiment} runs only the syk model, got --model {args.model}")
     threads = _threads(args)
     betas = args.beta if args.beta else [1.0]
     if args.experiment == "free-energy":

@@ -37,7 +37,6 @@ from .kernel import CapacityError, InputError, RandomStream, random_state
 __all__ = [
     "CommutationGraph",
     "commutation_graph",
-    "commutation_degree",
     "commuting_majorana_family",
     "extended_hamming_family",
     "best_commuting_family",
@@ -214,13 +213,6 @@ def commutation_graph(ops: OperatorSet) -> CommutationGraph:
         for row in np.packbits(block, axis=1, bitorder="little")
     ]
     return CommutationGraph(operators=ops, adjacency=tuple(bits))
-
-
-def commutation_degree(g: CommutationGraph) -> int:
-    """Maximum vertex degree; equals the commutation degree for norm-1 terms."""
-    if len(g) == 0:
-        return 0
-    return max(g.degrees())
 
 
 def commuting_majorana_family(n: int, q: int) -> OperatorSet:

@@ -2,14 +2,16 @@
 
 The commutation index of a set {A_1..A_m} is the supremum over pure states
 of (1/m) sum_i <psi|A_i|psi>^2.  Rigorous upper bounds come from theta of
-the commutation graph divided by m; rigorous lower bounds come from
-explicit witness states; a monotone see-saw ascent supplies heuristic
-maximizers in between.
+the commutation graph divided by m; rigorous lower bounds of full Majorana
+families come from commuting subfamilies, as exact rationals; a monotone
+see-saw ascent supplies heuristic maximizers in between.  A full family's
+rigorous bound becomes a float only here, rounded up
+(:func:`_upper_bound_float`).
 
-Witnesses and the see-saw run on the matrix-free
+The see-saw runs on the matrix-free
 :class:`~fermitheta.algebra.TermBank`, so no m x d x d stack of term
-matrices is ever built, and the see-saw takes its eigenvectors from the
-bank's parity sectors (``TermBank.sector_eigh``).  An estimate is
+matrices is ever built, and takes its eigenvectors from the bank's parity
+sectors (``TermBank.sector_eigh``).  An estimate is
 ``exact`` only when its two rigorous bounds are equal rationals.
 """
 
@@ -18,23 +20,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, inf, nextafter
 
 import numpy as np
 
-from .algebra import OperatorSet, TermBank, _check_bank_entries, _check_dim, term_bank
-from .graphs import (
-    _check_graph_vertices,
-    best_commuting_family,
-    commutation_graph,
-    joint_eigenstate,
-)
+from .algebra import OperatorSet, TermBank, _check_bank_entries, _check_dim
+from .graphs import _check_graph_vertices, best_commuting_family, commutation_graph
 from .kernel import InputError, RandomStream, random_state
 from .theta import ThetaResult, _check_sdp_vertices, theta_johnson_lp, theta_sdp
 
 __all__ = [
     "IndexEstimate",
-    "index_upper",
     "index_lower_family",
     "index_pauli_product",
     "index_seesaw",
@@ -83,42 +79,40 @@ def _is_full_majorana_family(ops: OperatorSet) -> bool:
     )
 
 
-def index_upper(ops: OperatorSet) -> Fraction | float:
-    """theta(G(S)) / |S|: exact rational for full even-degree Majorana
-    families, else ``theta_sdp``'s coherent-closure LP at its tolerance
-    1e-6, which refuses a graph that is not a commutative association
-    scheme (:class:`InputError`)."""
-    return _theta_for_set(ops).value / len(ops)
-
-
 def _theta_for_set(ops: OperatorSet) -> ThetaResult:
+    """theta of the commutation graph of ops: exact for a full even-degree
+    Majorana family, else ``theta_sdp``'s coherent-closure LP at its
+    tolerance 1e-6, which refuses a graph that is not a commutative
+    association scheme (:class:`InputError`)."""
     if _is_full_majorana_family(ops):
         return theta_johnson_lp(ops.n, ops.locality)
     return theta_sdp(commutation_graph(ops))
 
 
-def index_lower_family(n: int, q: int, verify_dim_cap: int = 1 << 12):
-    """Sharpest explicit-family lower bound: |family| / C(n, q).
+def _upper_bound_float(kind: str, n: int, locality: int) -> float:
+    """The least float at or above the rigorous index bound of the full
+    family: theta / C(n, q) for even-degree Majorana terms, else the weak
+    Pauli bound (2/3)^k."""
+    if kind == "majorana":
+        exact = theta_johnson_lp(n, locality).value / comb(n, locality)
+    else:
+        exact = pauli_index_weak_bound(n, locality)
+    value = float(exact)
+    return value if value >= exact else nextafter(value, inf)
 
-    Uses the largest known commuting subfamily (the 14-block Hamming
-    family at (8, 4), the pair-product family of C(n/2, q/2) members
-    otherwise) and certifies it numerically with an adaptive-sign joint
-    eigenstate when the dense dimension permits.  Returns (value,
-    witness_mean_square), the witness entry None above the cap.
+
+def index_lower_family(n: int, q: int) -> Fraction:
+    """Sharpest explicit-family lower bound |family| / C(n, q), exact.
+
+    The family is the 14-block Hamming family at (8, 4), the C(n/2, q/2)
+    pair products otherwise; its constructor checks it pairwise commuting
+    on the supports (``graphs._pairwise_commuting``).  Commuting Hermitian
+    involutions share an eigenvector, on which each has <A>^2 = 1, so the
+    index is at least |family| / C(n, q).
     """
     if n % 2 != 0 or q % 2 != 0:
         raise InputError("n and q must both be even")
-    family = best_commuting_family(n, q)
-    value = Fraction(len(family), comb(n, q))
-    witness = None
-    if 1 << (n // 2) <= verify_dim_cap:
-        psi, _ = joint_eigenstate(family)
-        witness = float(np.mean(term_bank("majorana", n, q).expectations(psi) ** 2))
-        if witness < float(value) - 1e-9:
-            raise RuntimeError(
-                f"joint eigenstate witness {witness} fell below the family bound {float(value)}"
-            )
-    return value, witness
+    return Fraction(len(best_commuting_family(n, q)), comb(n, q))
 
 
 def index_pauli_product(n: int, k: int, state) -> float:
@@ -229,9 +223,10 @@ def _check_estimate(kind: str, n: int, locality: int, members: int):
 
 def index_estimate(ops: OperatorSet, seed: int = 7) -> IndexEstimate:
     """Aggregate upper/lower/heuristic information for one operator set:
-    :func:`index_upper` and the see-saw at its 8 restarts of at most 200
-    iterations from ``seed``.  The lower bound is the commuting-family
-    bound of a full even-degree Majorana family, else the see-saw value;
+    theta / m (:func:`_theta_for_set`) and the see-saw at its 8 restarts
+    of at most 200 iterations from ``seed``.  The lower bound is the
+    commuting-family bound of a full even-degree Majorana family, else the
+    see-saw value;
     ``exact`` is set only when both bounds are the same rational."""
     theta = _theta_for_set(ops)
     upper = theta.value / len(ops)
@@ -239,7 +234,7 @@ def index_estimate(ops: OperatorSet, seed: int = 7) -> IndexEstimate:
     lower: Fraction | float = seesaw.value
     exact = None
     if _is_full_majorana_family(ops):  # both bounds rational
-        lower, _ = index_lower_family(ops.n, ops.locality, verify_dim_cap=0)
+        lower = index_lower_family(ops.n, ops.locality)
         if lower == upper:
             exact = upper
     return IndexEstimate(

@@ -29,7 +29,8 @@ built.  The
 ``threads`` argument of every experiment is recorded in the report's
 params and does not change the computation.  Bound verdicts always use a
 rigorous upper bound on the commutation index (theta/m for Majorana
-families, the (2/3)^k bound for Pauli families), never the heuristic
+families, the (2/3)^k bound for Pauli families), rounded up to the least
+float at or above it by :mod:`fermitheta.index`, never the heuristic
 see-saw value; statistical slack enters through one-sided 99% confidence
 limits, so a verdict fails only when the data are confidently above the
 curve.
@@ -42,14 +43,13 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, log
 
 import numpy as np
 
 from .algebra import MAX_DENSE_DIM, MajoranaMonomial, OperatorSet, TermBank, _walsh_hadamard
 from .graphs import commuting_majorana_family, stabilized_state
-from .index import pauli_index_weak_bound
+from .index import _upper_bound_float
 from .kernel import CapacityError, InputError, RandomStream, Workspace, random_state
 from .models import (
     _check_q_below_n,
@@ -66,7 +66,6 @@ from .reports import (
     jackknife_log_mean_exp,
     wilson_interval,
 )
-from .theta import theta_johnson_lp
 
 __all__ = [
     "free_energy_experiment",
@@ -116,11 +115,12 @@ _STIRLERR = np.array([0.0] + [math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k
 
 
 def delta_upper_bound(model: str, n: int, loc: int) -> float:
-    """Rigorous upper bound on the commutation index of the term family."""
+    """Rigorous upper bound on the commutation index of the term family,
+    rounded up to a float (:func:`fermitheta.index._upper_bound_float`)."""
     if model == "syk":
-        return float(Fraction(theta_johnson_lp(n, loc).value) / comb(n, loc))
+        return _upper_bound_float("majorana", n, loc)
     if model == "sg":
-        return float(pauli_index_weak_bound(n, loc))
+        return _upper_bound_float("pauli", n, loc)
     if model == "classical":
         return 1.0  # commuting family
     raise InputError(f"unknown model {model!r}")

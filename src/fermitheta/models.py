@@ -61,7 +61,7 @@ import numpy as np
 
 from .algebra import TermBank, _check_bank_entries, _walsh_hadamard, term_bank
 from .kernel import CapacityError, InputError, RandomStream, Workspace, gaussian_stream
-from .theta import theta_johnson_lp
+from .index import _upper_bound_float
 
 __all__ = [
     "TermBank",
@@ -370,7 +370,7 @@ def ansatz_bounds_report(n: int, q: int, t: float, M: int, delta: float) -> Boun
     A state family of cardinality exp(B) can only reach energy t*sqrt(n)
     with probability exp(B - E) where E = t^2 n / (2 sigma^2) and sigma^2
     is the commutation index's upper bound theta/C(n, q) of the full
-    degree-q Majorana family.  Circuit counting uses (M * C(n,2))^G
+    degree-q Majorana family, rounded up to a float.  Circuit counting uses (M * C(n,2))^G
     configurations, matrix product states exp(chi^2 + ln n), neural
     networks exp(W), and Gaussian states an n^2-scale net.  The
     eigenvalue bound takes c1 = 1.  An exponent E that is not a finite
@@ -384,7 +384,7 @@ def ansatz_bounds_report(n: int, q: int, t: float, M: int, delta: float) -> Boun
     if not 0 < delta < 1:
         raise InputError("delta must lie in (0, 1)")
     _check_q_below_n(n, q)
-    sigma_sq = float(theta_johnson_lp(n, q).value) / comb(n, q)
+    sigma_sq = _upper_bound_float("majorana", n, q)
     exponent = t * t * n / (2 * sigma_sq)
     if not math.isfinite(exponent):
         raise InputError(f"the exponent t^2 n / (2 sigma^2) = {exponent} is not a finite float")

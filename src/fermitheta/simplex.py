@@ -5,7 +5,7 @@ slack basis:
 
 * ``solve_lp_max`` exactly, with Bland's anti-cycling rule, for problems
   with at most tens of variables and constraints; the Johnson theta
-  programs have q/2 free variables and q constraints;
+  programs have q/2 free variables and at most q constraints;
 * ``solve_lp_max_float`` in float64, with the optimal duals, for the
   coherent-closure theta programs of up to a few hundred classes.  It
   takes Dantzig's rule, and Bland's rule after a degenerate pivot: on the

@@ -5,10 +5,11 @@ Two routes:
 * ``theta_johnson_lp`` -- the commutation graph of the full degree-q
   Majorana family is a union of odd-distance Johnson relations, so its
   theta reduces to a tiny linear program over exact integers: maximize
-  p(0) = sum over odd d of a_d * H(d, 0) subject to p(x) >= -1 for
-  x = 1..q, and the value is C(n, q) / (1 + p(0)).  Solved exactly by
-  the fraction-free integer simplex of ``simplex.py``; the optimal
-  coefficients must then satisfy every constraint exactly.
+  p(0) = sum over odd d of a_d * H(d, 0) subject to p(x) >= -1 on the
+  scheme's other eigenspaces x = 1..min(q, n - q), and the value is
+  C(n, q) / (1 + p(0)).  Solved exactly by the fraction-free integer
+  simplex of ``simplex.py``; the optimal coefficients must then satisfy
+  every constraint exactly.
 
 * ``theta_sdp`` -- a numeric solver for graphs of at most 600 vertices
   whose coherent closure is a commutative association scheme, which
@@ -114,7 +115,7 @@ class ThetaResult:
 
 
 def _lp_work(q: int, bits: int) -> int:
-    """Cost model of the exact Johnson LP (q constraints over q variables)
+    """Cost model of the exact Johnson LP (at most q rows, q variables)
     whose largest Hahn entry has ``bits`` bits: q^5 bits (q + bits/512).
     The time tracks q^6 bits while the entries are a few hundred bits wide
     (the pivot count leads) and q^5 bits^2 beyond (the width of the
@@ -162,10 +163,9 @@ def theta_johnson_lp(n: int, q: int) -> ThetaResult:
     t0 = time.perf_counter()
     table = HahnTable(n, q)
     odd_ds = list(range(1, q, 2))
-    if not odd_ds:
-        raise InputError("q must be at least 2")
+    xs = range(1, min(q, n - q) + 1)  # eigenspaces; columns x > n - q are not
     c, A, b = _delsarte_program([table[d, 0] for d in odd_ds],
-                                [[table[d, x] for d in odd_ds] for x in range(1, q + 1)])
+                                [[table[d, x] for d in odd_ds] for x in xs])
     try:
         sol: LPSolution = solve_lp_max(c, A, b)
     except Exception as exc:  # the program is always feasible and bounded
@@ -178,19 +178,20 @@ def theta_johnson_lp(n: int, q: int) -> ThetaResult:
     # integer numerators of p(x) over the coefficients' common denominator
     den = lcm(*(a.denominator for a in coeffs.values()))
     nums = {d: a.numerator * (den // a.denominator) for d, a in coeffs.items()}
-    min_slack = None
-    for x in range(1, q + 1):
+    slacks = []
+    for x in xs:
         px = sum(nums[d] * table[d, x] for d in odd_ds)
         if px < -den:
             raise StructuralError(f"certificate infeasible at x={x}: p(x)={Fraction(px, den)}")
-        min_slack = px + den if min_slack is None else min(min_slack, px + den)
-    min_slack = Fraction(min_slack, den)
+        slacks.append(px + den)
+    # q = n: one vertex, no constraint, and theta = 1
+    min_slack = str(Fraction(min(slacks), den)) if slacks else None
     value = Fraction(comb(n, q), 1) / (1 + p0)
     return ThetaResult(
         value=value,
         method="johnson-lp-exact",
         certificate={f"a_{d}": coeffs[d] for d in odd_ds},
-        residuals={"p0": str(p0), "min_constraint_slack": str(min_slack)},
+        residuals={"p0": str(p0), "min_constraint_slack": min_slack},
         wall_time=time.perf_counter() - t0,
     )
 

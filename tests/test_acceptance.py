@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from fermitheta.algebra import PauliString, enumerate_set
-from fermitheta.graphs import commutation_graph, ternary_tree_paulis
+from fermitheta.graphs import (
+    best_commuting_family,
+    commutation_graph,
+    joint_eigenstate,
+    ternary_tree_paulis,
+)
 from fermitheta.index import (
     index_estimate,
     index_lower_family,
@@ -142,8 +147,10 @@ def test_criterion_07_sandwich_closure():
     for n, q in [(6, 2), (8, 4)]:
         est = index_estimate(enumerate_set("majorana", n, q), seed=7)
         assert est.upper == Fraction(1, 5), (n, q, est.upper)
-        lower, witness = index_lower_family(n, q)
+        lower = index_lower_family(n, q)
         assert lower == Fraction(1, 5), (n, q, lower)
+        psi, _ = joint_eigenstate(best_commuting_family(n, q))
+        witness = float(np.mean(term_bank("majorana", n, q).expectations(psi) ** 2))
         assert witness >= 0.2 - 1e-9
         seesaw = index_seesaw(enumerate_set("majorana", n, q), seed=7)
         assert abs(seesaw.value - 0.2) <= 1e-6, (n, q, seesaw.value)

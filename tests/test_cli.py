@@ -237,6 +237,33 @@ class TestDispatch:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("model", ["sg", "classical"])
+    @pytest.mark.parametrize("experiment", ["gradcheck", "variance", "tails", "mgf", "expmoment"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_syk_only_experiment_refuses_other_models(self, monkeypatch, capsys, tmp_path,
+                                                      experiment, model, via_config):
+        # these experiments draw SYK samples whatever --model says; they ran
+        # SYK and recorded the other model in the report's config
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample drawn for a refused model")
+
+        for name in ("_chunks", "_coupling_chunks", "sample_couplings", "gradcheck_logZ",
+                     "variance_identity_experiment", "tail_experiment", "mgf_check",
+                     "exp_moment_check"):
+            monkeypatch.setattr(lab, name, refuse)
+        argv = ["lab", experiment, "--n", "8", "--loc", "4", "--samples", "16"]
+        if via_config:
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"model={model}\n")
+            argv = ["--config", str(cfg), *argv]
+        else:
+            argv += ["--model", model]
+        assert dispatch(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert lines == [f"error: lab {experiment} runs only the syk model, got --model {model}"]
+
     def test_index_all(self, capsys):
         assert dispatch(
             ["index", "--set", "majorana", "--n", "6", "--loc", "2", "--method", "all"]

@@ -1,21 +1,35 @@
 """Commutation index: bounds, witnesses, see-saw heuristics."""
 
+import math
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fermitheta.algebra import OperatorSet, PauliString, enumerate_set
+from fermitheta.algebra import (
+    OperatorSet,
+    PauliString,
+    enumerate_set,
+    majorana_anticommutes,
+    term_bank,
+)
+from fermitheta.graphs import best_commuting_family, joint_eigenstate
 from fermitheta.index import (
     SeesawResult,
+    _theta_for_set,
     index_estimate,
     index_lower_family,
     index_pauli_product,
     index_seesaw,
-    index_upper,
     pauli_index_weak_bound,
 )
 from fermitheta.kernel import CapacityError, InputError, RandomStream, eigh, random_state
+from fermitheta.lab import delta_upper_bound
+from fermitheta.models import ansatz_bounds_report
+from fermitheta.theta import theta_johnson_lp
 
 
 def xyz():
@@ -24,6 +38,23 @@ def xyz():
 
 def product_state(seed, n):
     return [random_state(RandomStream(seed, j), 2) for j in range(n)]
+
+
+def index_upper(ops):
+    """theta(G(S)) / |S|, as index_estimate takes it."""
+    return _theta_for_set(ops).value / len(ops)
+
+
+def witness(n, q):
+    """Mean squared expectation of the full degree-q family in a joint
+    eigenstate of the best commuting family: the numeric side of the
+    exact family bound."""
+    psi, _ = joint_eigenstate(best_commuting_family(n, q))
+    return float(np.mean(term_bank("majorana", n, q).expectations(psi) ** 2))
+
+
+def least_float_at_or_above(v, exact):
+    return Fraction(v) >= exact > Fraction(math.nextafter(v, 0))
 
 
 class TestUpper:
@@ -37,21 +68,60 @@ class TestUpper:
         assert abs(float(index_upper(xyz())) - 1 / 3) <= 1e-6
 
 
+class TestRoundedUp:
+    """Every float the library makes of a rigorous bound is the least float
+    at or above its exact rational; rounding to nearest put 39 of the SYK
+    bounds below, and (2/3)^k for k = 1..4."""
+
+    SYK = [(n, q) for n in range(4, 25, 2) for q in range(2, n, 2)]
+
+    def test_syk_delta(self):
+        assert len(self.SYK) == 66
+        for n, q in self.SYK:
+            exact = theta_johnson_lp(n, q).value / comb(n, q)
+            assert least_float_at_or_above(delta_upper_bound("syk", n, q), exact), (n, q)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_sg_delta(self, k):
+        assert least_float_at_or_above(delta_upper_bound("sg", 6, k), Fraction(2, 3) ** k)
+
+    def test_bounds_sigma_sq(self):
+        for n, q in [*self.SYK, (100, 4)]:
+            exact = theta_johnson_lp(n, q).value / comb(n, q)
+            sigma_sq = ansatz_bounds_report(n, q, 0.5, 64, 1e-3).sigma_sq
+            assert least_float_at_or_above(sigma_sq, exact), (n, q)
+
+
 class TestLower:
     def test_62(self):
-        value, witness = index_lower_family(6, 2)
+        value = index_lower_family(6, 2)
         assert value == Fraction(3, 15)
-        assert witness >= float(value) - 1e-9
+        assert witness(6, 2) >= float(value) - 1e-9
 
     def test_124_witness(self):
-        value, witness = index_lower_family(12, 4)
+        value = index_lower_family(12, 4)
         assert value == Fraction(15, 495)
-        assert witness is not None and witness >= float(value) - 1e-9
+        assert witness(12, 4) >= float(value) - 1e-9
 
     def test_84_family_closes_sandwich(self):
-        value, witness = index_lower_family(8, 4)
+        value = index_lower_family(8, 4)
         assert value == Fraction(1, 5)
-        assert abs(witness - 0.2) <= 1e-9
+        assert abs(witness(8, 4) - 0.2) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda h: st.tuples(st.just(2 * h), st.integers(1, h))))
+    def test_family_bound_is_exact(self, nh):
+        # the family commutes pairwise by the scalar rule, and its rational
+        # bound stays below theta / C(n, q)
+        n, q = nh[0], 2 * nh[1]
+        value = index_lower_family(n, q)
+        family = best_commuting_family(n, q).members
+        assert value == Fraction(len(family), comb(n, q))
+        assert value <= theta_johnson_lp(n, q).value / comb(n, q)
+        assert all(len(a.support) == q for a in family)
+        for i, a in enumerate(family):
+            for b in family[i + 1:]:
+                assert not majorana_anticommutes(a, b)
 
 
 class TestPauliProduct:

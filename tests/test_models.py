@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 from math import comb, log
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fermitheta.index
 import fermitheta.models as models
 from fermitheta.algebra import (
     MajoranaMonomial,
@@ -22,7 +24,6 @@ from fermitheta.algebra import (
     majorana_to_pauli,
 )
 from fermitheta.graphs import (
-    commutation_degree,
     commutation_graph,
     commuting_majorana_family,
     extended_hamming_family,
@@ -642,7 +643,7 @@ class TestCommutationCounting:
     )
     def test_closed_form_matches_graph_degree(self, kind, n, q):
         g = commutation_graph(enumerate_set(kind, n, q))
-        assert h_comm_count(kind, n, q) == commutation_degree(g)
+        assert h_comm_count(kind, n, q) == max(g.degrees())
 
     def test_majorana_within_stated_order(self):
         for n, q in [(8, 4), (12, 4), (16, 4)]:
@@ -679,7 +680,9 @@ class TestAnsatzBounds:
 
     def test_golden_values(self):
         rep = ansatz_bounds_report(100, 4, 0.5, 64, 1e-3)
-        assert rep.sigma_sq == comb(50, 2) / comb(100, 4)
+        # theta = C(50, 2): sigma_sq is the least float at or above the ratio
+        exact = Fraction(comb(50, 2), comb(100, 4))
+        assert Fraction(rep.sigma_sq) >= exact > Fraction(math.nextafter(rep.sigma_sq, 0))
         assert rep.circuit_gate_threshold == 3158
         assert rep.mps_bond_threshold == 200
         assert rep.nn_weight_threshold == 40005
@@ -716,7 +719,7 @@ class TestAnsatzBounds:
         def lp(n, q):
             raise AssertionError("the LP ran")
 
-        monkeypatch.setattr(models, "theta_johnson_lp", lp)
+        monkeypatch.setattr(fermitheta.index, "theta_johnson_lp", lp)
         for n in (2, 4, 10):
             with pytest.raises(InputError, match="q = n"):
                 ansatz_bounds_report(n, n, 0.5, 64, 1e-3)

@@ -1,6 +1,7 @@
 """Lovasz theta: exact LP values, SDP solver, cross-validation."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from math import comb
@@ -147,6 +148,42 @@ class TestJohnsonLP:
         p0 = sum(a * table[d, 0] for d, a in coeffs.items())
         assert res.value == Fraction(comb(12, 6), 1 + p0)
 
+    def test_rows_are_the_eigenspaces(self):
+        # the LP keeps the rows x = 1..min(q, n - q); its theta equals that of
+        # a reference LP over all rows x = 1..q of the Hahn table, and its
+        # certificate is exactly feasible on every eigenspace
+        for n in range(2, 41, 2):
+            for q in range(2, n + 1, 2):
+                table = HahnTable(n, q)
+                ds = range(1, q, 2)
+                c = [v for d in ds for v in (table[d, 0], -table[d, 0])]
+                A = [[v for d in ds for v in (-table[d, x], table[d, x])]
+                     for x in range(1, q + 1)]
+                reference = Fraction(comb(n, q)) / (1 + solve_lp_max(c, A, [1] * q).value)
+                res = theta_johnson_lp(n, q)
+                assert res.value == reference, (n, q)
+                coeffs = {int(k[2:]): a for k, a in res.certificate.items()}
+                p = [sum(a * table[d, x] for d, a in coeffs.items())
+                     for x in range(min(q, n - q) + 1)]
+                assert res.value == Fraction(comb(n, q)) / (1 + p[0]), (n, q)
+                assert min(p[1:], default=0) >= -1, (n, q)
+
+    def test_rows_and_slack_at_q_equal_to_n(self, monkeypatch):
+        # one vertex: no eigenspace but x = 0, so no constraint, and theta = 1
+        rows = []
+
+        def record(c, A, b):
+            rows.append(len(A))
+            return solve_lp_max(c, A, b)
+
+        monkeypatch.setattr(theta_module, "solve_lp_max", record)
+        for n, q in [(10, 4), (10, 6), (10, 10)]:
+            res = theta_johnson_lp(n, q)
+        assert rows == [4, 4, 0]
+        payload = json.loads(res.to_json())
+        assert payload["value"] == "1"
+        assert payload["residuals"]["min_constraint_slack"] is None
+
     def test_odd_arguments_rejected(self):
         with pytest.raises(InputError):
             theta_johnson_lp(9, 4)
@@ -204,8 +241,6 @@ class TestThetaSDP:
             assert abs(res.value - lp) <= 1e-9
 
     def test_json_serializable(self):
-        import json
-
         res = theta_sdp(cycle_adjacency(5))
         payload = json.loads(res.to_json())
         assert payload["method"] == "generic-sdp"
