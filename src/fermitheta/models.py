@@ -370,9 +370,10 @@ def ansatz_bounds_report(n: int, q: int, t: float, M: int, delta: float) -> Boun
     A state family of cardinality exp(B) can only reach energy t*sqrt(n)
     with probability exp(B - E) where E = t^2 n / (2 sigma^2) and sigma^2
     is the commutation index's upper bound theta/C(n, q) of the full
-    degree-q Majorana family, rounded up to a float.  Circuit counting uses (M * C(n,2))^G
-    configurations, matrix product states exp(chi^2 + ln n), neural
-    networks exp(W), and Gaussian states an n^2-scale net.  The
+    degree-q Majorana family, rounded up to a float.  Circuit counting
+    uses (M * C(n,2))^G configurations, matrix product states
+    exp(chi^2 + ln n), neural networks exp(W), and Gaussian states an
+    n^2-scale net.  The
     eigenvalue bound takes c1 = 1.  An exponent E that is not a finite
     float is refused, and so is q = n, whose single term gives the
     eigenvalue bound no anticommuting pair (h_comm = 0).
