@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 Subcommands: theta, index, hahn, graph, ternary, model, bounds, lab, table.
-Exit codes: 0 success, 1 a theorem-bound verdict failed, 2 usage error,
-3 capacity error.  An optional key=value config file supplies defaults
-that explicit flags override; FERMITHETA_THREADS is the fallback for
---threads.  Every float option must be finite, and --tol positive,
-whether it comes from a flag or from the config file.  Every emitted
-report embeds the resolved configuration.
+Each lab experiment is a subcommand of lab that takes only the options
+its library function reads.  Exit codes: 0 success, 1 a theorem-bound
+verdict failed, 2 usage error (one ``error:`` line, argparse's included),
+3 capacity error.  Options are spelled in full.  An optional key=value
+config file supplies defaults that explicit flags override; a key that
+the chosen command does not take is skipped.  Every float option must be
+finite, and --tol positive, whether it comes from a flag or from the
+config file.  Every emitted report embeds the resolved configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from math import comb
@@ -38,8 +39,6 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
-# lab experiments that draw SYK samples whatever --model says
-_SYK_ONLY = ("gradcheck", "variance", "tails", "mgf", "expmoment")
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -59,19 +58,6 @@ def _load_config(path: str | None) -> dict[str, str]:
         key, value = line.split("=", 1)
         cfg[key.strip()] = value.strip()
     return cfg
-
-
-def _threads(args) -> int:
-    source, threads = "--threads", args.threads
-    if threads is None:
-        source, env = "FERMITHETA_THREADS", os.environ.get("FERMITHETA_THREADS") or "1"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise InputError(f"{source} must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise InputError(f"{source} must be at least 1, got {threads}")
-    return threads
 
 
 def _check_floats(args):
@@ -154,9 +140,6 @@ def _family(args, *caps):
 
 def _cmd_theta(args) -> int:
     if args.mode == "johnson":
-        if args.table:
-            print(reproduce_table(args.n, [args.q]))
-            return EXIT_OK
         res = theta_johnson_lp(args.n, args.q)
         if args.exact_output:
             print(str(res.value))
@@ -211,8 +194,7 @@ def _cmd_ternary(args) -> int:
     fam = ternary_tree_paulis(args.k)
     for p in fam.members:
         print(str(p))
-    if args.out:
-        _atomic_write(args.out, (fam.to_json(),))
+    _emit_json_if_out(args, fam.to_json())
     return EXIT_OK
 
 
@@ -253,23 +235,11 @@ def _cmd_lab(args) -> int:
 
 
 def _run_lab(args) -> int:
-    if args.experiment in _SYK_ONLY and args.model != "syk":
-        raise InputError(f"lab {args.experiment} runs only the syk model, got --model {args.model}")
-    threads = _threads(args)
-    betas = args.beta if args.beta else [1.0]
-    if args.experiment == "free-energy":
-        rep = lab_mod.free_energy_experiment(
-            args.model, args.n, args.loc, betas, args.samples, args.seed, threads
-        )
-    elif args.experiment == "gradcheck":
-        res = lab_mod.gradcheck_logZ(args.n, args.loc, betas[0], args.seed)
+    if args.experiment == "gradcheck":
+        res = lab_mod.gradcheck_logZ(args.n, args.loc, args.beta, args.seed)
         print(_finite_json({"max_rel_error": res.max_rel_error, "beta": res.beta}))
         return EXIT_OK if res.max_rel_error <= 1e-5 else EXIT_VERDICT
-    elif args.experiment == "variance":
-        rep = lab_mod.variance_identity_experiment(
-            args.state, args.n, args.loc, args.samples, args.seed, threads
-        )
-    elif args.experiment == "tails":
+    if args.experiment == "tails":
         quantities = [args.quantity] if args.quantity else list(lab_mod.TAIL_QUANTITIES)
         for quantity in quantities:  # refuse before the first quantity runs
             lab_mod._check_tail(quantity, args.n)
@@ -277,10 +247,9 @@ def _run_lab(args) -> int:
         for quantity in quantities:
             rep = lab_mod.tail_experiment(
                 quantity,
-                {"n": args.n, "q": args.loc, "beta": betas[0], "tau": args.tau},
+                {"n": args.n, "q": args.loc, "beta": args.beta, "tau": args.tau},
                 args.samples,
                 seed=args.seed,
-                threads=threads,
             )
             paths = {"out": args.out, "csv": args.csv}
             if len(quantities) > 1:  # each quantity gets its own report and CSV
@@ -289,23 +258,28 @@ def _run_lab(args) -> int:
             done.append((qargs, rep, _report_text(qargs, rep)))
         # every report was checked before any is written
         return max([_write_report(*entry) for entry in done])
+    if args.experiment == "free-energy":
+        rep = lab_mod.free_energy_experiment(
+            args.model, args.n, args.loc, args.beta or [1.0], args.samples, args.seed
+        )
+    elif args.experiment == "variance":
+        rep = lab_mod.variance_identity_experiment(
+            args.state, args.n, args.loc, args.samples, args.seed
+        )
     elif args.experiment == "mgf":
-        rep = lab_mod.mgf_check(args.n, args.loc, args.samples, seed=args.seed, threads=threads)
+        rep = lab_mod.mgf_check(args.n, args.loc, args.samples, seed=args.seed)
     elif args.experiment == "expmoment":
         rep = lab_mod.exp_moment_check(
-            args.n, args.loc, betas, args.samples, seed=args.seed, threads=threads
+            args.n, args.loc, args.beta or [1.0], args.samples, seed=args.seed
         )
     elif args.experiment == "overlap":
         rep = lab_mod.classical_overlap_experiment(
-            args.n, args.loc, betas, args.samples, seed=args.seed, threads=threads
+            args.n, args.loc, args.beta or [1.0], args.samples, seed=args.seed
         )
-    elif args.experiment == "contrast":
-        n_list = args.n_list if args.n_list else [8, 12, 16]
+    else:  # contrast
         rep = lab_mod.glassiness_contrast(
-            n_list, betas[0], args.samples, seed=args.seed, threads=threads
+            args.n_list or [8, 12, 16], args.beta, args.samples, seed=args.seed
         )
-    else:
-        raise InputError(f"unknown experiment {args.experiment!r}")
     return _write_report(args, rep, _report_text(args, rep))
 
 
@@ -315,8 +289,51 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ``InputError``: one ``error:`` line
+    and exit 2, like every other usage error.  Options are spelled in full;
+    as a prefix, ``lab contrast --n 8`` would set --n-list."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise InputError(message)
+
+
+# The options of the lab experiments, by flag; ``--beta...`` is --beta
+# repeated, for the experiments that take a list of beta.
+_LAB_OPTIONS = {
+    "--model": {"choices": ["syk", "sg", "classical"], "default": "syk"},
+    "--n": {"type": int, "default": 12},
+    "--loc": {"type": int, "default": 4},
+    "--beta": {"type": float, "default": 1.0},
+    "--beta...": {"type": float, "action": "append", "help": "repeat for several beta"},
+    "--tau": {"type": float, "default": 0.5},
+    "--state": {"default": "random"},
+    "--quantity": {"choices": list(lab_mod.TAIL_QUANTITIES)},
+    "--n-list": {"type": int, "action": "append", "dest": "n_list", "help": "repeat for several n"},
+    "--samples": {"type": int, "default": 500},
+    "--seed": {"type": int, "default": 0},
+    "--out": {"help": "write the report JSON here"},
+    "--csv": {"help": "write per-sample records CSV here"},
+}
+_LAB_SHARED = ("--samples", "--seed", "--out", "--csv")
+# Each lab experiment takes exactly the options that its library function reads.
+_LAB_EXPERIMENTS = {
+    "free-energy": ("--model", "--n", "--loc", "--beta...", *_LAB_SHARED),
+    "gradcheck": ("--n", "--loc", "--beta", "--seed"),
+    "variance": ("--n", "--loc", "--state", *_LAB_SHARED),
+    "tails": ("--n", "--loc", "--beta", "--tau", "--quantity", *_LAB_SHARED),
+    "mgf": ("--n", "--loc", *_LAB_SHARED),
+    "expmoment": ("--n", "--loc", "--beta...", *_LAB_SHARED),
+    "overlap": ("--n", "--loc", "--beta...", *_LAB_SHARED),
+    "contrast": ("--n-list", "--beta", *_LAB_SHARED),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fermitheta",
         description="Commutation indices, Lovasz theta, and disorder experiments",
     )
@@ -329,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     tj.add_argument("--n", type=int, required=True)
     tj.add_argument("--q", type=int, required=True)
     tj.add_argument("--exact-output", action="store_true")
-    tj.add_argument("--table", action="store_true")
     tj.add_argument("--out")
     tj.set_defaults(func=_cmd_theta)
     ts = tsub.add_parser("sdp", help="numeric SDP for an enumerated family")
@@ -387,33 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     bo.set_defaults(func=_cmd_bounds)
 
     la = sub.add_parser("lab", help="disorder Monte Carlo experiments")
-    la.add_argument(
-        "experiment",
-        choices=[
-            "free-energy",
-            "gradcheck",
-            "variance",
-            "tails",
-            "mgf",
-            "expmoment",
-            "overlap",
-            "contrast",
-        ],
-    )
-    la.add_argument("--model", choices=["syk", "sg", "classical"], default="syk")
-    la.add_argument("--n", type=int, default=12)
-    la.add_argument("--loc", type=int, default=4)
-    la.add_argument("--beta", type=float, action="append")
-    la.add_argument("--tau", type=float, default=0.5)
-    la.add_argument("--samples", type=int, default=500)
-    la.add_argument("--seed", type=int, default=0)
-    la.add_argument("--threads", type=int)
-    la.add_argument("--state", default="random")
-    la.add_argument("--quantity", choices=list(lab_mod.TAIL_QUANTITIES))
-    la.add_argument("--n-list", type=int, action="append", dest="n_list")
-    la.add_argument("--out", help="write the report JSON here")
-    la.add_argument("--csv", help="write per-sample records CSV here")
-    la.set_defaults(func=_cmd_lab)
+    experiments = la.add_subparsers(dest="experiment", required=True)
+    for name, options in _LAB_EXPERIMENTS.items():
+        ex = experiments.add_parser(name)
+        for option in options:
+            ex.add_argument(option.removesuffix("..."), **_LAB_OPTIONS[option])
+        ex.set_defaults(func=_cmd_lab)
 
     tb = sub.add_parser("table", help="exact theta table as CSV")
     tb.add_argument("--max-n", type=int, default=40, dest="max_n")
@@ -472,7 +467,7 @@ def dispatch(argv=None) -> int:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except SystemExit as exc:
-        # argparse signals usage problems with its own exit
+        # argparse exits after --help; its usage errors raise InputError
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
 

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 MAX_SEESAW_DIM = 1 << 12
+SEESAW_RESTARTS = 8  # seeded restarts of the see-saw
+SEESAW_ITERS = 200  # iterations per restart at most
 
 
 @dataclass(frozen=True)
@@ -156,18 +158,14 @@ class SeesawResult:
     restart: int
 
 
-def index_seesaw(
-    ops: OperatorSet,
-    restarts: int = 8,
-    iters: int = 200,
-    seed: int = 7,
-) -> SeesawResult:
+def index_seesaw(ops: OperatorSet, seed: int = 7) -> SeesawResult:
     """Monotone alternating ascent on the mean squared expectation.
 
     Each iteration replaces the state by the top eigenvector of
     M(psi) = (1/m) sum_i <psi|A_i|psi> A_i, which never decreases the
-    objective; a run stops when an iteration gains less than 1e-12, and
-    the best run over seeded restarts is returned.  Always a valid lower
+    objective; a run stops when an iteration gains less than 1e-12 or
+    after ``SEESAW_ITERS`` iterations, and the best of ``SEESAW_RESTARTS``
+    seeded runs is returned.  Always a valid lower
     bound on the index.  M(psi) is sqrt(m)^-1 times the bank's Hamiltonian
     of the expectations, so its top eigenpair is the largest of
     :meth:`~fermitheta.algebra.TermBank.sector_eigh` over all sectors,
@@ -179,11 +177,11 @@ def index_seesaw(
     d = bank.dim
     side = bank.sector_rows.shape[1]
     best = None
-    for r in range(restarts):
+    for r in range(SEESAW_RESTARTS):
         psi = random_state(RandomStream(seed, r), d)
         history = []
         prev = -np.inf
-        for _ in range(iters):
+        for _ in range(SEESAW_ITERS):
             w = bank.expectations(psi)
             obj = float(np.mean(w**2))
             history.append(obj)

@@ -242,8 +242,28 @@ class TestDispatch:
     @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
     def test_syk_only_experiment_refuses_other_models(self, monkeypatch, capsys, tmp_path,
                                                       experiment, model, via_config):
-        # these experiments draw SYK samples whatever --model says; they ran
-        # SYK and recorded the other model in the report's config
+        # these experiments draw SYK samples only, so they take no --model:
+        # the flag is refused before any sample, and a config key is skipped,
+        # so the run is the SYK run and its report names no model
+        argv = ["lab", experiment, "--n", "8", "--loc", "4"]
+        if experiment == "tails":
+            argv += ["--quantity", "lambda_max"]
+        if experiment != "gradcheck":
+            argv += ["--samples", "16"]
+        if via_config:
+            assert dispatch(argv) in (EXIT_OK, EXIT_VERDICT)
+            syk = json.loads(capsys.readouterr().out)
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"model={model}\n")
+            assert dispatch(["--config", str(cfg), *argv]) in (EXIT_OK, EXIT_VERDICT)
+            payload = json.loads(capsys.readouterr().out)
+            assert "model" not in payload.get("config", {})
+            for report in (syk, payload):
+                report.pop("duration_ms", None)
+                report.pop("config", None)
+            assert payload == syk
+            return
+
         def refuse(*args, **kwargs):
             raise AssertionError("sample drawn for a refused model")
 
@@ -251,18 +271,11 @@ class TestDispatch:
                      "variance_identity_experiment", "tail_experiment", "mgf_check",
                      "exp_moment_check"):
             monkeypatch.setattr(lab, name, refuse)
-        argv = ["lab", experiment, "--n", "8", "--loc", "4", "--samples", "16"]
-        if via_config:
-            cfg = tmp_path / "cfg.txt"
-            cfg.write_text(f"model={model}\n")
-            argv = ["--config", str(cfg), *argv]
-        else:
-            argv += ["--model", model]
-        assert dispatch(argv) == EXIT_USAGE
+        assert dispatch([*argv, "--model", model]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
-        assert lines == [f"error: lab {experiment} runs only the syk model, got --model {model}"]
+        assert lines == [f"error: unrecognized arguments: --model {model}"]
 
     def test_index_all(self, capsys):
         assert dispatch(
@@ -325,17 +338,19 @@ class TestDispatch:
 
     def test_config_file_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("threads=2\nsamples=24\nseed=13\n")
+        cfg.write_text("threads=2\nloc=2\nsamples=24\nseed=13\n")
         code = dispatch(
-            ["--config", str(cfg), "lab", "variance", "--n", "6", "--loc", "2",
-             "--samples", "32"]
+            ["--config", str(cfg), "lab", "variance", "--n", "6", "--samples", "32"]
         )
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         # explicit flag beats config; config beats parser default
         assert payload["params"]["samples"] == 32
         assert payload["seed"] == 13
-        assert payload["params"]["threads"] == 2
+        assert payload["params"]["q"] == 2
+        # a key the experiment does not take is skipped
+        assert payload["params"]["threads"] == 1
+        assert "threads" not in payload["config"]
 
     def test_config_float_list_flag(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -351,7 +366,7 @@ class TestDispatch:
     def test_config_value_typed_like_its_flag(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("beta=1.0\nsamples=16\n")
-        code = dispatch(["--config", str(cfg), "lab", "mgf", "--n", "6", "--loc", "2"])
+        code = dispatch(["--config", str(cfg), "lab", "expmoment", "--n", "6", "--loc", "2"])
         assert code in (EXIT_OK, EXIT_VERDICT)
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["beta"] == [1.0]
@@ -360,15 +375,16 @@ class TestDispatch:
     def test_explicit_list_flag_beats_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("beta=1.0\n")
-        dispatch(["--config", str(cfg), "lab", "mgf", "--n", "6", "--loc", "2",
+        dispatch(["--config", str(cfg), "lab", "expmoment", "--n", "6", "--loc", "2",
                   "--samples", "16", "--beta", "0.5"])
         assert json.loads(capsys.readouterr().out)["config"]["beta"] == [0.5]
 
-    @pytest.mark.parametrize("line", ["samples=abc", "beta=hot", "threads=0", "seed=1.5"])
+    @pytest.mark.parametrize("line", ["samples=abc", "beta=hot", "seed=1.5"])
     def test_config_bad_value_usage_error(self, capsys, tmp_path, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
-        assert dispatch(["--config", str(cfg), "lab", "mgf", "--n", "6", "--loc", "2"]) == EXIT_USAGE
+        argv = ["--config", str(cfg), "lab", "expmoment", "--n", "6", "--loc", "2"]
+        assert dispatch(argv) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
     def test_config_switch(self, capsys, tmp_path):
@@ -381,11 +397,14 @@ class TestDispatch:
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_threads_below_one_usage_error(self, capsys, value):
+        # no experiment takes --threads, whatever its value
         argv = ["lab", "mgf", "--n", "6", "--loc", "2", "--samples", "16", "--threads", value]
         assert dispatch(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.strip().splitlines() == [f"error: --threads must be at least 1, got {value}"]
+        assert captured.err.strip().splitlines() == [
+            f"error: unrecognized arguments: --threads {value}"
+        ]
 
     @_EVERY_LAB_EXPERIMENT
     def test_too_few_samples_usage_error(self, capsys, args):
@@ -402,6 +421,87 @@ class TestDispatch:
         assert captured.err.strip().splitlines() == [
             "capacity error: 1000001 samples exceed the cap of 1000000"
         ]
+
+
+# Each lab experiment: a small run, and for every option the experiment
+# takes, a value other than the run's.
+_LAB_SHARED = {"--samples": "17", "--seed": "1", "--out": "{}/r.json", "--csv": "{}/r.csv"}
+_LAB_READS = {
+    "free-energy": (["--n", "6", "--loc", "2", "--samples", "16"],
+                    {"--model": "sg", "--n": "4", "--loc": "4", "--beta": "0.5", **_LAB_SHARED}),
+    "gradcheck": (["--n", "6", "--loc", "2"],
+                  {"--n": "4", "--loc": "4", "--beta": "0.5", "--seed": "1"}),
+    "variance": (["--n", "6", "--loc", "2", "--samples", "16"],
+                 {"--n": "4", "--loc": "4", "--state": "stabilized", **_LAB_SHARED}),
+    "tails": (["--n", "6", "--loc", "2", "--samples", "16", "--quantity", "two_point"],
+              {"--n": "4", "--loc": "4", "--beta": "0.5", "--tau": "0.25",
+               "--quantity": "lambda_max", **_LAB_SHARED}),
+    "mgf": (["--n", "6", "--loc", "2", "--samples", "16"],
+            {"--n": "4", "--loc": "4", **_LAB_SHARED}),
+    "expmoment": (["--n", "6", "--loc", "2", "--samples", "16"],
+                  {"--n": "4", "--loc": "4", "--beta": "0.5", **_LAB_SHARED}),
+    "overlap": (["--n", "6", "--loc", "2", "--samples", "16"],
+                {"--n": "4", "--loc": "4", "--beta": "0.5", **_LAB_SHARED}),
+    "contrast": (["--n-list", "4", "--samples", "16"],
+                 {"--n-list": "6", "--beta": "0.5", **_LAB_SHARED}),
+}
+# Every option of the lab command before each experiment had its own,
+# --threads included, with a value that an experiment taking it accepts.
+_LAB_FLAGS = {"--model": "sg", "--n": "8", "--loc": "4", "--beta": "1.0", "--tau": "0.5",
+              "--samples": "16", "--seed": "1", "--threads": "1", "--state": "random",
+              "--quantity": "lambda_max", "--n-list": "8", "--out": "{}/r.json",
+              "--csv": "{}/r.csv"}
+
+
+class TestLabOptions:
+    """Each lab experiment takes exactly the options its library function
+    reads: every other option is refused before any sample is drawn, and
+    every option it takes changes what it reports or writes, and only
+    those options are in the report's config."""
+
+    def test_accepted_pairs(self):
+        assert sum(len(reads) for _, reads in _LAB_READS.values()) == 54
+
+    @pytest.mark.parametrize("experiment,flag", [
+        (name, flag) for name, (_, reads) in _LAB_READS.items()
+        for flag in _LAB_FLAGS if flag not in reads
+    ])
+    def test_refused(self, monkeypatch, capsys, tmp_path, experiment, flag):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample drawn for a refused option")
+
+        for name in ("_chunks", "_coupling_chunks", "sample_couplings"):
+            monkeypatch.setattr(lab, name, refuse)
+        base, _ = _LAB_READS[experiment]
+        value = _LAB_FLAGS[flag].format(tmp_path)
+        assert dispatch(["lab", experiment, *base, flag, value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert lines == [f"error: unrecognized arguments: {flag} {value}"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("experiment,flag", [
+        (name, flag) for name, (_, reads) in _LAB_READS.items() for flag in reads
+    ])
+    def test_read(self, capsys, tmp_path, experiment, flag):
+        base, reads = _LAB_READS[experiment]
+        value = reads[flag].format(tmp_path)
+        assert dispatch(["lab", experiment, *base]) in (EXIT_OK, EXIT_VERDICT)
+        before = json.loads(capsys.readouterr().out)
+        assert dispatch(["lab", experiment, *base, flag, value]) in (EXIT_OK, EXIT_VERDICT)
+        out = capsys.readouterr().out
+        if flag in ("--out", "--csv"):
+            assert Path(value).is_file()
+            return
+        after = json.loads(out)
+        # the report's config names no option that the experiment does not read
+        names = {f[2:].replace("-", "_") for f in reads} | {"command", "experiment"}
+        assert set(after.get("config", {})) <= names
+        for report in (before, after):
+            report.pop("duration_ms", None)
+            report.pop("config", None)
+        assert after != before
 
 
 class TestParserReuse:
@@ -438,7 +538,7 @@ class TestParserReuse:
     def test_config_values_do_not_reach_the_next_call(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=13\nbeta=0.5\n")
-        argv = ["lab", "mgf", "--n", "4", "--loc", "2", "--samples", "16"]
+        argv = ["lab", "expmoment", "--n", "4", "--loc", "2", "--samples", "16"]
         assert dispatch(["--config", str(cfg), *argv]) in (EXIT_OK, EXIT_VERDICT)
         config = json.loads(capsys.readouterr().out)["config"]
         assert (config["seed"], config["beta"]) == (13, [0.5])
@@ -683,24 +783,6 @@ class TestReadme:
                 assert (tmp_path / argv[argv.index(flag) + 1]).is_file()
 
 
-class TestThreadsEnv:
-    def test_env_fallback(self, monkeypatch, capsys):
-        monkeypatch.setenv("FERMITHETA_THREADS", "3")
-        code = dispatch(
-            ["lab", "variance", "--n", "6", "--loc", "2", "--samples", "32", "--seed", "5"]
-        )
-        assert code == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["params"]["threads"] == 3
-
-    @pytest.mark.parametrize("value", ["0", "two"])
-    def test_env_bad_value_usage_error(self, monkeypatch, capsys, value):
-        monkeypatch.setenv("FERMITHETA_THREADS", value)
-        argv = ["lab", "variance", "--n", "6", "--loc", "2", "--samples", "32"]
-        assert dispatch(argv) == EXIT_USAGE
-        assert "FERMITHETA_THREADS" in capsys.readouterr().err
-
-
 class TestFamilyCaps:
     """Over-cap families are refused from their closed-form size, before
     enumeration, with the message of the cap that refused them after it;
@@ -757,7 +839,7 @@ class TestFamilyCaps:
 
 # Every subcommand at its smallest size, with the int and float options it
 # accepts.  The fuzz grid sets one option at a time to an edge value.
-_LAB_INTS = ["--n", "--loc", "--samples", "--seed", "--threads"]
+_LAB_INTS = ["--n", "--loc", "--samples", "--seed"]
 _FUZZ_COMMANDS = {
     "theta-johnson": (["theta", "johnson", "--n", "4", "--q", "2"], ["--n", "--q"], []),
     "theta-sdp": (["theta", "sdp", "--set", "pauli", "--n", "1", "--loc", "1"],
@@ -776,14 +858,17 @@ _FUZZ_COMMANDS = {
                ["--n", "--q", "--gateset"], ["--t", "--delta"]),
     "table": (["table", "--max-n", "2", "--q", "2"], ["--max-n", "--q"], []),
     **{
-        f"lab-{name}": (["lab", name, "--n", "4", "--loc", "2", "--samples", "16", *extra],
-                        _LAB_INTS + ints, ["--beta", "--tau"])
-        for name, extra, ints in [
-            ("free-energy", [], []), ("gradcheck", [], []), ("variance", [], []),
-            ("tails", [], []), ("mgf", [], []), ("expmoment", [], []), ("overlap", [], []),
-            ("contrast", ["--n-list", "4"], ["--n-list"]),
+        f"lab-{name}": (["lab", name, "--n", "4", "--loc", "2", "--samples", "16"],
+                        _LAB_INTS, floats)
+        for name, floats in [
+            ("free-energy", ["--beta"]), ("variance", []), ("tails", ["--beta", "--tau"]),
+            ("mgf", []), ("expmoment", ["--beta"]), ("overlap", ["--beta"]),
         ]
     },
+    "lab-gradcheck": (["lab", "gradcheck", "--n", "4", "--loc", "2"],
+                      ["--n", "--loc", "--seed"], ["--beta"]),
+    "lab-contrast": (["lab", "contrast", "--n-list", "4", "--samples", "16"],
+                     ["--n-list", "--samples", "--seed"], ["--beta"]),
 }
 _FUZZ_INTS = ["-1", "0", str(10**9)]
 _FUZZ_FLOATS = ["nan", "inf", "-inf", "-1", "0", "1e308"]
@@ -834,7 +919,10 @@ class TestFuzz:
         log-sum-exp, phases) leaves a non-finite value: the result is refused
         with one error line and no warning, and nothing is written."""
         out = tmp_path / "report.json"
-        argv = _with_option([*_FUZZ_COMMANDS[name][0], "--out", str(out)], flag, "1e308")
+        argv = list(_FUZZ_COMMANDS[name][0])
+        if name != "lab-gradcheck":  # gradcheck writes no report
+            argv += ["--out", str(out)]
+        argv = _with_option(argv, flag, "1e308")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert dispatch(argv) == EXIT_USAGE
@@ -857,7 +945,9 @@ class TestFuzz:
     def test_config_float_must_be_finite(self, capsys, tmp_path, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
-        argv = ["--config", str(cfg), "lab", "mgf", "--n", "4", "--loc", "2", "--samples", "16"]
+        experiment = "tails" if line.startswith("tau") else "expmoment"
+        argv = ["--config", str(cfg), "lab", experiment, "--n", "4", "--loc", "2",
+                "--samples", "16"]
         assert dispatch(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -18,6 +18,8 @@ from fermitheta.algebra import (
 )
 from fermitheta.graphs import best_commuting_family, joint_eigenstate
 from fermitheta.index import (
+    SEESAW_ITERS,
+    SEESAW_RESTARTS,
     SeesawResult,
     _theta_for_set,
     index_estimate,
@@ -154,20 +156,20 @@ class TestWeakBound:
 
     def test_dominates_seesaw_at_k3(self):
         ops = enumerate_set("pauli", 3, 3)
-        res = index_seesaw(ops, restarts=4, iters=100, seed=5)
+        res = index_seesaw(ops, seed=5)
         assert res.value <= float(pauli_index_weak_bound(3, 3)) + 1e-9
 
 
-def dense_seesaw(ops, restarts=8, iters=200, seed=7, gain_tol=1e-12):
+def dense_seesaw(ops, seed=7, gain_tol=1e-12):
     """Reference see-saw on the stack of dense term matrices."""
     mats = np.array(ops.hermitized_matrices())
     m, d = mats.shape[0], mats.shape[1]
     best = None
-    for r in range(restarts):
+    for r in range(SEESAW_RESTARTS):
         psi = random_state(RandomStream(seed, r), d)
         history = []
         prev = -np.inf
-        for _ in range(iters):
+        for _ in range(SEESAW_ITERS):
             w = np.real(np.einsum("i,mij,j->m", psi.conj(), mats, psi))
             obj = float(np.mean(w**2))
             history.append(obj)
@@ -226,17 +228,17 @@ class TestSeesaw:
             1,
             (PauliString.from_label("ZI"), PauliString.from_label("IZ")),
         )
-        assert abs(index_seesaw(ops, restarts=2, iters=50, seed=1).value - 1.0) <= 1e-9
+        assert abs(index_seesaw(ops, seed=1).value - 1.0) <= 1e-9
 
     def test_xyz_reaches_third(self):
-        assert abs(index_seesaw(xyz(), restarts=4, iters=100, seed=2).value - 1 / 3) <= 1e-9
+        assert abs(index_seesaw(xyz(), seed=2).value - 1 / 3) <= 1e-9
 
     def test_s62_closes(self):
         res = index_seesaw(enumerate_set("majorana", 6, 2), seed=7)
         assert abs(res.value - 0.2) <= 1e-6
 
     def test_monotone_history(self):
-        res = index_seesaw(enumerate_set("majorana", 6, 2), restarts=2, iters=60, seed=3)
+        res = index_seesaw(enumerate_set("majorana", 6, 2), seed=3)
         assert all(b >= a - 1e-12 for a, b in zip(res.history, res.history[1:]))
 
 
