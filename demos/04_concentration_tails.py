@@ -16,7 +16,7 @@ SAMPLES = 1000
 
 for quantity in ("lambda_max", "fixed_state_energy", "obs_expectation",
                  "thermal_energy", "two_point"):
-    rep = tail_experiment(quantity, PARAMS, SAMPLES, seed=1, threads=4)
+    rep = tail_experiment(quantity, PARAMS, SAMPLES, seed=1)
     worst = max(
         (row["frequency"] / row["bound"] for row in rep.summary["grid"] if row["bound"] > 0),
         default=0.0,
@@ -26,11 +26,11 @@ for quantity in ("lambda_max", "fixed_state_energy", "obs_expectation",
           f"worst freq/bound = {worst:.3f}  [{status}]")
 
 # the energy of a fixed state is exactly Gaussian across the disorder
-rep = variance_identity_experiment("random", 10, 4, SAMPLES, seed=2, threads=4)
+rep = variance_identity_experiment("random", 10, 4, SAMPLES, seed=2)
 print(f"\nfixed-state energy: empirical variance {rep.summary['empirical_variance']:.6f} "
       f"vs exact {rep.summary['exact_variance']:.6f} (z = {rep.summary['z']:.2f})")
 
 # the max-eigenvalue moment generating function sits under exp(4 D t^2)
-rep = mgf_check(10, 4, SAMPLES, t_grid=(0.5, 1.0, 2.0), seed=3, threads=4)
+rep = mgf_check(10, 4, SAMPLES, t_grid=(0.5, 1.0, 2.0), seed=3)
 for row in rep.summary["rows"]:
     print(f"MGF t={row['t']}: {row['mgf']:.4f} <= bound {row['bound']:.4f}")

@@ -18,7 +18,7 @@ from fermitheta.lab import (
 
 # --- fermionic gaps sit far below the 4 beta^2 Delta bound --------------
 
-rep = free_energy_experiment("syk", 12, 4, [0.5, 1.0, 2.0], 400, seed=1, threads=4)
+rep = free_energy_experiment("syk", 12, 4, [0.5, 1.0, 2.0], 400, seed=1)
 print("degree-4 fermions, n = 12:")
 for row in rep.summary["per_beta"]:
     bound = 4 * row["beta"] ** 2 * rep.summary["delta_upper"]
@@ -27,7 +27,7 @@ for row in rep.summary["per_beta"]:
 
 # --- classical spins develop a persistent gap ----------------------------
 
-rep = free_energy_experiment("classical", 16, 4, [0.5, 2.0], 200, seed=2, threads=4)
+rep = free_energy_experiment("classical", 16, 4, [0.5, 2.0], 200, seed=2)
 print("\nclassical 4-spin model, n = 16:")
 for row in rep.summary["per_beta"]:
     print(f"  beta={row['beta']}: gap = {row['gap']:.4f} +- {row['gap_se']:.4f}"
@@ -35,14 +35,14 @@ for row in rep.summary["per_beta"]:
 
 # --- side-by-side trend ---------------------------------------------------
 
-contrast = glassiness_contrast([8, 12, 16], 2.0, 200, seed=3, threads=4)
+contrast = glassiness_contrast([8, 12, 16], 2.0, 200, seed=3)
 print("\ngap trend at beta = 2:")
 for fr, cr in zip(contrast.summary["syk"], contrast.summary["classical"]):
     print(f"  n={fr['n']:>2}: fermionic {fr['gap']:.5f}   classical {cr['gap']:.4f}")
 
 # --- replica overlaps freeze only for the classical model ----------------
 
-rep = classical_overlap_experiment(12, 4, [0.0, 0.5, 1.0, 1.5, 2.0], 64, seed=4, threads=4)
+rep = classical_overlap_experiment(12, 4, [0.0, 0.5, 1.0, 1.5, 2.0], 64, seed=4)
 print("\nclassical overlap second moment (n = 12):")
 print("  glass threshold window:",
       f"[{rep.summary['glass_threshold_lower']:.3f}, {rep.summary['glass_threshold']:.3f}]")

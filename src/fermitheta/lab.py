@@ -42,7 +42,6 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass
 from math import comb, log
 
 import numpy as np
@@ -52,6 +51,7 @@ from .graphs import commuting_majorana_family, stabilized_state
 from .index import _upper_bound_float
 from .kernel import CapacityError, InputError, RandomStream, Workspace, random_state
 from .models import (
+    _KINDS,
     _check_q_below_n,
     _coupling_chunks,
     _spectrum_chunks,
@@ -70,7 +70,6 @@ from .reports import (
 __all__ = [
     "free_energy_experiment",
     "gradcheck_logZ",
-    "GradcheckResult",
     "variance_identity_experiment",
     "tail_experiment",
     "mgf_check",
@@ -117,13 +116,11 @@ _STIRLERR = np.array([0.0] + [math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k
 def delta_upper_bound(model: str, n: int, loc: int) -> float:
     """Rigorous upper bound on the commutation index of the term family,
     rounded up to a float (:func:`fermitheta.index._upper_bound_float`)."""
-    if model == "syk":
-        return _upper_bound_float("majorana", n, loc)
-    if model == "sg":
-        return _upper_bound_float("pauli", n, loc)
     if model == "classical":
         return 1.0  # commuting family
-    raise InputError(f"unknown model {model!r}")
+    if model not in _KINDS:
+        raise InputError(f"unknown model {model!r}")
+    return _upper_bound_float(_KINDS[model], n, loc)
 
 
 def _check_samples(samples: int):
@@ -229,6 +226,21 @@ def _gibbs_weights(w: np.ndarray, scale) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
+def _sector_gibbs(bank: TermBank, n: int, q: int, seed: int, samples: int, scale: float,
+                  held: int):
+    """SYK samples 0..samples-1 in chunks, each as its sector spectra w
+    (b, sectors, side), sector eigenvectors v (b, sectors, side, side) and
+    Gibbs weights p = exp(-scale w) / Z over all sectors (w's shape).  The
+    chunk width makes room for ``held`` complex (side, side) arrays per
+    sector and sample, the caller's own, besides the couplings and the
+    eigensolve."""
+    sectors, side = bank.sector_rows.shape
+    for g in _coupling_chunks("syk", n, q, seed, range(samples), bank,
+                              held * 16 * sectors * side * side):
+        w, v = bank.sector_eigh(g)
+        yield w, v, _gibbs_weights(w.reshape(len(g), -1), scale).reshape(w.shape)
+
+
 def _gauss_hermite_expect(f, nodes: int = 301) -> float:
     """E[f(g)] for standard normal g by Gauss-Hermite quadrature."""
     x, w = np.polynomial.hermite.hermgauss(nodes)
@@ -331,26 +343,21 @@ def free_energy_experiment(
     )
 
 
-@dataclass(frozen=True)
-class GradcheckResult:
-    max_rel_error: float
-    coords: tuple[int, ...]
-    analytic: tuple[float, ...]
-    finite_diff: tuple[float, ...]
-    beta: float
-
-
-def gradcheck_logZ(n: int, q: int, beta: float, seed: int) -> GradcheckResult:
+def gradcheck_logZ(n: int, q: int, beta: float, seed: int) -> ExperimentReport:
     """Analytic coupling-derivatives of ln Z versus central finite differences.
 
     The analytic form is d ln Z / d g_i = -beta sqrt(n/m) Tr(A_i rho_beta)
-    for Z = Tr exp(-beta sqrt(n) H).  Checked on a seeded random subset of
-    20 coordinates with step 1e-5; returns the worst relative error.
+    for Z = Tr exp(-beta sqrt(n) H), at the couplings of sample 0.
+    Checked on a seeded random subset of 20 coordinates with step 1e-5;
+    the ``gradient_match`` verdict asks for a worst relative error of at
+    most 1e-5.  Refused above n = 16 before sample 0 is drawn.
     """
+    t0 = time.perf_counter()
     step = 1e-5
-    (g0,) = sample_couplings("syk", n, q, seed, (0,))
+    couplings = sample_couplings("syk", n, q, seed, (0,))
     if n > 16:
         raise InputError("gradient check limited to dimension 2^8")
+    (g0,) = couplings
     bank = model_bank("syk", n, q)
     m = len(bank)
     sqrt_n = math.sqrt(n)
@@ -368,30 +375,37 @@ def gradcheck_logZ(n: int, q: int, beta: float, seed: int) -> GradcheckResult:
     tr_arho = bank._traces(rho[np.arange(bank.dim), bank._targets])
     analytic_all = -beta * math.sqrt(n / m) * tr_arho
     picker = np.random.Generator(RandomStream(seed, 1)._bit_generator())
-    coords = tuple(int(c) for c in picker.permutation(m)[:20])
+    coords = picker.permutation(m)[:20]
     fd = []
-    an = []
     for c in coords:
         gp = g0.copy()
         gp[c] += step
         gm = g0.copy()
         gm[c] -= step
         fd.append((ln_z(gp) - ln_z(gm)) / (2 * step))
-        an.append(float(analytic_all[c]))
-    fd_arr = np.array(fd)
-    an_arr = np.array(an)
-    scale = np.abs(an_arr).max()
+    fd = np.array(fd)
+    an = analytic_all[coords]
+    scale = np.abs(an).max()
     if scale == 0.0:
-        max_rel = float(np.abs(fd_arr).max())
+        max_rel = float(np.abs(fd).max())
     else:
-        denom = np.maximum(np.abs(an_arr), 1e-2 * scale)
-        max_rel = float((np.abs(fd_arr - an_arr) / denom).max())
-    return GradcheckResult(
-        max_rel_error=max_rel,
-        coords=coords,
-        analytic=tuple(an),
-        finite_diff=tuple(fd),
-        beta=beta,
+        denom = np.maximum(np.abs(an), 1e-2 * scale)
+        max_rel = float((np.abs(fd - an) / denom).max())
+    return ExperimentReport(
+        experiment="gradcheck",
+        params={"n": n, "q": q, "beta": beta},
+        seed=seed,
+        records={"coords": coords, "analytic": an, "finite_diff": fd},
+        summary={"max_rel_error": max_rel},
+        verdicts=[
+            Verdict(
+                name="gradient_match",
+                passed=max_rel <= 1e-5,
+                bound_formula="max_i |fd_i - an_i| / max(|an_i|, 1e-2 max_j |an_j|) <= 1e-5",
+                details={"max_rel_error": max_rel},
+            )
+        ],
+        duration_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -617,6 +631,11 @@ def _check_tail(quantity: str, n: int):
         raise InputError(f"{quantity} needs n >= 4: X = i g1 g2 and Y = i g3 g4 act on modes 1 to 4")
 
 
+def _gaussian_curve(prefactor: float):
+    """The sub-Gaussian curve prefactor exp(-t^2 / s) at scale s."""
+    return lambda t, s: prefactor * math.exp(-t * t / s)
+
+
 def tail_experiment(
     quantity: str,
     params: dict,
@@ -633,8 +652,10 @@ def tail_experiment(
     fixed grid 0.2, 0.4, ..., 2.0 (``T_GRID``).  Each grid point passes
     when the one-sided 99% lower confidence limit of the exceedance
     frequency sits at or below the theorem curve evaluated with the
-    rigorous index bound; a curve undefined at the given parameters
-    (beta = 0 scaling) skips the point with a note.
+    rigorous index bound.  Each curve has a scale s, the denominator of
+    its exponent (for thermal_energy, 4 beta^2 n); where s = 0 (beta = 0
+    for the Gibbs quantities, beta = tau = 0 for two_point) the curve is
+    undefined and each of its grid points is skipped with a note.
 
     obs_expectation is vacuous for q = 0 mod 4: the antiunitary P = M K
     (M the image of g1 g3 ... g_{n-1}) sends every g_j to +-g_j, so it
@@ -652,39 +673,60 @@ def tail_experiment(
     bank = model_bank("syk", n, q)
     delta_ub = delta_upper_bound("syk", n, q)
     sqrt_n = math.sqrt(n)
+    grid: list[dict] = []
     notes: list[str] = []
+    summary = {"quantity": quantity, "delta_upper": delta_ub, "grid": grid, "notes": notes}
 
-    sigma_sq = None
+    # each branch names its records and its series: (label, values, the
+    # curve's scale s, the curve at deviation t and scale s, its formula)
     if quantity == "lambda_max":
-        raw = np.concatenate([w[:, -1] for w in _chunks("syk", n, q, seed, samples)])
-    elif quantity == "thermal_energy":
-        raw = np.concatenate([
-            np.stack([w[:, -1], np.sum(w * _gibbs_weights(w, beta * sqrt_n), axis=-1)], axis=1)
-            for w in _chunks("syk", n, q, seed, samples, _GIBBS_BYTES + 8)  # the weights, w p
-        ])
+        lam = np.concatenate([w[:, -1] for w in _chunks("syk", n, q, seed, samples)])
+        records = {"lambda_max": lam}
+        series = [("lambda_max", lam, 2.0 * delta_ub, _gaussian_curve(2.0),
+                   "P(|lam - mean| >= t) <= 2 exp(-t^2 / (2 Delta_ub))")]
     elif quantity == "fixed_state_energy":
         psi = _resolve_state("random", n, q, seed)
-        raw, sigma_sq = _fixed_state_energies(bank, psi, n, q, seed, samples)
-    else:  # obs_expectation, two_point: Gibbs weights p_sk of the eigenvectors v_sk of each sector s
+        energy, sigma_sq = _fixed_state_energies(bank, psi, n, q, seed, samples)
+        records = {"energy": energy}
+        summary["sigma_sq_exact"] = sigma_sq
+        series = [("fixed_state_energy", energy, 2.0 * sigma_sq, _gaussian_curve(1.0),
+                   "P(|E - mean| >= t) <= exp(-t^2 / (2 sigma^2)), sigma^2 exact")]
+    elif quantity == "thermal_energy":
+        lam, energy = [], []
+        for w in _chunks("syk", n, q, seed, samples, _GIBBS_BYTES + 8):  # the weights, w p
+            lam.append(w[:, -1].copy())
+            energy.append(np.sum(w * _gibbs_weights(w, beta * sqrt_n), axis=-1))
+        pilot = max(1, samples // 10)
+        records = {"lambda_max_pilot": np.concatenate(lam)[:pilot],
+                   "thermal_energy": np.concatenate(energy)[pilot:]}
+        lam_bar = float(records["lambda_max_pilot"].mean())
+
+        def thermal_curve(t, s):  # s = 4 beta^2 n
+            alpha = 0.5 * (1.0 / s + lam_bar**2)
+            return 4.0 * math.exp(-(math.sqrt(t * t / (12.0 * beta * beta * n) + alpha * alpha)
+                                    - alpha) / (2.0 * delta_ub))
+
+        series = [("thermal_energy", records["thermal_energy"], 4.0 * beta * beta * n,
+                   thermal_curve,
+                   "P(|Tr(H rho) - mean| >= t) <= 4 exp(-(sqrt(t^2/(12 b^2 n) + a^2) - a)/(2 Delta_ub))")]
+    elif quantity == "obs_expectation":
         perm, sign = _sector_pair(bank, n)
-        sectors, side = bank.sector_rows.shape
-        at = np.arange(sectors)[:, None]
-        # per sample, besides the couplings and the eigensolve: complex
-        # (side, side) arrays per sector at the peak, for obs_expectation the
-        # vectors v, X v and v^dagger (3); for two_point the peak is at the
-        # product X~, Y~ = v^dagger (X v, Y v), 5.0 arrays per sample at
-        # n = 10 and 4.9 at n = 12 by tracemalloc (5)
-        held = 3 if quantity == "obs_expectation" else 5
-        raw = []
-        for g in _coupling_chunks("syk", n, q, seed, range(samples), bank,
-                                  held * 16 * sectors * side * side):
-            w, v = bank.sector_eigh(g)  # (b, sectors, side), (b, sectors, side, side)
-            p = _gibbs_weights(w.reshape(len(g), -1), beta * sqrt_n).reshape(w.shape)
-            if quantity == "obs_expectation":
-                # <X> = sum_sk p_sk <v_sk|X|v_sk>
-                xv = sign[0, :, :, None] * v[:, at, perm[0]]
-                raw.append(np.einsum("bsrk,bsrk,bsk->b", v.conj(), xv, p).real)
-                continue
+        at = np.arange(perm.shape[1])[:, None]
+        # <X> = sum_sk p_sk <v_sk|X|v_sk>; held at the peak: v, X v and v^dagger
+        obs = np.concatenate([
+            np.einsum("bsrk,bsrk,bsk->b", v.conj(), sign[0, :, :, None] * v[:, at, perm[0]], p).real
+            for _, v, p in _sector_gibbs(bank, n, q, seed, samples, beta * sqrt_n, 3)
+        ])
+        records = {"obs": obs}
+        series = [("obs_expectation", obs, 18.0 * beta * beta * delta_ub, _gaussian_curve(2.0),
+                   "P(|Tr(X rho) - mean| >= t) <= 2 exp(-t^2 / (18 beta^2 |X|^2 Delta_ub))")]
+    else:  # two_point
+        perm, sign = _sector_pair(bank, n)
+        at = np.arange(perm.shape[1])[:, None]
+        traces = []
+        # held at the peak, the product X~, Y~ = v^dagger (X v, Y v): 5.0
+        # arrays per sample at n = 10 and 4.9 at n = 12 by tracemalloc
+        for w, v, p in _sector_gibbs(bank, n, q, seed, samples, beta * sqrt_n, 5):
             # X and Y keep each sector, so Tr(X Y(tau) rho) is a sum over
             # sectors of sum_jk p_k X~_kj e^{i tau sqrt(n) w_j} Y~_jk e^{-i tau sqrt(n) w_k}
             av = sign[:, None, :, :, None] * np.moveaxis(v[:, at, perm], 1, 0)
@@ -695,117 +737,31 @@ def tail_experiment(
             val = (p * e.conj())[..., None] * Xt
             val *= e[..., None, :]
             val *= np.swapaxes(Yt, -1, -2)
-            val = np.sum(val, axis=(1, 2, 3))
-            raw.append(np.stack([val.real, val.imag], axis=1))
-        raw = np.concatenate(raw)
-    vals = np.array(raw)  # thermal_energy and two_point have two columns
+            traces.append(np.sum(val, axis=(1, 2, 3)))
+        trace = np.concatenate(traces)
+        records = {"two_point_hermitian": trace.real, "two_point_antihermitian": trace.imag}
+        scale = 6.0 * n * (5.0 * beta * beta + 16.0 * tau * tau) * delta_ub
+        formula = ("P(|part(Tr(X Y(tau) rho)) - mean| >= t) <= "
+                   "2 exp(-t^2 / (6 n (5 beta^2 + 16 tau^2) Delta_ub))")
+        series = [(label, part, scale, _gaussian_curve(2.0), formula)
+                  for label, part in records.items()]
 
-    records: dict[str, np.ndarray] = {}
-    grid_rows = []
     verdicts = []
-
-    def check_series(label: str, values: np.ndarray, curve, curve_formula: str):
-        center = values.mean()
-        dev = np.abs(values - center)
+    for label, values, scale, curve, formula in series:
+        dev = np.abs(values - values.mean())
         for t in T_GRID:
-            bound = curve(t)
-            if bound is None:
+            if scale == 0.0:
                 notes.append(f"{label}: bound undefined at t={t}; skipped")
                 continue
+            bound = curve(t, scale)
             k = int(np.sum(dev >= t))
             freq = k / len(values)
             lo, hi = wilson_interval(k, len(values))
-            grid_rows.append(
-                {
-                    "series": label,
-                    "t": t,
-                    "exceedances": k,
-                    "frequency": freq,
-                    "wilson_lower": lo,
-                    "wilson_upper": hi,
-                    "bound": bound,
-                }
-            )
-            verdicts.append(
-                Verdict(
-                    name=f"{label}[t={t}]",
-                    passed=lo <= bound,
-                    bound_formula=curve_formula,
-                    details={"frequency": freq, "wilson_lower": lo, "bound": bound},
-                )
-            )
-
-    if quantity == "lambda_max":
-        records["lambda_max"] = vals
-        check_series(
-            "lambda_max",
-            vals,
-            lambda t: 2.0 * math.exp(-t * t / (2.0 * delta_ub)),
-            "P(|lam - mean| >= t) <= 2 exp(-t^2 / (2 Delta_ub))",
-        )
-    elif quantity == "fixed_state_energy":
-        records["energy"] = vals
-        check_series(
-            "fixed_state_energy",
-            vals,
-            lambda t: math.exp(-t * t / (2.0 * sigma_sq)),
-            "P(|E - mean| >= t) <= exp(-t^2 / (2 sigma^2)), sigma^2 exact",
-        )
-    elif quantity == "obs_expectation":
-        records["obs"] = vals
-        if beta == 0.0:
-            curve = lambda t: None
-        else:
-            curve = lambda t: 2.0 * math.exp(-t * t / (18.0 * beta * beta * delta_ub))
-        check_series(
-            "obs_expectation",
-            vals,
-            curve,
-            "P(|Tr(X rho) - mean| >= t) <= 2 exp(-t^2 / (18 beta^2 |X|^2 Delta_ub))",
-        )
-    elif quantity == "thermal_energy":
-        pilot = max(1, samples // 10)
-        lam_pilot = vals[:pilot, 0]
-        records["lambda_max_pilot"] = lam_pilot
-        records["thermal_energy"] = vals[pilot:, 1]
-        if beta == 0.0:
-            curve = lambda t: None
-            alpha = None
-        else:
-            alpha = 0.5 * (1.0 / (4.0 * beta * beta * n) + float(lam_pilot.mean()) ** 2)
-            curve = lambda t: 4.0 * math.exp(
-                -(math.sqrt(t * t / (12.0 * beta * beta * n) + alpha * alpha) - alpha)
-                / (2.0 * delta_ub)
-            )
-        check_series(
-            "thermal_energy",
-            vals[pilot:, 1],
-            curve,
-            "P(|Tr(H rho) - mean| >= t) <= 4 exp(-(sqrt(t^2/(12 b^2 n) + a^2) - a)/(2 Delta_ub))",
-        )
-    else:  # two_point
-        records["two_point_hermitian"] = vals[:, 0]
-        records["two_point_antihermitian"] = vals[:, 1]
-        denom = 6.0 * n * (5.0 * beta * beta + 16.0 * tau * tau) * delta_ub
-        if denom == 0.0:
-            curve = lambda t: None
-        else:
-            curve = lambda t: 2.0 * math.exp(-t * t / denom)
-        formula = (
-            "P(|part(Tr(X Y(tau) rho)) - mean| >= t) <= "
-            "2 exp(-t^2 / (6 n (5 beta^2 + 16 tau^2) Delta_ub))"
-        )
-        check_series("two_point_hermitian", vals[:, 0], curve, formula)
-        check_series("two_point_antihermitian", vals[:, 1], curve, formula)
-
-    summary = {
-        "quantity": quantity,
-        "delta_upper": delta_ub,
-        "grid": grid_rows,
-        "notes": notes,
-    }
-    if sigma_sq is not None:
-        summary["sigma_sq_exact"] = sigma_sq
+            grid.append({"series": label, "t": t, "exceedances": k, "frequency": freq,
+                         "wilson_lower": lo, "wilson_upper": hi, "bound": bound})
+            verdicts.append(Verdict(name=f"{label}[t={t}]", passed=lo <= bound,
+                                    bound_formula=formula,
+                                    details={"frequency": freq, "wilson_lower": lo, "bound": bound}))
     return ExperimentReport(
         experiment="tails",
         params={

@@ -40,8 +40,6 @@ from fermitheta.models import ansatz_bounds_report, depolarized_energy_identity,
 from fermitheta.scheme import verify_scheme_spectrum
 from fermitheta.theta import round_half_up, theta_johnson_lp, theta_sdp
 
-THREADS = 4
-
 
 def _announce(k: int, message: str):
     print(f"\n[criterion {k:02d}] PASS: {message}")
@@ -159,14 +157,14 @@ def test_criterion_07_sandwich_closure():
 
 def test_criterion_08_gradient_check():
     for beta in (0.5, 1.0):
-        res = gradcheck_logZ(8, 4, beta, seed=2)
-        assert res.max_rel_error <= 1e-5, (beta, res.max_rel_error)
+        err = gradcheck_logZ(8, 4, beta, seed=2).summary["max_rel_error"]
+        assert err <= 1e-5, (beta, err)
     _announce(8, "analytic log-partition gradient matches finite differences to 1e-5")
 
 
 def test_criterion_09_variance_identity():
     for spec in ("stabilized", "random"):
-        rep = variance_identity_experiment(spec, 8, 4, 2000, seed=21, threads=THREADS)
+        rep = variance_identity_experiment(spec, 8, 4, 2000, seed=21)
         z = rep.summary["z"]
         assert abs(z) <= 4.0, (spec, z)
         ks = next(v for v in rep.verdicts if v.name == "gaussian_ks")
@@ -175,10 +173,10 @@ def test_criterion_09_variance_identity():
 
 
 def test_criterion_10_free_energy_bounds():
-    rep = free_energy_experiment("syk", 12, 4, [0.5, 1.0, 2.0], 500, seed=31, threads=THREADS)
+    rep = free_energy_experiment("syk", 12, 4, [0.5, 1.0, 2.0], 500, seed=31)
     assert rep.all_passed, [(v.name, v.details) for v in rep.verdicts if not v.passed]
     # single-coupling analytic case against Gauss-Hermite quadrature
-    single = free_energy_experiment("syk", 4, 4, [1.0], 120_000, seed=32, threads=THREADS)
+    single = free_energy_experiment("syk", 4, 4, [1.0], 120_000, seed=32)
     row = single.summary["per_beta"][0]
     err = abs(row["quenched"] - row["quenched_quadrature"])
     assert err <= 1e-3 + 4 * row["quenched_se"], (err, row["quenched_se"])
@@ -200,7 +198,6 @@ def test_criterion_11_tail_suites(quantity):
         {"n": 10, "q": 4, "beta": 1.0, "tau": 0.5},
         2000,
         seed=41,
-        threads=THREADS,
     )
     failures = [(v.name, v.details) for v in rep.verdicts if not v.passed]
     assert not failures, failures
@@ -209,7 +206,7 @@ def test_criterion_11_tail_suites(quantity):
 
 
 def test_criterion_11_mgf_supplement():
-    rep = mgf_check(12, 4, 2000, t_grid=(0.5, 1.0, 2.0), seed=42, threads=THREADS)
+    rep = mgf_check(12, 4, 2000, t_grid=(0.5, 1.0, 2.0), seed=42)
     assert rep.all_passed
     _announce(11, "moment generating function within exp(4 Delta t^2) on the grid")
 
@@ -232,7 +229,7 @@ def test_criterion_12_depolarizing_identity():
 
 
 def test_criterion_13_glassiness_contrast():
-    rep = glassiness_contrast([8, 12, 16], 2.0, 300, seed=51, threads=THREADS)
+    rep = glassiness_contrast([8, 12, 16], 2.0, 300, seed=51)
     failures = [(v.name, v.details) for v in rep.verdicts if not v.passed]
     assert not failures, failures
     gaps = [row["gap"] for row in rep.summary["syk"]]

@@ -334,7 +334,22 @@ class TestDispatch:
             ["lab", "gradcheck", "--n", "8", "--loc", "4", "--beta", "1.0", "--seed", "2"]
         ) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        assert payload["max_rel_error"] <= 1e-5
+        assert payload["summary"]["max_rel_error"] <= 1e-5
+        assert [v["name"] for v in payload["verdicts"]] == ["gradient_match"]
+
+    def test_lab_gradcheck_refuses_n_above_16_before_any_sample(self, monkeypatch, capsys):
+        def couplings(*args, **kwargs):
+            def draw():
+                raise AssertionError("sample drawn for a refused size")
+                yield
+
+            return draw()
+
+        monkeypatch.setattr(lab, "sample_couplings", couplings)
+        assert dispatch(["lab", "gradcheck", "--n", "18", "--loc", "4"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == ["error: gradient check limited to dimension 2^8"]
 
     def test_config_file_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -480,6 +495,22 @@ class TestLabOptions:
         lines = captured.err.strip().splitlines()
         assert lines == [f"error: unrecognized arguments: {flag} {value}"]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("experiment", list(_LAB_READS))
+    def test_stdout_report_embeds_config(self, capsys, experiment):
+        # every option of the experiment that has a value, given or default
+        base, _ = _LAB_READS[experiment]
+        assert dispatch(["lab", experiment, *base]) in (EXIT_OK, EXIT_VERDICT)
+        config = json.loads(capsys.readouterr().out)["config"]
+        want = {"command": "lab", "experiment": experiment}
+        for option in fermitheta.cli._LAB_EXPERIMENTS[experiment]:
+            spec = fermitheta.cli._LAB_OPTIONS[option]
+            if "default" in spec:
+                want[option[2:].removesuffix("...").replace("-", "_")] = spec["default"]
+        for flag, value in zip(base[::2], base[1::2]):
+            key = flag[2:].replace("-", "_")
+            want[key] = [int(value)] if flag == "--n-list" else int(value) if value.isdigit() else value
+        assert config == want
 
     @pytest.mark.parametrize("experiment,flag", [
         (name, flag) for name, (_, reads) in _LAB_READS.items() for flag in reads
@@ -920,7 +951,7 @@ class TestFuzz:
         with one error line and no warning, and nothing is written."""
         out = tmp_path / "report.json"
         argv = list(_FUZZ_COMMANDS[name][0])
-        if name != "lab-gradcheck":  # gradcheck writes no report
+        if name != "lab-gradcheck":  # gradcheck takes no --out
             argv += ["--out", str(out)]
         argv = _with_option(argv, flag, "1e308")
         with warnings.catch_warnings():

@@ -1,5 +1,6 @@
 """Monte Carlo experiments: estimator identities and bound verdicts."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -220,19 +221,39 @@ class TestDeltaUpper:
         assert abs(delta_upper_bound("sg", 5, 2) - 4 / 9) < 1e-15
         assert delta_upper_bound("classical", 10, 4) == 1.0
 
+    def test_family_of_each_model(self):
+        # the model-to-family map is the models layer's own
+        for model, family in models._KINDS.items():
+            assert delta_upper_bound(model, 6, 2) == lab._upper_bound_float(family, 6, 2)
+        with pytest.raises(InputError, match="unknown model 'spins'"):
+            delta_upper_bound("spins", 6, 2)
+
 
 class TestGradcheck:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_small_systems(self, beta):
         res = gradcheck_logZ(8, 4, beta, seed=2)
-        assert res.max_rel_error <= 1e-5
+        assert res.summary["max_rel_error"] <= 1e-5
 
     def test_beta_zero(self):
         res = gradcheck_logZ(8, 2, 0.0, seed=2)
-        assert res.max_rel_error <= 1e-8
+        assert res.summary["max_rel_error"] <= 1e-8
 
     def test_eight_two(self):
-        assert gradcheck_logZ(8, 2, 2.0, seed=4).max_rel_error <= 1e-5
+        assert gradcheck_logZ(8, 2, 2.0, seed=4).summary["max_rel_error"] <= 1e-5
+
+    def test_report(self):
+        rep = gradcheck_logZ(6, 2, 0.5, seed=3)
+        assert rep.experiment == "gradcheck"
+        assert rep.params == {"n": 6, "q": 2, "beta": 0.5} and rep.seed == 3
+        coords, an, fd = (rep.records[k] for k in ("coords", "analytic", "finite_diff"))
+        assert len(coords) == len(set(coords.tolist())) == 15  # all C(6, 2) terms
+        err = rep.summary["max_rel_error"]
+        assert err == np.max(np.abs(fd - an) / np.maximum(np.abs(an), 1e-2 * np.abs(an).max()))
+        (verdict,) = rep.verdicts
+        assert verdict.name == "gradient_match"
+        assert verdict.passed == (err <= 1e-5) and rep.all_passed
+        json.loads(rep.to_json())
 
 
 class TestVarianceIdentity:
@@ -388,9 +409,51 @@ class TestTails:
         assert rep.verdicts == []
         assert rep.summary["notes"]
 
+    def test_underflowing_scale_skips_like_beta_zero(self):
+        # at beta = 1e-200, beta^2 is 0: each Gibbs curve's scale is 0, so
+        # its points are skipped, where the curves divided by zero
+        for quantity in ("obs_expectation", "thermal_energy"):
+            rep = tail_experiment(quantity, {"n": 6, "q": 2, "beta": 1e-200}, 16, seed=6)
+            assert rep.verdicts == [] and rep.summary["grid"] == []
+            assert rep.summary["notes"] == [f"{quantity}: bound undefined at t={t}; skipped"
+                                            for t in lab.T_GRID]
+        rep = tail_experiment("two_point", {"n": 6, "q": 2, "beta": 1e-200, "tau": 0.0}, 16)
+        assert rep.verdicts == [] and len(rep.summary["notes"]) == 20
+
     def test_unknown_quantity(self):
         with pytest.raises(InputError):
             tail_experiment("nonsense", {"n": 8, "q": 4}, 32, seed=0)
+
+
+# sha256 of the JSON of each tail report without duration_ms, 64 samples at
+# seed 3, recorded before tail_experiment branched on its quantity once: the
+# restructure changed no byte of any report
+_TAIL_GOLDEN = {
+    ((8, 4, 1.0, 0.5), "lambda_max"): "49299033fc13af29a945a61a49eae654d2983b0cecd81b495ec30cd5aa107209",
+    ((8, 4, 1.0, 0.5), "fixed_state_energy"): "1c3e096d567815efda0cda39ee3e424504c7ca8c71c1906976419e06db8e65e9",
+    ((8, 4, 1.0, 0.5), "obs_expectation"): "29965247249bbabce7ffdd4a37dfcaa978a97f1b9fd76d71e49787acc05b5b0a",
+    ((8, 4, 1.0, 0.5), "thermal_energy"): "385828de86508b77d3f48366e4eb11759f6972fdd5841d00e84a89019b9eac4b",
+    ((8, 4, 1.0, 0.5), "two_point"): "892c1c78611567bb17481f8e6171b648a98617484b86cc0937310cd58759c206",
+    ((10, 4, 0.0, 0.0), "lambda_max"): "4858c966a3e5d52d7b70a1527b76103e7f5825c2c2f1043d052dd606fcd4af12",
+    ((10, 4, 0.0, 0.0), "fixed_state_energy"): "44265433ebf086a6831c36478fe2fcbc88408a0876fc83335198ace8a9548d5a",
+    ((10, 4, 0.0, 0.0), "obs_expectation"): "e82d7b47a4164ccfc107fa047ae1132fed34b382694e006e81b1b0d787350c8c",
+    ((10, 4, 0.0, 0.0), "thermal_energy"): "c5cddc3da2e561f00eb58a0c765a00f9acca3613d6bd0e7486b0187eac272fb6",
+    ((10, 4, 0.0, 0.0), "two_point"): "fecb84dd3ac658d865ec742ce6409718066175a6806c19036a6c161fb61827d3",
+    ((6, 2), "lambda_max"): "5bf43c8249b30c53acd10363f905a703d6232155f3745a5b951ebbe8eb569460",
+    ((6, 2), "fixed_state_energy"): "bcbb458492439568ff2c48d4e9eb840aa0106a27acafd2fe2630b8f2365db0cb",
+    ((6, 2), "obs_expectation"): "156781d15c1179a5d7f086c15aa33f3c5d8aadb05a1c6ef6cb80cc731db257a2",
+    ((6, 2), "thermal_energy"): "1b44e6d972e85976c590230a647b6cc50b2dc3997df2fdb1299fdbc697f89279",
+    ((6, 2), "two_point"): "f34abe6bfb5e09897de369e32c59d86bf96f260c41c8dc5bdb01bf42da39d2af",
+}
+
+
+@pytest.mark.parametrize("point,quantity", list(_TAIL_GOLDEN))
+def test_tail_report_golden(point, quantity):
+    params = dict(zip(("n", "q", "beta", "tau"), point))  # (6, 2) at the default beta and tau
+    report = tail_experiment(quantity, params, 64, seed=3).to_dict()
+    del report["duration_ms"]
+    digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+    assert digest == _TAIL_GOLDEN[point, quantity]
 
 
 class TestMgf:
