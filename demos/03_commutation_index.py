@@ -29,7 +29,7 @@ from fermitheta.kernel import RandomStream, random_state
 # --- Majorana families: the sandwich closes exactly ---------------------
 
 for n, q in [(6, 2), (8, 4)]:
-    est = index_estimate(enumerate_set("majorana", n, q), seed=7)
+    est = index_estimate("majorana", n, q, seed=7)
     print(f"degree-{q} on {n} modes: lower = {est.lower}, upper = {est.upper}, "
           f"see-saw = {est.heuristic:.9f}, exact = {est.exact}")
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import lab as lab_mod
 from .algebra import enumerate_set, family_size
 from .graphs import _check_graph_vertices, commutation_graph, ternary_tree_paulis
-from .index import _check_estimate, index_estimate
+from .index import index_estimate
 from .kernel import CapacityError, InputError
 from .models import ansatz_bounds_report, sample_spectra
 from .reports import ExperimentReport, _atomic_write, _finite_json
@@ -161,8 +161,7 @@ def _emit_json_if_out(args, text: str):
 
 
 def _cmd_index(args) -> int:
-    ops = _family(args, lambda m: _check_estimate(args.set, args.n, args.loc, m))
-    est = index_estimate(ops, seed=args.seed)
+    est = index_estimate(args.set, args.n, args.loc, seed=args.seed)
     if args.method == "upper":
         print(float(est.upper))
     elif args.method == "lower":

@@ -1,12 +1,13 @@
 """Commutation index of operator families: bounds, exact values, heuristics.
 
 The commutation index of a set {A_1..A_m} is the supremum over pure states
-of (1/m) sum_i <psi|A_i|psi>^2.  Rigorous upper bounds come from theta of
-the commutation graph divided by m; rigorous lower bounds of full Majorana
-families come from commuting subfamilies, as exact rationals; a monotone
-see-saw ascent supplies heuristic maximizers in between.  A full family's
-rigorous bound becomes a float only here, rounded up
-(:func:`_upper_bound_float`).
+of (1/m) sum_i <psi|A_i|psi>^2.  :func:`index_estimate` brackets it for a
+full family, named by (kind, n, locality): the rigorous upper bound is
+theta of the commutation graph divided by m; the rigorous lower bound of a
+full even-degree Majorana family comes from a commuting subfamily, as an
+exact rational; a monotone see-saw ascent supplies heuristic maximizers in
+between.  A full family's rigorous bound becomes a float only here,
+rounded up (:func:`_upper_bound_float`).
 
 The see-saw runs on the matrix-free
 :class:`~fermitheta.algebra.TermBank`, so no m x d x d stack of term
@@ -24,10 +25,17 @@ from math import comb, inf, nextafter
 
 import numpy as np
 
-from .algebra import OperatorSet, TermBank, _check_bank_entries, _check_dim
+from .algebra import (
+    OperatorSet,
+    TermBank,
+    _check_bank_entries,
+    _check_dim,
+    enumerate_set,
+    family_size,
+)
 from .graphs import _check_graph_vertices, best_commuting_family, commutation_graph
 from .kernel import InputError, RandomStream, random_state
-from .theta import ThetaResult, _check_sdp_vertices, theta_johnson_lp, theta_sdp
+from .theta import _check_sdp_vertices, theta_johnson_lp, theta_sdp
 
 __all__ = [
     "IndexEstimate",
@@ -71,26 +79,6 @@ class IndexEstimate:
         )
 
 
-def _is_full_majorana_family(ops: OperatorSet) -> bool:
-    return (
-        ops.kind == "majorana"
-        and len(ops) == comb(ops.n, ops.locality)
-        and all(m.degree == ops.locality for m in ops.members)
-        and ops.locality % 2 == 0
-        and ops.n % 2 == 0
-    )
-
-
-def _theta_for_set(ops: OperatorSet) -> ThetaResult:
-    """theta of the commutation graph of ops: exact for a full even-degree
-    Majorana family, else ``theta_sdp``'s coherent-closure LP at its
-    tolerance 1e-6, which refuses a graph that is not a commutative
-    association scheme (:class:`InputError`)."""
-    if _is_full_majorana_family(ops):
-        return theta_johnson_lp(ops.n, ops.locality)
-    return theta_sdp(commutation_graph(ops))
-
-
 def _upper_bound_float(kind: str, n: int, locality: int) -> float:
     """The least float at or above the rigorous index bound of the full
     family: theta / C(n, q) for even-degree Majorana terms, else the weak
@@ -108,12 +96,10 @@ def index_lower_family(n: int, q: int) -> Fraction:
 
     The family is the 14-block Hamming family at (8, 4), the C(n/2, q/2)
     pair products otherwise; its constructor checks it pairwise commuting
-    on the supports (``graphs._pairwise_commuting``).  Commuting Hermitian
-    involutions share an eigenvector, on which each has <A>^2 = 1, so the
-    index is at least |family| / C(n, q).
+    on the supports (``graphs._pairwise_commuting``) and refuses an odd n
+    or q.  Commuting Hermitian involutions share an eigenvector, on which
+    each has <A>^2 = 1, so the index is at least |family| / C(n, q).
     """
-    if n % 2 != 0 or q % 2 != 0:
-        raise InputError("n and q must both be even")
     return Fraction(len(best_commuting_family(n, q)), comb(n, q))
 
 
@@ -201,44 +187,41 @@ def index_seesaw(ops: OperatorSet, seed: int = 7) -> SeesawResult:
     return best
 
 
-def _check_estimate(kind: str, n: int, locality: int, members: int):
-    """Refuse, from its member count alone, an enumerated family that
-    :func:`index_estimate` would refuse: an odd-degree Majorana family (the
-    see-saw cannot hermitize it), an even-degree one (theta from the
-    Johnson LP) at its see-saw's term bank, any other at its commutation
-    graph or theta SDP; then any family above the see-saw's dense
-    dimension cap ``MAX_SEESAW_DIM``."""
-    dim = 1 << (n // 2 if kind == "majorana" else n)
-    if kind == "majorana" and locality % 2:
-        raise InputError("hermitization requires even degree")
-    if kind == "majorana":
-        _check_bank_entries(members, dim)
+def index_estimate(kind: str, n: int, locality: int, seed: int = 7) -> IndexEstimate:
+    """Bracket the commutation index of the full family S^n_q
+    (``kind="majorana"``) or P^n_k (``"pauli"``).
+
+    The family is refused from its closed-form size (``family_size``)
+    before any member is enumerated: an odd-degree Majorana family (the
+    see-saw cannot hermitize it), an even-degree one at its see-saw's term
+    bank, a Pauli one at its commutation graph or theta SDP; then any
+    family above the see-saw's dense dimension cap ``MAX_SEESAW_DIM``.
+    The upper bound is theta / m: the Johnson LP's for Majorana terms,
+    ``theta_sdp``'s coherent-closure LP of the commutation graph for Pauli
+    ones.  The see-saw runs at its 8 restarts of at most 200 iterations
+    from ``seed``.  The lower bound is the commuting-family rational for
+    Majorana terms, the see-saw value for Pauli ones; ``exact`` is set
+    only when both bounds are the same rational."""
+    m = family_size(kind, n, locality)
+    majorana = kind == "majorana"
+    dim = 1 << (n // 2 if majorana else n)
+    if majorana:
+        if locality % 2:
+            raise InputError("hermitization requires even degree")
+        _check_bank_entries(m, dim)
     else:
-        _check_graph_vertices(members)
-        _check_sdp_vertices(members)
+        _check_graph_vertices(m)
+        _check_sdp_vertices(m)
     _check_dim(dim, MAX_SEESAW_DIM)
-
-
-def index_estimate(ops: OperatorSet, seed: int = 7) -> IndexEstimate:
-    """Aggregate upper/lower/heuristic information for one operator set:
-    theta / m (:func:`_theta_for_set`) and the see-saw at its 8 restarts
-    of at most 200 iterations from ``seed``.  The lower bound is the
-    commuting-family bound of a full even-degree Majorana family, else the
-    see-saw value;
-    ``exact`` is set only when both bounds are the same rational."""
-    theta = _theta_for_set(ops)
-    upper = theta.value / len(ops)
+    ops = enumerate_set(kind, n, locality)
+    theta = theta_johnson_lp(n, locality) if majorana else theta_sdp(commutation_graph(ops))
+    upper = theta.value / m
     seesaw = index_seesaw(ops, seed=seed)
-    lower: Fraction | float = seesaw.value
-    exact = None
-    if _is_full_majorana_family(ops):  # both bounds rational
-        lower = index_lower_family(ops.n, ops.locality)
-        if lower == upper:
-            exact = upper
+    lower = index_lower_family(n, locality) if majorana else seesaw.value
     return IndexEstimate(
         upper=upper,
         lower=lower,
         heuristic=seesaw.value,
-        exact=exact,
+        exact=upper if majorana and lower == upper else None,
         method=theta.method,
     )

@@ -680,7 +680,8 @@ def tail_experiment(
     # each branch names its records and its series: (label, values, the
     # curve's scale s, the curve at deviation t and scale s, its formula)
     if quantity == "lambda_max":
-        lam = np.concatenate([w[:, -1] for w in _chunks("syk", n, q, seed, samples)])
+        # a copy per chunk, so no view keeps its chunk's (b, d) spectrum alive
+        lam = np.concatenate([w[:, -1].copy() for w in _chunks("syk", n, q, seed, samples)])
         records = {"lambda_max": lam}
         series = [("lambda_max", lam, 2.0 * delta_ub, _gaussian_curve(2.0),
                    "P(|lam - mean| >= t) <= 2 exp(-t^2 / (2 Delta_ub))")]
@@ -800,7 +801,7 @@ def mgf_check(
     t0 = time.perf_counter()
     chunks = _chunks("syk", n, q, seed, samples)
     delta_ub = delta_upper_bound("syk", n, q)
-    lam = np.concatenate([w[:, -1] for w in chunks])
+    lam = np.concatenate([w[:, -1].copy() for w in chunks])
     centered = lam - lam.mean()
     t_max = 2.0 / math.sqrt(delta_ub)
     rows = []

@@ -143,7 +143,7 @@ def test_criterion_06_ternary_tree():
 
 def test_criterion_07_sandwich_closure():
     for n, q in [(6, 2), (8, 4)]:
-        est = index_estimate(enumerate_set("majorana", n, q), seed=7)
+        est = index_estimate("majorana", n, q, seed=7)
         assert est.upper == Fraction(1, 5), (n, q, est.upper)
         lower = index_lower_family(n, q)
         assert lower == Fraction(1, 5), (n, q, lower)

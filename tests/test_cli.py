@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -855,6 +856,7 @@ class TestFamilyCaps:
 
         monkeypatch.setattr(fermitheta.cli, "enumerate_set", refuse)
         monkeypatch.setattr(fermitheta.algebra, "enumerate_set", refuse)
+        monkeypatch.setattr(fermitheta.index, "enumerate_set", refuse)
         monkeypatch.setattr(fermitheta.cli, "commutation_graph", refuse)
         monkeypatch.setattr(fermitheta.index, "commutation_graph", refuse)
         assert dispatch(argv) == code
@@ -866,6 +868,57 @@ class TestFamilyCaps:
         assert dispatch(["index", "--set", "majorana", "--n", "23", "--loc", "4"]) == EXIT_USAGE
         assert dispatch(["graph", "--set", "pauli", "--n", "4", "--loc", "0"]) == EXIT_USAGE
         capsys.readouterr()
+
+
+# sha256 of the stdout of ``index --set KIND --n N --loc LOC --seed 7``:
+# every even-degree Majorana family with n <= 12 and every Pauli family
+# with n <= 6 and at most 200 members.
+_INDEX_GOLDEN = {
+    ("majorana", 2, 2): "b0d28ff0cabece4dccfefe06fe2500390b7ea95cb1fae178a8f7cb357c5c4949",
+    ("majorana", 4, 2): "4ab15170f413d15f3043d5d5c0eb9b8985f35f3fa4fd15ff85a62c8abb62bc6a",
+    ("majorana", 4, 4): "b0d28ff0cabece4dccfefe06fe2500390b7ea95cb1fae178a8f7cb357c5c4949",
+    ("majorana", 6, 2): "87942c1119b3920e41578ad9d657d0f6972bab6a18cb80804328579e49d83006",
+    ("majorana", 6, 4): "29a66992a328b8d7b1934624214256347d090413268ad92ab1332c7ce0a7fdc7",
+    ("majorana", 6, 6): "b0d28ff0cabece4dccfefe06fe2500390b7ea95cb1fae178a8f7cb357c5c4949",
+    ("majorana", 8, 2): "3865b3b0131736ee81a4864776997ee1e25b6deb5f51bcd5050c705e13a41b79",
+    ("majorana", 8, 4): "fe364c9d221c5159c44c9b495d6acfb4219eb172aa259cd7b3eb20cefb396344",
+    ("majorana", 8, 6): "acd76f049d0781c665de1cd38f4c2951badcdf51c6769ff015fec6262e11bc86",
+    ("majorana", 8, 8): "b0d28ff0cabece4dccfefe06fe2500390b7ea95cb1fae178a8f7cb357c5c4949",
+    ("majorana", 10, 2): "9397483b0e1d5edae41690e4886fbd4e0e4e5e264595474832e68837e9949c19",
+    ("majorana", 10, 4): "6fcd389a6fa7a332514279e1ad9c05b57915c8dc0c57c2ad854ea80acf792bac",
+    ("majorana", 10, 6): "0dc33abf000d176930a2adfdcc24ebf16ca7d3cbcd872223eca256ae7a957f14",
+    ("majorana", 10, 8): "13ebdf92cfe3e9f9ad28da5b9e4bcc5e1eddd6d6ff4f0ec587ae7bf90a68b690",
+    ("majorana", 10, 10): "b0d28ff0cabece4dccfefe06fe2500390b7ea95cb1fae178a8f7cb357c5c4949",
+    ("majorana", 12, 2): "4e10e1e458f7352eee518261a9292d24d97089635e910e31d8594accec6dc530",
+    ("majorana", 12, 4): "9a1b0dde33b5101d2cf3236580a26b516df4287e7e687f83a866f3758e6e568b",
+    ("majorana", 12, 6): "aa461be5b2beb72fefd488b5620ef9ec66740efd4cd82a35fa3f0f66b3a76e54",
+    ("majorana", 12, 8): "1a3694824cb2c5b684b9b418e97dc2ba0ecc541432bc36c77f7fe5f13c6732fe",
+    ("majorana", 12, 10): "90895bcee219348a6e591ca5a2d33f9f2a7f1f59004b5337a86faa1f62d552a0",
+    ("majorana", 12, 12): "b0d28ff0cabece4dccfefe06fe2500390b7ea95cb1fae178a8f7cb357c5c4949",
+    ("pauli", 1, 1): "ef975107876615370805383a393bff9de27a871e274f6a4c767e0fe7b44723b2",
+    ("pauli", 2, 1): "bcdd9c82cda1d84ec9ed5a9e53860bb2e426fd6c866e677c20b446fd46a5fc2c",
+    ("pauli", 2, 2): "b6e4bdf66ff4bbb44d767dfebaff4337191a72713c7bbbc3c682dc3e0054df61",
+    ("pauli", 3, 1): "af64eaf6426fbb1d4790c3990a3aef50e2ad04c13e07c8e29c4ffc9d08f05f21",
+    ("pauli", 3, 2): "5603c9f6cb5f821a8ced80e0d05e835a4dd5eb69e2ed4a4595a53a7a36495847",
+    ("pauli", 3, 3): "e63992531108ee8e2fd9b79226034dd671657bf14b5543f578804319b643d2bb",
+    ("pauli", 4, 1): "c888ca4045668e102f09ee011567383751ddd512b7e576146475c2c168e74f6e",
+    ("pauli", 4, 2): "37409d06f7ed2a4c41df1da3744bcdcebf883ce5a5cf6a2399614dab864b3fe3",
+    ("pauli", 4, 3): "169a80b6b36fd61fda33a44fa8d1441b8b645e9bf490c6d9251022fcef032f08",
+    ("pauli", 4, 4): "c803f30eb46c84d86be11941887f4e476b3d13ab62b987475d3d010a24ba2a55",
+    ("pauli", 5, 1): "35e6026ff32824084727f696a5b55280efb5fd098aad53d59886cfb1ab6acb0d",
+    ("pauli", 5, 2): "af5e5c99debfae49927da2842d341ae9ff95050a96c86ea80e99bc1fae9e389d",
+    ("pauli", 6, 1): "f93eb187cd47cfe6a19d534e2812debb0e0985926092ac4e886e135c0df0248c",
+    ("pauli", 6, 2): "4609715fe7a8c7b80f128740f3c5727589825d04c9afc1689b05c82452ca05de",
+}
+
+
+@pytest.mark.parametrize("family", list(_INDEX_GOLDEN))
+def test_index_stdout_golden(capsys, family):
+    kind, n, loc = family
+    assert dispatch(["index", "--set", kind, "--n", str(n), "--loc", str(loc),
+                     "--seed", "7"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _INDEX_GOLDEN[family]
 
 
 # Every subcommand at its smallest size, with the int and float options it

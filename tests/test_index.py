@@ -1,5 +1,7 @@
 """Commutation index: bounds, witnesses, see-saw heuristics."""
 
+import contextlib
+import io
 import math
 from fractions import Fraction
 from math import comb
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fermitheta.index
 from fermitheta.algebra import (
     OperatorSet,
     PauliString,
@@ -21,13 +24,13 @@ from fermitheta.index import (
     SEESAW_ITERS,
     SEESAW_RESTARTS,
     SeesawResult,
-    _theta_for_set,
     index_estimate,
     index_lower_family,
     index_pauli_product,
     index_seesaw,
     pauli_index_weak_bound,
 )
+from fermitheta.cli import dispatch
 from fermitheta.kernel import CapacityError, InputError, RandomStream, eigh, random_state
 from fermitheta.lab import delta_upper_bound
 from fermitheta.models import ansatz_bounds_report
@@ -42,9 +45,9 @@ def product_state(seed, n):
     return [random_state(RandomStream(seed, j), 2) for j in range(n)]
 
 
-def index_upper(ops):
-    """theta(G(S)) / |S|, as index_estimate takes it."""
-    return _theta_for_set(ops).value / len(ops)
+def index_upper(kind, n, k):
+    """theta(G(S)) / |S| of the full family, as index_estimate takes it."""
+    return index_estimate(kind, n, k).upper
 
 
 def witness(n, q):
@@ -61,13 +64,14 @@ def least_float_at_or_above(v, exact):
 
 class TestUpper:
     def test_s62(self):
-        assert index_upper(enumerate_set("majorana", 6, 2)) == Fraction(1, 5)
+        assert index_upper("majorana", 6, 2) == Fraction(1, 5)
 
     def test_s84(self):
-        assert index_upper(enumerate_set("majorana", 8, 4)) == Fraction(1, 5)
+        assert index_upper("majorana", 8, 4) == Fraction(1, 5)
 
     def test_xyz_triangle(self):
-        assert abs(float(index_upper(xyz())) - 1 / 3) <= 1e-6
+        assert enumerate_set("pauli", 1, 1).members == xyz().members
+        assert abs(float(index_upper("pauli", 1, 1)) - 1 / 3) <= 1e-6
 
 
 class TestRoundedUp:
@@ -245,11 +249,11 @@ class TestSeesaw:
 class TestSandwich:
     @pytest.mark.parametrize("n,q", [(6, 2), (8, 4)])
     def test_ordering(self, n, q):
-        est = index_estimate(enumerate_set("majorana", n, q), seed=7)
+        est = index_estimate("majorana", n, q, seed=7)
         assert float(est.lower) <= est.heuristic <= float(est.upper) + 1e-9
 
     def test_exact_closure(self):
-        est = index_estimate(enumerate_set("majorana", 6, 2), seed=7)
+        est = index_estimate("majorana", 6, 2, seed=7)
         assert est.exact == Fraction(1, 5)
 
     @pytest.mark.parametrize(
@@ -265,7 +269,7 @@ class TestSandwich:
     def test_exact_only_from_equal_rationals(self, kind, n, k, lower, upper, exact):
         # a float see-saw within rounding of a float theta/m proves nothing:
         # at (2, 1) both read 1/3 + 2e-16, above the true index
-        est = index_estimate(enumerate_set(kind, n, k), seed=7)
+        est = index_estimate(kind, n, k, seed=7)
         if lower is not None:
             assert (est.lower, est.upper) == (lower, upper)
         assert est.exact == exact
@@ -274,7 +278,7 @@ class TestSandwich:
     def test_json(self):
         import json
 
-        est = index_estimate(enumerate_set("majorana", 6, 2), seed=7)
+        est = index_estimate("majorana", 6, 2, seed=7)
         payload = json.loads(est.to_json())
         assert payload["upper"]["rational"] == "1/5"
 
@@ -282,5 +286,39 @@ class TestSandwich:
 class TestPauliUpperSmall:
     def test_p21_upper_is_third(self):
         # two disjoint single-qubit triangles: theta = 2, so the mean is 1/3
-        upper = index_upper(enumerate_set("pauli", 2, 1))
+        upper = index_upper("pauli", 2, 1)
         assert abs(float(upper) - 1 / 3) <= 1e-3
+
+
+class TestEstimateRefusals:
+    """``index_estimate`` refuses a family from its closed-form size before
+    enumerating it, with the message that ``index`` prints."""
+
+    @pytest.mark.parametrize(
+        "family,error,message",
+        [
+            (("majorana", 8, 3), InputError, "hermitization requires even degree"),
+            (("majorana", 7, 2), InputError, "majorana enumeration requires even mode count"),
+            (("majorana", 24, 8), CapacityError,
+             "735471 terms x 4096 columns exceed the term-bank budget of 67108864"),
+            (("pauli", 9, 5), CapacityError, "30618 vertices exceed the graph cap 10000"),
+            (("pauli", 7, 4), CapacityError, "2835 vertices exceed the SDP cap 600"),
+            (("pauli", 13, 1), CapacityError,
+             "dense dimension 8192 exceeds the requested cap 4096"),
+        ],
+        ids=["odd-degree", "odd-modes", "term-bank", "graph-cap", "sdp-cap", "seesaw-dim"],
+    )
+    def test_refused_before_enumeration(self, monkeypatch, family, error, message):
+        def refuse(*args):
+            raise AssertionError("family enumerated before it was checked")
+
+        monkeypatch.setattr(fermitheta.index, "enumerate_set", refuse)
+        with pytest.raises(error) as info:
+            index_estimate(*family)
+        assert str(info.value) == message
+        kind, n, loc = family
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            dispatch(["index", "--set", kind, "--n", str(n), "--loc", str(loc)])
+        prefix = "capacity error: " if error is CapacityError else "error: "
+        assert err.getvalue() == f"{prefix}{message}\n"

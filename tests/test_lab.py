@@ -170,6 +170,23 @@ class TestChunkWidths:
         # set of one chunk, so a count that is off by half shows here
         assert 0.6 <= _traced_peak(run) / models._CHUNK_BYTES <= 1.5
 
+    @pytest.mark.parametrize("run", [
+        lambda samples: tail_experiment("lambda_max", {"n": 14, "q": 4}, samples, seed=1),
+        lambda samples: mgf_check(14, 4, samples, seed=1),
+    ], ids=["tails-lambda-max", "mgf"])
+    def test_lambda_max_keeps_no_chunk_spectrum(self, run):
+        # the top eigenvalue of each chunk is copied out, so each (b, d)
+        # spectrum is freed with its chunk: about 1 MiB at 4000 samples
+        # (32 KB of records), 5.4 MiB when a view of every chunk was kept
+        run(16)  # builds the cached term bank
+        tracemalloc.start()
+        try:
+            run(4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
 
 # Runs the mc-small-d free-energy calls (full size) once to warm up, frees a
 # 16 MB array when asked, then prints the minor page faults of each call of

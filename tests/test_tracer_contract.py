@@ -93,3 +93,25 @@ def test_installed_tracer_runs_every_tiny_operation():
         tracer.uninstall()
     for name in names:
         assert tracer.layer_totals({name})["trace.spans"] > 0, name
+
+
+def test_installed_tracer_spans_each_index_estimate():
+    # the benchmark's index.* layer metrics read these spans: one estimate
+    # per index command, and the commuting-family bound of a Majorana one
+    from collections import Counter
+
+    tracer = _load_tracer().Tracer()
+    ops = [op for op in workloads.build("theta-index", 5, tiny=True).ops
+           if op.name.startswith("index")]
+    assert {op.name.split()[2] for op in ops} == {"majorana", "pauli"}
+    tracer.install()
+    try:
+        for j, op in enumerate(ops):
+            tracer.op_id = ("index", j)
+            assert op.failures(op.run()) == [], op.name
+    finally:
+        tracer.uninstall()
+    for j, op in enumerate(ops):
+        spans = Counter(s[2] for s in tracer.spans if s[5] == ("index", j))
+        assert spans["index.estimate"] == 1, op.name
+        assert spans["index.lower"] == (op.name.split()[2] == "majorana"), op.name
