@@ -19,6 +19,7 @@ from fermitheta.algebra import (
     majorana_anticommutes,
     term_bank,
 )
+from fermitheta.cli import dispatch
 from fermitheta.graphs import best_commuting_family, joint_eigenstate
 from fermitheta.index import (
     SEESAW_ITERS,
@@ -30,7 +31,6 @@ from fermitheta.index import (
     index_seesaw,
     pauli_index_weak_bound,
 )
-from fermitheta.cli import dispatch
 from fermitheta.kernel import CapacityError, InputError, RandomStream, eigh, random_state
 from fermitheta.lab import delta_upper_bound
 from fermitheta.models import ansatz_bounds_report
