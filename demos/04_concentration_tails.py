@@ -31,6 +31,6 @@ print(f"\nfixed-state energy: empirical variance {rep.summary['empirical_varianc
       f"vs exact {rep.summary['exact_variance']:.6f} (z = {rep.summary['z']:.2f})")
 
 # the max-eigenvalue moment generating function sits under exp(4 D t^2)
-rep = mgf_check(10, 4, SAMPLES, t_grid=(0.5, 1.0, 2.0), seed=3)
+rep = mgf_check(10, 4, SAMPLES, seed=3)
 for row in rep.summary["rows"]:
     print(f"MGF t={row['t']}: {row['mgf']:.4f} <= bound {row['bound']:.4f}")

@@ -74,8 +74,9 @@ __all__ = [
     "term_bank",
 ]
 
-DEFAULT_DENSE_DIM = 1 << 12
-MAX_DENSE_DIM = 1 << 14
+# the one dense-dimension budget: no term bank or dense reference matrix is
+# built above it
+MAX_DENSE_DIM = 1 << 12
 MAX_ENUMERATION = 10**6
 # terms x columns of one TermBank (it has at most as many x-mask groups as terms)
 MAX_BANK_ENTRIES = 1 << 26
@@ -258,20 +259,18 @@ def pauli_matrix(P: PauliString) -> np.ndarray:
     return M
 
 
-def _check_dim(dim: int, max_dim: int):
+def _check_dim(dim: int):
     if dim > MAX_DENSE_DIM:
-        raise CapacityError(f"dense dimension {dim} exceeds the hard cap {MAX_DENSE_DIM}")
-    if dim > max_dim:
-        raise CapacityError(f"dense dimension {dim} exceeds the requested cap {max_dim}")
+        raise CapacityError(f"dense dimension {dim} exceeds the requested cap {MAX_DENSE_DIM}")
 
 
-def _hermitian_pauli(op: Operator, max_dim: int) -> PauliString:
+def _hermitian_pauli(op: Operator) -> PauliString:
     """Hermitian Pauli image of an operator: Pauli strings as stored,
     Majorana monomials through Jordan-Wigner with the Hermitizing phase.
     Checked against the dense cap and for Hermiticity before anything of
     dimension 2^n is allocated."""
     P = majorana_to_pauli(op) if isinstance(op, MajoranaMonomial) else op
-    _check_dim(1 << P.n_qubits, max_dim)
+    _check_dim(1 << P.n_qubits)
     if not P.is_hermitian:
         raise InputError("operator materializes to a non-Hermitian matrix")
     return P
@@ -308,20 +307,19 @@ class OperatorSet:
     def dim(self) -> int:
         return 1 << (self.n if self.kind == "pauli" else self.n // 2)
 
-    def hermitized_matrices(self, max_dim: int = DEFAULT_DENSE_DIM) -> list[np.ndarray]:
+    def hermitized_matrices(self) -> list[np.ndarray]:
         """Dense matrices of the Hermitized members (a reference for
         :class:`TermBank`, which never builds them)."""
-        return [pauli_matrix(_hermitian_pauli(m, max_dim)) for m in self.members]
+        return [pauli_matrix(_hermitian_pauli(m)) for m in self.members]
 
-    def _json_members(self) -> list:
-        """The members as JSON-ready values: a label and phase per Pauli
-        string, a support list per Majorana monomial."""
-        if self.kind == "pauli":
-            return [
-                {"label": m.label(), "phase": _phase_str(m.label_phase())}
-                for m in self.members
-            ]
-        return [list(m.support) for m in self.members]
+    def _json_members(self):
+        """The members as JSON-ready values, one at a time: a label and
+        phase per Pauli string, a support list per Majorana monomial."""
+        for m in self.members:
+            if self.kind == "pauli":
+                yield {"label": m.label(), "phase": _phase_str(m.label_phase())}
+            else:
+                yield list(m.support)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -330,7 +328,7 @@ class OperatorSet:
                 "n": self.n,
                 "locality": self.locality,
                 "provenance": self.provenance,
-                "members": self._json_members(),
+                "members": list(self._json_members()),
             }
         )
 
@@ -565,12 +563,12 @@ class TermBank:
         self.sample_bytes = 8 * m + 24 * math.prod(self._table_shape) + 16 * math.prod(self._block_shape)
 
     @classmethod
-    def from_set(cls, ops: OperatorSet, max_dim: int) -> "TermBank":
+    def from_set(cls, ops: OperatorSet) -> "TermBank":
         """Bank of the Hermitized members of an operator set.
 
         Majorana members go through Jordan-Wigner with the Hermitizing
         phase, all at once (:func:`_majorana_masks`); Pauli members are
-        used as stored.  Raises :class:`CapacityError` above ``max_dim`` or
+        used as stored.  Raises :class:`CapacityError` above ``MAX_DENSE_DIM`` or
         above ``MAX_BANK_ENTRIES`` members x columns, and
         :class:`InputError` for an odd-degree or non-Hermitian member,
         before any table is built.
@@ -578,9 +576,9 @@ class TermBank:
         _check_bank_entries(len(ops), ops.dim)
         if ops.kind == "majorana":
             masks = _majorana_masks(ops)
-            _check_dim(ops.dim, max_dim)
+            _check_dim(ops.dim)
             return cls(masks, ops.dim, _particle_hole_masks(ops.n))
-        return cls([_hermitian_pauli(op, max_dim) for op in ops.members], ops.dim)
+        return cls([_hermitian_pauli(op) for op in ops.members], ops.dim)
 
     def __len__(self):
         return self._masks.shape[1]
@@ -705,4 +703,4 @@ class TermBank:
 @lru_cache(maxsize=16)
 def term_bank(kind: str, n: int, locality: int) -> TermBank:
     """Cached bank of the enumerated family (kind, n, locality)."""
-    return TermBank.from_set(enumerate_set(kind, n, locality), MAX_DENSE_DIM)
+    return TermBank.from_set(enumerate_set(kind, n, locality))

@@ -115,13 +115,13 @@ def reproduce_table(max_n: int, q_list) -> str:
     """CSV of exact theta values against the half-binomial, all even n <= max_n."""
     if max_n > 40:
         raise InputError("table capped at n = 40")
+    if any(q % 2 for q in q_list):
+        raise InputError("table rows require even n and q")
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["n", "q", "theta_exact_rational", "theta_2dp", "binom_half", "equal_flag"])
     for q in q_list:
         for n in range(q, max_n + 1, 2):
-            if n % 2 or q % 2:
-                raise InputError("table rows require even n and q")
             val = theta_johnson_lp(n, q).value
             half = comb(n // 2, q // 2)
             w.writerow([n, q, str(val), f"{round_half_up(val):.2f}", half, val == half])

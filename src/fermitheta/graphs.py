@@ -25,13 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .algebra import (
-    DEFAULT_DENSE_DIM,
-    MajoranaMonomial,
-    OperatorSet,
-    PauliString,
-    TermBank,
-)
+from .algebra import MajoranaMonomial, OperatorSet, PauliString, TermBank
 from .kernel import CapacityError, InputError, RandomStream, random_state
 
 __all__ = [
@@ -47,6 +41,9 @@ __all__ = [
 ]
 
 MAX_GRAPH_VERTICES = 10**4
+# labels per piece of the JSON export: about 2.5 KB of text, under a row's
+# size, where one json.dumps per label took twice the time of the whole head
+_LABELS_PER_PIECE = 64
 
 
 def _check_graph_vertices(m: int):
@@ -88,18 +85,18 @@ class CommutationGraph:
         return "".join(self._csv_pieces())
 
     def _json_pieces(self):
-        """The text of :meth:`to_json` in pieces: the head (vertices, kind,
-        labels), one ``[a, b, ...]`` adjacency list per vertex, then ``]}``.
-        Each list is read from its bitset when it is asked for, so no m x m
-        matrix, Python int list or whole text is built."""
-        head = json.dumps(
-            {
-                "vertices": len(self),
-                "kind": self.operators.kind,
-                "labels": self.operators._json_members(),
-            }
-        )
-        yield head[:-1] + ', "adjacency": ['
+        """The text of :meth:`to_json` in pieces: the head (vertices, kind),
+        the labels ``_LABELS_PER_PIECE`` at a time, one ``[a, b, ...]``
+        adjacency list per vertex, then ``]}``.  Each label and list is
+        built when it is asked for, so no m x m matrix, Python int list,
+        list of all labels or whole text is built."""
+        yield f'{{"vertices": {len(self)}, "kind": {json.dumps(self.operators.kind)}, "labels": ['
+        labels = self.operators._json_members()
+        sep = ""
+        while batch := list(itertools.islice(labels, _LABELS_PER_PIECE)):
+            yield sep + json.dumps(batch)[1:-1]
+            sep = ", "
+        yield '], "adjacency": ['
         names = np.array([str(v) for v in range(len(self))], dtype=object)
         sep = ""
         for bits in self.adjacency:
@@ -302,7 +299,7 @@ def _project(family: OperatorSet, signs: tuple[int, ...]):
     trial vector: ``random_state`` of stream (2024, attempt), for at most
     16 attempts.
     """
-    bank = TermBank.from_set(family, DEFAULT_DENSE_DIM)
+    bank = TermBank.from_set(family)
     if not _pairwise_commuting(family):
         raise InputError("family is not pairwise commuting")
     for attempt in range(16):

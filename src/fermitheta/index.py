@@ -46,7 +46,6 @@ __all__ = [
     "index_estimate",
 ]
 
-MAX_SEESAW_DIM = 1 << 12
 SEESAW_RESTARTS = 8  # seeded restarts of the see-saw
 SEESAW_ITERS = 200  # iterations per restart at most
 
@@ -159,7 +158,7 @@ def index_seesaw(ops: OperatorSet, seed: int = 7) -> SeesawResult:
     sectors share the top level; the objective is invariant under the
     mirror P, so either vector serves, and the first (sector 0) is taken.
     """
-    bank = TermBank.from_set(ops, MAX_SEESAW_DIM)
+    bank = TermBank.from_set(ops)
     d = bank.dim
     side = bank.sector_rows.shape[1]
     best = None
@@ -195,7 +194,7 @@ def index_estimate(kind: str, n: int, locality: int, seed: int = 7) -> IndexEsti
     before any member is enumerated: an odd-degree Majorana family (the
     see-saw cannot hermitize it), an even-degree one at its see-saw's term
     bank, a Pauli one at its commutation graph or theta SDP; then any
-    family above the see-saw's dense dimension cap ``MAX_SEESAW_DIM``.
+    family above the dense dimension budget ``algebra.MAX_DENSE_DIM``.
     The upper bound is theta / m: the Johnson LP's for Majorana terms,
     ``theta_sdp``'s coherent-closure LP of the commutation graph for Pauli
     ones.  The see-saw runs at its 8 restarts of at most 200 iterations
@@ -212,7 +211,7 @@ def index_estimate(kind: str, n: int, locality: int, seed: int = 7) -> IndexEsti
     else:
         _check_graph_vertices(m)
         _check_sdp_vertices(m)
-    _check_dim(dim, MAX_SEESAW_DIM)
+    _check_dim(dim)
     ops = enumerate_set(kind, n, locality)
     theta = theta_johnson_lp(n, locality) if majorana else theta_sdp(commutation_graph(ops))
     upper = theta.value / m

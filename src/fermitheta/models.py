@@ -59,7 +59,7 @@ from math import comb, log
 
 import numpy as np
 
-from .algebra import TermBank, _check_bank_entries, _walsh_hadamard, term_bank
+from .algebra import MAX_DENSE_DIM, TermBank, _check_bank_entries, _walsh_hadamard, term_bank
 from .kernel import CapacityError, InputError, RandomStream, Workspace, gaussian_stream
 from .index import _upper_bound_float
 
@@ -77,8 +77,8 @@ __all__ = [
     "depolarized_energy_identity",
 ]
 
-MAX_SYK_MODES = 24
-MAX_SG_QUBITS = 12
+MAX_SG_QUBITS = MAX_DENSE_DIM.bit_length() - 1  # 12
+MAX_SYK_MODES = 2 * MAX_SG_QUBITS  # 24
 MAX_CLASSICAL_SPINS = 22
 # Working-set budget of one chunk of samples: every chunk of spectra
 # (_spectrum_chunks) and every chunk of couplings on the eigenvector path

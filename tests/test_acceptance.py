@@ -206,7 +206,7 @@ def test_criterion_11_tail_suites(quantity):
 
 
 def test_criterion_11_mgf_supplement():
-    rep = mgf_check(12, 4, 2000, t_grid=(0.5, 1.0, 2.0), seed=42)
+    rep = mgf_check(12, 4, 2000, seed=42)
     assert rep.all_passed
     _announce(11, "moment generating function within exp(4 Delta t^2) on the grid")
 

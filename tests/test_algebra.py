@@ -18,6 +18,7 @@ from fermitheta.algebra import (
     multiply_paulis,
     pauli_anticommutes,
     pauli_matrix,
+    term_bank,
     TermBank,
 )
 from fermitheta.kernel import CapacityError, InputError
@@ -185,15 +186,34 @@ class TestMaterialize:
             assert np.abs(M @ M - np.eye(dim)).max() < 1e-12
             assert abs(np.trace(M)) < 1e-12
         # the term kernel acts as the same matrices
-        bank = TermBank.from_set(ops, 1 << 12)
+        bank = TermBank.from_set(ops)
         assert np.abs(bank.apply(np.eye(bank.dim)) - np.array(mats)).max() == 0
 
     def test_capacity_guard(self):
         ops = OperatorSet("pauli", 20, 1, (PauliString(20, 1, 0),))
         with pytest.raises(CapacityError):
-            ops.hermitized_matrices(max_dim=1 << 14)
+            ops.hermitized_matrices()
         with pytest.raises(CapacityError):
-            TermBank.from_set(ops, 1 << 14)
+            TermBank.from_set(ops)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: term_bank("majorana", 26, 2),
+            lambda: TermBank.from_set(enumerate_set("pauli", 13, 1)),
+            lambda: enumerate_set("pauli", 13, 1).hermitized_matrices(),
+        ],
+        ids=["term_bank", "from_set", "hermitized_matrices"],
+    )
+    def test_refused_above_the_dense_budget(self, monkeypatch, build):
+        # dimension 2^13 is over MAX_DENSE_DIM: refused before any table
+        def refuse(*args, **kwargs):
+            raise AssertionError("term bank built above the dense budget")
+
+        monkeypatch.setattr(TermBank, "__init__", refuse)
+        with pytest.raises(CapacityError) as err:
+            build()
+        assert str(err.value) == "dense dimension 8192 exceeds the requested cap 4096"
 
 
 class TestEnumeration:

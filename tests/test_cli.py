@@ -636,6 +636,14 @@ class TestReproduceTable:
             if row[0] != "n":
                 assert row[5] == "True"
 
+    @pytest.mark.parametrize("max_n,q", [("2", "3"), ("4", "5"), ("4", "3")])
+    def test_odd_q_refused_whatever_max_n(self, capsys, max_n, q):
+        # q > max_n gives no row, yet the q is still checked
+        assert dispatch(["table", "--max-n", max_n, "--q", q]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == ["error: table rows require even n and q"]
+
 
 class TestBenchmarkContract:
     @pytest.mark.parametrize("key", workloads.THETA_INDEX)

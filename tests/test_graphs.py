@@ -398,6 +398,19 @@ class TestCapacityAndEdgeCases:
         # the bitsets alone are about m^2 / 8 bytes; no m x m matrix is built
         assert peak < m * m // 4
 
+    def test_json_export_streams_labels(self):
+        # pauli (8,3): 1512 labels, 57 KB of them as JSON; the labels come
+        # a few at a time, so no list of them or whole head is held at once
+        g = commutation_graph(enumerate_set("pauli", 8, 3))
+        tracemalloc.start()
+        try:
+            largest = max(len(piece) for piece in g._json_pieces())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert largest < 8 << 10
+        assert peak < 256 << 10, f"peak {peak >> 10} KiB"
+
     def test_empty_family_degree(self):
         g = commutation_graph(enumerate_set("majorana", 4, 4))
         assert g.degrees() == [0]

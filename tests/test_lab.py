@@ -474,19 +474,13 @@ def test_tail_report_golden(point, quantity):
 
 
 class TestMgf:
-    def test_t_zero_trivial(self):
-        rep = mgf_check(8, 4, 64, t_grid=(0.0,), seed=1)
-        row = rep.summary["rows"][0]
-        assert row["mgf"] == 1.0 and row["bound"] == 1.0
-        assert rep.all_passed
-
     def test_standard_grid(self):
-        rep = mgf_check(10, 4, 400, t_grid=(0.5, 1.0, 2.0), seed=2, threads=2)
+        rep = mgf_check(10, 4, 400, seed=2, threads=2)
         assert rep.all_passed
 
     def test_single_term_quadrature(self):
         # lam_max = |g|: E exp(t(|g| - E|g|)) has a closed quadrature value
-        rep = mgf_check(4, 4, 4000, t_grid=(0.5,), seed=3)
+        rep = mgf_check(4, 4, 4000, seed=3)
         x, w = np.polynomial.hermite.hermgauss(201)
         g = np.sqrt(2.0) * x
         mean_abs = float(np.sum(w * np.abs(g)) / np.sqrt(np.pi))
@@ -494,10 +488,6 @@ class TestMgf:
         quad = float(np.sum(w * np.exp(t * (np.abs(g) - mean_abs))) / np.sqrt(np.pi))
         row = rep.summary["rows"][0]
         assert abs(row["mgf"] - quad) <= 6 * row["se"]
-
-    def test_unstable_grid_points_skipped(self):
-        rep = mgf_check(10, 4, 64, t_grid=(50.0,), seed=4)
-        assert rep.summary["notes"] and not rep.summary["rows"]
 
 
 class TestExpMoment:

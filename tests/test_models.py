@@ -190,7 +190,7 @@ _CUSTOM_SETS = [
 
 def _dense_check(ops, seed):
     """apply and expectations of the set's bank against its dense stack."""
-    bank = TermBank.from_set(ops, 1 << 12)
+    bank = TermBank.from_set(ops)
     mats = np.array(ops.hermitized_matrices())
     z = gaussian_stream(RandomStream(seed, 0), 4 * bank.dim)
     v, psi = z[0::4] + 1j * z[1::4], z[2::4] + 1j * z[3::4]
@@ -220,7 +220,7 @@ class TestTermBank:
         """apply on a (dim, k) block of columns, k == dim included, acts on
         every column as the dense stack does."""
         ops = enumerate_set(*family)
-        bank = TermBank.from_set(ops, 1 << 12)
+        bank = TermBank.from_set(ops)
         mats = np.array(ops.hermitized_matrices())
         k = data.draw(st.one_of(st.just(bank.dim), st.integers(1, bank.dim + 1)))
         z = gaussian_stream(RandomStream(seed, 1), 2 * bank.dim * k)
@@ -237,11 +237,11 @@ class TestTermBank:
 
     def test_from_set_validates_before_building(self):
         with pytest.raises(CapacityError):
-            TermBank.from_set(enumerate_set("majorana", 14, 2), 1 << 6)
+            TermBank.from_set(enumerate_set("majorana", 26, 2))
         with pytest.raises(InputError):
-            TermBank.from_set(enumerate_set("majorana", 6, 3), 1 << 12)
+            TermBank.from_set(enumerate_set("majorana", 6, 3))
         with pytest.raises(InputError):
-            TermBank.from_set(OperatorSet("pauli", 1, 1, (PauliString(1, 1, 1, 0),)), 1 << 12)
+            TermBank.from_set(OperatorSet("pauli", 1, 1, (PauliString(1, 1, 1, 0),)))
 
     def test_models_reexports_kernel(self):
         import fermitheta.algebra as algebra
@@ -280,7 +280,7 @@ class TestTermBank:
         sorted distinct x-masks x_k, against Tr(A_i rho) of the dense
         matrices."""
         ops = enumerate_set(*family)
-        bank = TermBank.from_set(ops, 1 << 12)
+        bank = TermBank.from_set(ops)
         d = bank.dim
         z = gaussian_stream(RandomStream(seed, 2), 2 * d * 3)
         w = (z[0::2] + 1j * z[1::2]).reshape(d, 3)
@@ -322,7 +322,7 @@ class TestTermBank:
         ops = enumerate_set("majorana", 8, 4)
         entries = len(ops) * ops.dim
         monkeypatch.setattr(algebra, "MAX_BANK_ENTRIES", entries)
-        assert len(TermBank.from_set(ops, 1 << 12)) == len(ops)
+        assert len(TermBank.from_set(ops)) == len(ops)
         monkeypatch.setattr(algebra, "MAX_BANK_ENTRIES", entries - 1)
 
         def convert(*args):
@@ -330,7 +330,7 @@ class TestTermBank:
 
         monkeypatch.setattr(algebra, "_hermitian_pauli", convert)
         with pytest.raises(CapacityError):
-            TermBank.from_set(ops, 1 << 12)
+            TermBank.from_set(ops)
         with pytest.raises(CapacityError):
             sample_spectra("syk", 8, 4, 0, (0,))
 
@@ -442,14 +442,14 @@ class TestBatchedSpectra:
         want = np.array([(p.x_mask, p.z_mask, p.phase_power) for p in paulis], dtype=np.int64).T
         got = _majorana_masks(ops)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        _assert_action_is_loop(TermBank.from_set(ops, 1 << 12), paulis)
+        _assert_action_is_loop(TermBank.from_set(ops), paulis)
         _assert_action_is_loop(TermBank(paulis, ops.dim), paulis)
 
     def test_majorana_masks_refuse_any_odd_member(self):
         mixed = OperatorSet("majorana", 6, 2, (MajoranaMonomial(6, (1, 2)),
                                                MajoranaMonomial(6, (1, 2, 3))))
         with pytest.raises(InputError):
-            TermBank.from_set(mixed, 1 << 12)
+            TermBank.from_set(mixed)
 
 
 def _expected_mirror(n, degrees):
@@ -523,7 +523,7 @@ class TestParticleHoleMirror:
         n, supports = family
         ops = OperatorSet("majorana", n, 0, tuple(MajoranaMonomial(n, tuple(sorted(s)))
                                                   for s in supports))
-        bank = TermBank.from_set(ops, 1 << 12)
+        bank = TermBank.from_set(ops)
         assert bank.mirror == _expected_mirror(n, [len(s) for s in supports])
         _check_spectra(bank, seed)
 
@@ -534,7 +534,7 @@ class TestParticleHoleMirror:
         pick = np.random.default_rng(seed).permutation(n) + 1
         ops = OperatorSet("majorana", n, 0, (MajoranaMonomial(n, tuple(sorted(pick[:2]))),
                                              MajoranaMonomial(n, tuple(sorted(pick[2:6])))))
-        bank = TermBank.from_set(ops, 1 << 12)
+        bank = TermBank.from_set(ops)
         assert bank.parity and bank.mirror == 0
         _check_spectra(bank, seed)
 
