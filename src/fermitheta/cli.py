@@ -115,6 +115,8 @@ def reproduce_table(max_n: int, q_list) -> str:
     """CSV of exact theta values against the half-binomial, all even n <= max_n."""
     if max_n > 40:
         raise InputError("table capped at n = 40")
+    if max_n < 2:
+        raise InputError("table starts at n = 2")
     if any(q % 2 for q in q_list):
         raise InputError("table rows require even n and q")
     buf = io.StringIO()

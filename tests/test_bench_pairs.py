@@ -15,8 +15,10 @@ from bench_pairs import (  # noqa: E402
     failed_share,
     fault_medians,
     pass_faults,
+    timeit_run,
     verdict,
     verdict_line,
+    workload_pairs,
 )
 
 PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.3]
@@ -142,3 +144,15 @@ class TestProbes:
     def test_pass_faults_count_each_pass(self):
         faults = pass_faults(ROOT, "mc-observables", 1, 2, tiny=True)
         assert len(faults) == 2 and all(isinstance(f, int) and f >= 0 for f in faults)
+
+    def test_timeit_run_takes_the_least_timing(self):
+        # the setup runs before each timing, so the statement sees a fresh list
+        best = timeit_run(ROOT, "from fermitheta.graphs import ternary_tree_paulis; xs = []",
+                          "xs.append(len(ternary_tree_paulis(2))); assert xs == [9]")
+        assert 0 < best < 1
+
+
+class TestWorkloadPairs:
+    def test_default_and_own_count(self):
+        assert workload_pairs("theta-index", 10) == ("theta-index", 10)
+        assert workload_pairs("mc-large-d:3", 10) == ("mc-large-d", 3)

@@ -644,6 +644,23 @@ class TestReproduceTable:
         assert captured.out == ""
         assert captured.err.strip().splitlines() == ["error: table rows require even n and q"]
 
+    @pytest.mark.parametrize("max_n", ["-4", "0", "1"])
+    def test_max_n_below_two_refused(self, capsys, monkeypatch, max_n):
+        # below the smallest even n there is no row, so no LP may run
+        def no_lp(n, q):
+            raise AssertionError("theta_johnson_lp ran")
+
+        monkeypatch.setattr(fermitheta.cli, "theta_johnson_lp", no_lp)
+        assert dispatch(["table", "--max-n", max_n, "--q", "2"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == ["error: table starts at n = 2"]
+
+    def test_max_n_two_prints_its_row(self, capsys):
+        assert dispatch(["table", "--max-n", "2", "--q", "2"]) == EXIT_OK
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out.strip())))
+        assert rows[1:] == [["2", "2", "1", "1.00", "1", "True"]]
+
 
 class TestBenchmarkContract:
     @pytest.mark.parametrize("key", workloads.THETA_INDEX)

@@ -1,6 +1,7 @@
 """Commutation graphs and structured operator families."""
 
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermitheta import graphs
 from fermitheta.algebra import (
     MajoranaMonomial,
     OperatorSet,
@@ -22,6 +24,7 @@ from fermitheta.algebra import (
 )
 from fermitheta.graphs import (
     MAX_GRAPH_VERTICES,
+    CommutationGraph,
     DegeneracyError,
     best_commuting_family,
     commutation_graph,
@@ -218,6 +221,66 @@ class TestAnticommutationKernel:
             assert g.adjacency_matrix().shape == (len(members), len(members))
             assert g.to_edge_csv() == "u,v\r\n"
             assert json.loads(g.to_json())["adjacency"] == [[]] * len(members)
+
+
+def random_bitset_graph(m: int, seed: int, block_rows: int) -> CommutationGraph:
+    """m X-type Paulis on seeded random bitsets, of density 1/2 and 1/4 in
+    turn (not symmetric: the exports read rows only), with row 0 empty,
+    row 1 full and the last two rows of each block of ``block_rows`` empty."""
+    rng = np.random.default_rng(seed)
+    full = (1 << m) - 1
+    rows = []
+    for u in range(m):
+        a, b = (int.from_bytes(rng.bytes((m + 7) // 8), "little") & full for _ in range(2))
+        rows.append(a & b if u % 2 else a)
+    rows[0], rows[1] = 0, full
+    for end in range(block_rows, m + block_rows, block_rows):
+        rows[min(end, m) - 1] = rows[min(end, m) - 2] = 0
+    ops = OperatorSet("pauli", 11, 11, tuple(PauliString(11, v + 1, 0) for v in range(m)))
+    return CommutationGraph(ops, tuple(rows))
+
+
+# sha256 of to_json of the README and benchmark families, pinned from the
+# per-row join that wrote the adjacency lists before the token tables
+_JSON_SHA256 = {
+    ("pauli", 4, 2): "9f130fdf9c72a046b70558e41255a15cac395a12b166b8e4c15db9ca4906dea9",
+    ("pauli", 4, 3): "a243036e113d7f88d6a29be1e31fcea01d7d62b30063ec8a8bcd11c9d257e906",
+    ("pauli", 8, 3): "0bf0637676fe26d63b37dc853b5e2c4351716d1363f3d0d15d4286f44070effb",
+    ("majorana", 6, 2): "63ffcd69cbd87bea93b21a90aa00ae78e39b0dea5a3c7e7193eef082499b9ce4",
+    ("majorana", 8, 4): "7b63d8bdfd646d5c2380347a11a6d45ead3e89731cbcf990b605192892e45ee0",
+    ("majorana", 12, 4): "f87b28a893bec932c7b9a77e5653c4b8d0ca8dd0e32599fc5e410922e392986c",
+}
+
+
+class TestJsonTokenTables:
+    """The JSON adjacency lists are cut from per-digit-count token tables,
+    a block of rows at a time; vertex counts straddle each digit boundary."""
+
+    @pytest.mark.parametrize("m", [9, 10, 11, 99, 100, 101, 999, 1000, 1001])
+    @pytest.mark.parametrize("block_rows", [None, 5])
+    def test_pieces_match_set_bit_walk(self, monkeypatch, m, block_rows):
+        if block_rows:
+            monkeypatch.setattr(graphs, "_JSON_BLOCK_BYTES", block_rows * m)
+        rows = block_rows or max(1, graphs._JSON_BLOCK_BYTES // m)
+        g = random_bitset_graph(m, seed=m, block_rows=rows)
+        pieces = list(g._json_pieces())
+        assert "".join(pieces) == set_bit_walk_exports(g)[0]
+        # one piece per adjacency list, the empty and full ones included
+        adjacency = pieces[pieces.index('], "adjacency": [') + 1 : -1]
+        assert len(adjacency) == m
+        assert adjacency[0] == "[]" and adjacency[-1] == ", []"
+        assert adjacency[1] == ", [" + ", ".join(map(str, range(m))) + "]"
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_no_row_and_one_row(self, m):
+        ops = OperatorSet("pauli", 1, 1, (PauliString.from_label("X"),)[:m])
+        g = CommutationGraph(ops, (1,) * m)
+        assert g.to_json() == set_bit_walk_exports(g)[0]
+
+    @pytest.mark.parametrize("family", list(_JSON_SHA256))
+    def test_family_digest(self, family):
+        text = commutation_graph(enumerate_set(*family)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == _JSON_SHA256[family]
 
 
 class TestCommutingFamily:

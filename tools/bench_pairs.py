@@ -9,6 +9,7 @@ output of ``git write-tree`` works for uncommitted changes), unpacked in
 --seconds N --trace 0`` once in each copy, one process at a time, with
 seed S = first_seed + i; even pairs run the parent first, odd pairs the
 change first, so that a drift of the machine does not favour one side.
+A workload given as ``NAME:PAIRS`` runs PAIRS pairs instead of ``--pairs``.
 
 The file records, per workload, every run of both sides (seed, order,
 the end-to-end metrics, the failure share, the output digest and the
@@ -24,15 +25,21 @@ plus the core count.
 Without ``--workdir`` the copies go to a temporary directory that is
 deleted at the end.
 
-Two probes run beside the pairs, interleaved the same way:
+Probes run beside the pairs, interleaved the same way:
 
 - ``--cold "ARGV"`` runs the CLI command ARGV in ``COLD_RUNS`` fresh
   processes per side (:func:`cold_run`) and records each one's wall time
   from start to exit, its peak RSS and the number of scipy modules it
   loaded;
+- ``--timeit SETUP STMT`` times the Python statement STMT after SETUP,
+  as ``timeit.repeat(STMT, SETUP, number=1, repeat=TIMEIT_REPEAT)`` does,
+  in ``COLD_RUNS`` fresh processes per side (:func:`timeit_run`) and
+  records each process's minimum;
 - ``--pass-faults W`` sets workload W up in one process per side as the
   benchmark worker does and records the minor page faults of each of
-  ``FAULT_PASSES`` passes (:func:`pass_faults`).
+  ``FAULT_PASSES`` passes (:func:`pass_faults`);
+- ``--trace W`` runs workload W once per side with ``--trace 1`` at the
+  first seed and records its per-layer metrics (:func:`run_once`).
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 COLD_RUNS = 5
 FAULT_PASSES = 5
+TIMEIT_REPEAT = 7
 
 # one CLI command, its output written to the null device (a buffer would add
 # the whole text to the peak RSS); prints its exit code, peak RSS and the
@@ -89,6 +97,14 @@ print(json.dumps(faults))
 """
 
 
+# timeit.repeat of argv[2] after argv[1], run argv[3] times; prints the
+# seconds of each run
+TIMEIT_SCRIPT = """\
+import json, sys, timeit
+print(json.dumps(timeit.repeat(sys.argv[2], sys.argv[1], number=1, repeat=int(sys.argv[3]))))
+"""
+
+
 def unpack(rev: str, dest: Path) -> str:
     """Unpack ``git archive rev`` into dest; return the full object name."""
     name = subprocess.run(["git", "-C", str(ROOT), "rev-parse", rev], check=True,
@@ -113,11 +129,12 @@ def counted_run(cmd: list, cwd: Path) -> tuple[subprocess.CompletedProcess, int]
     return proc, resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
 
 
-def run_once(copy: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark invocation; its result and detail lines and
-    its minor page faults (set-up and the worker processes included)."""
+def run_once(copy: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
+    """One benchmark invocation, untraced unless ``trace``; its result and
+    detail lines and its minor page faults (set-up and the worker
+    processes included)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc, faults = counted_run(cmd, copy)
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {copy} exited {proc.returncode}:"
@@ -157,6 +174,19 @@ def cold_run(copy: Path, argv: str) -> dict:
     modules it loaded."""
     line, wall = probe(copy, COLD_SCRIPT, argv.split())
     return {"wall_s": wall, **json.loads(line)}
+
+
+def timeit_run(copy: Path, setup: str, stmt: str) -> float:
+    """The least of ``TIMEIT_REPEAT`` timings (s) of ``stmt``, each after
+    its own run of ``setup``, in one fresh process in ``copy``."""
+    line, _ = probe(copy, TIMEIT_SCRIPT, [setup, stmt, str(TIMEIT_REPEAT)])
+    return min(json.loads(line))
+
+
+def workload_pairs(spec: str, default: int) -> tuple[str, int]:
+    """``NAME`` or ``NAME:PAIRS`` -> (NAME, number of pairs)."""
+    name, _, pairs = spec.partition(":")
+    return name, int(pairs) if pairs else default
 
 
 def pass_faults(copy: Path, workload: str, seed: int, passes: int, tiny: bool = False) -> list:
@@ -237,13 +267,18 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="tree-ish of the parent side")
     ap.add_argument("--change", required=True, help="tree-ish of the change side")
-    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--workload", action="append", required=True, metavar="NAME[:PAIRS]")
     ap.add_argument("--cold", action="append", default=[], metavar="ARGV",
                     help=f"a CLI command to time in {COLD_RUNS} fresh processes per side,"
                          " e.g. 'lab variance --n 8 --loc 4'")
+    ap.add_argument("--timeit", nargs=2, action="append", default=[], metavar=("SETUP", "STMT"),
+                    help=f"a Python statement to time, min of {TIMEIT_REPEAT}, in {COLD_RUNS}"
+                         " fresh processes per side")
     ap.add_argument("--pass-faults", action="append", default=[], metavar="WORKLOAD",
                     help=f"a workload whose minor page faults to count over {FAULT_PASSES} passes")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--trace", action="append", default=[], metavar="WORKLOAD",
+                    help="a workload to run once per side with --trace 1")
+    ap.add_argument("--pairs", type=int, default=10, help="pairs per workload without :PAIRS")
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--seconds", type=int, default=22)
     ap.add_argument("--workdir", help="where the copies go (default: a new temporary directory)")
@@ -270,10 +305,11 @@ def run_pairs(args, work: Path) -> dict:
         copies[side] = work / side
         names[side] = unpack(getattr(args, side), copies[side])
 
-    workloads, environment = {}, None
-    for workload in args.workload:
+    workloads, environment, counts = {}, None, {}
+    for spec in args.workload:
+        workload, counts[workload] = workload_pairs(spec, args.pairs)
         pairs = []
-        for i in range(args.pairs):
+        for i in range(counts[workload]):
             seed = args.first_seed + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
@@ -324,15 +360,31 @@ def run_pairs(args, work: Path) -> dict:
         print(f"cold {argv}: " + json.dumps({side: {key: cold[argv][side][key]["median"]
                                                      for key in ("wall_s", "peak_rss_mb")}
                                                for side in SIDES}), file=sys.stderr, flush=True)
+    timings = []
+    for setup, stmt in args.timeit:
+        mins = {side: [] for side in SIDES}
+        for i in range(COLD_RUNS):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                mins[side].append(timeit_run(copies[side], setup, stmt))
+        timings.append({"setup": setup, "stmt": stmt,
+                        **{side: summary(mins[side]) for side in SIDES}})
+        print(f"timeit {stmt}: " + json.dumps({side: min(mins[side]) for side in SIDES}),
+              file=sys.stderr, flush=True)
     faults = {workload: {side: pass_faults(copies[side], workload, args.first_seed, FAULT_PASSES)
                          for side in SIDES} for workload in args.pass_faults}
+    traces = {}
+    for workload in args.trace:
+        traces[workload] = {}
+        for side in SIDES:
+            res = run_once(copies[side], workload, args.first_seed, args.seconds, trace=1)["result"]
+            traces[workload][side] = {k: v["value"] for k, v in res["metrics"].items()}
 
     return {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds "
                    f"{args.seconds} --trace 0",
         "parent": names["parent"],
         "change": names["change"],
-        "pairs": args.pairs,
+        "pairs": counts,
         "first_seed": args.first_seed,
         "order": "even pairs parent first, odd pairs change first",
         "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -345,6 +397,11 @@ def run_pairs(args, work: Path) -> dict:
         "pass_faults": {"method": f"one process per side: the worker's set-up and calibration"
                                   f" kernel, then {FAULT_PASSES} passes of seed {args.first_seed};"
                                   " minor page faults of each pass", "workloads": faults},
+        "timeit": {"method": f"{COLD_RUNS} fresh processes per side, interleaved as the pairs;"
+                             f" per process the least of {TIMEIT_REPEAT} timings of stmt, each"
+                             " after its own run of setup", "statements": timings},
+        "trace": {"method": f"one --trace 1 run per side, parent first, at seed {args.first_seed};"
+                            " the per-layer metrics", "workloads": traces},
     }
 
 
