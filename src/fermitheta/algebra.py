@@ -40,9 +40,11 @@ P g_j P^-1 = (-1)^{n/2-1} g_j sends a Hermitized degree-q term to
 ``mirrored``: one block gives the whole spectrum (the other block's is
 the same, or its negative) and, through M conj(v), every eigenvector.
 The full SYK families at n = 10 and 18 are mirrored, those at n = 8 and
-12 are not; a bank mixing q = 2 and q = 4 terms is not, and neither is any
-Pauli bank.  The bank decides from its masks (:func:`_mirror`), never from
-(n, q).
+12 are not, and neither is a bank mixing q = 2 and q = 4 terms.  Every
+bank tries the same M, the one of its own qubit count, and decides from
+its masks (:func:`_mirror`), never from (n, q) or the kind of its family:
+a parity-preserving custom Pauli set can be mirrored too, while no full
+Pauli family has parity blocks.
 """
 
 from __future__ import annotations
@@ -337,6 +339,15 @@ def _phase_str(g: complex) -> str:
     return {1: "+1", 1j: "+i", -1: "-1", -1j: "-i"}[complex(g)]
 
 
+def _check_even_family(n: int, q: int):
+    """Refuse (n, q) unless it names an even-degree Majorana family: n and
+    q both even, and q in 1..n."""
+    if n % 2 != 0 or q % 2 != 0:
+        raise InputError("n and q must both be even")
+    if not 0 < q <= n:
+        raise InputError("q must lie in 1..n")
+
+
 def family_size(kind: str, n: int, locality: int) -> int:
     """Member count of S^n_q (C(n, q)) or P^n_k (C(n, k) * 3^k) in closed form.
 
@@ -442,20 +453,27 @@ def _majorana_masks(ops: OperatorSet) -> np.ndarray:
     return np.stack([x, z, power])
 
 
-def _particle_hole_masks(n_modes: int) -> tuple[int, int]:
-    """(x, z) masks of the Jordan-Wigner image of g1 g3 ... g_{n-1}, its
-    phase left out.
+def _pauli_masks(paulis: Iterable[PauliString]) -> np.ndarray:
+    """(3, m) int64 x-masks, z-masks and phase powers of Pauli strings, as
+    :class:`TermBank` takes them."""
+    return np.array(
+        [(p.x_mask, p.z_mask, p.phase_power) for p in paulis], dtype=np.int64
+    ).reshape(-1, 3).T
+
+
+def _particle_hole_masks(qubits: int) -> tuple[int, int]:
+    """(x, z) masks of the Jordan-Wigner image of g1 g3 ... g_{n-1} on
+    n = 2 ``qubits`` modes, its phase left out.
 
     Odd generator 2s+1 is X on qubit s and Z on every qubit below s, so the
     product has X on every qubit, and Z on qubit t iff the number of
     generators with s > t, n/2 - 1 - t, is odd.
     """
-    half = n_modes // 2
-    z = sum(1 << t for t in range(half) if (half - 1 - t) % 2)
-    return (1 << half) - 1, z
+    z = sum(1 << t for t in range(qubits) if (qubits - 1 - t) % 2)
+    return (1 << qubits) - 1, z
 
 
-def _mirror(x: np.ndarray, z: np.ndarray, power: np.ndarray, masks) -> int:
+def _mirror(x: np.ndarray, z: np.ndarray, power: np.ndarray, masks: tuple[int, int]) -> int:
     """``mirror`` of a parity-preserving bank for the candidate M with
     (x, z) ``masks``: (-1)^s if P = M K swaps the parity sectors (x_M has
     odd popcount) and sends every term A_i to the same (-1)^s A_i, else 0.
@@ -464,7 +482,7 @@ def _mirror(x: np.ndarray, z: np.ndarray, power: np.ndarray, masks) -> int:
     and M A_i M^dag = (-1)^{<M, A_i>} A_i with the symplectic form; the
     check runs on the masks of every term.
     """
-    if masks is None or len(x) == 0:
+    if len(x) == 0:
         return 0
     mx, mz = masks
     if mx.bit_count() % 2 == 0:
@@ -503,24 +521,22 @@ class TermBank:
     arithmetic as a row alone, and ``sample_bytes`` is the working set that
     one row adds to the stack of :meth:`eigvalsh`.
 
-    ``mirror`` is +1 or -1 when the antiunitary P = M K (M a Pauli string,
-    K complex conjugation in the computational basis) swaps the two parity
-    sectors and sends every term to the same sign s times itself: then
+    ``mirror`` is +1 or -1 when the antiunitary P = M K (K complex
+    conjugation in the computational basis) swaps the two parity sectors
+    and sends every term to the same sign s times itself: then
     P H P^-1 = s H for real couplings, and P maps each sector-0
     eigenvector of eigenvalue w to a sector-1 eigenvector of eigenvalue
     s w, so only the sector-0 blocks are solved.  It is 0 otherwise.
+    Every bank tries the one candidate of its qubit count, M the
+    Jordan-Wigner image of g1 g3 ... g_{n-1} (:func:`_particle_hole_masks`),
+    whatever family its terms come from.
     """
 
-    def __init__(self, paulis, dim: int, mirror_masks: tuple[int, int] | None = None):
-        """``paulis``: the terms, as a list of :class:`PauliString` or as a
-        (3, m) int64 array of their x-masks, z-masks and phase powers.
-        ``mirror_masks``: the (x, z) masks of a candidate M for ``mirror``,
-        which is set only if the terms pass its checks."""
-        if not isinstance(paulis, np.ndarray):
-            paulis = np.array(
-                [(p.x_mask, p.z_mask, p.phase_power) for p in paulis], dtype=np.int64
-            ).reshape(-1, 3).T
-        x, z, power = self._masks = paulis
+    def __init__(self, masks: np.ndarray, dim: int):
+        """``masks``: the (3, m) int64 x-masks, z-masks and phase powers of
+        the terms (:func:`_pauli_masks` of a list of :class:`PauliString`);
+        ``dim``: 2 to the qubit count."""
+        x, z, power = self._masks = masks
         m = len(x)
         cols = np.arange(dim)
         odd = (_popcount_array(cols) & 1).astype(np.int8)
@@ -533,7 +549,8 @@ class TermBank:
         self._targets = cols ^ xs[:, None]
 
         self.parity = bool(np.all(_popcount_array(xs) & 1 == 0))
-        self.mirror = _mirror(x, z, power, mirror_masks) if self.parity else 0
+        candidate = _particle_hole_masks(dim.bit_length() - 1)
+        self.mirror = _mirror(x, z, power, candidate) if self.parity else 0
         sectors = 2 if self.parity else 1
         sector = odd.astype(np.int64) if self.parity else np.zeros(dim, dtype=np.int64)
         side = dim // sectors
@@ -548,7 +565,7 @@ class TermBank:
         # M |c> = +-|c ^ x_M> (the global phase of M dropped)
         self.sector_rows = members
         if self.mirror:
-            mx, mz = mirror_masks
+            mx, mz = candidate
             self.sector_rows = np.stack([members[0], members[0] ^ mx])
             self._mirror_signs = 1 - 2 * odd[members[0] & mz]
         # a family such as (P, -P) puts two terms in one slot, whose
@@ -568,7 +585,10 @@ class TermBank:
 
         Majorana members go through Jordan-Wigner with the Hermitizing
         phase, all at once (:func:`_majorana_masks`); Pauli members are
-        used as stored.  Raises :class:`CapacityError` above ``MAX_DENSE_DIM`` or
+        used as stored (:func:`_pauli_masks`).  Either kind tries the
+        particle-hole candidate of its qubit count for ``mirror``; no full
+        Pauli family has parity blocks, so only a custom Pauli set can be
+        mirrored.  Raises :class:`CapacityError` above ``MAX_DENSE_DIM`` or
         above ``MAX_BANK_ENTRIES`` members x columns, and
         :class:`InputError` for an odd-degree or non-Hermitian member,
         before any table is built.
@@ -577,8 +597,9 @@ class TermBank:
         if ops.kind == "majorana":
             masks = _majorana_masks(ops)
             _check_dim(ops.dim)
-            return cls(masks, ops.dim, _particle_hole_masks(ops.n))
-        return cls([_hermitian_pauli(op) for op in ops.members], ops.dim)
+        else:
+            masks = _pauli_masks(map(_hermitian_pauli, ops.members))
+        return cls(masks, ops.dim)
 
     def __len__(self):
         return self._masks.shape[1]

@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .algebra import MajoranaMonomial, OperatorSet, PauliString, TermBank
+from .algebra import MajoranaMonomial, OperatorSet, PauliString, TermBank, _check_even_family
 from .kernel import CapacityError, InputError, RandomStream, random_state
 
 __all__ = [
@@ -263,10 +263,7 @@ def commuting_majorana_family(n: int, q: int) -> OperatorSet:
     Takes all (q/2)-wise products of the disjoint quadratic monomials on
     consecutive generator pairs (1,2), (3,4), ..., (n-1,n).
     """
-    if n % 2 != 0 or q % 2 != 0:
-        raise InputError("n and q must both be even")
-    if not 0 < q <= n:
-        raise InputError("q must lie in 1..n")
+    _check_even_family(n, q)
     pairs = [(2 * i + 1, 2 * i + 2) for i in range(n // 2)]
     members = []
     for chosen in itertools.combinations(pairs, q // 2):

@@ -363,9 +363,6 @@ def gradcheck_logZ(n: int, q: int, beta: float, seed: int) -> ExperimentReport:
     m = len(bank)
     sqrt_n = math.sqrt(n)
 
-    def ln_z(g: np.ndarray) -> float:
-        return float(_logsumexp(-beta * sqrt_n * bank.eigvalsh(g)))
-
     # rho keeps each parity sector: build it block by block from the sector pairs
     w, v = bank.sector_eigh(g0)
     p = _gibbs_weights(w.reshape(-1), beta * sqrt_n).reshape(w.shape)
@@ -377,14 +374,14 @@ def gradcheck_logZ(n: int, q: int, beta: float, seed: int) -> ExperimentReport:
     analytic_all = -beta * math.sqrt(n / m) * tr_arho
     picker = np.random.Generator(RandomStream(seed, 1)._bit_generator())
     coords = picker.permutation(m)[:20]
-    fd = []
-    for c in coords:
-        gp = g0.copy()
-        gp[c] += step
-        gm = g0.copy()
-        gm[c] -= step
-        fd.append((ln_z(gp) - ln_z(gm)) / (2 * step))
-    fd = np.array(fd)
+    # the couplings moved up (row 0) and down (row 1) along each coordinate,
+    # solved in one stacked eigensolve
+    shifted = np.tile(g0, (2, len(coords), 1))
+    picked = np.arange(len(coords))
+    shifted[0, picked, coords] += step
+    shifted[1, picked, coords] -= step
+    up, down = _logsumexp(-beta * sqrt_n * bank.eigvalsh(shifted))
+    fd = (up - down) / (2 * step)
     an = analytic_all[coords]
     scale = np.abs(an).max()
     if scale == 0.0:
@@ -1001,10 +998,13 @@ def glassiness_contrast(
     grow with system size (within 2 SE between consecutive sizes) while
     the classical 4-spin gap stays bounded away from zero (5 SE at the
     largest size).  This is a finite-size trend check, not an asymptotic
-    statement.
+    statement.  Refuses (:class:`InputError`) a size list that is empty or
+    not strictly increasing before any sample is drawn.
     """
     t0 = time.perf_counter()
     n_list = [int(v) for v in n_list]
+    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise InputError(f"size list must be nonempty and strictly increasing, got {n_list}")
     syk_rows = []
     cl_rows = []
     for n in n_list:

@@ -59,7 +59,15 @@ from math import comb, log
 
 import numpy as np
 
-from .algebra import MAX_DENSE_DIM, TermBank, _check_bank_entries, _walsh_hadamard, term_bank
+from .algebra import (
+    MAX_DENSE_DIM,
+    TermBank,
+    _check_bank_entries,
+    _check_even_family,
+    _pauli_masks,
+    _walsh_hadamard,
+    term_bank,
+)
 from .kernel import CapacityError, InputError, RandomStream, Workspace, gaussian_stream
 from .index import _upper_bound_float
 
@@ -118,10 +126,7 @@ def _check(model: str, n: int, loc: int) -> int:
     """Validate (model, n, loc) against the ensemble rules and the caps;
     return the term count m.  Nothing is allocated."""
     if model == "syk":
-        if n % 2 != 0 or loc % 2 != 0:
-            raise InputError("n and q must both be even")
-        if not 0 < loc <= n:
-            raise InputError("q must lie in 1..n")
+        _check_even_family(n, loc)
         if n > MAX_SYK_MODES:
             raise CapacityError(f"{n} modes exceed the dense budget of {MAX_SYK_MODES}")
         m, dim = comb(n, loc), 1 << (n // 2)
@@ -460,7 +465,8 @@ def depolarized_energy_identity(terms, phi: np.ndarray) -> tuple[float, float]:
         if not P.is_hermitian:
             raise InputError("terms must be Hermitian Pauli strings")
     coefs = np.array([float(np.real(c)) for c, _ in terms])
-    H = TermBank([P for _, P in terms], 1 << nq).assemble(coefs) * math.sqrt(len(terms))
+    bank = TermBank(_pauli_masks(P for _, P in terms), 1 << nq)
+    H = bank.assemble(coefs) * math.sqrt(len(terms))
     rho = np.outer(phi, phi.conj())
     for j in range(nq):
         rho = _depolarize_qubit(rho, j, nq, 1.0 / 3.0)

@@ -43,6 +43,7 @@ from math import comb, lcm
 
 import numpy as np
 
+from .algebra import _check_even_family
 from .graphs import CommutationGraph
 from .kernel import CapacityError, InputError
 from .scheme import HahnTable, _check_hahn_work
@@ -154,10 +155,7 @@ def theta_johnson_lp(n: int, q: int) -> ThetaResult:
 
     Refuses (:class:`CapacityError`) an (n, q) over the Hahn-table cap or
     over ``MAX_LP_WORK``, before the table is built."""
-    if n % 2 != 0 or q % 2 != 0:
-        raise InputError("n and q must both be even")
-    if not 0 < q <= n:
-        raise InputError("q must lie in 1..n")
+    _check_even_family(n, q)
     _check_hahn_work(n, q)
     _check_lp_work(n, q)
     t0 = time.perf_counter()

@@ -536,6 +536,27 @@ class TestLabOptions:
         assert after != before
 
 
+class TestContrastSizes:
+    """lab contrast compares consecutive sizes n < n': a size list that
+    is not strictly increasing is a usage error, before any sample."""
+
+    @pytest.mark.parametrize("sizes", [["8", "4"], ["4", "4"]], ids=["decreasing", "repeated"])
+    def test_refused(self, monkeypatch, capsys, sizes):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample drawn for a refused size list")
+
+        monkeypatch.setattr(lab, "_log_partition", refuse)
+        argv = ["lab", "contrast", "--samples", "16"]
+        for n in sizes:
+            argv += ["--n-list", n]
+        assert dispatch(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"error: size list must be nonempty and strictly increasing, got [{', '.join(sizes)}]"
+        ]
+
+
 class TestParserReuse:
     """dispatch parses with one parser per process, and no state crosses calls."""
 

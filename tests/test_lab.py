@@ -246,7 +246,22 @@ class TestDeltaUpper:
             delta_upper_bound("spins", 6, 2)
 
 
+# sha256 of the JSON of the records of gradcheck_logZ(n, q, beta, seed),
+# recorded when each finite difference took its own eigensolve: the one
+# stacked eigensolve of all 40 shifted couplings changed no byte
+_GRADCHECK_GOLDEN = {
+    (10, 2, 1.0, 3): "b4b4dea423a28fb3d5510435910aa808853d8797315bf43503d1f9fd8d6f2109",
+    (12, 4, 2.0, 4): "46c1fbf656bd304e2eaa64f9a520d9b4f38be126ed183a8f779786abb6329305",
+}
+
+
 class TestGradcheck:
+    @pytest.mark.parametrize("case", list(_GRADCHECK_GOLDEN))
+    def test_records_golden(self, case):
+        records = gradcheck_logZ(*case).to_dict()["records"]
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == _GRADCHECK_GOLDEN[case]
+
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_small_systems(self, beta):
         res = gradcheck_logZ(8, 4, beta, seed=2)
@@ -548,6 +563,14 @@ class TestContrast:
         names = [v.name for v in rep.verdicts]
         assert any("syk_gap_nonincreasing" in s for s in names)
         assert any("classical_gap_positive" in s for s in names)
+
+    def test_empty_size_list_refused(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample drawn for a refused size list")
+
+        monkeypatch.setattr(lab, "_log_partition", refuse)
+        with pytest.raises(InputError, match="size list must be nonempty and strictly increasing"):
+            glassiness_contrast([], 1.0, 16)
 
     def test_beta_zero_gaps_vanish(self):
         rep = glassiness_contrast([8], 0.0, 32, seed=2)

@@ -1,5 +1,6 @@
 """Random ensembles, commutation-degree counting, bound calculators."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -19,6 +20,7 @@ from fermitheta.algebra import (
     _majorana_masks,
     _mirror,
     _particle_hole_masks,
+    _pauli_masks,
     _popcount_array,
     enumerate_set,
     majorana_to_pauli,
@@ -203,6 +205,31 @@ def _dense_check(ops, seed):
     assert np.abs(bank.expectations(psi) - w).max() <= 1e-12
 
 
+# sha256 of the tables of each bank the benchmark builds, recorded while
+# TermBank still took its particle-hole candidate from the family's kind:
+# deriving it from the bank's own dimension changed no byte
+_BANK_GOLDEN = {
+    ("majorana", 8, 4): "48b07c7888c082f35e196f11b944c640d2171849882bbacab4a72f9e9c0eae97",
+    ("majorana", 10, 4): "e7744cd052a69a1f502f867a83f70e55f4986b8b9d7286333981f9f6a1080323",
+    ("majorana", 12, 4): "94b151902a79e289661e8320d0c44d15fbfbf4a81e834a6db3973b129ac14147",
+    ("majorana", 18, 4): "a222e7760a93d1ba54ae6c00d0d71ccaf30f56f10ca96dc7cc653183c397f3ba",
+    ("pauli", 4, 2): "80e524d0c710b82287ad19dc92a137cb2376b47fbd70920e88195988e7d610f9",
+    ("pauli", 9, 2): "cfec3ddffbd8b424b2f20684ac73eba7590ed75e5e8300fc7182bae00652fd5a",
+}
+
+
+def _bank_digest(bank):
+    """sha256 of a bank's tables (name, shape, dtype and bytes of each
+    array) and of its flags and per-row working set."""
+    h = hashlib.sha256()
+    for name in ("_masks", "_slot", "_targets", "sector_rows", "_to_blocks"):
+        a = getattr(bank, name)
+        h.update(f"{name}{a.shape}{a.dtype.str}".encode())
+        h.update(a.tobytes())
+    h.update(repr((bank.mirror, bank.parity, bank._distinct, bank.sample_bytes)).encode())
+    return h.hexdigest()
+
+
 class TestTermBank:
     @given(_FAMILIES, st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -304,7 +331,11 @@ class TestTermBank:
         assert all(term_bank("majorana", n, q).parity for n, q in ((4, 2), (8, 4), (12, 6)))
         assert not any(term_bank("pauli", n, k).parity for n, k in ((3, 1), (4, 2), (4, 4)))
         odd = [majorana_to_pauli(op, hermitize=False) for op in enumerate_set("majorana", 6, 3).members]
-        assert not TermBank(odd, 1 << 3).parity
+        assert not TermBank(_pauli_masks(odd), 1 << 3).parity
+
+    @pytest.mark.parametrize("kind,n,loc", list(_BANK_GOLDEN))
+    def test_benchmark_banks_golden(self, kind, n, loc):
+        assert _bank_digest(term_bank(kind, n, loc)) == _BANK_GOLDEN[kind, n, loc]
 
     def test_parity_blocks_are_invariant(self):
         bank = term_bank("majorana", 10, 4)
@@ -319,24 +350,29 @@ class TestTermBank:
         sample_couplings("syk", 24, 4, 0, ())
         with pytest.raises(CapacityError):
             sample_spectra("syk", 24, 6, 0, (0,))
-        ops = enumerate_set("majorana", 8, 4)
-        entries = len(ops) * ops.dim
-        monkeypatch.setattr(algebra, "MAX_BANK_ENTRIES", entries)
-        assert len(TermBank.from_set(ops)) == len(ops)
-        monkeypatch.setattr(algebra, "MAX_BANK_ENTRIES", entries - 1)
 
         def convert(*args):
             raise AssertionError("member converted above the cap")
 
-        monkeypatch.setattr(algebra, "_hermitian_pauli", convert)
-        with pytest.raises(CapacityError):
-            TermBank.from_set(ops)
-        with pytest.raises(CapacityError):
-            sample_spectra("syk", 8, 4, 0, (0,))
+        # each kind's members become masks in their own helper, which a set
+        # one entry above the cap never reaches
+        for model, kind, n, loc, helper in (("syk", "majorana", 8, 4, "_majorana_masks"),
+                                            ("sg", "pauli", 4, 2, "_pauli_masks")):
+            ops = enumerate_set(kind, n, loc)
+            entries = len(ops) * ops.dim
+            monkeypatch.setattr(algebra, "MAX_BANK_ENTRIES", entries)
+            assert len(TermBank.from_set(ops)) == len(ops)
+            monkeypatch.setattr(algebra, "MAX_BANK_ENTRIES", entries - 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(algebra, helper, convert)
+                with pytest.raises(CapacityError):
+                    TermBank.from_set(ops)
+            with pytest.raises(CapacityError):
+                sample_spectra(model, n, loc, 0, (0,))
 
     def test_duplicate_terms_add(self):
         x = PauliString.from_label("XZ")
-        bank = TermBank([x, x], 4)
+        bank = TermBank(_pauli_masks([x, x]), 4)
         H = bank.assemble(np.array([1.0, 2.0]))
         assert np.allclose(H, 3.0 / math.sqrt(2) * _scatter_assemble([x], 4, np.ones(1)))
 
@@ -345,7 +381,7 @@ class TestTermBank:
         # its own couplings there, none of the chunk before
         x, z = PauliString.from_label("XZ"), PauliString.from_label("ZI")
         minus_x = PauliString(2, x.x_mask, x.z_mask, x.phase_power + 2)
-        bank = TermBank([x, minus_x, z, x], 4)
+        bank = TermBank(_pauli_masks([x, minus_x, z, x]), 4)
         work = Workspace()
         work.allocate(2 * bank.sample_bytes)
         for g in ([[1.0, 2.0, 3.0, 4.0], [0.5, -1.0, 2.0, 0.25]], [[-2.0, 1.5, 0.0, 1.0]]):
@@ -439,11 +475,11 @@ class TestBatchedSpectra:
         members = tuple(MajoranaMonomial(n, tuple(sorted(s))) for s in supports)
         ops = OperatorSet("majorana", n, 0, members)
         paulis = [majorana_to_pauli(op) for op in members]
-        want = np.array([(p.x_mask, p.z_mask, p.phase_power) for p in paulis], dtype=np.int64).T
+        want = _pauli_masks(paulis)
         got = _majorana_masks(ops)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         _assert_action_is_loop(TermBank.from_set(ops), paulis)
-        _assert_action_is_loop(TermBank(paulis, ops.dim), paulis)
+        _assert_action_is_loop(TermBank(want, ops.dim), paulis)
 
     def test_majorana_masks_refuse_any_odd_member(self):
         mixed = OperatorSet("majorana", 6, 2, (MajoranaMonomial(6, (1, 2)),
@@ -500,7 +536,7 @@ class TestParticleHoleMirror:
     @pytest.mark.parametrize("n", range(2, 26, 2))
     def test_masks_are_the_image_of_the_odd_generators(self, n):
         P = majorana_to_pauli(MajoranaMonomial(n, tuple(range(1, n, 2))), hermitize=False)
-        assert _particle_hole_masks(n) == (P.x_mask, P.z_mask)
+        assert _particle_hole_masks(n // 2) == (P.x_mask, P.z_mask)
 
     @given(st.integers(3, 9), st.sampled_from((2, 4, 6)), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -510,7 +546,7 @@ class TestParticleHoleMirror:
             return
         masks = _majorana_masks(enumerate_set("majorana", n, q))
         want = _expected_mirror(n, (q,))
-        assert _mirror(*masks, _particle_hole_masks(n)) == want
+        assert _mirror(*masks, _particle_hole_masks(h)) == want
         if comb(n, q) << h > 1 << 21:  # (18, 6): 9.5M table entries, masks only
             return
         bank = term_bank("majorana", n, q)
@@ -544,6 +580,25 @@ class TestParticleHoleMirror:
         bank = term_bank(*family)
         assert not bank.parity and bank.mirror == 0
         _check_spectra(bank, seed)
+
+    @pytest.mark.parametrize("labels,mirror", [(("ZZI", "IZZ", "ZIZ"), 1), (("XXI", "IXX"), -1)])
+    def test_parity_preserving_pauli_sets_are_mirrored(self, labels, mirror):
+        # the candidate of 3 qubits, X on each qubit and Z on the middle one,
+        # commutes with ZZ-type terms and anticommutes with XX-type ones
+        ops = OperatorSet("pauli", 3, 2, tuple(PauliString.from_label(s) for s in labels))
+        bank = TermBank.from_set(ops)
+        assert bank.parity and bank.mirror == mirror
+        dense = np.array(ops.hermitized_matrices())
+        g = np.stack([gaussian_stream(RandomStream(5, i), len(bank)) for i in range(3)])
+        sw, sv = bank.sector_eigh(g)
+        for row, values, swi, svi in zip(g, bank.eigvalsh(g), sw, sv):
+            H = np.tensordot(row, dense, axes=1) / math.sqrt(len(bank))
+            ref = np.linalg.eigvalsh(H)
+            wi, Ui = _scattered(bank, swi, svi)
+            assert np.abs(values - ref).max() <= 1e-12
+            assert np.abs(wi - ref).max() <= 1e-12
+            assert np.linalg.norm(H @ Ui - Ui * wi) <= 1e-12
+            assert np.linalg.norm(Ui.conj().T @ Ui - np.eye(bank.dim)) <= 1e-12
 
     def test_eigh_takes_any_leading_axes(self):
         bank = term_bank("majorana", 10, 4)
