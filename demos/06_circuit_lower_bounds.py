@@ -40,7 +40,7 @@ for n in (50, 100, 200):
 n, q = 16, 4
 m = comb(n, q)
 hc = h_comm_count("majorana", n, q)
-res = lambda_max_lower_bound(m, hc, delta_upper=28 / m, c1=1.0)
+res = lambda_max_lower_bound(m, hc, delta_upper=28 / m)
 print(f"\nn={n}, q={q}: commutation degree {hc}, "
       f"guaranteed E[lam_max] >= {res.bound:.4f} at beta_max = {res.beta_max:.3f}")
 emp = np.mean([w[-1] for w in sample_spectra("syk", n, q, 9, range(20))])

@@ -348,27 +348,30 @@ def _check_even_family(n: int, q: int):
         raise InputError("q must lie in 1..n")
 
 
+def _family_count(kind: str, n: int, locality: int) -> int:
+    """:func:`family_size` after its input rules, before its cap."""
+    if kind not in ("majorana", "pauli"):
+        raise InputError(f"unknown operator kind {kind!r}")
+    if kind == "majorana" and n % 2 != 0:
+        raise InputError("majorana enumeration requires even mode count")
+    if not 0 < locality <= n:
+        raise InputError("locality must lie in 1..n")
+    return comb(n, locality) * (1 if kind == "majorana" else 3**locality)
+
+
+def _check_enumeration(count: int) -> int:
+    if count > MAX_ENUMERATION:
+        raise CapacityError(f"enumeration of {count} members exceeds cap")
+    return count
+
+
 def family_size(kind: str, n: int, locality: int) -> int:
     """Member count of S^n_q (C(n, q)) or P^n_k (C(n, k) * 3^k) in closed form.
 
     Raises what :func:`enumerate_set` raises for the same arguments (bad
     input, or more than ``MAX_ENUMERATION`` members) without enumerating.
     """
-    if kind == "majorana":
-        if n % 2 != 0:
-            raise InputError("majorana enumeration requires even mode count")
-        if not 0 < locality <= n:
-            raise InputError("locality must lie in 1..n")
-        count = comb(n, locality)
-    elif kind == "pauli":
-        if not 0 < locality <= n:
-            raise InputError("locality must lie in 1..n")
-        count = comb(n, locality) * 3**locality
-    else:
-        raise InputError(f"unknown operator kind {kind!r}")
-    if count > MAX_ENUMERATION:
-        raise CapacityError(f"enumeration of {count} members exceeds cap")
-    return count
+    return _check_enumeration(_family_count(kind, n, locality))
 
 
 def enumerate_set(kind: str, n: int, locality: int) -> OperatorSet:
@@ -499,6 +502,21 @@ def _check_bank_entries(terms: int, dim: int):
         raise CapacityError(
             f"{terms} terms x {dim} columns exceed the term-bank budget of {MAX_BANK_ENTRIES}"
         )
+
+
+def _admit_bank(kind: str, n: int, locality: int) -> int:
+    """Term count of the bank of the full family (kind, n, locality),
+    refused in closed form before any member exists: first the input rules
+    of :func:`family_size` and an odd Majorana degree, then the caps on
+    enumeration, dense dimension and term-bank entries."""
+    m = _family_count(kind, n, locality)
+    if kind == "majorana" and locality % 2:
+        raise InputError("hermitization requires even degree")
+    _check_enumeration(m)
+    dim = OperatorSet(kind, n, locality, ()).dim
+    _check_dim(dim)
+    _check_bank_entries(m, dim)
+    return m
 
 
 class TermBank:
@@ -723,5 +741,7 @@ class TermBank:
 
 @lru_cache(maxsize=16)
 def term_bank(kind: str, n: int, locality: int) -> TermBank:
-    """Cached bank of the enumerated family (kind, n, locality)."""
+    """Cached bank of the enumerated family (kind, n, locality), refused
+    (:func:`_admit_bank`) before it is enumerated."""
+    _admit_bank(kind, n, locality)
     return TermBank.from_set(enumerate_set(kind, n, locality))

@@ -25,14 +25,7 @@ from math import comb, inf, nextafter
 
 import numpy as np
 
-from .algebra import (
-    OperatorSet,
-    TermBank,
-    _check_bank_entries,
-    _check_dim,
-    enumerate_set,
-    family_size,
-)
+from .algebra import OperatorSet, TermBank, _admit_bank, enumerate_set
 from .graphs import _check_graph_vertices, best_commuting_family, commutation_graph
 from .kernel import InputError, RandomStream, random_state
 from .theta import _check_sdp_vertices, theta_johnson_lp, theta_sdp
@@ -190,28 +183,21 @@ def index_estimate(kind: str, n: int, locality: int, seed: int = 7) -> IndexEsti
     """Bracket the commutation index of the full family S^n_q
     (``kind="majorana"``) or P^n_k (``"pauli"``).
 
-    The family is refused from its closed-form size (``family_size``)
-    before any member is enumerated: an odd-degree Majorana family (the
-    see-saw cannot hermitize it), an even-degree one at its see-saw's term
-    bank, a Pauli one at its commutation graph or theta SDP; then any
-    family above the dense dimension budget ``algebra.MAX_DENSE_DIM``.
+    The family is refused in closed form before any member is enumerated:
+    first as the see-saw's term bank (``algebra._admit_bank``, with the
+    line that ``model`` prints for the same family), then a Pauli one at
+    its commutation graph or theta SDP.
     The upper bound is theta / m: the Johnson LP's for Majorana terms,
     ``theta_sdp``'s coherent-closure LP of the commutation graph for Pauli
     ones.  The see-saw runs at its 8 restarts of at most 200 iterations
     from ``seed``.  The lower bound is the commuting-family rational for
     Majorana terms, the see-saw value for Pauli ones; ``exact`` is set
     only when both bounds are the same rational."""
-    m = family_size(kind, n, locality)
+    m = _admit_bank(kind, n, locality)
     majorana = kind == "majorana"
-    dim = 1 << (n // 2 if majorana else n)
-    if majorana:
-        if locality % 2:
-            raise InputError("hermitization requires even degree")
-        _check_bank_entries(m, dim)
-    else:
+    if not majorana:
         _check_graph_vertices(m)
         _check_sdp_vertices(m)
-    _check_dim(dim)
     ops = enumerate_set(kind, n, locality)
     theta = theta_johnson_lp(n, locality) if majorana else theta_sdp(commutation_graph(ops))
     upper = theta.value / m

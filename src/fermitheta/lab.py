@@ -52,6 +52,7 @@ from .index import _upper_bound_float
 from .kernel import CapacityError, InputError, RandomStream, Workspace, random_state
 from .models import (
     _KINDS,
+    _check,
     _check_q_below_n,
     _coupling_chunks,
     _spectrum_chunks,
@@ -129,6 +130,15 @@ def _check_samples(samples: int):
         raise InputError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     if samples > MAX_SAMPLES:
         raise CapacityError(f"{samples} samples exceed the cap of {MAX_SAMPLES}")
+
+
+def _beta_list(values) -> list[float]:
+    """The inverse temperatures as floats; an empty list is refused
+    before any sample is drawn."""
+    betas = [float(b) for b in values]
+    if not betas:
+        raise InputError("beta list must be nonempty")
+    return betas
 
 
 def _chunks(model: str, n: int, loc: int, seed: int, samples: int, reduce_bytes: int = 0,
@@ -271,7 +281,7 @@ def free_energy_experiment(
     gap <= 4 beta^2 Delta_ub within confidence slack.
     """
     t0 = time.perf_counter()
-    betas = [float(b) for b in beta_list]
+    betas = _beta_list(beta_list)
     lnz = _log_partition(model, n, loc, seed, samples, betas)
     sqrt_n = math.sqrt(n)
     delta_ub = delta_upper_bound(model, n, loc)
@@ -849,7 +859,7 @@ def exp_moment_check(
     """
     t0 = time.perf_counter()
     _check_q_below_n(n, q)
-    betas = [float(b) for b in beta_grid]
+    betas = _beta_list(beta_grid)
     for b in betas:
         if b * b / 2.0 > _LOG_FLOAT_MAX:
             raise InputError(f"exp(beta^2/2) overflows a float at beta={b}")
@@ -925,7 +935,7 @@ def classical_overlap_experiment(
     t0 = time.perf_counter()
     if n > 20:
         raise InputError("exact Gibbs enumeration limited to 20 spins")
-    betas = [float(b) for b in beta_grid]
+    betas = _beta_list(beta_grid)
     chunks = _chunks("classical", n, p, seed, samples, _GIBBS_BYTES * len(betas))
     scales = np.array([b * math.sqrt(n) for b in betas])[:, None]
     # <s_j s_k> is the Walsh-Hadamard coefficient of the Gibbs weights at
@@ -998,13 +1008,18 @@ def glassiness_contrast(
     grow with system size (within 2 SE between consecutive sizes) while
     the classical 4-spin gap stays bounded away from zero (5 SE at the
     largest size).  This is a finite-size trend check, not an asymptotic
-    statement.  Refuses (:class:`InputError`) a size list that is empty or
-    not strictly increasing before any sample is drawn.
+    statement.  A size list that is empty or not strictly increasing, the
+    sample count and the rules and caps of both models at every size are
+    all checked before the first sample is drawn.
     """
     t0 = time.perf_counter()
     n_list = [int(v) for v in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InputError(f"size list must be nonempty and strictly increasing, got {n_list}")
+    _check_samples(samples)
+    for n in n_list:
+        _check("syk", n, 4)
+        _check("classical", n, 4)
     syk_rows = []
     cl_rows = []
     for n in n_list:

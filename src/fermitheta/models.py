@@ -6,9 +6,11 @@ of the term count, so the normalized trace of H^2 has unit expectation.
 Sample i of (model, n, loc, seed) is defined in one place:
 :func:`sample_couplings` draws its couplings from stream i and
 :func:`sample_spectra` its spectrum.  Both check the model rules and the
-caps (modes, qubits, spins, term-bank entries) once per call, before any
-term bank or 2^n array exists; the CLI ``model`` command and every lab
-experiment draw their samples through them.
+caps once per call, before any term bank or 2^n array exists: a SYK or
+spin-glass model as its term bank's family (``algebra._admit_bank``: its
+size, dense dimension and term-bank entries), a classical one against its
+spin count; the CLI ``model`` command and every lab experiment draw their
+samples through them.
 Samples are assembled and diagonalized by the term kernel
 :class:`fermitheta.algebra.TermBank` (re-exported here with
 :func:`term_bank`): grouping a family by x-mask turns the coefficients of
@@ -60,10 +62,8 @@ from math import comb, log
 import numpy as np
 
 from .algebra import (
-    MAX_DENSE_DIM,
     TermBank,
-    _check_bank_entries,
-    _check_even_family,
+    _admit_bank,
     _pauli_masks,
     _walsh_hadamard,
     term_bank,
@@ -85,8 +85,6 @@ __all__ = [
     "depolarized_energy_identity",
 ]
 
-MAX_SG_QUBITS = MAX_DENSE_DIM.bit_length() - 1  # 12
-MAX_SYK_MODES = 2 * MAX_SG_QUBITS  # 24
 MAX_CLASSICAL_SPINS = 22
 # Working-set budget of one chunk of samples: every chunk of spectra
 # (_spectrum_chunks) and every chunk of couplings on the eigenvector path
@@ -124,28 +122,17 @@ _KINDS = {"syk": "majorana", "sg": "pauli"}
 
 def _check(model: str, n: int, loc: int) -> int:
     """Validate (model, n, loc) against the ensemble rules and the caps;
-    return the term count m.  Nothing is allocated."""
-    if model == "syk":
-        _check_even_family(n, loc)
-        if n > MAX_SYK_MODES:
-            raise CapacityError(f"{n} modes exceed the dense budget of {MAX_SYK_MODES}")
-        m, dim = comb(n, loc), 1 << (n // 2)
-    elif model == "sg":
-        if not 0 < loc <= n:
-            raise InputError("k must lie in 1..n")
-        if n > MAX_SG_QUBITS:
-            raise CapacityError(f"{n} qubits exceed the dense budget of {MAX_SG_QUBITS}")
-        m, dim = comb(n, loc) * 3**loc, 1 << n
-    elif model == "classical":
-        if not 0 < loc <= n:
-            raise InputError("p must lie in 1..n")
-        if n > MAX_CLASSICAL_SPINS:
-            raise CapacityError(f"{n} spins exceed the enumeration budget of {MAX_CLASSICAL_SPINS}")
-        return comb(n, loc)
-    else:
+    return the term count m.  Nothing is allocated.  A SYK or spin-glass
+    model is refused as its term bank's family (``algebra._admit_bank``)."""
+    if model in _KINDS:
+        return _admit_bank(_KINDS[model], n, loc)
+    if model != "classical":
         raise InputError(f"unknown model {model!r}")
-    _check_bank_entries(m, dim)
-    return m
+    if not 0 < loc <= n:
+        raise InputError("p must lie in 1..n")
+    if n > MAX_CLASSICAL_SPINS:
+        raise CapacityError(f"{n} spins exceed the enumeration budget of {MAX_CLASSICAL_SPINS}")
+    return comb(n, loc)
 
 
 def model_bank(model: str, n: int, loc: int) -> TermBank:
@@ -162,8 +149,7 @@ def sample_couplings(model: str, n: int, loc: int, seed: int, streams):
 
     Sample i of (model, n, loc, seed) is ``gaussian_stream(RandomStream(seed,
     i), m)``, ordered like the lexicographic term enumeration.  The model
-    rules and the caps (modes, qubits, spins, term-bank entries) are checked
-    once, before the generator is returned.
+    rules and the caps are checked once, before the generator is returned.
     """
     m = _check(model, n, loc)
     return (gaussian_stream(RandomStream(seed, i), m) for i in streams)
@@ -319,21 +305,21 @@ class EigenvalueBound:
     vacuous: bool
 
 
-def lambda_max_lower_bound(m: int, h_comm: int, delta_upper: float, c1: float = 1.0) -> EigenvalueBound:
+def lambda_max_lower_bound(m: int, h_comm: int, delta_upper: float) -> EigenvalueBound:
     """Guaranteed expected maximal eigenvalue and the temperature realizing it.
 
     bound = sqrt(m) / (4 sqrt(c1 h_comm)) * (1 - 16 delta_upper), clamped at
-    zero;  beta_max = sqrt(m / (c1 h_comm)).  The constant c1 is exposed as
-    a knob with default 1 and no claim of rigor at the default.
+    zero;  beta_max = sqrt(m / (c1 h_comm)), with the constant c1 = 1, for
+    which no claim of rigor is made.
     """
-    if c1 <= 0:
-        raise InputError("c1 must be positive")
     if h_comm <= 0:
         raise InputError("h_comm must be positive: no term anticommutes with another")
-    raw = math.sqrt(m) / (4 * math.sqrt(c1 * h_comm)) * (1 - 16 * delta_upper)
+    raw = math.sqrt(m) / (4 * math.sqrt(h_comm)) * (1 - 16 * delta_upper)
     return EigenvalueBound(
         bound=max(0.0, raw),
-        beta_max=math.sqrt(m / (c1 * h_comm)),
+        # m is rounded to a float before the division, as the bounds report has it:
+        # above 2^53 the exact integer quotient can differ in the last digit
+        beta_max=math.sqrt(m / float(h_comm)),
         vacuous=raw <= 0,
     )
 

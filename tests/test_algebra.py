@@ -2,6 +2,8 @@
 
 import json
 
+import fermitheta.algebra
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,26 @@ class TestMaterialize:
         with pytest.raises(CapacityError) as err:
             build()
         assert str(err.value) == "dense dimension 8192 exceeds the requested cap 4096"
+
+    @pytest.mark.parametrize(
+        "family,error,message",
+        [
+            (("majorana", 26, 2), CapacityError, "dense dimension 8192 exceeds the requested cap 4096"),
+            (("majorana", 24, 8), CapacityError,
+             "735471 terms x 4096 columns exceed the term-bank budget of 67108864"),
+            (("pauli", 20, 5), CapacityError, "enumeration of 3767472 members exceeds cap"),
+            (("majorana", 24, 9), InputError, "hermitization requires even degree"),
+        ],
+        ids=["dense-dim", "bank-entries", "enumeration", "odd-degree"],
+    )
+    def test_term_bank_refused_before_enumeration(self, monkeypatch, family, error, message):
+        def refuse(*args):
+            raise AssertionError("family enumerated before it was checked")
+
+        monkeypatch.setattr(fermitheta.algebra, "enumerate_set", refuse)
+        with pytest.raises(error) as err:
+            term_bank(*family)
+        assert str(err.value) == message
 
 
 class TestEnumeration:

@@ -556,6 +556,30 @@ class TestContrastSizes:
             f"error: size list must be nonempty and strictly increasing, got [{', '.join(sizes)}]"
         ]
 
+    @pytest.mark.parametrize(
+        "sizes,samples,code,message",
+        [
+            (["8", "12", "23"], "200", EXIT_USAGE, "error: majorana enumeration requires even mode count"),
+            (["8", "24"], "200", EXIT_CAPACITY,
+             "capacity error: 24 spins exceed the enumeration budget of 22"),
+            (["8", "12"], "8", EXIT_USAGE, "error: need at least 16 samples, got 8"),
+        ],
+        ids=["odd-size", "classical-cap", "samples"],
+    )
+    def test_every_size_checked_before_the_first_sample(self, monkeypatch, capsys, sizes, samples,
+                                                        code, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample drawn before every size was checked")
+
+        monkeypatch.setattr(lab, "_log_partition", refuse)
+        argv = ["lab", "contrast", "--samples", samples]
+        for n in sizes:
+            argv += ["--n-list", n]
+        assert dispatch(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [message]
+
 
 class TestParserReuse:
     """dispatch parses with one parser per process, and no state crosses calls."""
@@ -891,10 +915,12 @@ class TestFamilyCaps:
              EXIT_CAPACITY, "capacity error: dense dimension 8192 exceeds the requested cap 4096"),
             (["index", "--set", "majorana", "--n", "8", "--loc", "3"],
              EXIT_USAGE, "error: hermitization requires even degree"),
+            (["index", "--set", "majorana", "--n", "24", "--loc", "9"],
+             EXIT_USAGE, "error: hermitization requires even degree"),
         ],
         ids=["index-majorana", "graph-majorana", "sdp-majorana", "index-pauli", "sdp-pauli",
              "graph-pauli", "enumeration", "index-majorana-seesaw-dim", "index-pauli-seesaw-dim",
-             "index-majorana-odd-degree"],
+             "index-majorana-odd-degree", "index-majorana-odd-degree-over-enumeration-cap"],
     )
     def test_refused_before_enumeration(self, monkeypatch, capsys, argv, code, message):
         def refuse(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Commutation index: bounds, witnesses, see-saw heuristics."""
 
 import contextlib
+import hashlib
 import io
 import math
 from fractions import Fraction
@@ -33,7 +34,7 @@ from fermitheta.index import (
 )
 from fermitheta.kernel import CapacityError, InputError, RandomStream, eigh, random_state
 from fermitheta.lab import delta_upper_bound
-from fermitheta.models import ansatz_bounds_report
+from fermitheta.models import _check, ansatz_bounds_report
 from fermitheta.theta import theta_johnson_lp
 
 
@@ -322,3 +323,45 @@ class TestEstimateRefusals:
             dispatch(["index", "--set", kind, "--n", str(n), "--loc", str(loc)])
         prefix = "capacity error: " if error is CapacityError else "error: "
         assert err.getvalue() == f"{prefix}{message}\n"
+
+
+# sha256 of the exception class that models._check raised for every swept
+# family, recorded before the model and index refusals were merged: one line
+# "MODEL N CLASSES" per (model, n), with one character per locality -1..n+2,
+# "I" for InputError, "C" for CapacityError and "." for an admitted family.
+_CHECK_CLASSES_SHA256 = "5478b85dccaf3bf3fca63cf5044687567909803a5b2ac5a11fb1e79b332e5e7c"
+
+
+class TestOneAdmission:
+    """``model`` and ``index`` admit a term-bank family by one rule, so they
+    refuse it with the same line and exit code."""
+
+    def test_model_and_index_refuse_alike(self, monkeypatch):
+        class Enumerated(Exception):
+            pass
+
+        def enumerate_set(*args):
+            raise Enumerated
+
+        monkeypatch.setattr(fermitheta.index, "enumerate_set", enumerate_set)
+        rows = []
+        for model, kind in (("syk", "majorana"), ("sg", "pauli")):
+            for n in range(-1, 31):
+                classes = ""
+                for loc in range(-1, n + 3):
+                    try:
+                        _check(model, n, loc)
+                        expected, classes = None, classes + "."
+                    except (InputError, CapacityError) as err:
+                        expected, classes = err, classes + type(err).__name__[0]
+                    try:
+                        index_estimate(kind, n, loc)
+                    except (Enumerated, InputError, CapacityError) as err:
+                        got = err
+                    if expected is None:  # admitted, then at most a Pauli graph or SDP cap
+                        assert isinstance(got, (Enumerated, CapacityError)), (kind, n, loc, got)
+                    else:
+                        assert (type(got), str(got)) == (type(expected), str(expected)), (kind, n, loc)
+                rows.append(f"{model} {n} {classes}")
+        table = "\n".join(rows)
+        assert hashlib.sha256(table.encode()).hexdigest() == _CHECK_CLASSES_SHA256, table

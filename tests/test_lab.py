@@ -60,6 +60,23 @@ class TestFreeEnergy:
         with pytest.raises(InputError):
             free_energy_experiment("syk", 8, 4, [1.0], 8, seed=0)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: free_energy_experiment("syk", 8, 4, [], 16, 0),
+            lambda: exp_moment_check(8, 4, [], 16),
+            lambda: classical_overlap_experiment(8, 4, [], 16),
+        ],
+        ids=["free-energy", "exp-moment", "overlap"],
+    )
+    def test_empty_beta_list_refused(self, monkeypatch, run):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample drawn for an empty beta list")
+
+        monkeypatch.setattr(lab, "_chunks", refuse)
+        with pytest.raises(InputError, match="beta list must be nonempty"):
+            run()
+
     def test_single_term_against_quadrature(self):
         # one-coupling model: ln Z = ln dim + ln cosh(beta sqrt(n) g) exactly
         beta, n = 1.0, 4

@@ -711,7 +711,7 @@ class TestEigenvalueBound:
         assert res.bound == 0.0 and res.vacuous
 
     def test_16_4_value(self):
-        res = lambda_max_lower_bound(1820, 928, delta_upper=28 / 1820, c1=1.0)
+        res = lambda_max_lower_bound(1820, 928, delta_upper=28 / 1820)
         expected = math.sqrt(1820) / (4 * math.sqrt(928)) * (1 - 16 * 28 / 1820)
         assert abs(res.bound - expected) < 1e-12
         assert abs(res.bound - 0.264) < 5e-4
@@ -723,9 +723,8 @@ class TestEigenvalueBound:
             lambda_max_lower_bound(1, h_comm, 0.0)
 
     def test_monotonicity(self):
-        base = lambda_max_lower_bound(1820, 928, 0.01, c1=1.0)
-        assert lambda_max_lower_bound(1820, 928, 0.02, c1=1.0).bound < base.bound
-        assert lambda_max_lower_bound(1820, 928, 0.01, c1=2.0).bound < base.bound
+        base = lambda_max_lower_bound(1820, 928, 0.01)
+        assert lambda_max_lower_bound(1820, 928, 0.02).bound < base.bound
 
 
 class TestAnsatzBounds:

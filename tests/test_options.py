@@ -40,7 +40,6 @@ DEFAULTED = [
     "lab.glassiness_contrast.threads",
     "models.TermBank.apply.terms",
     "models.sample_classical_pspin.stream",
-    "models.lambda_max_lower_bound.c1",
     "reports.ExperimentReport.__init__.schema_version",
     "reports.Verdict.__init__.details",
     "theta.ThetaResult.__init__.converged",
