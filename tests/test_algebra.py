@@ -2,13 +2,12 @@
 
 import json
 
-import fermitheta.algebra
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fermitheta.algebra
 from fermitheta.algebra import (
     MajoranaMonomial,
     OperatorSet,

@@ -354,6 +354,7 @@ class TestOneAdmission:
                         expected, classes = None, classes + "."
                     except (InputError, CapacityError) as err:
                         expected, classes = err, classes + type(err).__name__[0]
+                    got = None
                     try:
                         index_estimate(kind, n, loc)
                     except (Enumerated, InputError, CapacityError) as err:
