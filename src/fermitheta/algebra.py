@@ -261,8 +261,10 @@ def pauli_matrix(P: PauliString) -> np.ndarray:
     return M
 
 
-def _check_dim(dim: int):
-    if dim > MAX_DENSE_DIM:
+def _check_dim(qubits: int):
+    """Refuse 2^qubits above ``MAX_DENSE_DIM``, unformed (as 2^qubits) from 2^64."""
+    if qubits >= 64 or 1 << qubits > MAX_DENSE_DIM:
+        dim = f"2^{qubits}" if qubits >= 64 else 1 << qubits
         raise CapacityError(f"dense dimension {dim} exceeds the requested cap {MAX_DENSE_DIM}")
 
 
@@ -272,7 +274,7 @@ def _hermitian_pauli(op: Operator) -> PauliString:
     Checked against the dense cap and for Hermiticity before anything of
     dimension 2^n is allocated."""
     P = majorana_to_pauli(op) if isinstance(op, MajoranaMonomial) else op
-    _check_dim(1 << P.n_qubits)
+    _check_dim(P.n_qubits)
     if not P.is_hermitian:
         raise InputError("operator materializes to a non-Hermitian matrix")
     return P
@@ -307,7 +309,11 @@ class OperatorSet:
 
     @property
     def dim(self) -> int:
-        return 1 << (self.n if self.kind == "pauli" else self.n // 2)
+        return 1 << self._qubits
+
+    @property
+    def _qubits(self) -> int:
+        return self.n if self.kind == "pauli" else self.n // 2
 
     def hermitized_matrices(self) -> list[np.ndarray]:
         """Dense matrices of the Hermitized members (a reference for
@@ -348,14 +354,16 @@ def _check_even_family(n: int, q: int):
         raise InputError("q must lie in 1..n")
 
 
-def _family_count(kind: str, n: int, locality: int) -> int:
-    """:func:`family_size` after its input rules, before its cap."""
+def _check_family(kind: str, n: int, locality: int):
     if kind not in ("majorana", "pauli"):
         raise InputError(f"unknown operator kind {kind!r}")
     if kind == "majorana" and n % 2 != 0:
         raise InputError("majorana enumeration requires even mode count")
     if not 0 < locality <= n:
         raise InputError("locality must lie in 1..n")
+
+
+def _family_count(kind: str, n: int, locality: int) -> int:
     return comb(n, locality) * (1 if kind == "majorana" else 3**locality)
 
 
@@ -371,6 +379,7 @@ def family_size(kind: str, n: int, locality: int) -> int:
     Raises what :func:`enumerate_set` raises for the same arguments (bad
     input, or more than ``MAX_ENUMERATION`` members) without enumerating.
     """
+    _check_family(kind, n, locality)
     return _check_enumeration(_family_count(kind, n, locality))
 
 
@@ -507,15 +516,15 @@ def _check_bank_entries(terms: int, dim: int):
 def _admit_bank(kind: str, n: int, locality: int) -> int:
     """Term count of the bank of the full family (kind, n, locality),
     refused in closed form before any member exists: first the input rules
-    of :func:`family_size` and an odd Majorana degree, then the caps on
-    enumeration, dense dimension and term-bank entries."""
-    m = _family_count(kind, n, locality)
+    of :func:`family_size` and an odd Majorana degree, then the caps on dense
+    dimension (so only a family within it is counted), enumeration and entries."""
+    _check_family(kind, n, locality)
     if kind == "majorana" and locality % 2:
         raise InputError("hermitization requires even degree")
-    _check_enumeration(m)
-    dim = OperatorSet(kind, n, locality, ()).dim
-    _check_dim(dim)
-    _check_bank_entries(m, dim)
+    qubits = OperatorSet(kind, n, locality, ())._qubits
+    _check_dim(qubits)
+    m = _check_enumeration(_family_count(kind, n, locality))
+    _check_bank_entries(m, 1 << qubits)
     return m
 
 
@@ -614,7 +623,7 @@ class TermBank:
         _check_bank_entries(len(ops), ops.dim)
         if ops.kind == "majorana":
             masks = _majorana_masks(ops)
-            _check_dim(ops.dim)
+            _check_dim(ops._qubits)
         else:
             masks = _pauli_masks(map(_hermitian_pauli, ops.members))
         return cls(masks, ops.dim)

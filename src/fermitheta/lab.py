@@ -1017,14 +1017,14 @@ def glassiness_contrast(
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InputError(f"size list must be nonempty and strictly increasing, got {n_list}")
     _check_samples(samples)
+    syk_rows, cl_rows, p = [], [], 4
+    runs = ((syk_rows, "syk", seed), (cl_rows, "classical", seed + 1))
     for n in n_list:
-        _check("syk", n, 4)
-        _check("classical", n, 4)
-    syk_rows = []
-    cl_rows = []
+        for _, model, _ in runs:
+            _check(model, n, p)
     for n in n_list:
-        for rows, model, model_seed in ((syk_rows, "syk", seed), (cl_rows, "classical", seed + 1)):
-            lnz = _log_partition(model, n, 4, model_seed, samples, [beta])[:, 0]
+        for rows, model, model_seed in runs:
+            lnz = _log_partition(model, n, p, model_seed, samples, [beta])[:, 0]
             gap, se = _gap(lnz, n)[:2]
             rows.append({"n": n, "gap": gap, "se": se})
     verdicts = []

@@ -8,7 +8,7 @@ Sample i of (model, n, loc, seed) is defined in one place:
 :func:`sample_spectra` its spectrum.  Both check the model rules and the
 caps once per call, before any term bank or 2^n array exists: a SYK or
 spin-glass model as its term bank's family (``algebra._admit_bank``: its
-size, dense dimension and term-bank entries), a classical one against its
+dense dimension, size and term-bank entries), a classical one against its
 spin count; the CLI ``model`` command and every lab experiment draw their
 samples through them.
 Samples are assembled and diagonalized by the term kernel
@@ -121,9 +121,8 @@ _KINDS = {"syk": "majorana", "sg": "pauli"}
 
 
 def _check(model: str, n: int, loc: int) -> int:
-    """Validate (model, n, loc) against the ensemble rules and the caps;
-    return the term count m.  Nothing is allocated.  A SYK or spin-glass
-    model is refused as its term bank's family (``algebra._admit_bank``)."""
+    """Term count m of (model, n, loc), checked against the rules and caps
+    (SYK and spin glass by ``algebra._admit_bank``) before anything is allocated."""
     if model in _KINDS:
         return _admit_bank(_KINDS[model], n, loc)
     if model != "classical":

@@ -222,10 +222,14 @@ class TestMaterialize:
             (("majorana", 26, 2), CapacityError, "dense dimension 8192 exceeds the requested cap 4096"),
             (("majorana", 24, 8), CapacityError,
              "735471 terms x 4096 columns exceed the term-bank budget of 67108864"),
-            (("pauli", 20, 5), CapacityError, "enumeration of 3767472 members exceeds cap"),
+            (("majorana", 24, 12), CapacityError, "enumeration of 2704156 members exceeds cap"),
+            (("pauli", 20, 5), CapacityError, "dense dimension 1048576 exceeds the requested cap 4096"),
+            (("majorana", 20000, 10000), CapacityError,
+             "dense dimension 2^10000 exceeds the requested cap 4096"),
             (("majorana", 24, 9), InputError, "hermitization requires even degree"),
         ],
-        ids=["dense-dim", "bank-entries", "enumeration", "odd-degree"],
+        ids=["dense-dim", "bank-entries", "enumeration", "dense-dim-over-enumeration",
+             "dense-dim-unformed", "odd-degree"],
     )
     def test_term_bank_refused_before_enumeration(self, monkeypatch, family, error, message):
         def refuse(*args):

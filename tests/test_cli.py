@@ -86,6 +86,27 @@ class TestDispatch:
     def test_capacity_exit(self):
         assert dispatch(["model", "syk", "--n", "26", "--loc", "4"]) == EXIT_CAPACITY
 
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["model", "syk", "--n", "20000", "--loc", "10000"], "2^10000"),
+            (["model", "sg", "--n", "1000000000", "--loc", "999999999"], "2^1000000000"),
+            (["index", "--set", "pauli", "--n", "1000000000", "--loc", "999999999"], "2^1000000000"),
+        ],
+        ids=["model-syk", "model-sg", "index-pauli"],
+    )
+    def test_huge_family_refused_before_its_size(self, monkeypatch, capsys, argv, line):
+        # the dense dimension depends on n alone and is checked first, so a
+        # family far over it is never counted (its size would not print)
+        def refuse(*args):
+            raise AssertionError("family counted before its dense dimension was checked")
+
+        monkeypatch.setattr(fermitheta.algebra, "_family_count", refuse)
+        assert dispatch(argv) == EXIT_CAPACITY
+        assert capsys.readouterr().err.splitlines() == [
+            f"capacity error: dense dimension {line} exceeds the requested cap 4096"
+        ]
+
     def test_theta_sdp(self, capsys):
         assert dispatch(
             ["theta", "sdp", "--set", "majorana", "--n", "6", "--loc", "2", "--tol", "1e-6"]
