@@ -262,7 +262,7 @@ def pauli_matrix(P: PauliString) -> np.ndarray:
 
 
 def _check_dim(qubits: int):
-    """Refuse 2^qubits above ``MAX_DENSE_DIM``, unformed (as 2^qubits) from 2^64."""
+    """Refuse 2^qubits above ``MAX_DENSE_DIM``; from 2^64 on, named as a power, never formed."""
     if qubits >= 64 or 1 << qubits > MAX_DENSE_DIM:
         dim = f"2^{qubits}" if qubits >= 64 else 1 << qubits
         raise CapacityError(f"dense dimension {dim} exceeds the requested cap {MAX_DENSE_DIM}")
