@@ -367,9 +367,21 @@ def _family_count(kind: str, n: int, locality: int) -> int:
     return comb(n, locality) * (1 if kind == "majorana" else 3**locality)
 
 
-def _check_enumeration(count: int) -> int:
-    if count > MAX_ENUMERATION:
-        raise CapacityError(f"enumeration of {count} members exceeds cap")
+def _check_enumeration(kind: str, n: int, locality: int) -> int:
+    """Member count of a checked family, refused above ``MAX_ENUMERATION``.
+    A count that the log-gamma estimate of its bit length puts above 2^65
+    (float error far below a bit) is refused without being formed; one
+    from 2^64 on is named in closed form, C(n, k) [* 3^k], as
+    :func:`_check_dim` names a dimension."""
+    k = locality
+    bits = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(2)
+    bits += 0 if kind == "majorana" else k * math.log2(3)
+    count = _family_count(kind, n, k) if bits <= 65 else None
+    if count is None or count > MAX_ENUMERATION:
+        named = f"C({n}, {k})" + ("" if kind == "majorana" else f" * 3^{k}")
+        if count is not None and count < 1 << 64:
+            named = count
+        raise CapacityError(f"enumeration of {named} members exceeds cap")
     return count
 
 
@@ -380,7 +392,7 @@ def family_size(kind: str, n: int, locality: int) -> int:
     input, or more than ``MAX_ENUMERATION`` members) without enumerating.
     """
     _check_family(kind, n, locality)
-    return _check_enumeration(_family_count(kind, n, locality))
+    return _check_enumeration(kind, n, locality)
 
 
 def enumerate_set(kind: str, n: int, locality: int) -> OperatorSet:
@@ -523,7 +535,7 @@ def _admit_bank(kind: str, n: int, locality: int) -> int:
         raise InputError("hermitization requires even degree")
     qubits = OperatorSet(kind, n, locality, ())._qubits
     _check_dim(qubits)
-    m = _check_enumeration(_family_count(kind, n, locality))
+    m = _check_enumeration(kind, n, locality)
     _check_bank_entries(m, 1 << qubits)
     return m
 

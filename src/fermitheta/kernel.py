@@ -7,13 +7,16 @@ solver of the tests and the name the benchmark tracer wraps.  Term banks
 solve their own parity blocks (``TermBank.eigvalsh`` for disorder spectra,
 ``TermBank.sector_eigh`` for the see-saw and Gibbs states), and other
 matrices that are Hermitian by construction (the theta LP's eigenspaces,
-Johnson adjacencies) go to numpy's solvers directly.  Every coupling of every
-disorder sample comes from :func:`gaussian_stream`.
+Johnson adjacencies) go to numpy's solvers directly.
 
 Randomness is counter-based: a :class:`RandomStream` is an immutable
 (base_seed, stream_index) pair fed to a Philox-4x64 generator, and normal
 deviates are produced by the Box-Muller transform.  Identical stream
-parameters reproduce identical outputs bit-for-bit within one build.
+parameters reproduce identical outputs bit-for-bit within one build.  The
+one Box-Muller of the library is the chunk draw ``_gaussian_rows``, which
+fills one row per stream of a chunk with one transform over the whole
+chunk: every coupling of every disorder sample comes from it, in chunks
+of consecutive streams, and :func:`gaussian_stream` is its one-row call.
 """
 
 from __future__ import annotations
@@ -130,34 +133,66 @@ class RandomStream:
     base_seed: int
     stream_index: int = 0
 
-    def _key(self) -> np.ndarray:
-        return np.array(
-            [self.base_seed % (1 << 64), self.stream_index % (1 << 64)],
-            dtype=np.uint64,
-        )
-
     def _bit_generator(self):
-        return np.random.Philox(key=self._key())
-
-    def _reset(self, bit_generator: np.random.Philox) -> np.random.Philox:
-        """Put a Philox generator in the state that ``_bit_generator``
-        starts in: this key, counter 0, empty buffer."""
-        empty = np.zeros(4, dtype=np.uint64)
-        bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": empty, "key": self._key()},
-            "buffer": empty,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return bit_generator
+        key = [self.base_seed % (1 << 64), self.stream_index % (1 << 64)]
+        return np.random.Philox(key=np.array(key, dtype=np.uint64))
 
 
-# One Philox per thread, reset for each gaussian_stream call: the same
-# uniforms as a new Philox(key=...), whose construction also draws OS
-# entropy for a seed sequence it never uses and costs about three resets.
+# One Philox per thread, reset for each stream of a chunk draw: assigning a
+# state with the stream's key, counter 0 and an empty buffer gives the
+# uniforms of a new Philox(key=...), whose construction also draws OS
+# entropy for a seed sequence it never uses and costs several resets.
 _PER_THREAD = threading.local()
+# 2 pi / 2^53: an angle is the raw 53-bit integer k times this, which is
+# (2 pi) (k / 2^53) exactly as rounded, since scaling by 2^-53 is exact
+_TWO_PI_ULP = 2.0 * np.pi * 2.0**-53
+
+
+def _gaussian_rows_bytes(count: int) -> int:
+    """Bytes of the arrays that :func:`_gaussian_rows` takes per row of
+    ``count`` normals: the raw integers (16 per pair) and the radius,
+    angle and cosine or sine (8 per pair each)."""
+    return 40 * ((count + 1) // 2)
+
+
+def _gaussian_rows(seed: int, streams, out: np.ndarray, take=fresh_array) -> np.ndarray:
+    """Row k of ``out`` (b, count) set to the first ``count`` normals of
+    stream (seed, streams[k]), as :func:`gaussian_stream` defines them; the
+    arrays of the draw come from ``take`` (see :meth:`Workspace.take`).
+
+    Each stream writes its 2 ceil(count / 2) raw Philox outputs into its
+    row of one integer array; one Box-Muller transform then turns the
+    whole array into normals.  A uniform is (raw >> 11) 2^-53, as
+    ``Generator.random`` computes it, and pair (u0, u1) gives
+    r cos(2 pi u1) and r sin(2 pi u1) with r = sqrt(-2 log1p(-u0)), each
+    element by the arithmetic it gets alone.  Returns ``out``.
+    """
+    b, count = out.shape
+    pairs = (count + 1) // 2
+    raw = take("raw", (b, 2 * pairs), np.uint64)
+    if not hasattr(_PER_THREAD, "philox"):
+        _PER_THREAD.philox = np.random.Philox()
+    philox = _PER_THREAD.philox
+    key = np.array([seed % (1 << 64), 0], dtype=np.uint64)
+    empty = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": empty, "key": key},
+             "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for k, i in enumerate(streams):
+        key[1] = i % (1 << 64)  # the setter copies the key, so one dict serves every stream
+        philox.state = state
+        raw[k] = philox.random_raw(2 * pairs)
+    np.right_shift(raw, 11, out=raw)
+    radius = np.multiply(raw[:, 0::2], -(2.0**-53), out=take("radius", (b, pairs)))  # -u0
+    np.log1p(radius, out=radius)
+    np.multiply(radius, -2.0, out=radius)
+    np.sqrt(radius, out=radius)
+    angle = np.multiply(raw[:, 1::2], _TWO_PI_ULP, out=take("angle", (b, pairs)))
+    trig = np.cos(angle, out=take("trig", (b, pairs)))
+    np.multiply(radius, trig, out=out[:, 0::2])
+    np.sin(angle, out=trig)
+    half = count // 2
+    np.multiply(radius[:, :half], trig[:, :half], out=out[:, 1::2])
+    return out
 
 
 def gaussian_stream(stream: RandomStream, count: int) -> np.ndarray:
@@ -165,23 +200,13 @@ def gaussian_stream(stream: RandomStream, count: int) -> np.ndarray:
 
     Uniforms come from the Philox counter generator; the Box-Muller
     transform turns consecutive pairs into normals.  The output is a
-    deterministic function of (base_seed, stream_index, count prefix).
+    deterministic function of (base_seed, stream_index, count prefix):
+    the one-row call of the chunk draw ``_gaussian_rows``.
     """
     if count < 0:
         raise InputError("count must be nonnegative")
-    if count == 0:
-        return np.zeros(0)
-    pairs = (count + 1) // 2
-    if not hasattr(_PER_THREAD, "philox"):
-        _PER_THREAD.philox = np.random.Philox()
-    gen = np.random.Generator(stream._reset(_PER_THREAD.philox))
-    u = gen.random(2 * pairs)
-    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-    ang = 2.0 * np.pi * u[1::2]
-    z = np.empty(2 * pairs)
-    z[0::2] = r * np.cos(ang)
-    z[1::2] = r * np.sin(ang)
-    return z[:count]
+    out = np.empty((1, count))
+    return _gaussian_rows(stream.base_seed, (stream.stream_index,), out)[0]
 
 
 def random_state(stream: RandomStream, dim: int) -> np.ndarray:

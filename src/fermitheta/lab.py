@@ -49,7 +49,14 @@ import numpy as np
 from .algebra import MajoranaMonomial, OperatorSet, TermBank, _walsh_hadamard
 from .graphs import commuting_majorana_family, stabilized_state
 from .index import _upper_bound_float
-from .kernel import CapacityError, InputError, RandomStream, Workspace, random_state
+from .kernel import (
+    CapacityError,
+    InputError,
+    RandomStream,
+    Workspace,
+    _gaussian_rows_bytes,
+    random_state,
+)
 from .models import (
     _KINDS,
     _check,
@@ -206,9 +213,12 @@ def _gap(col: np.ndarray, n: int):
 
 def _fixed_state_energies(bank, psi: np.ndarray, n: int, q: int, seed: int, samples: int):
     """<psi|H|psi> of every SYK sample, g . <psi|A_i|psi> / sqrt(m), and its
-    exact disorder variance (1/m) sum_i <psi|A_i|psi>^2."""
+    exact disorder variance (1/m) sum_i <psi|A_i|psi>^2.  The couplings
+    come in chunks whose width counts the chunk draw's arrays, the only
+    ones they hold; each sample keeps its own product g . a."""
     a = bank.expectations(psi)
-    e = np.array([g @ a for g in sample_couplings("syk", n, q, seed, range(samples))])
+    chunks = _coupling_chunks("syk", n, q, seed, range(samples), _gaussian_rows_bytes(len(a)))
+    e = np.array([g @ a for stack in chunks for g in stack])
     return e / math.sqrt(len(a)), float(np.mean(a**2))
 
 
@@ -246,8 +256,8 @@ def _sector_gibbs(bank: TermBank, n: int, q: int, seed: int, samples: int, scale
     sector and sample, the caller's own, besides the couplings and the
     eigensolve."""
     sectors, side = bank.sector_rows.shape
-    for g in _coupling_chunks("syk", n, q, seed, range(samples), bank,
-                              held * 16 * sectors * side * side):
+    for g in _coupling_chunks("syk", n, q, seed, range(samples),
+                              bank.sample_bytes + held * 16 * sectors * side * side):
         w, v = bank.sector_eigh(g)
         yield w, v, _gibbs_weights(w.reshape(len(g), -1), scale).reshape(w.shape)
 
@@ -367,7 +377,7 @@ def gradcheck_logZ(n: int, q: int, beta: float, seed: int) -> ExperimentReport:
     step = 1e-5
     couplings = sample_couplings("syk", n, q, seed, (0,))
     if n > 16:
-        raise InputError("gradient check limited to dimension 2^8")
+        raise CapacityError("gradient check limited to dimension 2^8")
     (g0,) = couplings
     bank = model_bank("syk", n, q)
     m = len(bank)
@@ -934,7 +944,7 @@ def classical_overlap_experiment(
     """
     t0 = time.perf_counter()
     if n > 20:
-        raise InputError("exact Gibbs enumeration limited to 20 spins")
+        raise CapacityError("exact Gibbs enumeration limited to 20 spins")
     betas = _beta_list(beta_grid)
     chunks = _chunks("classical", n, p, seed, samples, _GIBBS_BYTES * len(betas))
     scales = np.array([b * math.sqrt(n) for b in betas])[:, None]

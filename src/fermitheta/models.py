@@ -30,24 +30,29 @@ masks of their subsets.
 Spectra are produced in chunks of b consecutive samples
 (:func:`_spectrum_chunks`): at small dimension the cost of a sample is
 the fixed cost of each numpy, LAPACK and reduction call, which one call
-per chunk shares among b samples.  Each stream's couplings and each
-classical sample are still drawn on their own, and the batched
-eigensolve gives every sample the arithmetic it gets alone, so chunking
+per chunk shares among b samples.  A chunk's couplings come from one
+chunk draw (``kernel._gaussian_rows``: one Philox reset per stream, one
+Box-Muller over the chunk), a classical chunk's energies from one
+Walsh-Hadamard transform over the chunk, and the batched eigensolve and
+both of these give every sample the arithmetic it gets alone, so chunking
 changes no bit of any spectrum.  One byte budget, ``_CHUNK_BYTES``, sizes
 every chunk: the spectra's, and the couplings' of the eigenvector path
-of the Gibbs observables (:func:`_coupling_chunks`).  Each path counts
-the bytes that one sample adds to its chunk from the arrays it holds:
-the couplings, the eigensolve's table, transform and blocks, the
-spectrum, and the temporaries of the caller's reduction (the (beta, d)
-arrays of lab's log-sum-exp, or the sector eigenvectors and transformed
-operators of the Gibbs observables).  The same counts size one
-workspace per call (:class:`~fermitheta.kernel.Workspace`): the stacks,
-the eigensolve's arrays and the log-sum-exp's are carved from one buffer
-allocated once, and every chunk of the call writes into it in place, so
-no chunk array is allocated, zero-filled or faulted in again.  The
-budget, chosen by the sweep recorded beside ``_CHUNK_BYTES``, gives the
-d = 16 free energy 50 to 80 samples per chunk and classical (12, 4)
-three, and makes b = 1 at d = 512, where a chunk would only add memory.
+of the Gibbs observables and of the fixed-state energies
+(:func:`_coupling_chunks`).  Each path counts the bytes that one sample
+adds to its chunk from the arrays it holds: the couplings, the
+eigensolve's table, transform and blocks, the spectrum, and the
+temporaries of the caller's reduction (the (beta, d) arrays of lab's
+log-sum-exp, or the sector eigenvectors and transformed operators of the
+Gibbs observables).  One workspace per call
+(:class:`~fermitheta.kernel.Workspace`) holds these arrays and those of
+the chunk draw and the classical transform besides: the stacks, the
+draw's, the transform's, the eigensolve's and the log-sum-exp's arrays
+are carved from one buffer allocated once, and every chunk of the call
+writes into it in place, so no chunk array is allocated, zero-filled or
+faulted in again.  The budget, chosen by the sweep recorded beside
+``_CHUNK_BYTES``, gives the d = 16 free energy 50 to 80 samples per chunk
+and classical (12, 4) three, and makes b = 1 at d = 512, where a chunk
+would only add memory.
 """
 
 from __future__ import annotations
@@ -68,7 +73,16 @@ from .algebra import (
     _walsh_hadamard,
     term_bank,
 )
-from .kernel import CapacityError, InputError, RandomStream, Workspace, gaussian_stream
+from .kernel import (
+    CapacityError,
+    InputError,
+    RandomStream,
+    Workspace,
+    _gaussian_rows,
+    _gaussian_rows_bytes,
+    fresh_array,
+    gaussian_stream,
+)
 from .index import _upper_bound_float
 
 __all__ = [
@@ -147,8 +161,10 @@ def sample_couplings(model: str, n: int, loc: int, seed: int, streams):
     """Gaussian couplings of the samples at the given stream indices.
 
     Sample i of (model, n, loc, seed) is ``gaussian_stream(RandomStream(seed,
-    i), m)``, ordered like the lexicographic term enumeration.  The model
-    rules and the caps are checked once, before the generator is returned.
+    i), m)``, ordered like the lexicographic term enumeration: the
+    one-stream form of the chunk draw that :func:`_spectrum_chunks` and
+    :func:`_coupling_chunks` take.  The model rules and the caps are
+    checked once, before the generator is returned.
     """
     m = _check(model, n, loc)
     return (gaussian_stream(RandomStream(seed, i), m) for i in streams)
@@ -178,76 +194,78 @@ def _spectrum_chunks(model: str, n: int, loc: int, seed: int, streams, reduce_by
     """The spectra of :func:`sample_spectra` as (b, d) arrays of b
     consecutive samples.
 
-    A SYK or spin-glass chunk stacks the b streams' couplings, each still
-    drawn by its own ``gaussian_stream``, and solves every parity block of
-    every sample in one ``bank.eigvalsh`` call; a classical chunk stacks b
-    ``sample_classical_pspin`` energy arrays.  b is bounded by
-    ``_CHUNK_BYTES`` over the bytes that one sample adds to a chunk:
+    A chunk's couplings are one (b, m) stack from one chunk draw
+    (:func:`_coupling_stacks`).  A SYK or spin-glass chunk solves every
+    parity block of every sample in one ``bank.eigvalsh`` call; a
+    classical chunk's energies are one Walsh-Hadamard transform over the
+    chunk (:func:`_pspin_energies`).  b is bounded by ``_CHUNK_BYTES`` over
+    the bytes that one sample adds to a chunk:
 
-    - its spectrum, 8 bytes per entry (a new array per chunk);
+    - its spectrum, 8 bytes per entry (a new array per quantum chunk);
     - the temporaries of the caller's reduction of the chunk,
       ``reduce_bytes`` per spectrum entry (lab's log-sum-exp over the
       temperatures, for example);
     - for SYK and spin-glass samples, its couplings and eigensolve, 8 bytes
-      per term and ``bank.sample_bytes``; for classical samples the row of
-      energies, 8 bytes per entry.
+      per term and ``bank.sample_bytes``.
 
-    So large dimensions run one sample at a time.  The stacks and the
+    So large dimensions run one sample at a time.  The stacks, the draw's
+    arrays (``kernel._gaussian_rows_bytes`` per sample), the classical
+    transform's table and step (8 bytes per entry each) and the
     eigensolve's arrays are taken from one :class:`Workspace` per call,
     allocated before the generator is returned, so each chunk reuses the
     memory of the one before: a chunk is valid until the next is drawn.
-    The workspace has room for the reduction's ``reduce_bytes`` too: a
-    caller that passes its own unallocated ``work`` takes those arrays from
-    it.  Checked like :func:`sample_spectra`, before the generator is
-    returned.
+    The draw's arrays and the classical couplings, table and step are not
+    counted in b, which keeps the widths of the sweep beside
+    ``_CHUNK_BYTES``.  The workspace has room for the reduction's
+    ``reduce_bytes`` too: a caller that passes its own unallocated
+    ``work`` takes those arrays from it.  Checked like
+    :func:`sample_spectra`, before the generator is returned.
     """
     work = Workspace() if work is None else work
     if model == "classical":
-        _check(model, n, loc)
+        m = _check(model, n, loc)
         size = _chunk_size((8 + reduce_bytes) << n)
-        work.allocate(size * ((8 + reduce_bytes) << n))
-        energies = (sample_classical_pspin(n, loc, seed, stream=i) for i in streams)
-        return _stacks(energies, work.take("stack", (size, 1 << n)))
+        work.allocate(size * (_coupling_bytes(m) + ((24 + reduce_bytes) << n)))
+        return (_pspin_energies(n, loc, g, work.take)
+                for g in _coupling_stacks(seed, streams, m, size, work.take))
     bank = model_bank(model, n, loc)
     m, d = len(bank), bank.dim
     size = _chunk_size(8 * m + bank.sample_bytes + (8 + reduce_bytes) * d)
-    work.allocate(size * (8 * m + bank.sample_bytes + reduce_bytes * d))
-    stacks = _stacks(sample_couplings(model, n, loc, seed, streams), work.take("stack", (size, m)))
-    return (bank._eigvalsh(g, work.take) for g in stacks)
+    work.allocate(size * (_coupling_bytes(m) + bank.sample_bytes + reduce_bytes * d))
+    return (bank._eigvalsh(g, work.take) for g in _coupling_stacks(seed, streams, m, size, work.take))
 
 
-def _coupling_chunks(model: str, n: int, loc: int, seed: int, streams, bank: TermBank,
-                     held_bytes: int):
+def _coupling_chunks(model: str, n: int, loc: int, seed: int, streams, held_bytes: int):
     """The couplings of :func:`sample_couplings` as (b, m) stacks of b
-    consecutive samples, for an eigensolve by ``bank``; the last one may
+    consecutive samples (see :func:`_coupling_stacks`); the last one may
     be shorter.  b is bounded by ``_CHUNK_BYTES`` over the bytes that one
-    sample adds to a chunk:
-
-    - its couplings, 8 bytes per term, in one (b, m) array per call that
-      every chunk reuses (see :func:`_stacks`);
-    - the eigensolve's working set, ``bank.sample_bytes``;
-    - ``held_bytes`` of the caller's own arrays per sample.
-
-    Checked before the generator is returned.
+    sample adds to a chunk: its couplings, 8 bytes per term, and
+    ``held_bytes`` of the caller's (an eigensolve's working set, say).
+    The stacks and the draw's arrays come from one :class:`Workspace` that
+    every chunk reuses.  Checked before the generator is returned.
     """
-    couplings = sample_couplings(model, n, loc, seed, streams)
-    size = _chunk_size(8 * len(bank) + bank.sample_bytes + held_bytes)
-    return _stacks(couplings, np.empty((size, len(bank))))
+    m = _check(model, n, loc)
+    size = _chunk_size(8 * m + held_bytes)
+    work = Workspace()
+    work.allocate(size * _coupling_bytes(m))
+    return _coupling_stacks(seed, streams, m, size, work.take)
 
 
-def _stacks(rows, stack: np.ndarray):
-    """Runs of ``len(stack)`` consecutive rows, each copied into the
-    leading rows of ``stack`` as it is drawn; the last run may be shorter.
-    Every run overwrites the one before, so the consumer is done with a
-    run before it draws the next."""
-    rows = iter(rows)
-    while True:
-        k = 0
-        for k, row in enumerate(itertools.islice(rows, len(stack)), 1):
-            stack[k - 1] = row
-        if not k:
-            return
-        yield stack[:k]
+def _coupling_bytes(m: int) -> int:
+    """Workspace bytes of one sample's m couplings: the stack row and the
+    arrays of the chunk draw."""
+    return 8 * m + _gaussian_rows_bytes(m)
+
+
+def _coupling_stacks(seed: int, streams, m: int, size: int, take):
+    """The m couplings of each of the given streams, as (b, m) stacks of
+    b = ``size`` consecutive streams (the last may be fewer), each filled
+    by one chunk draw in ``take("couplings", ...)``.  Every stack
+    overwrites the one before, so the consumer is done with a stack before
+    it draws the next."""
+    streams = iter(streams)
+    while run := list(itertools.islice(streams, size)):
+        yield _gaussian_rows(seed, run, take("couplings", (len(run), m)), take)
 
 
 @lru_cache(maxsize=16)
@@ -265,13 +283,28 @@ def sample_classical_pspin(n: int, p: int, seed: int, stream: int = 0) -> np.nda
     bitmask (bit set means sigma = -1).
 
     The multilinear form evaluates over all sign patterns via a fast
-    Walsh-Hadamard transform of the sparse coupling vector.
+    Walsh-Hadamard transform of the sparse coupling vector: the one-sample
+    form of a classical chunk of :func:`_spectrum_chunks`.
     """
-    (g,) = sample_couplings("classical", n, p, seed, (stream,))
+    m = _check("classical", n, p)
+    g = _gaussian_rows(seed, (stream,), np.empty((1, m)))
+    return _pspin_energies(n, p, g, fresh_array)[0]
+
+
+def _pspin_energies(n: int, p: int, g: np.ndarray, take) -> np.ndarray:
+    """Energies (b, 2^n) of the classical samples with coupling rows g
+    (b, m), which are divided by sqrt(m) in place: the couplings are put
+    at the spin masks of their subsets in a table that is zero elsewhere,
+    and one Walsh-Hadamard transform over the chunk gives every row the
+    arithmetic of a transform alone.  The table, its transform and the
+    transform's step come from ``take`` (keys ``table``, ``stack`` and
+    ``step``); the table is zeroed when carved, and only its mask columns
+    are written after."""
     masks = _pspin_masks(n, p)
-    coef = np.zeros(1 << n)
-    coef[masks] = g / math.sqrt(len(masks))
-    return _walsh_hadamard(coef)
+    shape = (len(g), 1 << n)
+    table = take("table", shape, zero=True)
+    table[:, masks] = np.divide(g, math.sqrt(len(masks)), out=g)
+    return _walsh_hadamard(table, take("stack", shape), take("step", shape))
 
 
 def h_comm_count(kind: str, n: int, locality: int) -> int:

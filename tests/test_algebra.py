@@ -13,6 +13,7 @@ from fermitheta.algebra import (
     OperatorSet,
     PauliString,
     enumerate_set,
+    family_size,
     jordan_wigner_majorana,
     majorana_anticommutes,
     majorana_to_pauli,
@@ -261,6 +262,20 @@ class TestEnumeration:
         for ops in (enumerate_set("pauli", 3, 2), enumerate_set("majorana", 6, 2)):
             back = operator_set_from_json(ops.to_json())
             assert back.members == ops.members
+
+    @pytest.mark.parametrize(
+        "family,count",
+        [
+            (("majorana", 66, 33), "7219428434016265740"),  # C(66, 33) < 2^64
+            (("majorana", 68, 34), "C(68, 34)"),  # 2^64 <= C(68, 34) < 2^65: formed, then named
+            (("pauli", 41, 20), "C(41, 20) * 3^20"),
+            (("pauli", 10**9, 10**9 - 1), "C(1000000000, 999999999) * 3^999999999"),
+        ],
+    )
+    def test_over_cap_count_named_from_2_64(self, family, count):
+        with pytest.raises(CapacityError) as err:
+            family_size(*family)
+        assert str(err.value) == f"enumeration of {count} members exceeds cap"
 
     def test_duplicate_rejected(self):
         m = MajoranaMonomial(4, (1, 2))

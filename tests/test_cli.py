@@ -107,6 +107,27 @@ class TestDispatch:
             f"capacity error: dense dimension {line} exceeds the requested cap 4096"
         ]
 
+    @pytest.mark.parametrize(
+        "argv,count",
+        [
+            (["graph", "--set", "majorana", "--n", "20000", "--loc", "10000"], "C(20000, 10000)"),
+            (["theta", "sdp", "--set", "pauli", "--n", "1000000000", "--loc", "999999999"],
+             "C(1000000000, 999999999) * 3^999999999"),
+        ],
+        ids=["graph-majorana", "sdp-pauli"],
+    )
+    def test_huge_family_refused_without_its_count(self, monkeypatch, capsys, argv, count):
+        # graph and theta sdp have no dense dimension to check first: a count
+        # far over the enumeration cap is refused unformed and named in closed form
+        def refuse(*args):
+            raise AssertionError("family counted although far over the enumeration cap")
+
+        monkeypatch.setattr(fermitheta.algebra, "_family_count", refuse)
+        assert dispatch(argv) == EXIT_CAPACITY
+        assert capsys.readouterr().err.splitlines() == [
+            f"capacity error: enumeration of {count} members exceeds cap"
+        ]
+
     def test_theta_sdp(self, capsys):
         assert dispatch(
             ["theta", "sdp", "--set", "majorana", "--n", "6", "--loc", "2", "--tol", "1e-6"]
@@ -368,10 +389,24 @@ class TestDispatch:
             return draw()
 
         monkeypatch.setattr(lab, "sample_couplings", couplings)
-        assert dispatch(["lab", "gradcheck", "--n", "18", "--loc", "4"]) == EXIT_USAGE
+        assert dispatch(["lab", "gradcheck", "--n", "18", "--loc", "4"]) == EXIT_CAPACITY
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.strip().splitlines() == ["error: gradient check limited to dimension 2^8"]
+        assert captured.err.strip().splitlines() == [
+            "capacity error: gradient check limited to dimension 2^8"]
+
+    def test_lab_overlap_refuses_n_above_20_before_any_sample(self, monkeypatch, capsys):
+        # a size cap like every other: exit 3, before any chunk is drawn
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample drawn for a refused size")
+
+        monkeypatch.setattr(lab, "_chunks", refuse)
+        argv = ["lab", "overlap", "--n", "21", "--loc", "4", "--samples", "16"]
+        assert dispatch(argv) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "capacity error: exact Gibbs enumeration limited to 20 spins"]
 
     def test_config_file_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -2,11 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermitheta.algebra import term_bank
-from fermitheta.kernel import InputError, RandomStream, Workspace, eigh, gaussian_stream
+from fermitheta.kernel import (
+    InputError,
+    RandomStream,
+    Workspace,
+    _gaussian_rows,
+    _gaussian_rows_bytes,
+    eigh,
+    gaussian_stream,
+)
 
 
 def random_hermitian(dim, seed):
@@ -85,6 +93,19 @@ class TestGaussianStream:
         with pytest.raises(InputError):
             gaussian_stream(RandomStream(1), -1)
 
+    @staticmethod
+    def fresh_philox_normals(seed, index, count):
+        """The normals of a new Philox keyed by (seed, index), through
+        ``Generator.random`` and Box-Muller one stream at a time."""
+        u = np.random.Generator(RandomStream(seed, index)._bit_generator()).random(
+            2 * ((count + 1) // 2)
+        )
+        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+        want = np.empty(len(u))
+        want[0::2] = r * np.cos(2.0 * np.pi * u[1::2])
+        want[1::2] = r * np.sin(2.0 * np.pi * u[1::2])
+        return want[:count]
+
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(-(2**63), 2**64 - 1),
@@ -96,15 +117,32 @@ class TestGaussianStream:
         """The per-thread generator gives the stream of a new Philox keyed by
         (seed, index), whatever was drawn before it."""
         gaussian_stream(RandomStream(seed + 1, index), before)
-        u = np.random.Generator(RandomStream(seed, index)._bit_generator()).random(
-            2 * ((count + 1) // 2)
-        )
-        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-        want = np.empty(len(u))
-        want[0::2] = r * np.cos(2.0 * np.pi * u[1::2])
-        want[1::2] = r * np.sin(2.0 * np.pi * u[1::2])
+        want = self.fresh_philox_normals(seed, index, count)
         got = gaussian_stream(RandomStream(seed, index), count)
-        assert got.tobytes() == want[:count].tobytes()
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(-(2**70), -1), st.integers(2**64, 2**70),
+                       st.integers(0, 2**64 - 1)),
+        count=st.integers(1, 2100),
+        streams=st.lists(st.integers(0, 2**65), min_size=1, max_size=100),
+    )
+    @example(seed=-1, count=2001, streams=[7, 3, 3, 0, 7])
+    @example(seed=2**64 + 5, count=1, streams=list(range(100, 0, -1)))
+    def test_chunk_draw_equals_stacked_streams(self, seed, count, streams):
+        """One chunk draw gives every row the bytes of its own stream,
+        for streams out of order or repeated, odd counts and seeds that
+        the key reduces mod 2^64; from a workspace as from fresh arrays."""
+        want = np.stack([gaussian_stream(RandomStream(seed, i), count) for i in streams])
+        got = _gaussian_rows(seed, streams, np.empty((len(streams), count)))
+        assert got.tobytes() == want.tobytes()
+        for i, row in zip(streams, got):
+            assert row.tobytes() == self.fresh_philox_normals(seed, i, count).tobytes()
+        work = Workspace()
+        work.allocate(len(streams) * (8 * count + _gaussian_rows_bytes(count)))
+        out = work.take("out", (len(streams), count))
+        assert _gaussian_rows(seed, streams, out, work.take).tobytes() == want.tobytes()
 
     def test_threads_draw_their_own_streams(self):
         from concurrent.futures import ThreadPoolExecutor

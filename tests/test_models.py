@@ -22,6 +22,7 @@ from fermitheta.algebra import (
     _particle_hole_masks,
     _pauli_masks,
     _popcount_array,
+    _walsh_hadamard,
     enumerate_set,
     majorana_to_pauli,
 )
@@ -438,6 +439,29 @@ class TestBatchedSpectra:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
         sizes = [len(c) for c in models._spectrum_chunks(model, n, loc, 4, streams)]
         assert sum(sizes) == len(streams) and set(sizes[:-1]) <= {width}
+
+    @given(st.sampled_from([(12, 4), (7, 3), (6, 2)]),
+           st.one_of(st.integers(-(2**64), -1), st.integers(0, 2**65)),
+           st.integers(0, 2**40), st.sampled_from([0, 17, 51]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_classical_chunks_equal_per_sample(self, family, seed, first, reduce_bytes, data):
+        # one Walsh-Hadamard transform per chunk against one per sample, the
+        # library's and the transform of a table built for one sample alone;
+        # one full chunk and a short last one
+        n, p = family
+        width = len(next(models._spectrum_chunks("classical", n, p, seed, itertools.count(),
+                                                 reduce_bytes)))
+        extra = data.draw(st.integers(1, max(1, width - 1)))
+        streams = range(first, first + width + extra)
+        chunks = models._spectrum_chunks("classical", n, p, seed, streams, reduce_bytes)
+        got = [e.tobytes() for chunk in chunks for e in chunk]
+        assert got == [sample_classical_pspin(n, p, seed, stream=i).tobytes() for i in streams]
+        m = comb(n, p)
+        for i in (streams[0], streams[-1]):
+            table = np.zeros(1 << n)
+            g = gaussian_stream(RandomStream(seed, i), m)
+            table[models._pspin_masks(n, p)] = g / math.sqrt(m)
+            assert got[i - first] == _walsh_hadamard(table).tobytes()
 
     @pytest.mark.parametrize("model,n,loc", [("syk", 8, 4), ("sg", 4, 2), ("classical", 12, 4),
                                              ("sg", 9, 2)])
