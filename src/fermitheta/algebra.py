@@ -196,6 +196,12 @@ def majorana_anticommutes(S: MajoranaMonomial, T: MajoranaMonomial) -> bool:
     return (S.degree * T.degree - shared) % 2 == 1
 
 
+def _anticommuting_distances(q: int) -> range:
+    """Johnson distances d = q - |S & T| at which degree-q monomials anticommute:
+    q*q - |S & T| = q(q - 1) + d is odd iff d is, so the odd d in 1..q."""
+    return range(1, q + 1, 2)
+
+
 def multiply_paulis(P: PauliString, Q: PauliString) -> PauliString:
     """Product P @ Q with exact quarter-phase accumulation."""
     if P.n_qubits != Q.n_qubits:
@@ -343,15 +349,6 @@ class OperatorSet:
 
 def _phase_str(g: complex) -> str:
     return {1: "+1", 1j: "+i", -1: "-1", -1j: "-i"}[complex(g)]
-
-
-def _check_even_family(n: int, q: int):
-    """Refuse (n, q) unless it names an even-degree Majorana family: n and
-    q both even, and q in 1..n."""
-    if n % 2 != 0 or q % 2 != 0:
-        raise InputError("n and q must both be even")
-    if not 0 < q <= n:
-        raise InputError("q must lie in 1..n")
 
 
 def _check_family(kind: str, n: int, locality: int):

@@ -119,6 +119,8 @@ def reproduce_table(max_n: int, q_list) -> str:
         raise InputError("table starts at n = 2")
     if any(q % 2 for q in q_list):
         raise InputError("table rows require even n and q")
+    if max(q_list, default=0) > max_n:
+        raise InputError(f"--q {max(q_list)} exceeds --max-n {max_n}, so it has no row")
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["n", "q", "theta_exact_rational", "theta_2dp", "binom_half", "equal_flag"])
@@ -284,7 +286,7 @@ def _run_lab(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    q_list = args.q_list if args.q_list else [2, 4, 6, 8, 10]
+    q_list = args.q_list or [q for q in (2, 4, 6, 8, 10) if q <= args.max_n]
     _emit(args, (reproduce_table(args.max_n, q_list),))
     return EXIT_OK
 

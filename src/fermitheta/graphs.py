@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .algebra import MajoranaMonomial, OperatorSet, PauliString, TermBank, _check_even_family
+from .algebra import MajoranaMonomial, OperatorSet, PauliString, TermBank, _check_family
 from .kernel import CapacityError, InputError, RandomStream, random_state
 
 __all__ = [
@@ -258,12 +258,14 @@ def commutation_graph(ops: OperatorSet) -> CommutationGraph:
 
 
 def commuting_majorana_family(n: int, q: int) -> OperatorSet:
-    """C(n/2, q/2) pairwise-commuting degree-q monomials.
+    """C(n/2, q/2) pairwise-commuting degree-q monomials, for even n and q.
 
     Takes all (q/2)-wise products of the disjoint quadratic monomials on
     consecutive generator pairs (1,2), (3,4), ..., (n-1,n).
     """
-    _check_even_family(n, q)
+    _check_family("majorana", n, q)
+    if q % 2:
+        raise InputError("a pair-product family requires even degree")
     pairs = [(2 * i + 1, 2 * i + 2) for i in range(n // 2)]
     members = []
     for chosen in itertools.combinations(pairs, q // 2):

@@ -73,7 +73,7 @@ class IndexEstimate:
 
 def _upper_bound_float(kind: str, n: int, locality: int) -> float:
     """The least float at or above the rigorous index bound of the full
-    family: theta / C(n, q) for even-degree Majorana terms, else the weak
+    family: theta / C(n, q) for Majorana terms of any degree, else the weak
     Pauli bound (2/3)^k."""
     if kind == "majorana":
         exact = theta_johnson_lp(n, locality).value / comb(n, locality)

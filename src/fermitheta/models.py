@@ -69,6 +69,8 @@ import numpy as np
 from .algebra import (
     TermBank,
     _admit_bank,
+    _anticommuting_distances,
+    _check_family,
     _pauli_masks,
     _walsh_hadamard,
     term_bank,
@@ -311,23 +313,16 @@ def h_comm_count(kind: str, n: int, locality: int) -> int:
     """Exact maximal number of family members anticommuting with any one term.
 
     Closed forms by vertex-transitivity (tests check them against the
-    degree of the commutation graph).
+    degree of the commutation graph), after the input rules of ``family_size``;
+    Majorana: the valencies C(q, d) C(n - q, d) of the anticommuting distances.
     """
+    _check_family(kind, n, locality)
     q = locality
     if kind == "majorana":
-        if n % 2 != 0:
-            raise InputError("majorana counting requires even n")
-        val = sum(
-            comb(q, s) * comb(n - q, q - s) for s in range(1, q + 1, 2)
-        )
-    elif kind == "pauli":
-        val = 0
-        for j in range(1, q + 1):
-            odd_words = (3**j - (-1) ** j) // 2
-            val += comb(q, j) * comb(n - q, q - j) * 3 ** (q - j) * odd_words
-    else:
-        raise InputError(f"unknown kind {kind!r}")
-    return val
+        return sum(comb(q, d) * comb(n - q, d) for d in _anticommuting_distances(q))
+    # of the 3^j letter words on j shared sites, (3^j - (-1)^j) / 2 differ at an odd count
+    return sum(comb(q, j) * comb(n - q, q - j) * 3 ** (q - j) * ((3**j - (-1) ** j) // 2)
+               for j in range(1, q + 1))
 
 
 @dataclass(frozen=True)
@@ -393,13 +388,13 @@ def ansatz_bounds_report(n: int, q: int, t: float, M: int, delta: float) -> Boun
     A state family of cardinality exp(B) can only reach energy t*sqrt(n)
     with probability exp(B - E) where E = t^2 n / (2 sigma^2) and sigma^2
     is the commutation index's upper bound theta/C(n, q) of the full
-    degree-q Majorana family, rounded up to a float.  Circuit counting
-    uses (M * C(n,2))^G configurations, matrix product states
-    exp(chi^2 + ln n), neural networks exp(W), and Gaussian states an
-    n^2-scale net.  The
-    eigenvalue bound takes c1 = 1.  An exponent E that is not a finite
-    float is refused, and so is q = n, whose single term gives the
-    eigenvalue bound no anticommuting pair (h_comm = 0).
+    degree-q Majorana family (even n, odd or even q), rounded up to a
+    float.  Circuit counting uses (M * C(n,2))^G configurations, matrix
+    product states exp(chi^2 + ln n), neural networks exp(W), and Gaussian
+    states an n^2-scale net.  The eigenvalue bound takes c1 = 1.  An
+    exponent E that is not a finite float is refused, and so is q = n,
+    whose single term gives the eigenvalue bound no anticommuting pair
+    (h_comm = 0).
     """
     if t <= 0:
         raise InputError("t must be positive")

@@ -43,7 +43,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from .algebra import _check_even_family
+from .algebra import _anticommuting_distances, _check_family
 from .graphs import CommutationGraph
 from .kernel import CapacityError, InputError
 from .scheme import HahnTable, _check_hahn_work
@@ -55,9 +55,10 @@ MAX_SDP_VERTICES = 600
 # Cap on _lp_work, sized from perf_counter timings of theta_johnson_lp on
 # one core (71 (n, q) points with q = 10..70 and n = 2q..10^300): one
 # unit took 0.3e-12 to 8.8e-12 s.  Admitted: (100, 40) at 3.7e11 units,
-# 2.2 s, the slowest admitted point measured.  Refused: (120, 44) 7.9e11
-# units 5.1 s, (120, 60) 5.3e12 3.0 s, (150, 50) 2.1e12 9.6 s,
-# (10^300, 20) 3.7e12 14.7 s, and (160, 80) (21.8 s).
+# 2.2 s, and (100, 39) at 3.2e11, 1.6 s beside 1.4 s for (100, 40), the
+# slowest admitted points measured.  Refused: (120, 44) 7.9e11 units 5.1 s,
+# (120, 60) 5.3e12 3.0 s, (150, 50) 2.1e12 9.6 s, (10^300, 20) 3.7e12 14.7 s
+# and (160, 80) 21.8 s.
 MAX_LP_WORK = 4 * 10**11
 
 
@@ -151,16 +152,17 @@ def _delsarte_program(p0, rows) -> tuple[list, list, list]:
 
 
 def theta_johnson_lp(n: int, q: int) -> ThetaResult:
-    """Exact theta of the degree-q Majorana commutation graph on n modes.
+    """Exact theta of the degree-q Majorana commutation graph on n modes
+    (even n, any q in 1..n), one LP coefficient per anticommuting distance.
 
     Refuses (:class:`CapacityError`) an (n, q) over the Hahn-table cap or
     over ``MAX_LP_WORK``, before the table is built."""
-    _check_even_family(n, q)
+    _check_family("majorana", n, q)
     _check_hahn_work(n, q)
     _check_lp_work(n, q)
     t0 = time.perf_counter()
     table = HahnTable(n, q)
-    odd_ds = list(range(1, q, 2))
+    odd_ds = _anticommuting_distances(q)
     xs = range(1, min(q, n - q) + 1)  # eigenspaces; columns x > n - q are not
     c, A, b = _delsarte_program([table[d, 0] for d in odd_ds],
                                 [[table[d, x] for d in odd_ds] for x in xs])

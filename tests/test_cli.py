@@ -75,6 +75,25 @@ class TestDispatch:
     def test_theta_odd_n_usage_error(self):
         assert dispatch(["theta", "johnson", "--n", "9", "--q", "4"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("q,value", [("3", "121/13"), ("5", "138/5")])
+    def test_theta_odd_degree(self, capsys, q, value):
+        assert dispatch(["theta", "johnson", "--n", "12", "--q", q, "--exact-output"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == value
+
+    def test_theta_and_graph_refuse_a_majorana_family_alike(self, capsys):
+        # theta johnson and graph admit a Majorana family by one rule, so on
+        # n in -1..12 and q in -1..n+2 they refuse it with the same line
+        families = [(n, q) for n in range(-1, 13) for q in range(-1, n + 3)]
+        assert len(families) == 133
+        for n, q in families:
+            results = []
+            for argv in (["theta", "johnson", "--n", str(n), "--q", str(q)],
+                         ["graph", "--set", "majorana", "--n", str(n), "--loc", str(q)]):
+                code = dispatch(argv)
+                err = capsys.readouterr().err
+                results.append(err if code == EXIT_USAGE else None)
+            assert results[0] == results[1], (n, q, results)
+
     def test_unknown_flag_usage_error(self, capsys):
         assert dispatch(["theta", "johnson", "--n", "8", "--q", "4", "--bogus"]) == EXIT_USAGE
         capsys.readouterr()
@@ -237,6 +256,13 @@ class TestDispatch:
         ) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["circuit_gate_threshold"] == 3158
+
+    def test_bounds_at_odd_degree(self, capsys):
+        # sigma^2 is theta(12, 3) / C(12, 3) = (121/13) / 220, rounded up
+        assert dispatch(
+            ["bounds", "--n", "12", "--q", "3", "--t", "0.5", "--gateset", "4", "--delta", "0.1"]
+        ) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["sigma_sq"] == 0.04230769230769231
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_bounds_refuse_q_equal_to_n(self, capsys, n):
@@ -744,6 +770,27 @@ class TestReproduceTable:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.strip().splitlines() == ["error: table rows require even n and q"]
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [(["--max-n", "40", "--q", "42"], "--q 42 exceeds --max-n 40, so it has no row"),
+         (["--max-n", "2", "--q", "4", "--q", "2"], "--q 4 exceeds --max-n 2, so it has no row")],
+    )
+    def test_q_above_max_n_refused(self, capsys, monkeypatch, argv, line):
+        def no_lp(n, q):
+            raise AssertionError("theta_johnson_lp ran")
+
+        monkeypatch.setattr(fermitheta.cli, "theta_johnson_lp", no_lp)
+        assert dispatch(["table", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [f"error: {line}"]
+
+    def test_default_q_list_keeps_the_rows_that_fit(self, capsys):
+        assert dispatch(["table", "--max-n", "6"]) == EXIT_OK
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out.strip())))
+        assert [(r[0], r[1]) for r in rows[1:]] == [
+            ("2", "2"), ("4", "2"), ("6", "2"), ("4", "4"), ("6", "4"), ("6", "6")]
 
     @pytest.mark.parametrize("max_n", ["-4", "0", "1"])
     def test_max_n_below_two_refused(self, capsys, monkeypatch, max_n):

@@ -717,12 +717,37 @@ class TestCommutationCounting:
     @pytest.mark.parametrize(
         "kind,n,q",
         [("majorana", 6, 2), ("majorana", 8, 4), ("majorana", 10, 4), ("majorana", 12, 4),
-         ("pauli", 2, 2), ("pauli", 3, 1), ("pauli", 3, 2), ("pauli", 4, 2), ("pauli", 4, 3),
+         ("majorana", 4, 1), ("majorana", 8, 3), ("majorana", 8, 5), ("majorana", 10, 3),
+         ("majorana", 10, 7), ("pauli", 2, 2), ("pauli", 3, 1), ("pauli", 3, 2), ("pauli", 4, 2), ("pauli", 4, 3),
          ("pauli", 5, 2)],
     )
     def test_closed_form_matches_graph_degree(self, kind, n, q):
         g = commutation_graph(enumerate_set(kind, n, q))
         assert h_comm_count(kind, n, q) == max(g.degrees())
+
+    def test_every_small_majorana_family_matches_graph_degree(self):
+        # all 39 Majorana families with n <= 12 and at most 600 members, odd
+        # degree included: the anticommuting distances are the odd d in 1..q
+        families = [(n, q) for n in range(2, 13, 2) for q in range(1, n + 1)
+                    if comb(n, q) <= 600]
+        assert len(families) == 39
+        for n, q in families:
+            g = commutation_graph(enumerate_set("majorana", n, q))
+            assert h_comm_count("majorana", n, q) == max(g.degrees()), (n, q)
+        assert h_comm_count("majorana", 12, 3) == 111
+
+    @pytest.mark.parametrize(
+        "kind,n,q,line",
+        [("majorana", 4, 6, "locality must lie in 1..n"),
+         ("pauli", 3, 5, "locality must lie in 1..n"),
+         ("majorana", 8, 0, "locality must lie in 1..n"),
+         ("majorana", 7, 2, "majorana enumeration requires even mode count"),
+         ("fermion", 8, 4, "unknown operator kind 'fermion'")],
+    )
+    def test_refuses_what_enumeration_refuses(self, kind, n, q, line):
+        with pytest.raises(InputError) as err:
+            h_comm_count(kind, n, q)
+        assert str(err.value) == line
 
     def test_majorana_within_stated_order(self):
         for n, q in [(8, 4), (12, 4), (16, 4)]:

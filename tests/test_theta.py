@@ -185,24 +185,42 @@ class TestJohnsonLP:
         assert payload["residuals"]["min_constraint_slack"] is None
 
     def test_odd_arguments_rejected(self):
+        # only n must be even: the degree-3 family on 10 modes has theta 8
         with pytest.raises(InputError):
             theta_johnson_lp(9, 4)
-        with pytest.raises(InputError):
-            theta_johnson_lp(10, 3)
+        assert theta_johnson_lp(10, 3).value == 8
+
+    def test_odd_degree_cells(self):
+        assert theta_johnson_lp(12, 3).value == Fraction(121, 13)
+        assert theta_johnson_lp(12, 5).value == Fraction(138, 5)
+
+    def test_every_small_family_matches_the_sdp(self):
+        # all 39 Majorana families with n <= 12 and at most 600 members, of
+        # every degree, against the numeric theta of the commutation graph
+        families = [(n, q) for n in range(2, 13, 2) for q in range(1, n + 1)
+                    if comb(n, q) <= 600]
+        assert len(families) == 39
+        for n, q in families:
+            exact = theta_johnson_lp(n, q).value
+            numeric = theta_sdp(commutation_graph(enumerate_set("majorana", n, q))).value
+            assert abs(float(exact) - numeric) <= 1e-9, (n, q, exact, numeric)
 
     def test_lp_cap_refuses_before_the_hahn_table(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("Hahn table built for an LP over the cap")
 
         monkeypatch.setattr(theta_module, "HahnTable", refuse)
-        for n, q in [(160, 80), (120, 60), (120, 44), (150, 50), (10**300, 20), (10**12, 40)]:
+        for n, q in [(160, 80), (120, 60), (120, 44), (150, 50), (10**300, 20), (10**12, 40),
+                     (100, 41), (120, 43), (160, 39), (160, 41)]:
             with pytest.raises(CapacityError, match="Johnson LP"):
                 theta_johnson_lp(n, q)
 
     def test_lp_cap_admits_the_sizes_in_use(self):
         # table --max-n 40 reaches (40, 10), bounds and the README (100, 4);
-        # (100, 40) is the slowest admitted size measured
-        for n, q in [(40, 10), (100, 4), (24, 12), (80, 40), (100, 40), (10**300, 10)]:
+        # (100, 40) is the slowest admitted size measured, (100, 39) the
+        # slowest odd one
+        for n, q in [(40, 10), (100, 4), (24, 12), (80, 40), (100, 40), (10**300, 10),
+                     (80, 39), (100, 39)]:
             theta_module._check_lp_work(n, q)
 
     def test_sandwich_against_commuting_family(self):
