@@ -725,17 +725,6 @@ class TestCommutationCounting:
         g = commutation_graph(enumerate_set(kind, n, q))
         assert h_comm_count(kind, n, q) == max(g.degrees())
 
-    def test_every_small_majorana_family_matches_graph_degree(self):
-        # all 39 Majorana families with n <= 12 and at most 600 members, odd
-        # degree included: the anticommuting distances are the odd d in 1..q
-        families = [(n, q) for n in range(2, 13, 2) for q in range(1, n + 1)
-                    if comb(n, q) <= 600]
-        assert len(families) == 39
-        for n, q in families:
-            g = commutation_graph(enumerate_set("majorana", n, q))
-            assert h_comm_count("majorana", n, q) == max(g.degrees()), (n, q)
-        assert h_comm_count("majorana", 12, 3) == 111
-
     @pytest.mark.parametrize(
         "kind,n,q,line",
         [("majorana", 4, 6, "locality must lie in 1..n"),

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from fermitheta.algebra import enumerate_set
 from fermitheta.graphs import commutation_graph, commuting_majorana_family
 from fermitheta.kernel import CapacityError, InputError
+from fermitheta.models import h_comm_count
 from fermitheta.scheme import HahnTable
 from fermitheta.simplex import solve_lp_max
 import fermitheta.simplex
@@ -127,6 +128,8 @@ class TestJohnsonLP:
         assert theta_johnson_lp(10, 4).value == Fraction(102, 7)
         assert theta_johnson_lp(14, 6).value == Fraction(11869, 207)
         assert theta_johnson_lp(20, 10).value == Fraction(22828, 29)
+        assert theta_johnson_lp(12, 3).value == Fraction(121, 13)
+        assert theta_johnson_lp(12, 5).value == Fraction(138, 5)
 
     def test_two_decimal_rounding(self):
         assert round_half_up(theta_johnson_lp(10, 4).value) == 14.57
@@ -190,20 +193,20 @@ class TestJohnsonLP:
             theta_johnson_lp(9, 4)
         assert theta_johnson_lp(10, 3).value == 8
 
-    def test_odd_degree_cells(self):
-        assert theta_johnson_lp(12, 3).value == Fraction(121, 13)
-        assert theta_johnson_lp(12, 5).value == Fraction(138, 5)
-
-    def test_every_small_family_matches_the_sdp(self):
-        # all 39 Majorana families with n <= 12 and at most 600 members, of
-        # every degree, against the numeric theta of the commutation graph
-        families = [(n, q) for n in range(2, 13, 2) for q in range(1, n + 1)
+    def test_every_small_family_matches_its_graph(self):
+        # all 73 Majorana families with n <= 24 and at most 600 members (39
+        # with n <= 12), of every degree: the exact LP against the numeric
+        # theta of the commutation graph, and h_comm_count against its
+        # largest degree; both read the anticommuting distances, odd d in 1..q
+        families = [(n, q) for n in range(2, 25, 2) for q in range(1, n + 1)
                     if comb(n, q) <= 600]
-        assert len(families) == 39
+        assert len(families) == 73
         for n, q in families:
+            graph = commutation_graph(enumerate_set("majorana", n, q))
             exact = theta_johnson_lp(n, q).value
-            numeric = theta_sdp(commutation_graph(enumerate_set("majorana", n, q))).value
-            assert abs(float(exact) - numeric) <= 1e-9, (n, q, exact, numeric)
+            assert abs(float(exact) - theta_sdp(graph).value) <= 1e-9, (n, q, exact)
+            assert h_comm_count("majorana", n, q) == max(graph.degrees()), (n, q)
+        assert h_comm_count("majorana", 12, 3) == 111
 
     def test_lp_cap_refuses_before_the_hahn_table(self, monkeypatch):
         def refuse(*args):
@@ -217,8 +220,7 @@ class TestJohnsonLP:
 
     def test_lp_cap_admits_the_sizes_in_use(self):
         # table --max-n 40 reaches (40, 10), bounds and the README (100, 4);
-        # (100, 40) is the slowest admitted size measured, (100, 39) the
-        # slowest odd one
+        # (100, 39) and (100, 40) are the slowest admitted sizes measured
         for n, q in [(40, 10), (100, 4), (24, 12), (80, 40), (100, 40), (10**300, 10),
                      (80, 39), (100, 39)]:
             theta_module._check_lp_work(n, q)
