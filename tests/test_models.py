@@ -718,8 +718,8 @@ class TestCommutationCounting:
         "kind,n,q",
         [("majorana", 6, 2), ("majorana", 8, 4), ("majorana", 10, 4), ("majorana", 12, 4),
          ("majorana", 4, 1), ("majorana", 8, 3), ("majorana", 8, 5), ("majorana", 10, 3),
-         ("majorana", 10, 7), ("pauli", 2, 2), ("pauli", 3, 1), ("pauli", 3, 2), ("pauli", 4, 2), ("pauli", 4, 3),
-         ("pauli", 5, 2)],
+         ("majorana", 10, 7), ("pauli", 2, 2), ("pauli", 3, 1), ("pauli", 3, 2), ("pauli", 4, 2),
+         ("pauli", 4, 3), ("pauli", 5, 2)],
     )
     def test_closed_form_matches_graph_degree(self, kind, n, q):
         g = commutation_graph(enumerate_set(kind, n, q))
